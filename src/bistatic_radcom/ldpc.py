@@ -1,7 +1,11 @@
 """Rate-2/3 quasi-cyclic LDPC code (IEEE 802.11n, n = 648, Z = 27).
 
 Systematic encoding via a precomputed GF(2) inverse of the parity part of H,
-decoding with a batched normalized min-sum belief-propagation decoder.
+decoding with a batched normalized min-sum belief-propagation decoder
+(flooding schedule). The decoder iterates only the codewords whose hard
+decision still fails the parity check: a codeword leaves this active set,
+with its bits, at the first iteration it passes. A converged flag therefore
+always means that the returned bits satisfy H c = 0.
 """
 
 from __future__ import annotations
@@ -65,20 +69,23 @@ class LdpcCode:
         # parity = (H2^-1 H1) @ info (mod 2)
         self._enc = (_gf2_inv(h2).astype(np.uint32) @ h1.astype(np.uint32)) % 2
         self._enc = self._enc.astype(np.uint8)
+        self._h_t = self.h.T.astype(np.float32)
         self._build_edges()
 
     def _build_edges(self) -> None:
-        chk, var = np.nonzero(self.h)
-        order = np.lexsort((var, chk))
-        self.edge_chk = chk[order].astype(np.int32)
-        self.edge_var = var[order].astype(np.int32)
-        self.n_edges = self.edge_chk.size
-        # reduceat boundaries for check-major edge ordering
-        self.chk_starts = np.searchsorted(self.edge_chk, np.arange(self.n_parity)).astype(np.int64)
-        # permutation into variable-major order and its boundaries
-        self.var_order = np.argsort(self.edge_var, kind="stable")
-        self.var_sorted = self.edge_var[self.var_order]
-        self.var_starts = np.searchsorted(self.var_sorted, np.arange(self.n)).astype(np.int64)
+        # every check has the same degree (11), so the check-major edges
+        # reshape to (checks, degree, batch); np.nonzero walks H row by row
+        self.check_degree = int(self.h[0].sum())
+        self.edge_var = np.nonzero(self.h)[1].astype(np.int32)
+        # variable nodes grouped by degree, each group's edges as a
+        # (variables, degree) table in check order
+        var_order = np.argsort(self.edge_var, kind="stable")
+        var_degrees = self.h.sum(axis=0)
+        self._var_groups = []
+        for d in np.unique(var_degrees).tolist():
+            variables = np.nonzero(var_degrees == d)[0]
+            first = np.searchsorted(self.edge_var[var_order], variables)
+            self._var_groups.append((variables, var_order[first[:, None] + np.arange(d)]))
 
     # -- encoding -----------------------------------------------------------
 
@@ -91,10 +98,13 @@ class LdpcCode:
         return np.concatenate([info, parity.astype(np.uint8)], axis=-1)
 
     def check(self, codewords: np.ndarray) -> np.ndarray:
-        """True for each codeword satisfying H c = 0."""
-        cw = np.asarray(codewords, dtype=np.uint32)
-        syndrome = (cw @ self.h.T.astype(np.uint32)) % 2
-        return ~np.any(syndrome, axis=-1)
+        """True for each codeword satisfying H c = 0.
+
+        The syndrome is a float32 BLAS product. It is exact: every row of H
+        has weight 11, so each syndrome entry is an integer of at most 11.
+        """
+        syndrome = np.asarray(codewords, dtype=np.float32) @ self._h_t
+        return ~np.any(syndrome.astype(np.uint8) & 1, axis=-1)
 
     # -- decoding -----------------------------------------------------------
 
@@ -104,51 +114,82 @@ class LdpcCode:
 
         ``llrs`` has shape (batch, n) with positive values favoring bit 0.
         Returns (hard bits (batch, n), converged flags (batch,)).
+
+        Flooding schedule over an active set: the codewords whose hard
+        decision fails the parity check. A codeword leaves the set at the
+        first iteration its hard decision passes; its bits from that
+        iteration are returned and flagged converged. Codewords still active
+        after ``max_iter`` iterations return their last hard decision,
+        flagged unconverged. So a codeword is flagged converged exactly when
+        its returned bits satisfy ``check``.
         """
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float32))
         llrs = np.clip(llrs, -40.0, 40.0)
-        batch = llrs.shape[0]
-        hard = (llrs < 0).astype(np.uint8)
-        ok = self.check(hard)
-        if np.all(ok):
-            return hard, ok
+        out_bits = (llrs < 0).astype(np.uint8)
+        out_ok = self.check(out_bits)
+        active = np.nonzero(~out_ok)[0]
+        if active.size == 0:
+            return out_bits, out_ok
 
-        active = np.nonzero(~ok)[0]
         llr_a = llrs[active].T.copy()           # (n, b)
-        v2c = llr_a[self.edge_var]              # (E, b)
-        c2v = np.zeros_like(v2c)
-        bits = hard[active].T.copy()
-        done = np.zeros(active.size, dtype=bool)
-
+        v2c = llr_a[self.edge_var]              # (E, b), check-major
+        total = llr_a                           # the result if max_iter is 0
         for _ in range(max_iter):
-            mag = np.abs(v2c)
-            neg = (v2c < 0).astype(np.int8)
-            min1 = np.minimum.reduceat(mag, self.chk_starts, axis=0)
-            parity = np.add.reduceat(neg, self.chk_starts, axis=0) & 1
-            # second minimum: mask out (all) attainers of the first minimum
-            masked = np.where(mag == min1[self.edge_chk], np.float32(np.inf), mag)
-            min2 = np.minimum.reduceat(masked, self.chk_starts, axis=0)
-            ext_mag = np.where(mag == min1[self.edge_chk], min2[self.edge_chk],
-                               min1[self.edge_chk])
-            ext_mag = np.where(np.isfinite(ext_mag), ext_mag, min1[self.edge_chk])
-            sign = 1.0 - 2.0 * ((parity[self.edge_chk] ^ neg).astype(np.float32))
-            c2v = np.float32(scale) * sign * ext_mag
-
-            c2v_v = c2v[self.var_order]
-            total = llr_a + np.add.reduceat(c2v_v, self.var_starts, axis=0)
-            v2c = total[self.edge_var] - c2v
-
+            c2v = _check_to_var(v2c.reshape(self.n_parity, self.check_degree, -1),
+                                scale).reshape(v2c.shape)
+            total = llr_a + self._var_sums(c2v)
             bits = (total < 0).astype(np.uint8)
             now_ok = self.check(bits.T)
-            done |= now_ok
-            if np.all(done):
-                break
-
-        out_bits = hard.copy()
-        out_bits[active] = bits.T
-        out_ok = ok.copy()
-        out_ok[active] = done
+            if now_ok.any():
+                out_bits[active[now_ok]] = bits[:, now_ok].T
+                out_ok[active[now_ok]] = True
+                keep = ~now_ok
+                active = active[keep]
+                if active.size == 0:
+                    return out_bits, out_ok
+                llr_a, total, c2v = llr_a[:, keep], total[:, keep], c2v[:, keep]
+            v2c = total[self.edge_var] - c2v
+        out_bits[active] = (total < 0).T
         return out_bits, out_ok
+
+    def _var_sums(self, c2v: np.ndarray) -> np.ndarray:
+        """Sum of the incoming check messages (E, b) at each variable (n, b).
+
+        The float32 additions run in one fixed order for every batch size,
+        edge 0 + (edge 1 + edge 2 + ...), the order ``np.add.reduceat`` over
+        variable-major edges takes. So a codeword decodes to the same bits
+        alone as in any batch.
+        """
+        sums = np.empty((self.n, c2v.shape[1]), dtype=np.float32)
+        for variables, edges in self._var_groups:
+            rest = c2v[edges[:, 1]]
+            for k in range(2, edges.shape[1]):
+                rest += c2v[edges[:, k]]
+            sums[variables] = c2v[edges[:, 0]] + rest
+        return sums
+
+
+def _check_to_var(v2c: np.ndarray, scale: float) -> np.ndarray:
+    """Normalized min-sum check-node update.
+
+    ``v2c`` holds the variable-to-check messages as (checks, degree, batch).
+    Each edge gets the smallest magnitude among the other edges of its
+    check, signed by the parity of their signs and scaled by ``scale``. So
+    the one edge holding the minimum gets the second smallest magnitude,
+    and when the minimum is tied every edge gets the minimum.
+    """
+    mag = np.abs(v2c)
+    min1 = mag.min(axis=1, keepdims=True)
+    at_min = mag == min1
+    tied = at_min.sum(axis=1, keepdims=True, dtype=np.int8) > 1
+    min2 = np.where(tied, min1,
+                    np.where(at_min, np.float32(np.inf), mag).min(axis=1, keepdims=True))
+    # min2 >= min1: edges at the minimum get min2, all others min1
+    ext_mag = np.maximum(min1, min2 * at_min)
+    neg = v2c < 0
+    parity = np.logical_xor.reduce(neg, axis=1, keepdims=True)
+    sign = np.float32(1.0) - np.float32(2.0) * (neg ^ parity)
+    return np.float32(scale) * sign * ext_mag
 
 
 _CODE: LdpcCode | None = None

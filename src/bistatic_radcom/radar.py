@@ -76,8 +76,6 @@ def cfr_for_sensing(rg: ReceivedGrid, cfg: FrameConfig, mode: SensingMode,
     padded = np.zeros(codeword_count * code.k, dtype=np.uint8)
     padded[:info.size] = info
     coded = code.encode(padded.reshape(codeword_count, code.k))
-    if not code.check(coded).all():
-        raise ReconstructionError("re-encoded bits fail the parity check")
     pilot_mask, data_mask = payload_masks(cfg)
     n_bits = int(data_mask.sum()) * cfg.bits_per_symbol
     all_bits = np.zeros(n_bits, dtype=np.uint8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistatic_radcom.ldpc import default_code
+from bistatic_radcom.ldpc import _check_to_var, default_code
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +77,78 @@ def test_decoder_flags_unconvergence_on_garbage(code):
     bits, ok = code.decode(llrs, max_iter=10)
     # random LLRs are overwhelmingly unlikely to satisfy all 216 checks
     assert not ok.all()
+
+
+def _check_to_var_reference(v2c, scale):
+    """Min-sum messages edge by edge: min |.| and sign product over the others."""
+    checks, degree, batch = v2c.shape
+    out = np.empty_like(v2c)
+    for c in range(checks):
+        for e in range(degree):
+            others = np.delete(v2c[c], e, axis=0)
+            sign = np.where(np.sum(others < 0, axis=0) % 2 == 1,
+                            np.float32(-1.0), np.float32(1.0))
+            out[c, e] = np.float32(scale) * sign * np.abs(others).min(axis=0)
+    return out
+
+
+def test_check_node_tied_minima_both_get_min1():
+    mags = np.array([1.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
+                    dtype=np.float32)
+    c2v = _check_to_var(mags.reshape(1, 11, 1), 0.8)[0, :, 0]
+    assert np.all(c2v == np.float32(0.8) * np.float32(1.0))
+
+
+def test_check_node_unique_minimum_gets_min2():
+    v2c = np.array([-1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
+                   dtype=np.float32).reshape(1, 11, 1)
+    c2v = _check_to_var(v2c, 0.8)[0, :, 0]
+    assert c2v[0] == np.float32(0.8) * np.float32(2.0)
+    assert np.all(c2v[1:] == -np.float32(0.8) * np.float32(1.0))
+
+
+def test_check_node_matches_edge_by_edge_reference():
+    rng = np.random.default_rng(3)
+    # few distinct magnitudes, zeros included: ties at every level
+    v2c = rng.choice(np.float32([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), (6, 11, 5))
+    assert np.array_equal(_check_to_var(v2c, 0.8), _check_to_var_reference(v2c, 0.8))
+    v2c = rng.normal(0.0, 3.0, (6, 11, 5)).astype(np.float32)
+    assert np.array_equal(_check_to_var(v2c, 0.8), _check_to_var_reference(v2c, 0.8))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1.5, 2.5), st.integers(1, 50))
+@settings(max_examples=100, deadline=None)
+def test_decode_flags_match_bits_and_rows_decode_alone(code, seed, es_n0_db, max_iter):
+    rng = np.random.default_rng(seed)
+    info = rng.integers(0, 2, (5, code.k), dtype=np.uint8)
+    x = 1.0 - 2.0 * code.encode(info).astype(float)  # BPSK
+    sigma = np.sqrt(1.0 / (2.0 * 10 ** (es_n0_db / 10.0)))
+    y = x + rng.normal(0.0, sigma, x.shape)
+    y[0] = x[0]  # one codeword valid before any iteration
+    llrs = 2.0 * y / sigma ** 2
+    bits, ok = code.decode(llrs, max_iter=max_iter)
+    assert np.array_equal(ok, code.check(bits))
+    for i, row in enumerate(llrs):
+        bits_i, ok_i = code.decode(row[None, :], max_iter=max_iter)
+        assert np.array_equal(bits_i[0], bits[i])
+        assert ok_i[0] == ok[i]
+
+
+def _integer_check(code, cw):
+    return ~np.any((cw.astype(np.int64) @ code.h.T.astype(np.int64)) % 2, axis=-1)
+
+
+def test_float32_check_matches_integer_syndrome(code):
+    # float32 sums of at most 11 ones are exact
+    assert np.all(code.h.sum(axis=1) == 11)
+    rng = np.random.default_rng(11)
+    words = rng.integers(0, 2, (200, code.n), dtype=np.uint8)
+    cw = code.encode(rng.integers(0, 2, (3, code.k), dtype=np.uint8))
+    ones = np.ones((1, code.n), dtype=np.uint8)  # every syndrome entry is 11
+    single_errors = np.repeat(cw[:1], code.n, axis=0)
+    single_errors[np.arange(code.n), np.arange(code.n)] ^= 1
+    for batch in (words, cw, ones, single_errors):
+        assert np.array_equal(code.check(batch), _integer_check(code, batch))
+    assert code.check(cw).all()
+    assert not code.check(ones)[0]
+    assert not code.check(single_errors).any()
