@@ -88,7 +88,7 @@ def apply_paths_and_cfo(x: IqStream, scenario: ChannelScenario) -> IqStream:
         y += p.gain * delayed
     if imp.cfo_hz != 0.0 or imp.cpo_rad != 0.0:
         y *= np.exp(1j * (2.0 * np.pi * imp.cfo_hz * n * ts + imp.cpo_rad))
-    return IqStream(samples=y, nominal_rate=fs, origin_index=None)
+    return IqStream(samples=y, nominal_rate=fs)
 
 
 def apply_sfo(x: IqStream, sfo_norm: float) -> IqStream:
@@ -96,25 +96,23 @@ def apply_sfo(x: IqStream, sfo_norm: float) -> IqStream:
     if abs(sfo_norm) >= SFO_BOUND:
         raise ScenarioError(f"|sfo_norm| must be below {SFO_BOUND}")
     if sfo_norm == 0.0:
-        return IqStream(samples=x.samples.copy(), nominal_rate=x.nominal_rate,
-                        origin_index=x.origin_index)
+        return IqStream(samples=x.samples.copy(), nominal_rate=x.nominal_rate)
     y = resample_arbitrary(x.samples, 1.0 + sfo_norm, out_len=x.samples.size)
-    return IqStream(samples=y, nominal_rate=x.nominal_rate, origin_index=None)
+    return IqStream(samples=y, nominal_rate=x.nominal_rate)
 
 
 def add_awgn(x: IqStream, snr_db: float | None, ref_power: float,
              seed: int) -> IqStream:
     """Circularly-symmetric complex AWGN at the given SNR vs ``ref_power``."""
     if snr_db is None:
-        return IqStream(samples=x.samples.copy(), nominal_rate=x.nominal_rate,
-                        origin_index=x.origin_index)
+        return IqStream(samples=x.samples.copy(), nominal_rate=x.nominal_rate)
     if ref_power <= 0:
         raise ScenarioError("ref_power must be positive")
     noise_var = ref_power / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), (x.samples.size, 2))
     return IqStream(samples=x.samples + noise[:, 0] + 1j * noise[:, 1],
-                    nominal_rate=x.nominal_rate, origin_index=x.origin_index)
+                    nominal_rate=x.nominal_rate)
 
 
 def main_path_rx_power(x: IqStream, scenario: ChannelScenario) -> float:

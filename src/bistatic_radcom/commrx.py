@@ -15,8 +15,8 @@ import numpy as np
 
 from .ldpc import default_code
 from .params import FrameConfig, require_valid
-from .txframe import (FramingError, IqStream, payload_masks,
-                      pilot_values)
+from .txframe import (FramingError, IqStream, data_elements, frame_tables,
+                      pilot_cfr)
 
 
 class WeakMainPathError(RuntimeError):
@@ -70,14 +70,6 @@ def demodulate_frame(payload_stream: IqStream, cfg: FrameConfig) -> ReceivedGrid
                         cfg=cfg)
 
 
-def _pilot_cfr(rg: ReceivedGrid) -> np.ndarray:
-    """Raw least-squares channel estimates at pilot positions,
-    shape (N/dN, M_pl/dM)."""
-    cfg = rg.cfg
-    y_p = rg.grid[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing]
-    return y_p / pilot_values(cfg)
-
-
 def _main_tap(cir_mag: np.ndarray) -> int:
     """Index of the dominant tap of a mean CIR magnitude profile."""
     peak = int(np.argmax(cir_mag))
@@ -90,7 +82,7 @@ def _main_tap(cir_mag: np.ndarray) -> int:
 def estimate_main_doppler(rg: ReceivedGrid, cfg: FrameConfig) -> tuple[float, ReceivedGrid]:
     """Estimate the main-path Doppler from the phase progression of the
     strongest CIR tap across pilot symbols, and de-rotate the whole grid."""
-    hp = _pilot_cfr(rg)
+    hp = pilot_cfr(rg.grid, cfg)
     cir = np.fft.ifft(hp, axis=0)
     tap = _main_tap(np.mean(np.abs(cir), axis=1))
     track = cir[tap, :]
@@ -121,19 +113,12 @@ def _interp_axis(values: np.ndarray, xp: np.ndarray, x: np.ndarray,
 def estimate_cfr(rg: ReceivedGrid, cfg: FrameConfig) -> CfrEstimate:
     """Bilinear interpolation (frequency first, then time) of the pilot
     channel estimates over the full grid; edges held."""
-    hp = _pilot_cfr(rg)
-    n, mpl = cfg.n_subcarriers, cfg.m_payload
-    dn, dm = cfg.pilot_freq_spacing, cfg.pilot_time_spacing
-    k_pil = np.arange(0, n, dn)
-    m_pil = np.arange(0, mpl, dm)
-
-    full_f = _interp_axis(hp, k_pil, np.arange(n), axis=0)
-    cfr = _interp_axis(full_f, m_pil, np.arange(mpl), axis=1)
-
-    measured = np.zeros((n, mpl), dtype=bool)
-    measured[::dn, ::dm] = True
-    cfr[::dn, ::dm] = hp
-    return CfrEstimate(cfr=cfr, measured_mask=measured)
+    hp = pilot_cfr(rg.grid, cfg)
+    tables = frame_tables(cfg)
+    full_f = _interp_axis(hp, tables.k_pil, np.arange(cfg.n_subcarriers), axis=0)
+    cfr = _interp_axis(full_f, tables.m_pil, np.arange(cfg.m_payload), axis=1)
+    cfr[np.ix_(tables.k_pil, tables.m_pil)] = hp
+    return CfrEstimate(cfr=cfr, measured_mask=~tables.data_mask)
 
 
 def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
@@ -168,9 +153,9 @@ def compensate_residual_sfo(rg: ReceivedGrid, cfr_est: CfrEstimate,
                             cfg: FrameConfig) -> tuple[ReceivedGrid, CfrEstimate]:
     """Track the linear drift of the main-tap delay across pilot symbols and
     align all payload symbols via per-subcarrier phase ramps."""
-    hp = _pilot_cfr(rg)
+    hp = pilot_cfr(rg.grid, cfg)
     delays, mags = _tap_delays(hp, cfg)
-    m_pil = np.arange(0, cfg.m_payload, cfg.pilot_time_spacing).astype(float)
+    m_pil = frame_tables(cfg).m_pil.astype(float)
     w = mags ** 2
     wsum = w.sum()
     mc = m_pil - (w * m_pil).sum() / wsum
@@ -195,7 +180,7 @@ def compensate_residual_sfo(rg: ReceivedGrid, cfr_est: CfrEstimate,
 
 def cir_evolution(rg: ReceivedGrid, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """(per-pilot-symbol main-tap delay in samples, magnitude in dB rel max)."""
-    hp = _pilot_cfr(rg)
+    hp = pilot_cfr(rg.grid, cfg)
     delays, mags = _tap_delays(hp, cfg)
     mag_db = 20.0 * np.log10(np.maximum(mags, 1e-30) / max(mags.max(), 1e-30))
     return delays, mag_db
@@ -208,9 +193,8 @@ def equalize(rg: ReceivedGrid, cfr: np.ndarray,
     Returns (equalized data symbols in column-major frame order, per-symbol
     effective noise variances for LLR scaling, erasure flags).
     """
-    pilot_mask, data_mask = payload_masks(cfg)
-    h = cfr.T[data_mask.T]
-    y = rg.grid.T[data_mask.T]
+    h = data_elements(cfr, cfg)
+    y = data_elements(rg.grid, cfg)
     mag = np.abs(h)
     erased = mag < 1e-6
     safe_h = np.where(erased, 1.0, h)
@@ -219,21 +203,20 @@ def equalize(rg: ReceivedGrid, cfr: np.ndarray,
 
     noise_var = _noise_variance_per_subcarrier(rg, cfg)
     nv_grid = np.broadcast_to(noise_var[:, None], rg.grid.shape)
-    nv = nv_grid.T[data_mask.T] / np.maximum(mag, 1e-6) ** 2
+    nv = data_elements(nv_grid, cfg) / np.maximum(mag, 1e-6) ** 2
     return s_hat, nv, erased
 
 
 def _noise_variance_per_subcarrier(rg: ReceivedGrid, cfg: FrameConfig) -> np.ndarray:
     """Noise variance proxy from pilot-to-pilot channel estimate differences,
     interpolated over all subcarriers."""
-    hp = _pilot_cfr(rg)
+    hp = pilot_cfr(rg.grid, cfg)
     if hp.shape[1] > 1:
         d = np.diff(hp, axis=1)
         var_rows = 0.5 * np.mean(np.abs(d) ** 2, axis=1)
     else:
         var_rows = np.full(hp.shape[0], 1e-6)
-    k_pil = np.arange(0, cfg.n_subcarriers, cfg.pilot_freq_spacing)
-    var = np.interp(np.arange(cfg.n_subcarriers), k_pil, var_rows)
+    var = np.interp(np.arange(cfg.n_subcarriers), frame_tables(cfg).k_pil, var_rows)
     return np.maximum(var, 1e-12)
 
 

@@ -35,8 +35,6 @@ def write_iq(path: str | Path, stream: IqStream, metadata: dict | None = None) -
         "sample_rate_hz": float(stream.nominal_rate),
         "num_samples": int(s.size),
     }
-    if stream.origin_index is not None:
-        side["origin_index"] = int(stream.origin_index)
     if metadata:
         side["metadata"] = metadata
     sidecar_path(path).write_text(json.dumps(side, indent=2, sort_keys=True) + "\n")
@@ -70,6 +68,4 @@ def read_iq(path: str | Path) -> IqStream:
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
     if not np.all(np.isfinite(samples)):
         raise DataError("IQ file contains non-finite samples")
-    origin = side.get("origin_index")
-    return IqStream(samples=samples, nominal_rate=float(rate),
-                    origin_index=int(origin) if origin is not None else None)
+    return IqStream(samples=samples, nominal_rate=float(rate))

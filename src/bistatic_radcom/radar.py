@@ -1,9 +1,10 @@
 """Range-Doppler imaging from the estimated channel and peak extraction.
 
 Sensing input is either the pilot-position CFR submatrix or, when the
-payload was decoded reliably, a data-aided full CFR obtained by rebuilding
-the transmit grid from re-encoded bits. Range axis is relative bistatic
-range with zero at the synchronization-locked main path.
+payload was decoded, a data-aided full CFR: the received payload grid
+divided by the transmit payload grid that the TX code builds from the
+decoded info bits. Range axis is relative bistatic range with zero at the
+synchronization-locked main path.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import numpy as np
 
 from .commrx import ReceivedGrid
 from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode, require_valid
-from .txframe import map_qpsk, payload_masks, pilot_values
-from .ldpc import default_code
+from .txframe import map_payload, payload_grid, pilot_cfr
 
 
 class ReconstructionError(RuntimeError):
@@ -37,51 +37,18 @@ class Detection:
     doppler_shift_hz: float
     magnitude_db: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rel_bistatic_range_m": self.rel_bistatic_range_m,
-            "doppler_shift_hz": self.doppler_shift_hz,
-            "magnitude_db": self.magnitude_db,
-        }
-
-
-def rebuild_tx_payload_grid(cfg: FrameConfig, coded_and_filler_bits: np.ndarray) -> np.ndarray:
-    """TX payload-region grid (N x M_pl) from coded bits plus filler."""
-    pilot_mask, data_mask = payload_masks(cfg)
-    n_data = int(data_mask.sum())
-    bits = np.asarray(coded_and_filler_bits, dtype=np.uint8).ravel()
-    if bits.size != n_data * cfg.bits_per_symbol:
-        raise ReconstructionError(
-            f"need {n_data * cfg.bits_per_symbol} coded+filler bits, got {bits.size}")
-    grid = np.zeros((cfg.n_subcarriers, cfg.m_payload), dtype=np.complex128)
-    grid[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = pilot_values(cfg)
-    grid.T[data_mask.T] = map_qpsk(bits)
-    return grid
-
 
 def cfr_for_sensing(rg: ReceivedGrid, cfg: FrameConfig, mode: SensingMode,
-                    decoded_info_bits: np.ndarray | None = None,
-                    codeword_count: int | None = None) -> np.ndarray:
+                    decoded_info_bits: np.ndarray | None = None) -> np.ndarray:
     """Sensing CFR matrix: pilot submatrix, or full-grid Y/X with the TX
-    grid rebuilt from re-encoded decoded bits."""
+    payload grid rebuilt from the decoded info bits."""
     require_valid(cfg)
     if mode is SensingMode.PILOT_ONLY:
-        y_p = rg.grid[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing]
-        return y_p / pilot_values(cfg)
-
-    if decoded_info_bits is None or codeword_count is None:
+        return pilot_cfr(rg.grid, cfg)
+    if decoded_info_bits is None:
         raise ReconstructionError("full-frame sensing requires decoded bits")
-    code = default_code()
-    info = np.asarray(decoded_info_bits, dtype=np.uint8).ravel()
-    padded = np.zeros(codeword_count * code.k, dtype=np.uint8)
-    padded[:info.size] = info
-    coded = code.encode(padded.reshape(codeword_count, code.k))
-    pilot_mask, data_mask = payload_masks(cfg)
-    n_bits = int(data_mask.sum()) * cfg.bits_per_symbol
-    all_bits = np.zeros(n_bits, dtype=np.uint8)
-    all_bits[:coded.size] = coded.reshape(-1)
-    x = rebuild_tx_payload_grid(cfg, all_bits)
-    return rg.grid / x
+    _, symbols = map_payload(decoded_info_bits, cfg)
+    return rg.grid / payload_grid(cfg, symbols)
 
 
 def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
@@ -162,20 +129,3 @@ def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
             magnitude_db=float(m[i, j]),
         ))
     return dets
-
-
-def bistatic_scene_report(detections: list[Detection],
-                          known_main_range_m: float | None = None) -> dict:
-    """Detection list with ranges converted to absolute bistatic ranges when
-    the main-path length is known; otherwise flagged as relative."""
-    out = {
-        "range_reference": "absolute" if known_main_range_m is not None else "relative",
-        "known_main_range_m": known_main_range_m,
-        "detections": [],
-    }
-    for d in detections:
-        entry = d.to_dict()
-        if known_main_range_m is not None:
-            entry["bistatic_range_m"] = known_main_range_m + d.rel_bistatic_range_m
-        out["detections"].append(entry)
-    return out

@@ -27,8 +27,8 @@ from .commrx import (cir_evolution, compensate_residual_sfo,
 from .ldpc import default_code
 from .params import FrameConfig, SensingMode, validate_config
 from .sync import SyncError, synchronize
-from .txframe import (IqStream, build_tx_frame, frame_capacity_bits,
-                      symbols_from_grid)
+from .txframe import (FrameGrid, IqStream, PayloadBits, build_tx_frame,
+                      frame_capacity_bits, frame_tables, symbols_from_grid)
 
 
 class ScenarioFileError(ValueError):
@@ -106,6 +106,9 @@ def _get_num(obj: dict, key: str, where: str, errors: list[str],
         return None
     if isinstance(v, bool) or not isinstance(v, _NUM):
         errors.append(f"{where}{key}: expected a number, got {type(v).__name__}")
+        return default
+    if isinstance(v, float) and not math.isfinite(v):
+        errors.append(f"{where}{key}: expected a finite number")
         return default
     return v
 
@@ -381,10 +384,9 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     except Exception as exc:
         raise PipelineError("comm.estimation", str(exc)) from exc
 
-    m_pil = np.arange(0, cfg.m_payload, cfg.pilot_time_spacing)
     _write_csv(outdir / "cir_evolution.csv",
                "pilot_symbol_index,delay_samples,delay_ns,mag_db",
-               [m_pil.astype(float), delays,
+               [frame_tables(cfg).m_pil.astype(float), delays,
                 delays / cfg.bandwidth_hz * 1e9, mag_db])
 
     try:
@@ -414,9 +416,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     detections_rows: list[tuple] = []
     for mode in scn.sensing_modes:
         try:
-            cfr_s = radar_mod.cfr_for_sensing(
-                rg, cfg, mode,
-                decoded_info_bits=info_hat, codeword_count=n_cw)
+            cfr_s = radar_mod.cfr_for_sensing(rg, cfg, mode, decoded_info_bits=info_hat)
             rd = radar_mod.range_doppler(cfr_s, cfg, mode,
                                          window_kind=scn.window,
                                          zero_pad=scn.zero_pad)
@@ -448,13 +448,22 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     return summary
 
 
+def _tx_refs(frame: FrameGrid, payload: PayloadBits) -> dict:
+    """Known transmit side (info/coded bits, data symbols) for error rates
+    and EVM."""
+    return {
+        "info_bits": payload.info_bits,
+        "coded_bits": payload.coded_bits,
+        "data_symbols": symbols_from_grid(frame),
+    }
+
+
 def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
     """Full simulation: TX frame, channel, receive pipeline, artifacts."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        info_bits = generate_info_bits(scn)
-        frame, payload, tx_stream = build_tx_frame(scn.frame, info_bits)
+        frame, payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))
     except PipelineError:
         raise
     except Exception as exc:
@@ -472,11 +481,10 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
         write_iq(outdir / "tx.iq", tx_stream, metadata={"scenario": scn.name})
         write_iq(outdir / "rx.iq", rx_stream, metadata={"scenario": scn.name})
 
-    tx_refs = {
-        "info_bits": payload.info_bits,
-        "coded_bits": payload.coded_bits,
-        "data_symbols": symbols_from_grid(frame),
-    }
+    # the data symbols are taken after the channel's memory peak and the TX
+    # grid is released before the receiver's (sync resampler) peak
+    tx_refs = _tx_refs(frame, payload)
+    del frame
     return run_receive_pipeline(rx_stream, scn, outdir, tx_refs)
 
 
@@ -492,11 +500,5 @@ def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> d
     stream = read_iq(iq_path)
     tx_refs = None
     if scn.info_known:
-        info_bits = generate_info_bits(scn)
-        frame, payload, _ = build_tx_frame(scn.frame, info_bits)
-        tx_refs = {
-            "info_bits": payload.info_bits,
-            "coded_bits": payload.coded_bits,
-            "data_symbols": symbols_from_grid(frame),
-        }
+        tx_refs = _tx_refs(*build_tx_frame(scn.frame, generate_info_bits(scn))[:2])
     return run_receive_pipeline(stream, scn, outdir, tx_refs)

@@ -13,13 +13,13 @@ Index convention: frame start = first CP sample of the first preamble symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dsp import sfo_correction_chain
 from .params import FrameConfig, require_valid
-from .txframe import IqStream, build_preamble, sc_differential
+from .txframe import IqStream, frame_tables, sc_differential
 from .channel import SFO_BOUND
 
 SC_LOCK_THRESHOLD = 0.3
@@ -40,7 +40,6 @@ class SyncReport:
     cfo_hat_hz: float = 0.0
     sfo_hat: float = 0.0
     timing_metric_peak: float = 0.0
-    timing_metric: np.ndarray | None = None
     pair_phase_slopes: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -57,7 +56,7 @@ class SyncReport:
 
 def _first_preamble_time_symbol(cfg: FrameConfig) -> np.ndarray:
     """Known time-domain useful part (no CP) of the first preamble symbol."""
-    return np.fft.ifft(build_preamble(cfg)[:, 0], norm="ortho")
+    return np.fft.ifft(frame_tables(cfg).preamble[:, 0], norm="ortho")
 
 
 def schmidl_cox(y: IqStream, cfg: FrameConfig) -> tuple[int, float, np.ndarray]:
@@ -151,7 +150,7 @@ def local_cfo_correct(y: IqStream, cfo_hat_hz: float,
     if cfo_hat_hz != 0.0:
         n = np.arange(stop - start)
         out[start:stop] *= np.exp(-2j * np.pi * cfo_hat_hz * n / y.nominal_rate)
-    return IqStream(samples=out, nominal_rate=y.nominal_rate, origin_index=y.origin_index)
+    return IqStream(samples=out, nominal_rate=y.nominal_rate)
 
 
 def fine_timing(y_corrected: IqStream, cfg: FrameConfig, coarse_start: int) -> int:
@@ -235,7 +234,7 @@ def resample_correct(y: IqStream, delta_hat: float) -> IqStream:
     if abs(delta_hat) >= SFO_BOUND:
         raise SyncError("resample_correct", f"|delta_hat| must be below {SFO_BOUND}")
     z = sfo_correction_chain(y.samples, delta_hat)
-    return IqStream(samples=z, nominal_rate=y.nominal_rate, origin_index=None)
+    return IqStream(samples=z, nominal_rate=y.nominal_rate)
 
 
 def synchronize(y: IqStream, cfg: FrameConfig,
@@ -283,7 +282,6 @@ def synchronize(y: IqStream, cfg: FrameConfig,
         cfo_hat_hz=float(cfo_hat),
         sfo_hat=float(delta_hat),
         timing_metric_peak=float(metric.max()),
-        timing_metric=metric,
         pair_phase_slopes=slopes,
     )
-    return IqStream(samples=payload, nominal_rate=y.nominal_rate, origin_index=0), report
+    return IqStream(samples=payload, nominal_rate=y.nominal_rate), report

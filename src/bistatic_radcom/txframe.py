@@ -4,10 +4,18 @@ Frame layout (columns): M_sc Schmidl-Cox symbols, M_sfo pairwise-identical
 clock-tracking symbols, then the payload region carrying a comb-block pilot
 grid and LDPC-coded QPSK data. The DFT convention is unitary in both
 directions so time- and frequency-domain powers agree.
+
+This module is the sole owner of that layout: the pilot comb
+``[::dN, ::dM]``, the seeded pilot and preamble symbols, and the
+column-major order of the data cells. Receivers read it through
+:func:`frame_tables` (one cached, read-only table set per ``FrameConfig``)
+and through :func:`payload_grid`, :func:`data_elements` and
+:func:`pilot_cfr`, never by rebuilding it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +56,16 @@ class FrameGrid:
 class IqStream:
     samples: np.ndarray
     nominal_rate: float
-    origin_index: int | None = None
+
+
+@dataclass(frozen=True)
+class FrameTables:
+    """Frame layout of one ``FrameConfig``; every array is read-only."""
+    preamble: np.ndarray      # complex, N x M_pb
+    pilots: np.ndarray        # complex, N/dN x M_pl/dM, on the comb [::dN, ::dM]
+    data_mask: np.ndarray     # bool, N x M_pl, True at data cells
+    k_pil: np.ndarray         # pilot subcarrier indices
+    m_pil: np.ndarray         # pilot payload-symbol indices
 
 
 def _seeded_qpsk(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -63,15 +80,6 @@ def map_qpsk(bits: np.ndarray) -> np.ndarray:
         raise FramingError("QPSK mapping requires an even number of bits")
     b = bits.reshape(-1, 2).astype(np.float64)
     return ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) / np.sqrt(2.0)
-
-
-def demap_qpsk_hard(symbols: np.ndarray) -> np.ndarray:
-    """Hard-decision inverse of :func:`map_qpsk`."""
-    s = np.asarray(symbols).ravel()
-    bits = np.empty((s.size, 2), dtype=np.uint8)
-    bits[:, 0] = s.real < 0
-    bits[:, 1] = s.imag < 0
-    return bits.reshape(-1)
 
 
 def build_preamble(cfg: FrameConfig) -> np.ndarray:
@@ -102,7 +110,7 @@ def build_preamble(cfg: FrameConfig) -> np.ndarray:
 def sc_differential(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """(even-subcarrier indices, known differential c2[k]*conj(c1[k])) of the
     two S&C symbols, used for integer CFO resolution at the receiver."""
-    pb = build_preamble(cfg)
+    pb = frame_tables(cfg).preamble
     even = np.arange(0, cfg.n_subcarriers, 2)
     return even, pb[even, 1] * np.conj(pb[even, 0])
 
@@ -120,6 +128,49 @@ def payload_masks(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     pilot = np.zeros((n, mpl), dtype=bool)
     pilot[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = True
     return pilot, ~pilot
+
+
+@functools.lru_cache(maxsize=8)
+def frame_tables(cfg: FrameConfig) -> FrameTables:
+    """The layout tables of ``cfg``, built on first use and then shared."""
+    require_valid(cfg)
+    tables = FrameTables(
+        preamble=build_preamble(cfg),
+        pilots=pilot_values(cfg),
+        data_mask=payload_masks(cfg)[1],
+        k_pil=np.arange(0, cfg.n_subcarriers, cfg.pilot_freq_spacing),
+        m_pil=np.arange(0, cfg.m_payload, cfg.pilot_time_spacing),
+    )
+    for arr in vars(tables).values():
+        arr.flags.writeable = False
+    return tables
+
+
+def payload_grid(cfg: FrameConfig, data_symbols: np.ndarray) -> np.ndarray:
+    """Payload region (N x M_pl): pilots on the comb, data filled
+    column-major over the remaining cells."""
+    tables = frame_tables(cfg)
+    data_symbols = np.asarray(data_symbols).ravel()
+    if data_symbols.size != cfg.n_data_elements:
+        raise FramingError(f"expected {cfg.n_data_elements} payload symbols for "
+                           f"this config, got {data_symbols.size}")
+    grid = np.zeros((cfg.n_subcarriers, cfg.m_payload), dtype=np.complex128)
+    grid[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = tables.pilots
+    grid.T[tables.data_mask.T] = data_symbols
+    return grid
+
+
+def data_elements(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Data cells of an N x M_pl payload-region array, in the column-major
+    order used by :func:`payload_grid`."""
+    return grid.T[frame_tables(cfg).data_mask.T]
+
+
+def pilot_cfr(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Least-squares channel estimates at the pilots of an N x M_pl payload
+    grid, shape (N/dN, M_pl/dM)."""
+    y_p = grid[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing]
+    return y_p / frame_tables(cfg).pilots
 
 
 def frame_capacity_bits(cfg: FrameConfig) -> tuple[int, int]:
@@ -150,34 +201,22 @@ def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
 
 def assemble_frame(cfg: FrameConfig, payload_symbols: np.ndarray) -> FrameGrid:
     """Place preamble, pilots and data symbols on the N x M grid."""
-    require_valid(cfg)
+    tables = frame_tables(cfg)
     n, mpb, mpl = cfg.n_subcarriers, cfg.m_preamble, cfg.m_payload
-    pilot_mask, data_mask = payload_masks(cfg)
-    n_data = int(data_mask.sum())
-    payload_symbols = np.asarray(payload_symbols).ravel()
-    if payload_symbols.size != n_data:
-        raise FramingError(
-            f"expected {n_data} payload symbols for this config, got {payload_symbols.size}")
-
     grid = np.zeros((n, mpb + mpl), dtype=np.complex128)
-    grid[:, :mpb] = build_preamble(cfg)
-    payload = np.zeros((n, mpl), dtype=np.complex128)
-    payload[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = pilot_values(cfg)
-    # data filled column-major over the remaining elements
-    payload.T[data_mask.T] = payload_symbols
-    grid[:, mpb:] = payload
+    grid[:, :mpb] = tables.preamble
+    grid[:, mpb:] = payload_grid(cfg, payload_symbols)
 
     masks = np.empty((n, mpb + mpl), dtype=np.uint8)
     masks[:, :cfg.m_sc] = MASK_SC
     masks[:, cfg.m_sc:mpb] = MASK_SFO
-    masks[:, mpb:] = np.where(pilot_mask, MASK_PILOT, MASK_DATA)
+    masks[:, mpb:] = np.where(tables.data_mask, MASK_DATA, MASK_PILOT)
     return FrameGrid(grid=grid, masks=masks, cfg=cfg)
 
 
 def symbols_from_grid(frame: FrameGrid) -> np.ndarray:
     """Data symbols in the same column-major order used by assemble_frame."""
-    data_mask = frame.masks[:, frame.cfg.m_preamble:] == MASK_DATA
-    return frame.grid[:, frame.cfg.m_preamble:].T[data_mask.T]
+    return data_elements(frame.grid[:, frame.cfg.m_preamble:], frame.cfg)
 
 
 def modulate(frame: FrameGrid) -> IqStream:
@@ -185,19 +224,20 @@ def modulate(frame: FrameGrid) -> IqStream:
     cfg = frame.cfg
     time_syms = np.fft.ifft(frame.grid, axis=0, norm="ortho")
     with_cp = np.concatenate([time_syms[-cfg.cp_len:, :], time_syms], axis=0)
-    return IqStream(samples=with_cp.T.reshape(-1), nominal_rate=cfg.bandwidth_hz,
-                    origin_index=0)
+    return IqStream(samples=with_cp.T.reshape(-1), nominal_rate=cfg.bandwidth_hz)
+
+
+def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, np.ndarray]:
+    """Encode the info bits and map them onto every data cell of the frame;
+    cells beyond the coded payload carry zero bits."""
+    payload = encode_payload(info_bits, cfg)
+    all_bits = np.zeros(cfg.n_data_elements * cfg.bits_per_symbol, dtype=np.uint8)
+    all_bits[:payload.coded_bits.size] = payload.coded_bits
+    return payload, map_qpsk(all_bits)
 
 
 def build_tx_frame(cfg: FrameConfig, info_bits: np.ndarray) -> tuple[FrameGrid, PayloadBits, IqStream]:
-    """Convenience TX chain: encode, map, assemble, modulate.
-
-    Data-element slots beyond the coded payload are filled with zero bits.
-    """
-    payload = encode_payload(info_bits, cfg)
-    pilot_mask, data_mask = payload_masks(cfg)
-    n_data = int(data_mask.sum())
-    all_bits = np.zeros(n_data * cfg.bits_per_symbol, dtype=np.uint8)
-    all_bits[:payload.coded_bits.size] = payload.coded_bits
-    frame = assemble_frame(cfg, map_qpsk(all_bits))
+    """Convenience TX chain: encode, map, assemble, modulate."""
+    payload, symbols = map_payload(info_bits, cfg)
+    frame = assemble_frame(cfg, symbols)
     return frame, payload, modulate(frame)

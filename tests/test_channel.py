@@ -25,8 +25,7 @@ def small_cfg():
 
 def tone_stream(n=4096, f=0.01, rate=1e9):
     t = np.arange(n)
-    return IqStream(samples=np.exp(2j * np.pi * f * t), nominal_rate=rate,
-                    origin_index=0)
+    return IqStream(samples=np.exp(2j * np.pi * f * t), nominal_rate=rate)
 
 
 def single_main(**imp):

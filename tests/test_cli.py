@@ -108,11 +108,30 @@ def test_invalid_json_is_diagnosed(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", ["frame.m_payload", "channel.impairments.snr_db"])
+def test_non_finite_number_is_diagnosed(tmp_path, capsys, path):
+    doc = desk_scenario()
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = float("nan")
+    scn = write_scn(tmp_path, doc)
+    assert "NaN" in scn.read_text()
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == EXIT_INPUT
+    assert f"{path}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_capture_round_trip_matches_simulation(tmp_path, capsys):
     doc = desk_scenario(outputs={"write_iq": True})
     scn = write_scn(tmp_path, doc)
     out1 = tmp_path / "sim"
     assert main(["run", str(scn), "--out", str(out1)]) == EXIT_OK
+    # sidecars written by earlier versions carry an origin_index field
+    side = out1 / "rx.iq.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), "origin_index": 0}))
     out2 = tmp_path / "cap"
     assert main(["capture", str(out1 / "rx.iq"), str(scn),
                  "--out", str(out2)]) == EXIT_OK

@@ -11,19 +11,18 @@ from bistatic_radcom.params import (
     radar_performance,
 )
 from bistatic_radcom.radar import (
-    Detection,
     ReconstructionError,
-    bistatic_scene_report,
     cfr_for_sensing,
     extract_peaks,
     range_doppler,
-    rebuild_tx_payload_grid,
 )
 from bistatic_radcom.txframe import (
+    FramingError,
     IqStream,
     build_tx_frame,
     frame_capacity_bits,
-    payload_masks,
+    map_payload,
+    payload_grid,
 )
 
 
@@ -152,9 +151,7 @@ def test_cfr_for_sensing_full_frame_flat_channel():
     stream = IqStream(samples=tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(),
                       nominal_rate=tx.nominal_rate)
     rg = demodulate_frame(stream, cfg)
-    cfr = cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME,
-                          decoded_info_bits=info,
-                          codeword_count=payload.codeword_count)
+    cfr = cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME, decoded_info_bits=info)
     assert cfr.shape == rg.grid.shape
     assert np.allclose(cfr, 1.0, atol=1e-9)
 
@@ -171,23 +168,22 @@ def test_full_frame_sensing_requires_bits():
         cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME)
 
 
-def test_rebuild_grid_rejects_wrong_bit_count():
+def test_payload_grid_rejects_wrong_symbol_count():
     cfg = desk_cfg()
-    with pytest.raises(ReconstructionError):
-        rebuild_tx_payload_grid(cfg, np.zeros(17, dtype=np.uint8))
+    with pytest.raises(FramingError):
+        payload_grid(cfg, np.zeros(17, dtype=complex))
 
 
-def test_rebuild_grid_matches_tx():
+def test_payload_grid_matches_tx():
+    """The full-frame sensing reference is bit for bit the TX payload region,
+    also for a payload shorter than the frame (zero-filled cells)."""
     cfg = desk_cfg()
     rng = np.random.default_rng(4)
-    info = rng.integers(0, 2, frame_capacity_bits(cfg)[0], dtype=np.uint8)
-    frame, payload, _ = build_tx_frame(cfg, info)
-    _, data_mask = payload_masks(cfg)
-    n_bits = int(data_mask.sum()) * cfg.bits_per_symbol
-    all_bits = np.zeros(n_bits, dtype=np.uint8)
-    all_bits[:payload.coded_bits.size] = payload.coded_bits
-    grid = rebuild_tx_payload_grid(cfg, all_bits)
-    assert np.allclose(grid, frame.grid[:, cfg.m_preamble:], atol=1e-12)
+    for n_info in (frame_capacity_bits(cfg)[0], 1000):
+        info = rng.integers(0, 2, n_info, dtype=np.uint8)
+        frame, _, _ = build_tx_frame(cfg, info)
+        grid = payload_grid(cfg, map_payload(info, cfg)[1])
+        assert np.array_equal(grid, frame.grid[:, cfg.m_preamble:])
 
 
 def test_range_doppler_rejects_non_finite():
@@ -204,13 +200,3 @@ def test_extract_peaks_rejects_positive_threshold():
                        SensingMode.PILOT_ONLY)
     with pytest.raises(ValueError):
         extract_peaks(rd, threshold_db=1.0)
-
-
-def test_scene_report_relative_and_absolute():
-    dets = [Detection(2.17, 2000.0, -30.0), Detection(0.0, 0.0, 0.0)]
-    rel = bistatic_scene_report(dets)
-    assert rel["range_reference"] == "relative"
-    assert len(rel["detections"]) == 2
-    absr = bistatic_scene_report(dets, known_main_range_m=100.0)
-    assert absr["range_reference"] == "absolute"
-    assert absr["detections"][0]["bistatic_range_m"] == pytest.approx(102.17)

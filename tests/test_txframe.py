@@ -1,5 +1,8 @@
 """Frame construction, mapping and modulation round trips."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,20 +18,30 @@ from bistatic_radcom.txframe import (
     assemble_frame,
     build_preamble,
     build_tx_frame,
-    demap_qpsk_hard,
+    data_elements,
     encode_payload,
     frame_capacity_bits,
+    frame_tables,
     map_qpsk,
     modulate,
+    payload_grid,
     payload_masks,
+    pilot_cfr,
     pilot_values,
     sc_differential,
     symbols_from_grid,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "bistatic_radcom"
+
 
 def small_cfg(**kw):
     return FrameConfig(n_subcarriers=64, cp_len=16, m_payload=32, **kw)
+
+
+def hard_bits(symbols):
+    """Sign decisions inverting map_qpsk: bit 1 where the component is negative."""
+    return np.column_stack([symbols.real < 0, symbols.imag < 0]).astype(np.uint8).ravel()
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 512))
@@ -38,7 +51,7 @@ def test_qpsk_round_trip(seed, nsym):
     bits = rng.integers(0, 2, 2 * nsym, dtype=np.uint8)
     s = map_qpsk(bits)
     assert np.allclose(np.abs(s), 1.0)
-    assert np.array_equal(demap_qpsk_hard(s), bits)
+    assert np.array_equal(hard_bits(s), bits)
 
 
 def test_qpsk_unit_average_power():
@@ -99,7 +112,13 @@ def test_frame_data_round_trip(seed):
     frame, payload, stream = build_tx_frame(cfg, info)
     got = symbols_from_grid(frame)
     coded = payload.coded_bits
-    assert np.array_equal(demap_qpsk_hard(got)[:coded.size], coded)
+    assert np.array_equal(hard_bits(got)[:coded.size], coded)
+    # the layout functions invert each other and read pilots as a unit channel
+    region = payload_grid(cfg, got)
+    assert np.array_equal(region, frame.grid[:, cfg.m_preamble:])
+    assert np.array_equal(data_elements(region, cfg), got)
+    assert np.array_equal(pilot_cfr(region, cfg),
+                          np.ones((cfg.n_pilot_rows, cfg.n_pilot_cols)))
 
 
 def test_masks_cover_frame_regions():
@@ -142,9 +161,47 @@ def test_wrong_symbol_count_raises():
     cfg = small_cfg()
     with pytest.raises(FramingError):
         assemble_frame(cfg, np.zeros(17, dtype=complex))
+    with pytest.raises(FramingError):
+        payload_grid(cfg, np.zeros(cfg.n_data_elements + 1, dtype=complex))
 
 
 def test_pilot_values_deterministic():
     cfg = small_cfg()
     assert np.array_equal(pilot_values(cfg), pilot_values(cfg))
     assert pilot_values(cfg).shape == (cfg.n_pilot_rows, cfg.n_pilot_cols)
+
+
+def test_frame_tables_cached_and_read_only():
+    cfg = small_cfg()
+    tables = frame_tables(cfg)
+    assert frame_tables(small_cfg()) is tables
+    assert frame_tables(small_cfg(pilot_seed=7)) is not tables
+    assert np.array_equal(tables.preamble, build_preamble(cfg))
+    assert np.array_equal(tables.pilots, pilot_values(cfg))
+    assert np.array_equal(tables.data_mask, payload_masks(cfg)[1])
+    assert np.array_equal(tables.k_pil, np.arange(0, 64, cfg.pilot_freq_spacing))
+    assert np.array_equal(tables.m_pil, np.arange(0, 32, cfg.pilot_time_spacing))
+    for name, arr in vars(tables).items():
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+        assert not arr.flags.writeable, name
+
+
+def test_frame_layout_owned_by_txframe():
+    """Other modules read the frame layout through txframe's tables and
+    layout functions, never by rebuilding it."""
+    layout_fns = {"pilot_values", "payload_masks", "build_preamble"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "txframe.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names & layout_fns]
+    assert len(list(SRC.glob("*.py"))) > 1
+    assert offenders == []
