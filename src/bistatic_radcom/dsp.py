@@ -5,9 +5,19 @@ Two distinct resamplers live here on purpose: the channel-side impairment
 receiver-side correction chain (`sfo_correction_chain`, FIR interpolate-by-2,
 cubic polynomial rate conversion, FIR decimate-by-2). Keeping them different
 avoids testing an implementation against itself.
+
+Both resamplers evaluate their output in fixed blocks of ``_BLOCK`` samples,
+spread over a thread per usable CPU; NumPy releases the interpreter lock in
+``take`` and in ufuncs. Every block writes its own slice of a preallocated
+output and the block edges do not depend on the thread count, so the result
+is bit-for-bit the same on any number of cores.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 from scipy import signal
@@ -20,6 +30,30 @@ class DataError(ValueError):
 def require_finite(x: np.ndarray, what: str = "input") -> None:
     if not np.all(np.isfinite(x)):
         raise DataError(f"{what} contains non-finite samples")
+
+
+# ---------------------------------------------------------------------------
+# block-parallel evaluation
+
+_BLOCK = 1 << 15  # output samples per block; fixed, so results never depend on the thread count
+
+
+def _workers() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_blocks(block: Callable[[int, int], None], n: int) -> None:
+    """Call ``block(start, stop)`` on consecutive ``_BLOCK``-sample slices of
+    ``range(n)``, on up to one thread per CPU."""
+    starts = range(0, n, _BLOCK)
+    with ThreadPoolExecutor(max_workers=max(1, min(_workers(), len(starts)))) as pool:
+        futures = [pool.submit(block, s, min(s + _BLOCK, n)) for s in starts]
+        for f in futures:
+            f.result()
 
 
 # ---------------------------------------------------------------------------
@@ -85,40 +119,61 @@ def _polyphase_table() -> np.ndarray:
     return np.sinc(arg) * _kaiser_at(arg, _POLY_TAPS, _POLY_BETA)
 
 
-_TABLE: np.ndarray | None = None
+_TABLE_T: np.ndarray | None = None  # tap-major copy: row k holds tap k of every phase
 
 
 def resample_arbitrary(x: np.ndarray, ratio: float, t0: float = 0.0,
-                       out_len: int | None = None,
-                       chunk: int = 1 << 18) -> np.ndarray:
+                       out_len: int | None = None) -> np.ndarray:
     """Evaluate band-limited interpolation of ``x`` at times n*ratio + t0.
 
     Polyphase windowed-sinc table (80 taps) with nearest-phase lookup; the
     phase grid is dense enough that quantization stays below the filter's
     own passband error. Samples outside the input are treated as zero.
+    Each output sums its 80 taps left to right, one tap over a whole block
+    at a time, on separate real and imaginary planes.
     """
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _polyphase_table()
+    global _TABLE_T
+    if _TABLE_T is None:
+        _TABLE_T = np.ascontiguousarray(_polyphase_table().T)
     x = np.asarray(x, dtype=np.complex128)
     if out_len is None:
         out_len = int(np.floor((x.size - 1 - t0) / ratio)) + 1 if ratio > 0 else x.size
         out_len = max(out_len, 0)
-    half = _POLY_TAPS // 2 - 1
-    xp = np.concatenate([np.zeros(half, dtype=np.complex128), x,
-                         np.zeros(_POLY_TAPS, dtype=np.complex128)])
+    taps = _POLY_TAPS
+    half = taps // 2 - 1
+    # window n starts at x[base - half]; a full window of zeros on either
+    # side of the usual padding absorbs every window that leaves the input
+    lead = taps + half
+    xr = np.zeros(lead + x.size + 2 * taps)
+    xi = np.zeros_like(xr)
+    xr[lead:lead + x.size] = x.real
+    xi[lead:lead + x.size] = x.imag
     y = np.empty(out_len, dtype=np.complex128)
-    offs = np.arange(_POLY_TAPS)
-    for s in range(0, out_len, chunk):
-        n = np.arange(s, min(s + chunk, out_len))
-        t = n * ratio + t0
+    yv = y.view(np.float64)
+
+    def block(start: int, stop: int) -> None:
+        t = np.arange(start, stop) * ratio + t0
         base = np.floor(t).astype(np.int64)
         mu = t - base
         p0 = np.rint(mu * _POLY_PHASES).astype(np.int64)
-        coeff = _TABLE[p0]
-        idx = base[:, None] + offs[None, :]  # xp offset: base - half + half
-        np.clip(idx, 0, xp.size - 1, out=idx)
-        y[s:s + n.size] = np.einsum("ij,ij->i", coeff, xp[idx])
+        np.clip(base, -taps, x.size + half + taps, out=base)
+        base += taps  # xr index of each window start
+        coeff = np.empty(stop - start)
+        prod = np.empty(stop - start)
+        acc_re = np.zeros(stop - start)
+        acc_im = np.zeros(stop - start)
+        for k in range(taps):
+            np.take(_TABLE_T[k], p0, out=coeff, mode="clip")
+            np.take(xr[k:], base, out=prod, mode="clip")
+            prod *= coeff
+            acc_re += prod
+            np.take(xi[k:], base, out=prod, mode="clip")
+            prod *= coeff
+            acc_im += prod
+        yv[2 * start:2 * stop:2] = acc_re
+        yv[2 * start + 1:2 * stop:2] = acc_im
+
+    _run_blocks(block, out_len)
     return y
 
 
@@ -135,11 +190,12 @@ def _halfband_fir() -> np.ndarray:
     return signal.firwin(_STAGE_TAPS, 0.5, window=("kaiser", _STAGE_BETA))
 
 
-def _cubic_lagrange(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """4-tap cubic Lagrange interpolation of u at fractional indices t."""
+def _cubic_lagrange(up: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """4-tap cubic Lagrange interpolation at fractional indices t of the
+    samples u held in ``up``, which pads them with 2 zeros in front and 3
+    behind."""
     base = np.floor(t).astype(np.int64)
     mu = t - base
-    up = np.concatenate([np.zeros(2, dtype=u.dtype), u, np.zeros(3, dtype=u.dtype)])
     i = base + 2  # offset from the left zero pad
     np.clip(i, 1, up.size - 3, out=i)
     xm1, x0, x1, x2 = up[i - 1], up[i], up[i + 1], up[i + 2]
@@ -165,9 +221,16 @@ def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
     h = _halfband_fir()
     d = (_STAGE_TAPS - 1) / 2.0  # group delay of each stage at the 2x rate
     u = signal.upfirdn(2.0 * h, y, up=2)
-    k = np.arange(2 * y.size + _STAGE_TAPS)
-    t = (k + d) / (1.0 + delta_hat) + d
-    v = _cubic_lagrange(u, t)
+    up = np.concatenate([np.zeros(2, dtype=u.dtype), u, np.zeros(3, dtype=u.dtype)])
+    del u
+    v = np.empty(2 * y.size + _STAGE_TAPS, dtype=np.complex128)
+
+    def block(start: int, stop: int) -> None:
+        k = np.arange(start, stop)
+        v[start:stop] = _cubic_lagrange(up, (k + d) / (1.0 + delta_hat) + d)
+
+    _run_blocks(block, v.size)
+    del up
     z = signal.upfirdn(h, v, up=1, down=2)
     # both FIR group delays (d at the 2x rate each) are pre-advanced inside
     # the SRC instants, so decimator output m directly equals y(m/(1+delta))

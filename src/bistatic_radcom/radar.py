@@ -70,9 +70,20 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     # instead of splitting it at Nyquist
     z = np.fft.fftshift(cfr, axes=0) * wf[:, None] * wt[None, :]
     prof = np.fft.ifft(z, n=nf * zero_pad, axis=0)
-    rd = np.fft.fftshift(np.fft.fft(prof, n=nt * zero_pad, axis=1), axes=1)
+    del z
+    rd = np.fft.fft(prof, n=nt * zero_pad, axis=1)
+    del prof
     mag = np.abs(rd)
-    mag_db = 20.0 * np.log10(np.maximum(mag, 1e-300) / max(mag.max(), 1e-300))
+    del rd
+    # the Doppler shift reorders the real magnitude, never the complex map;
+    # dB in place: 20 * log10(max(mag, 1e-300) / peak)
+    mag_db = np.fft.fftshift(mag, axes=1)
+    del mag
+    peak = max(mag_db.max(), 1e-300)
+    np.maximum(mag_db, 1e-300, out=mag_db)
+    mag_db /= peak
+    np.log10(mag_db, out=mag_db)
+    mag_db *= 20.0
 
     dn, dm = cfg.effective_spacings(mode)
     range_step = SPEED_OF_LIGHT / (cfg.bandwidth_hz * zero_pad)
@@ -93,6 +104,20 @@ def _parabolic(vals: np.ndarray, i: int) -> float:
     return float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
 
 
+def _max3_wrapped(m: np.ndarray) -> np.ndarray:
+    """Largest value of each cell's 3x3 neighborhood, wrapping around both
+    axes: one pass per axis, each a neighbor maximum over shifted slices."""
+    out = m.copy()
+    for axis in (0, 1):
+        src = np.moveaxis(out.copy() if axis else m, axis, 0)
+        dst = np.moveaxis(out, axis, 0)
+        np.maximum(dst[1:], src[:-1], out=dst[1:])
+        np.maximum(dst[0], src[-1], out=dst[0])
+        np.maximum(dst[:-1], src[1:], out=dst[:-1])
+        np.maximum(dst[-1], src[0], out=dst[-1])
+    return out
+
+
 def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
                   max_peaks: int = 16) -> list[Detection]:
     """Local maxima (3x3 neighborhood) above a peak-relative threshold,
@@ -100,24 +125,22 @@ def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to the map peak)")
     m = rd_map.magnitude_db
-    # both axes are DFT axes, so the local-maximum test wraps around
-    is_peak = m >= threshold_db
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if (di, dj) != (0, 0):
-                is_peak &= m >= np.roll(m, (di, dj), axis=(0, 1))
+    # both axes are DFT axes, so the local-maximum test wraps around; a cell
+    # equal to the largest of its 3x3 neighborhood ties or beats every neighbor
+    is_peak = m == _max3_wrapped(m)
+    is_peak &= m >= threshold_db
     ri, di = np.nonzero(is_peak)
     order = np.argsort(m[ri, di])[::-1][:max_peaks]
 
     dets = []
     dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
     dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
-    lin = 10.0 ** (m / 20.0)
     span = rd_map.range_axis_m.size * dr  # unambiguous range of this mode
     for idx in order:
         i, j = int(ri[idx]), int(di[idx])
-        fi = _parabolic(lin[:, j], i)
-        fj = _parabolic(lin[i, :], j)
+        # linear magnitude of the detection's column and row only
+        fi = _parabolic(10.0 ** (m[:, j] / 20.0), i)
+        fj = _parabolic(10.0 ** (m[i, :] / 20.0), j)
         rng = float(rd_map.range_axis_m[i] + fi * dr)
         # delays wrapping past half the unambiguous span are reported as
         # negative relative ranges (target path shorter than the main path)

@@ -27,8 +27,9 @@ from .commrx import (cir_evolution, compensate_residual_sfo,
 from .ldpc import default_code
 from .params import FrameConfig, SensingMode, validate_config
 from .sync import SyncError, synchronize
-from .txframe import (FrameGrid, IqStream, PayloadBits, build_tx_frame,
-                      frame_capacity_bits, frame_tables, symbols_from_grid)
+from .txframe import (FrameGrid, IqStream, PayloadBits, assemble_frame,
+                      build_tx_frame, frame_capacity_bits, frame_tables,
+                      map_payload, symbols_from_grid)
 
 
 class ScenarioFileError(ValueError):
@@ -500,5 +501,7 @@ def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> d
     stream = read_iq(iq_path)
     tx_refs = None
     if scn.info_known:
-        tx_refs = _tx_refs(*build_tx_frame(scn.frame, generate_info_bits(scn))[:2])
+        # the references need the payload grid, not the modulated samples
+        payload, symbols = map_payload(generate_info_bits(scn), scn.frame)
+        tx_refs = _tx_refs(assemble_frame(scn.frame, symbols), payload)
     return run_receive_pipeline(stream, scn, outdir, tx_refs)

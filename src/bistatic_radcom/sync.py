@@ -139,17 +139,18 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
 
 def local_cfo_correct(y: IqStream, cfo_hat_hz: float,
                       region: tuple[int, int]) -> IqStream:
-    """De-rotate samples in [start, stop) by the CFO estimate; the phase
-    reference n = 0 sits at the region start."""
+    """The samples in [start, stop), clipped to the stream, de-rotated by the
+    CFO estimate; the phase reference n = 0 sits at the (clipped) region
+    start, which is index 0 of the returned stream."""
     start, stop = region
     start = max(start, 0)
     stop = min(stop, y.samples.size)
     if start >= stop:
         raise SyncError("local_cfo_correct", "empty or out-of-bounds region")
-    out = y.samples.copy()
+    out = y.samples[start:stop].copy()
     if cfo_hat_hz != 0.0:
         n = np.arange(stop - start)
-        out[start:stop] *= np.exp(-2j * np.pi * cfo_hat_hz * n / y.nominal_rate)
+        out *= np.exp(-2j * np.pi * cfo_hat_hz * n / y.nominal_rate)
     return IqStream(samples=out, nominal_rate=y.nominal_rate)
 
 
@@ -247,11 +248,12 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     ts = 1.0 / y.nominal_rate
 
     coarse_start, cfo_hat, metric = schmidl_cox(y, cfg)
-    region = (max(coarse_start - cfg.cp_len, 0),
-              coarse_start + cfg.m_preamble * sym + 2 * cfg.cp_len)
+    # fine timing searches only inside the de-rotated preamble region, whose
+    # indices are offset by its start ref_n
     ref_n = max(coarse_start - cfg.cp_len, 0)
-    y_loc = local_cfo_correct(y, cfo_hat, (ref_n, region[1]))
-    fine_start = fine_timing(y_loc, cfg, coarse_start)
+    y_loc = local_cfo_correct(
+        y, cfo_hat, (ref_n, coarse_start + cfg.m_preamble * sym + 2 * cfg.cp_len))
+    fine_start = ref_n + fine_timing(y_loc, cfg, coarse_start - ref_n)
     if abs(fine_start - coarse_start) > cfg.cp_len:
         raise SyncError("fine_timing", "fine start outside the coarse lock window")
 

@@ -23,13 +23,6 @@ import numpy as np
 from .ldpc import default_code
 from .params import FrameConfig, require_valid
 
-# per-element mask classes
-MASK_SC = 0
-MASK_SFO = 1
-MASK_PILOT = 2
-MASK_DATA = 3
-
-
 class FramingError(ValueError):
     """Raised on symbol/bit count mismatches during frame assembly."""
 
@@ -48,7 +41,6 @@ class PayloadBits:
 @dataclass
 class FrameGrid:
     grid: np.ndarray          # complex, N x M
-    masks: np.ndarray         # uint8, N x M, MASK_* classes
     cfg: FrameConfig
 
 
@@ -201,17 +193,11 @@ def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
 
 def assemble_frame(cfg: FrameConfig, payload_symbols: np.ndarray) -> FrameGrid:
     """Place preamble, pilots and data symbols on the N x M grid."""
-    tables = frame_tables(cfg)
     n, mpb, mpl = cfg.n_subcarriers, cfg.m_preamble, cfg.m_payload
     grid = np.zeros((n, mpb + mpl), dtype=np.complex128)
-    grid[:, :mpb] = tables.preamble
+    grid[:, :mpb] = frame_tables(cfg).preamble
     grid[:, mpb:] = payload_grid(cfg, payload_symbols)
-
-    masks = np.empty((n, mpb + mpl), dtype=np.uint8)
-    masks[:, :cfg.m_sc] = MASK_SC
-    masks[:, cfg.m_sc:mpb] = MASK_SFO
-    masks[:, mpb:] = np.where(tables.data_mask, MASK_DATA, MASK_PILOT)
-    return FrameGrid(grid=grid, masks=masks, cfg=cfg)
+    return FrameGrid(grid=grid, cfg=cfg)
 
 
 def symbols_from_grid(frame: FrameGrid) -> np.ndarray:

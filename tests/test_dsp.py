@@ -1,9 +1,13 @@
 """Resampling and fractional-delay primitives."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
+from bistatic_radcom import dsp
 from bistatic_radcom.dsp import (
     DataError,
     fractional_delay,
@@ -133,3 +137,104 @@ def test_correction_chain_output_length():
     x = bandlimited(5, 3000, 0.3)
     z = sfo_correction_chain(x, 2e-5)
     assert z.size == x.size
+
+
+# ---------------------------------------------------------------------------
+# block-parallel evaluation is bit-exact against the one-shot forms
+
+
+@functools.lru_cache(maxsize=1)
+def phase_major_table() -> np.ndarray:
+    return dsp._polyphase_table()
+
+
+def resample_gather_oracle(x, ratio, t0, out_len):
+    """The resampler as one 2-D window gather and a row-wise einsum."""
+    taps, phases = dsp._POLY_TAPS, dsp._POLY_PHASES
+    half = taps // 2 - 1
+    xp = np.concatenate([np.zeros(half, dtype=np.complex128), x,
+                         np.zeros(taps, dtype=np.complex128)])
+    t = np.arange(out_len) * ratio + t0
+    base = np.floor(t).astype(np.int64)
+    mu = t - base
+    p0 = np.rint(mu * phases).astype(np.int64)
+    idx = base[:, None] + np.arange(taps)[None, :]
+    np.clip(idx, 0, xp.size - 1, out=idx)
+    return np.einsum("ij,ij->i", phase_major_table()[p0], xp[idx])
+
+
+def chain_one_shot_oracle(y, delta_hat):
+    """The correction chain with its cubic stage evaluated in one call."""
+    h = dsp._halfband_fir()
+    d = (dsp._STAGE_TAPS - 1) / 2.0
+    u = signal.upfirdn(2.0 * h, y, up=2)
+    up = np.concatenate([np.zeros(2, dtype=u.dtype), u, np.zeros(3, dtype=u.dtype)])
+    k = np.arange(2 * y.size + dsp._STAGE_TAPS)
+    v = dsp._cubic_lagrange(up, (k + d) / (1.0 + delta_hat) + d)
+    z = signal.upfirdn(h, v, up=1, down=2)[:y.size]
+    return np.concatenate([z, np.zeros(y.size - z.size, dtype=np.complex128)])
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, signs of zero included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def blocked(fn, block, workers):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsp, "_BLOCK", block)
+        mp.setattr(dsp, "_workers", lambda: workers)
+        return fn()
+
+
+def complex_noise(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.floats(-1e-3, 1e-3),
+       st.booleans(),
+       st.floats(-50.0, 50.0),
+       st.integers(16, 160),
+       st.integers(1, 4),
+       st.integers(-2, 2),
+       st.integers(-40, 120))
+@settings(max_examples=100, deadline=None)
+def test_blocked_resampler_matches_gather_oracle(seed, delta, inverse, t0, block,
+                                                 n_blocks, edge, past_end):
+    """Ratio 1 +- 1e-3 (or its inverse), output lengths on either side of a
+    block edge and past the end of the input, 1 or 3 threads: the blocked
+    resampler returns the oracle's bits."""
+    ratio = 1.0 / (1.0 + delta) if inverse else 1.0 + delta
+    out_len = max(n_blocks * block + edge, 0)
+    x = complex_noise(seed, max(out_len - past_end, 1))
+    want = resample_gather_oracle(x, ratio, t0, out_len)
+    for workers in (1, 3):
+        got = blocked(lambda: resample_arbitrary(x, ratio, t0, out_len), block, workers)
+        assert same_bits(got, want)
+
+
+def test_resampler_default_block_edge_matches_gather_oracle():
+    n = dsp._BLOCK + 300
+    x = complex_noise(4, n - 100)
+    want = resample_gather_oracle(x, 1.0 + 2.5e-4, -3.3, n)
+    for workers in (1, 2):
+        got = blocked(lambda: resample_arbitrary(x, 1.0 + 2.5e-4, -3.3, n),
+                      dsp._BLOCK, workers)
+        assert same_bits(got, want)
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-6, 1e-3) | st.floats(-1e-3, -1e-6),
+       st.integers(1, 400),
+       st.integers(16, 160))
+@settings(max_examples=100, deadline=None)
+def test_blocked_cubic_stage_matches_one_shot(seed, delta, n, block):
+    """The correction chain's cubic stage, evaluated block by block on 1 or 3
+    threads, returns the bits of one ``_cubic_lagrange`` call."""
+    y = complex_noise(seed, n)
+    want = chain_one_shot_oracle(y, delta)
+    for workers in (1, 3):
+        got = blocked(lambda: sfo_correction_chain(y, delta), block, workers)
+        assert same_bits(got, want)

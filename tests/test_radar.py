@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.params import (
@@ -11,7 +13,11 @@ from bistatic_radcom.params import (
     radar_performance,
 )
 from bistatic_radcom.radar import (
+    Detection,
+    RangeDopplerMap,
     ReconstructionError,
+    _max3_wrapped,
+    _parabolic,
     cfr_for_sensing,
     extract_peaks,
     range_doppler,
@@ -200,3 +206,83 @@ def test_extract_peaks_rejects_positive_threshold():
                        SensingMode.PILOT_ONLY)
     with pytest.raises(ValueError):
         extract_peaks(rd, threshold_db=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the map and the peak rule are bit-exact against their whole-map forms
+
+
+def range_doppler_db_oracle(cfr, window_kind, zero_pad):
+    """Peak-normalized dB map computed on the complex, shifted map."""
+    nf, nt = cfr.shape
+    if window_kind == "hamming":
+        wf, wt = np.hamming(nf), np.hamming(nt)
+    else:
+        wf, wt = np.ones(nf), np.ones(nt)
+    z = np.fft.fftshift(cfr, axes=0) * wf[:, None] * wt[None, :]
+    prof = np.fft.ifft(z, n=nf * zero_pad, axis=0)
+    rd = np.fft.fftshift(np.fft.fft(prof, n=nt * zero_pad, axis=1), axes=1)
+    mag = np.abs(rd)
+    return 20.0 * np.log10(np.maximum(mag, 1e-300) / max(mag.max(), 1e-300))
+
+
+def extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks):
+    """Peak rule with the eight wrapped neighbors compared one roll at a
+    time, and the linear magnitude of the whole map."""
+    m = rd_map.magnitude_db
+    is_peak = m >= threshold_db
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) != (0, 0):
+                is_peak &= m >= np.roll(m, (di, dj), axis=(0, 1))
+    ri, di = np.nonzero(is_peak)
+    order = np.argsort(m[ri, di])[::-1][:max_peaks]
+    dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
+    dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
+    lin = 10.0 ** (m / 20.0)
+    span = rd_map.range_axis_m.size * dr
+    dets = []
+    for idx in order:
+        i, j = int(ri[idx]), int(di[idx])
+        rng = float(rd_map.range_axis_m[i] + _parabolic(lin[:, j], i) * dr)
+        if rng > span / 2:
+            rng -= span
+        dets.append(Detection(
+            rel_bistatic_range_m=rng,
+            doppler_shift_hz=float(rd_map.doppler_axis_hz[j] + _parabolic(lin[i, :], j) * dd),
+            magnitude_db=float(m[i, j])))
+    return dets
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.integers(2, 24),
+       st.sampled_from(["hamming", "rect"]), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_range_doppler_matches_complex_map_oracle(seed, nf, nt, window_kind, zero_pad):
+    rng = np.random.default_rng(seed)
+    cfr = rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))
+    got = range_doppler(cfr, desk_cfg(), SensingMode.PILOT_ONLY,
+                        window_kind=window_kind, zero_pad=zero_pad).magnitude_db
+    want = range_doppler_db_oracle(cfr, window_kind, zero_pad)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(2, 30),
+       st.integers(2, 12), st.sampled_from([-3.0, -12.0, -45.0]),
+       st.integers(1, 16))
+@settings(max_examples=100, deadline=None)
+def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max_peaks):
+    """Maps quantized to a few dB levels, so plateaus, ties between
+    neighbors and ties across the wrapped edges are common."""
+    rng = np.random.default_rng(seed)
+    m = -3.0 * rng.integers(0, levels, size=(nf, nt)).astype(float)
+    m -= m.max()
+    m += 0.5 * rng.integers(0, 2, size=(nf, nt)) * (rng.random() < 0.5)
+    rd_map = RangeDopplerMap(magnitude_db=m,
+                             range_axis_m=np.arange(nf) * 0.3,
+                             doppler_axis_hz=(np.arange(nt) - nt // 2) * 25.0,
+                             mode=SensingMode.PILOT_ONLY)
+    got = extract_peaks(rd_map, threshold_db, max_peaks=max_peaks)
+    want = extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks)
+    assert got == want
+    assert np.array_equal(_max3_wrapped(m), ndimage.maximum_filter(m, size=3, mode="wrap"))

@@ -11,10 +11,6 @@ from bistatic_radcom.params import FrameConfig
 from bistatic_radcom.txframe import (
     CapacityError,
     FramingError,
-    MASK_DATA,
-    MASK_PILOT,
-    MASK_SC,
-    MASK_SFO,
     assemble_frame,
     build_preamble,
     build_tx_frame,
@@ -122,12 +118,18 @@ def test_frame_data_round_trip(seed):
 
 
 def test_masks_cover_frame_regions():
+    """The tables split the frame into preamble columns and a payload region
+    whose cells are pilots (the index comb) or data (the data mask)."""
     cfg = small_cfg()
+    tables = frame_tables(cfg)
+    assert tables.preamble.shape == (cfg.n_subcarriers, cfg.m_sc + cfg.m_sfo)
+    assert tables.data_mask.shape == (cfg.n_subcarriers, cfg.m_payload)
+    pilot_cells = np.zeros_like(tables.data_mask)
+    pilot_cells[np.ix_(tables.k_pil, tables.m_pil)] = True
+    assert np.array_equal(tables.data_mask, ~pilot_cells)
+    assert tables.data_mask.sum() == cfg.n_data_elements
     frame, _, _ = build_tx_frame(cfg, np.array([1, 0, 1], dtype=np.uint8))
-    assert np.all(frame.masks[:, :2] == MASK_SC)
-    assert np.all(frame.masks[:, 2:12] == MASK_SFO)
-    payload_masks_region = frame.masks[:, 12:]
-    assert set(np.unique(payload_masks_region)) == {MASK_PILOT, MASK_DATA}
+    assert frame.grid.shape == (cfg.n_subcarriers, cfg.m_preamble + cfg.m_payload)
 
 
 def test_modulate_demodulate_identity():
