@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import fractional_delay, require_finite, resample_arbitrary
+from .dsp import fractional_delay, require_finite, resample_arbitrary, run_blocks
 from .txframe import IqStream
 
 SFO_BOUND = 1e-3  # sanity bound, far above any realistic clock error
@@ -69,25 +69,41 @@ class ChannelScenario:
         return next(p for p in self.paths if p.is_main)
 
 
+def stream_len(n_tx: int, max_delay_samples: float) -> int:
+    """Samples in the channel output for ``n_tx`` transmitted samples: room
+    for the largest path delay plus STO, and a margin for the delay filter."""
+    return n_tx + int(np.ceil(max_delay_samples)) + 64
+
+
 def apply_paths_and_cfo(x: IqStream, scenario: ChannelScenario) -> IqStream:
-    """Multipath sum with per-path delay/Doppler, then common CFO/CPO phasor."""
+    """Multipath sum with per-path delay/Doppler, then common CFO/CPO phasor.
+
+    The phasors and the path sum run block by block (`run_blocks`)."""
     require_finite(x.samples, "transmit stream")
     imp = scenario.impairments
     fs = x.nominal_rate
     ts = 1.0 / fs
 
     max_delay = max(p.delay_s for p in scenario.paths) + max(imp.sto_s, 0.0)
-    out_len = x.samples.size + int(np.ceil(max_delay * fs)) + 64
+    out_len = stream_len(x.samples.size, max_delay * fs)
     y = np.zeros(out_len, dtype=np.complex128)
-    n = np.arange(out_len)
     for p in scenario.paths:
         delayed = fractional_delay(x.samples, (p.delay_s + imp.sto_s) * fs,
                                    out_len=out_len)
-        if p.doppler_hz != 0.0:
-            delayed *= np.exp(2j * np.pi * p.doppler_hz * n * ts)
-        y += p.gain * delayed
+
+        def add_path(start: int, stop: int) -> None:
+            seg = delayed[start:stop]
+            if p.doppler_hz != 0.0:
+                seg *= np.exp(2j * np.pi * p.doppler_hz * np.arange(start, stop) * ts)
+            y[start:stop] += p.gain * seg
+
+        run_blocks(add_path, out_len)
     if imp.cfo_hz != 0.0 or imp.cpo_rad != 0.0:
-        y *= np.exp(1j * (2.0 * np.pi * imp.cfo_hz * n * ts + imp.cpo_rad))
+        def rotate(start: int, stop: int) -> None:
+            n = np.arange(start, stop)
+            y[start:stop] *= np.exp(1j * (2.0 * np.pi * imp.cfo_hz * n * ts + imp.cpo_rad))
+
+        run_blocks(rotate, out_len)
     return IqStream(samples=y, nominal_rate=fs)
 
 

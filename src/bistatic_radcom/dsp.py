@@ -6,11 +6,17 @@ receiver-side correction chain (`sfo_correction_chain`, FIR interpolate-by-2,
 cubic polynomial rate conversion, FIR decimate-by-2). Keeping them different
 avoids testing an implementation against itself.
 
-Both resamplers evaluate their output in fixed blocks of ``_BLOCK`` samples,
-spread over a thread per usable CPU; NumPy releases the interpreter lock in
-``take`` and in ufuncs. Every block writes its own slice of a preallocated
-output and the block edges do not depend on the thread count, so the result
-is bit-for-bit the same on any number of cores.
+The resampler and all three stages of the correction chain evaluate their
+output in fixed blocks of ``_BLOCK`` samples, spread over a thread per usable
+CPU by `run_blocks`; the channel and the receiver apply their phasors the same
+way. The threads overlap because NumPy releases the interpreter lock in
+``take`` and in ufuncs, and SciPy's ``upfirdn`` releases it in its filter
+loop (each FIR block filters an input slice that overlaps its neighbours by
+the filter length). Every block writes its own slice of a preallocated output
+and the block edges do not depend on the thread count, so the result is
+bit-for-bit the same on any number of cores. `fractional_delay` shifts by a
+slice copy when the delay is a whole number of samples and otherwise filters
+by overlap-add, whose batched FFTs also run on every CPU with the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 from scipy import signal
+
+
+# Longest sample stream the pipeline accepts, checked before anything that
+# size is allocated: the channel stream of a scenario (`load_scenario`) and a
+# capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
+# at 1710 MB, 163 B per sample, so a stream at the budget needs about 2.7 GB.
+MAX_STREAM_SAMPLES = 1 << 24
 
 
 class DataError(ValueError):
@@ -46,7 +60,7 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(block: Callable[[int, int], None], n: int) -> None:
+def run_blocks(block: Callable[[int, int], None], n: int) -> None:
     """Call ``block(start, stop)`` on consecutive ``_BLOCK``-sample slices of
     ``range(n)``, on up to one thread per CPU."""
     starts = range(0, n, _BLOCK)
@@ -67,7 +81,8 @@ def fractional_delay(x: np.ndarray, delay_samples: float,
                      out_len: int | None = None) -> np.ndarray:
     """Delay ``x`` by an arbitrary (possibly fractional) number of samples.
 
-    Windowed-sinc interpolation, 63 taps, Kaiser beta=8; the filter group
+    A whole number of samples is an exact shift. Otherwise windowed-sinc
+    interpolation, 63 taps, Kaiser beta=8, by overlap-add; the filter group
     delay is compensated so output index n corresponds to x(n - delay).
     The default output length extends past the input by the integer delay
     plus half a filter length to hold the shifted tail.
@@ -77,18 +92,17 @@ def fractional_delay(x: np.ndarray, delay_samples: float,
     frac = delay_samples - n_int
     ntaps = _FRAC_DELAY_TAPS
     center = (ntaps - 1) // 2
-    if frac == 0.0:
-        h = np.zeros(ntaps)
-        h[center] = 1.0
-    else:
-        arg = np.arange(ntaps) - center - frac
-        h = np.sinc(arg) * _kaiser_at(arg, ntaps, _FRAC_DELAY_BETA)
-    y = signal.fftconvolve(x, h, mode="full")  # y[m] ~ x(m - center - frac)
     if out_len is None:
         out_len = x.size + max(n_int, 0) + center + 1
     out = np.zeros(out_len, dtype=np.complex128)
-    # out[n] = y[n + center - n_int]
-    shift = n_int - center
+    if frac == 0.0:
+        y, shift = x, n_int  # out[n] = x[n - n_int]
+    else:
+        arg = np.arange(ntaps) - center - frac
+        h = np.sinc(arg) * _kaiser_at(arg, ntaps, _FRAC_DELAY_BETA)
+        with scipy.fft.set_workers(_workers()):
+            y = signal.oaconvolve(x, h, mode="full")  # y[m] ~ x(m - center - frac)
+        shift = n_int - center  # out[n] = y[n + center - n_int]
     n_lo = max(0, shift)
     n_hi = min(out_len, y.size + shift)
     if n_hi > n_lo:
@@ -173,7 +187,7 @@ def resample_arbitrary(x: np.ndarray, ratio: float, t0: float = 0.0,
         yv[2 * start:2 * stop:2] = acc_re
         yv[2 * start + 1:2 * stop:2] = acc_im
 
-    _run_blocks(block, out_len)
+    run_blocks(block, out_len)
     return y
 
 
@@ -206,6 +220,29 @@ def _cubic_lagrange(up: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ((c3 * mu + c2) * mu + c1) * mu + c0
 
 
+def _fir_blocks(h: np.ndarray, x: np.ndarray, up: int, down: int,
+                out: np.ndarray) -> None:
+    """Write the first ``out.size`` samples of ``signal.upfirdn(h, x, up,
+    down)`` into ``out``, block by block.
+
+    Each block filters the input slice its outputs depend on, widened by one
+    filter length and started on a multiple of ``down`` so the local output
+    grid and filter phases line up with the one-shot call; every kept output
+    sums the same products in the same order, so the bits are identical.
+    """
+    reach = -(-h.size // up)  # input samples under the filter at each phase
+
+    def block(start: int, stop: int) -> None:
+        lo = max(start * down // up - reach + 1, 0)
+        lo -= lo % down
+        hi = min((stop - 1) * down // up + 1, x.size)
+        skip = start - lo * up // down
+        local = signal.upfirdn(h, x[lo:hi], up=up, down=down)
+        out[start:stop] = local[skip:skip + stop - start]
+
+    run_blocks(block, out.size)
+
+
 def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
     """Resample so that output m equals y evaluated at m/(1+delta_hat).
 
@@ -220,21 +257,21 @@ def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
         return y.copy()
     h = _halfband_fir()
     d = (_STAGE_TAPS - 1) / 2.0  # group delay of each stage at the 2x rate
-    u = signal.upfirdn(2.0 * h, y, up=2)
-    up = np.concatenate([np.zeros(2, dtype=u.dtype), u, np.zeros(3, dtype=u.dtype)])
-    del u
+    # the interpolator's 2n + 46 outputs, between the cubic stage's zero pads
+    up = np.empty(2 * y.size + _STAGE_TAPS + 3, dtype=np.complex128)
+    up[:2] = 0.0
+    up[-3:] = 0.0
+    _fir_blocks(2.0 * h, y, 2, 1, up[2:-3])
     v = np.empty(2 * y.size + _STAGE_TAPS, dtype=np.complex128)
 
     def block(start: int, stop: int) -> None:
         k = np.arange(start, stop)
         v[start:stop] = _cubic_lagrange(up, (k + d) / (1.0 + delta_hat) + d)
 
-    _run_blocks(block, v.size)
+    run_blocks(block, v.size)
     del up
-    z = signal.upfirdn(h, v, up=1, down=2)
     # both FIR group delays (d at the 2x rate each) are pre-advanced inside
     # the SRC instants, so decimator output m directly equals y(m/(1+delta))
-    z = z[:y.size]
-    if z.size < y.size:
-        z = np.concatenate([z, np.zeros(y.size - z.size, dtype=np.complex128)])
+    z = np.empty(y.size, dtype=np.complex128)
+    _fir_blocks(h, v, 1, 2, z)
     return z

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dsp
 from .dsp import DataError
 from .txframe import IqStream
 
@@ -45,6 +46,10 @@ def read_iq(path: str | Path) -> IqStream:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"IQ file not found: {path}")
+    n_samples = path.stat().st_size // 8
+    if n_samples > dsp.MAX_STREAM_SAMPLES:
+        raise DataError(f"IQ file holds {n_samples} samples, more than the sample "
+                        f"budget of {dsp.MAX_STREAM_SAMPLES}")
     raw = path.read_bytes()
     if len(raw) % 8 != 0:
         raise DataError(f"truncated IQ file (size {len(raw)} is not a whole "

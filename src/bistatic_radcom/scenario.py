@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import radar as radar_mod
+from . import dsp, radar as radar_mod
 from .channel import (ChannelScenario, ImpairmentSet, PropagationPath,
-                      SFO_BOUND, run_channel)
+                      SFO_BOUND, run_channel, stream_len)
 from .commrx import (cir_evolution, compensate_residual_sfo,
                      constellation_density, demap_decode, demodulate_frame,
                      equalize, estimate_cfr, estimate_main_doppler,
@@ -309,9 +309,34 @@ def load_scenario(path: str | Path) -> Scenario:
         _check_keys(outputs, {"write_iq"}, "outputs.", errors)
         scn.write_iq = _get_bool(outputs, "write_iq", "outputs.", errors, False)
 
+    if not errors:
+        _check_sample_budget(scn, errors)
     if errors:
         raise ScenarioFileError(errors)
     return scn
+
+
+def _check_sample_budget(scn: Scenario, errors: list[str]) -> None:
+    """The frame and the channel stream must fit `dsp.MAX_STREAM_SAMPLES`;
+    the diagnostic names the field that sets the length."""
+    budget = dsp.MAX_STREAM_SAMPLES
+    n_tx = scn.frame.frame_len
+    if n_tx > budget:
+        errors.append(f"frame: a frame of {n_tx} samples exceeds the sample budget "
+                      f"of {budget}")
+        return
+    if not scn.has_channel:
+        return
+    fs = scn.frame.bandwidth_hz
+    i, worst = max(enumerate(scn.paths), key=lambda ip: ip[1].delay_ns)
+    # the channel's own output length, in the same float arithmetic; a huge
+    # extent is rejected before it is rounded to an integer
+    extent = (worst.delay_ns * 1e-9 + scn.sto_samples / fs) * fs
+    if extent > budget or stream_len(n_tx, extent) > budget:
+        where = (f"channel.paths[{i}].delay_ns" if worst.delay_ns * 1e-9 * fs >= scn.sto_samples
+                 else "channel.impairments.sto_samples")
+        errors.append(f"{where}: a delay plus STO of {extent:.6g} samples makes the channel "
+                      f"stream longer than the sample budget of {budget}")
 
 
 def channel_from_scenario(scn: Scenario) -> ChannelScenario:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import sfo_correction_chain
+from .dsp import run_blocks, sfo_correction_chain
 from .params import FrameConfig, require_valid
 from .txframe import IqStream, frame_tables, sc_differential
 from .channel import SFO_BOUND
@@ -267,16 +267,23 @@ def synchronize(y: IqStream, cfg: FrameConfig,
         z = resample_correct(y, delta_hat)
         start_z = int(round(fine_start * (1.0 + delta_hat)))
     else:
-        z = IqStream(samples=y.samples.copy(), nominal_rate=y.nominal_rate)
+        z = y
         start_z = fine_start
 
     pl_start = start_z + cfg.m_preamble * sym
     pl_len = cfg.m_payload * sym
     if pl_start < 0 or pl_start + pl_len > z.samples.size:
         raise SyncError("synchronize", "payload extends past end of stream")
-    payload = z.samples[pl_start:pl_start + pl_len].copy()
-    n = np.arange(pl_len)
-    payload *= np.exp(-2j * np.pi * cfo_hat * n * ts)
+    payload = np.empty(pl_len, dtype=np.complex128)
+
+    def derotate(start: int, stop: int) -> None:
+        # in place, stream times phasor: NumPy may evaluate ``a * np.exp(..)``
+        # as phasor times stream, and complex products round differently
+        n = np.arange(start, stop)
+        payload[start:stop] = z.samples[pl_start + start:pl_start + stop]
+        payload[start:stop] *= np.exp(-2j * np.pi * cfo_hat * n * ts)
+
+    run_blocks(derotate, pl_len)
 
     report = SyncReport(
         coarse_start=coarse_start,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bistatic_radcom import dsp
 from bistatic_radcom.channel import (
     ChannelScenario,
     ImpairmentSet,
@@ -15,6 +16,7 @@ from bistatic_radcom.channel import (
     main_path_rx_power,
     run_channel,
 )
+from bistatic_radcom.dsp import fractional_delay
 from bistatic_radcom.params import FrameConfig
 from bistatic_radcom.txframe import IqStream, build_tx_frame, frame_capacity_bits
 
@@ -176,3 +178,59 @@ def test_two_path_resolvable_delays():
     win = np.arange(mags.size)
     target_bin = int(np.argmax(np.where((win > 40) & (win < 1024), mags, 0)))
     assert abs(target_bin - 7.25 * 8) <= 4
+
+
+def paths_and_cfo_oracle(x, scenario):
+    """The multipath sum and the CFO/CPO phasor, each over the whole stream
+    at once."""
+    imp = scenario.impairments
+    fs = x.nominal_rate
+    ts = 1.0 / fs
+    max_delay = max(p.delay_s for p in scenario.paths) + max(imp.sto_s, 0.0)
+    out_len = x.samples.size + int(np.ceil(max_delay * fs)) + 64
+    y = np.zeros(out_len, dtype=np.complex128)
+    n = np.arange(out_len)
+    for p in scenario.paths:
+        delayed = fractional_delay(x.samples, (p.delay_s + imp.sto_s) * fs,
+                                   out_len=out_len)
+        if p.doppler_hz != 0.0:
+            delayed *= np.exp(2j * np.pi * p.doppler_hz * n * ts)
+        y += p.gain * delayed
+    if imp.cfo_hz != 0.0 or imp.cpo_rad != 0.0:
+        y *= np.exp(1j * (2.0 * np.pi * imp.cfo_hz * n * ts + imp.cpo_rad))
+    return y
+
+
+path_st = st.tuples(st.floats(0.05, 0.9), st.floats(-np.pi, np.pi),
+                    st.integers(0, 150).map(float) | st.floats(0.0, 150.0),
+                    st.just(0.0) | st.floats(-2e7, 2e7))
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 600),
+       st.lists(path_st, min_size=1, max_size=3),
+       st.integers(0, 40).map(float) | st.floats(0.0, 40.0),
+       st.floats(-3e7, 3e7),
+       st.floats(-np.pi, np.pi),
+       st.integers(16, 160))
+@settings(max_examples=100, deadline=None)
+def test_blocked_paths_and_cfo_match_one_shot(seed, n, paths, sto, cfo_hz, cpo,
+                                              block):
+    """Per-path Doppler, path sum and CFO/CPO rotation, block by block on 1 or
+    3 threads, return the bits of the whole-stream expressions."""
+    rng = np.random.default_rng(seed)
+    fs = 1e9
+    x = IqStream(samples=rng.normal(size=n) + 1j * rng.normal(size=n), nominal_rate=fs)
+    sc = ChannelScenario(
+        paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=1.5e6, is_main=True),)
+        + tuple(PropagationPath(gain=g * np.exp(1j * ph), delay_s=d / fs, doppler_hz=fd)
+                for g, ph, d, fd in paths),
+        impairments=ImpairmentSet(sto_s=sto / fs, cfo_hz=cfo_hz, cpo_rad=cpo))
+    want = paths_and_cfo_oracle(x, sc)
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dsp, "_BLOCK", block)
+            mp.setattr(dsp, "_workers", lambda: workers)
+            got = apply_paths_and_cfo(x, sc).samples
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bistatic_radcom import dsp
+from bistatic_radcom.channel import apply_paths_and_cfo
 from bistatic_radcom.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
+from bistatic_radcom.iqfile import write_iq
+from bistatic_radcom.scenario import (ScenarioFileError, channel_from_scenario,
+                                      load_scenario)
+from bistatic_radcom.txframe import IqStream
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -122,6 +128,55 @@ def test_non_finite_number_is_diagnosed(tmp_path, capsys, path):
     assert main(["run", str(scn), "--out", str(out)]) == EXIT_INPUT
     assert f"{path}: expected a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path, oversize", [
+    ("channel.paths[1].delay_ns", lambda d: d["channel"]["paths"][1].update(delay_ns=1e12)),
+    ("channel.impairments.sto_samples",
+     lambda d: d["channel"]["impairments"].update(sto_samples=1e12)),
+    ("frame", lambda d: d["frame"].update(m_payload=10 ** 7)),
+], ids=["delay_ns", "sto_samples", "m_payload"])
+def test_stream_past_sample_budget_is_diagnosed(tmp_path, capsys, path, oversize):
+    """Sizes past the sample budget are rejected by the validator, before
+    anything is allocated (``params`` allocates nothing at any size)."""
+    doc = desk_scenario()
+    oversize(doc)
+    scn = write_scn(tmp_path, doc)
+    with pytest.raises(ScenarioFileError) as exc:
+        load_scenario(scn)
+    assert [d for d in exc.value.diagnostics if d.startswith(f"{path}: ")
+            and "sample budget" in d]
+    assert main(["params", str(scn)]) == EXIT_INPUT
+    assert f"{path}: " in capsys.readouterr().err
+
+
+def test_sample_budget_is_the_channel_stream_length(tmp_path, monkeypatch):
+    """The validator prices a scenario at exactly the length of the stream
+    the channel makes from it."""
+    scn_file = write_scn(tmp_path, desk_scenario())
+    scn = load_scenario(scn_file)
+    tx = IqStream(samples=np.zeros(scn.frame.frame_len, dtype=np.complex128),
+                  nominal_rate=scn.frame.bandwidth_hz)
+    n = apply_paths_and_cfo(tx, channel_from_scenario(scn)).samples.size
+    monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", n)
+    load_scenario(scn_file)
+    monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", n - 1)
+    with pytest.raises(ScenarioFileError) as exc:
+        load_scenario(scn_file)
+    assert exc.value.diagnostics[0].startswith("channel.impairments.sto_samples: ")
+
+
+def test_capture_past_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
+    doc = desk_scenario()
+    del doc["channel"]  # a capture ignores it; the frame alone fits the budget
+    scn = write_scn(tmp_path, doc)
+    budget = load_scenario(scn).frame.frame_len
+    iq = tmp_path / "rx.iq"
+    write_iq(iq, IqStream(samples=np.zeros(budget + 1, dtype=np.complex128),
+                          nominal_rate=1e9))
+    monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", budget)
+    assert main(["capture", str(iq), str(scn), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert f"more than the sample budget of {budget}" in capsys.readouterr().err
 
 
 def test_capture_round_trip_matches_simulation(tmp_path, capsys):

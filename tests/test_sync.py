@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bistatic_radcom import dsp
 from bistatic_radcom.channel import (
     ChannelScenario,
     ImpairmentSet,
@@ -16,6 +17,7 @@ from bistatic_radcom.sync import (
     estimate_sfo_tsai,
     fine_timing,
     local_cfo_correct,
+    resample_correct,
     schmidl_cox,
     synchronize,
 )
@@ -169,3 +171,28 @@ def test_full_impairment_desk_chain():
     assert rep.cfo_hat_hz == pytest.approx(1.3 * df, abs=0.02 * df)
     # short-symbol frames give a coarse clock estimate: check sign and order
     assert rep.sfo_hat == pytest.approx(1e-5, abs=5e-6)
+
+
+@pytest.mark.parametrize("correct_sfo", [True, False])
+def test_blocked_payload_derotation_matches_one_shot(correct_sfo):
+    """The payload CFO de-rotation, block by block on 1 to 3 threads, returns
+    the bits of the whole-payload phasor applied in place to the (corrected)
+    stream."""
+    cfg = desk_cfg()
+    _, _, tx = make_frame(cfg)
+    y = through_channel(tx, sto=333, cfo_hz=2.3e6, cpo=0.3, sfo=4e-5, snr_db=25.0)
+    for block, workers in ((1000, 1), (1000, 3), (dsp._BLOCK, 2)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dsp, "_BLOCK", block)
+            mp.setattr(dsp, "_workers", lambda: workers)
+            payload, rep = synchronize(y, cfg, correct_sfo=correct_sfo)
+        z, start = y.samples, rep.fine_start
+        if correct_sfo:
+            z = resample_correct(y, rep.sfo_hat).samples
+            start = int(round(rep.fine_start * (1.0 + rep.sfo_hat)))
+        start += cfg.m_preamble * cfg.symbol_len
+        n = np.arange(cfg.m_payload * cfg.symbol_len)
+        ts = 1.0 / y.nominal_rate
+        want = z[start:start + n.size].copy()
+        want *= np.exp(-2j * np.pi * rep.cfo_hat_hz * n * ts)
+        assert np.array_equal(payload.samples.view(np.uint64), want.view(np.uint64))
