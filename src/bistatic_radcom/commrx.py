@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
+from . import dsp
 from .ldpc import default_code
 from .params import FrameConfig, require_valid
 from .txframe import (FramingError, IqStream, data_elements, frame_tables,
@@ -129,7 +131,8 @@ def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
     # reorder rows to physical frequency before zero padding so fractional
     # delays keep a single clean peak (padding must extend the band, not
     # split it at Nyquist)
-    cir = np.fft.ifft(np.fft.fftshift(hp, axes=0), n=nb * pad, axis=0)
+    cir = scipy.fft.ifft(np.fft.fftshift(hp, axes=0), n=nb * pad, axis=0,
+                         workers=dsp._workers())
     mag = np.abs(cir)
     tap = _main_tap(np.mean(mag, axis=1))
     peaks = np.argmax(mag, axis=0)
@@ -279,6 +282,28 @@ def constellation_density(symbols: np.ndarray, bins: int = 201,
     log-normalized to its peak. Returns (density, bin edges)."""
     s = np.asarray(symbols).ravel()
     edges = np.linspace(-extent, extent, bins + 1)
-    hist, _, _ = np.histogram2d(s.real, s.imag, bins=[edges, edges])
+    # the same bins as np.histogram2d(s.real, s.imag, [edges, edges]); the
+    # cells outside the range share one overflow bin that is dropped
+    re, re_in = _bin_index(s.real, edges)
+    im, im_in = _bin_index(s.imag, edges)
+    flat = re * bins + im
+    flat[~(re_in & im_in)] = bins * bins
+    hist = np.bincount(flat, minlength=bins * bins + 1)[:-1]
+    hist = hist.reshape(bins, bins).astype(np.float64)
     peak = max(hist.max(), 1.0)
     return hist / peak, edges
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin of each value, as np.histogram counts it: ``edges[k] <= x <
+    edges[k + 1]``, with the last bin closed on the right. Also returns
+    which values fall inside ``[edges[0], edges[-1]]``."""
+    bins = edges.size - 1
+    inside = (x >= edges[0]) & (x <= edges[-1])
+    x = np.where(inside, x, edges[0])
+    k = ((x - edges[0]) * (bins / (edges[-1] - edges[0]))).astype(np.intp)
+    np.minimum(k, bins - 1, out=k)
+    # the scaled value can round across an edge; step back or forward once
+    k -= x < edges[k]
+    k += (x >= edges[k + 1]) & (k < bins - 1)
+    return k, inside

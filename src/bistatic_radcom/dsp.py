@@ -60,12 +60,12 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def run_blocks(block: Callable[[int, int], None], n: int) -> None:
-    """Call ``block(start, stop)`` on consecutive ``_BLOCK``-sample slices of
+def run_blocks(block: Callable[[int, int], None], n: int, size: int = _BLOCK) -> None:
+    """Call ``block(start, stop)`` on consecutive ``size``-element slices of
     ``range(n)``, on up to one thread per CPU."""
-    starts = range(0, n, _BLOCK)
+    starts = range(0, n, size)
     with ThreadPoolExecutor(max_workers=max(1, min(_workers(), len(starts)))) as pool:
-        futures = [pool.submit(block, s, min(s + _BLOCK, n)) for s in starts]
+        futures = [pool.submit(block, s, min(s + size, n)) for s in starts]
         for f in futures:
             f.result()
 

@@ -61,10 +61,6 @@ class FrameConfig:
         return self.symbol_len * self.m_total
 
     @property
-    def sample_period(self) -> float:
-        return 1.0 / self.bandwidth_hz
-
-    @property
     def subcarrier_spacing(self) -> float:
         return self.bandwidth_hz / self.n_subcarriers
 

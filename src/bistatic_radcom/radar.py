@@ -12,10 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
+from . import dsp
 from .commrx import ReceivedGrid
 from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode, require_valid
 from .txframe import map_payload, payload_grid, pilot_cfr
+
+# Range rows per block of the map's Doppler pass, its dB conversion and the
+# peak test; fixed, so the block edges never depend on the CPU count.
+_MAP_ROWS = 64
+
+# Largest range-Doppler map a scenario may ask for, checked by
+# `load_scenario` before anything is allocated (`map_cells`). A map of c
+# cells at zero padding z holds its float64 map (8 B per cell), the complex
+# range profile (16 / z B per cell) and the peak test's bool mask (1 B per
+# cell): 872 MB at the budget and z = 4, 1.68 GB at z = 1.
+MAX_MAP_CELLS = 1 << 26
 
 
 class ReconstructionError(RuntimeError):
@@ -51,10 +64,20 @@ def cfr_for_sensing(rg: ReceivedGrid, cfg: FrameConfig, mode: SensingMode,
     return rg.grid / payload_grid(cfg, symbols)
 
 
+def map_cells(cfg: FrameConfig, mode: SensingMode, zero_pad: int) -> int:
+    """Cells of the map `range_doppler` makes for ``mode`` at ``zero_pad``."""
+    dn, dm = cfg.effective_spacings(mode)
+    return (cfg.n_subcarriers // dn * zero_pad) * (cfg.m_payload // dm * zero_pad)
+
+
 def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
                   window_kind: str = "hamming", zero_pad: int = 4) -> RangeDopplerMap:
     """Windowed 2-D periodogram: IDFT over frequency (delay/range), DFT over
-    time (Doppler, center-shifted), magnitude normalized to its peak."""
+    time (Doppler, center-shifted), magnitude normalized to its peak.
+
+    The Doppler DFT, its magnitude and the dB conversion run on blocks of
+    ``_MAP_ROWS`` range rows that write straight into one float64 map, so
+    the complex map never exists whole."""
     if not np.all(np.isfinite(cfr)):
         raise ValueError("sensing CFR contains non-finite values")
     nf, nt = cfr.shape
@@ -69,21 +92,33 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     # window tapers the true band edges and zero padding extends the band
     # instead of splitting it at Nyquist
     z = np.fft.fftshift(cfr, axes=0) * wf[:, None] * wt[None, :]
-    prof = np.fft.ifft(z, n=nf * zero_pad, axis=0)
+    prof = scipy.fft.ifft(z, n=nf * zero_pad, axis=0, workers=dsp._workers())
     del z
-    rd = np.fft.fft(prof, n=nt * zero_pad, axis=1)
+    nr, nd = prof.shape[0], nt * zero_pad
+    half = nd // 2
+    mag_db = np.empty((nr, nd))
+    block_peaks = []
+
+    def doppler(start: int, stop: int) -> None:
+        rd = scipy.fft.fft(prof[start:stop], n=nd, axis=1)
+        # the Doppler fftshift moves column j to (j + nd // 2) % nd
+        np.abs(rd[:, :nd - half], out=mag_db[start:stop, half:])
+        np.abs(rd[:, nd - half:], out=mag_db[start:stop, :half])
+        block_peaks.append(mag_db[start:stop].max())
+
+    dsp.run_blocks(doppler, nr, _MAP_ROWS)
     del prof
-    mag = np.abs(rd)
-    del rd
-    # the Doppler shift reorders the real magnitude, never the complex map;
-    # dB in place: 20 * log10(max(mag, 1e-300) / peak)
-    mag_db = np.fft.fftshift(mag, axes=1)
-    del mag
-    peak = max(mag_db.max(), 1e-300)
-    np.maximum(mag_db, 1e-300, out=mag_db)
-    mag_db /= peak
-    np.log10(mag_db, out=mag_db)
-    mag_db *= 20.0
+    peak = max(max(block_peaks), 1e-300)
+
+    def to_db(start: int, stop: int) -> None:
+        # 20 * log10(max(mag, 1e-300) / peak), in place
+        b = mag_db[start:stop]
+        np.maximum(b, 1e-300, out=b)
+        b /= peak
+        np.log10(b, out=b)
+        b *= 20.0
+
+    dsp.run_blocks(to_db, nr, _MAP_ROWS)
 
     dn, dm = cfg.effective_spacings(mode)
     range_step = SPEED_OF_LIGHT / (cfg.bandwidth_hz * zero_pad)
@@ -104,17 +139,25 @@ def _parabolic(vals: np.ndarray, i: int) -> float:
     return float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
 
 
-def _max3_wrapped(m: np.ndarray) -> np.ndarray:
-    """Largest value of each cell's 3x3 neighborhood, wrapping around both
-    axes: one pass per axis, each a neighbor maximum over shifted slices."""
-    out = m.copy()
-    for axis in (0, 1):
-        src = np.moveaxis(out.copy() if axis else m, axis, 0)
-        dst = np.moveaxis(out, axis, 0)
-        np.maximum(dst[1:], src[:-1], out=dst[1:])
-        np.maximum(dst[0], src[-1], out=dst[0])
-        np.maximum(dst[:-1], src[1:], out=dst[:-1])
-        np.maximum(dst[-1], src[0], out=dst[-1])
+def _bin_step(axis: np.ndarray) -> float:
+    """Bin spacing of a map axis; an axis of one bin gets no sub-bin shift."""
+    return axis[1] - axis[0] if axis.size > 1 else 0.0
+
+
+def _max3_wrapped(m: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Largest value of the 3x3 neighborhood of each cell in rows
+    ``start:stop`` of ``m``, wrapping around both axes. Reads only those rows
+    and the one row on either side of them."""
+    rows = m.take(np.arange(start - 1, stop + 1), axis=0, mode="wrap")
+    # neighbor maximum along the Doppler axis, over shifted slices
+    cols = rows.copy()
+    np.maximum(cols[:, 1:], rows[:, :-1], out=cols[:, 1:])
+    np.maximum(cols[:, 0], rows[:, -1], out=cols[:, 0])
+    np.maximum(cols[:, :-1], rows[:, 1:], out=cols[:, :-1])
+    np.maximum(cols[:, -1], rows[:, 0], out=cols[:, -1])
+    # then along the range axis: output row i takes rows i, i + 1, i + 2
+    out = np.maximum(cols[:-2], cols[1:-1])
+    np.maximum(out, cols[2:], out=out)
     return out
 
 
@@ -125,16 +168,23 @@ def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to the map peak)")
     m = rd_map.magnitude_db
-    # both axes are DFT axes, so the local-maximum test wraps around; a cell
-    # equal to the largest of its 3x3 neighborhood ties or beats every neighbor
-    is_peak = m == _max3_wrapped(m)
-    is_peak &= m >= threshold_db
+    is_peak = np.empty(m.shape, dtype=bool)
+
+    def peak_test(start: int, stop: int) -> None:
+        # both axes are DFT axes, so the local-maximum test wraps around; a
+        # cell equal to the largest of its 3x3 neighborhood ties or beats
+        # every neighbor
+        mb = m[start:stop]
+        np.equal(mb, _max3_wrapped(m, start, stop), out=is_peak[start:stop])
+        is_peak[start:stop] &= mb >= threshold_db
+
+    dsp.run_blocks(peak_test, m.shape[0], _MAP_ROWS)
     ri, di = np.nonzero(is_peak)
     order = np.argsort(m[ri, di])[::-1][:max_peaks]
 
     dets = []
-    dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
-    dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
+    dr = _bin_step(rd_map.range_axis_m)
+    dd = _bin_step(rd_map.doppler_axis_hz)
     span = rd_map.range_axis_m.size * dr  # unambiguous range of this mode
     for idx in order:
         i, j = int(ri[idx]), int(di[idx])

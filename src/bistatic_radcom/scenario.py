@@ -311,6 +311,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     if not errors:
         _check_sample_budget(scn, errors)
+        _check_map_budget(scn, errors)
     if errors:
         raise ScenarioFileError(errors)
     return scn
@@ -337,6 +338,16 @@ def _check_sample_budget(scn: Scenario, errors: list[str]) -> None:
                  else "channel.impairments.sto_samples")
         errors.append(f"{where}: a delay plus STO of {extent:.6g} samples makes the channel "
                       f"stream longer than the sample budget of {budget}")
+
+
+def _check_map_budget(scn: Scenario, errors: list[str]) -> None:
+    """Every configured sensing mode's map must fit `radar.MAX_MAP_CELLS`."""
+    budget = radar_mod.MAX_MAP_CELLS
+    for mode in scn.sensing_modes:
+        cells = radar_mod.map_cells(scn.frame, mode, scn.zero_pad)
+        if cells > budget:
+            errors.append(f"sensing.zero_pad: a {mode.value} map of {cells} cells at "
+                          f"zero_pad {scn.zero_pad} exceeds the map budget of {budget} cells")
 
 
 def channel_from_scenario(scn: Scenario) -> ChannelScenario:

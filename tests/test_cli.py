@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bistatic_radcom import dsp
+from bistatic_radcom import dsp, radar
 from bistatic_radcom.channel import apply_paths_and_cfo
 from bistatic_radcom.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
+from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.iqfile import write_iq
 from bistatic_radcom.scenario import (ScenarioFileError, channel_from_scenario,
-                                      load_scenario)
-from bistatic_radcom.txframe import IqStream
+                                      generate_info_bits, load_scenario)
+from bistatic_radcom.txframe import IqStream, build_tx_frame
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -177,6 +178,53 @@ def test_capture_past_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", budget)
     assert main(["capture", str(iq), str(scn), "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert f"more than the sample budget of {budget}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, zero_pad, modes", [
+    ("long_payload_reference.json", 1000, ["pilot_only"]),
+    ("short_payload_reference.json", 9, ["full_frame"]),
+])
+def test_map_past_cell_budget_exits_2(tmp_path, capsys, scenario, zero_pad, modes):
+    """A zero padding whose map would pass the cell budget is rejected with
+    one diagnostic per mode that does not fit, and nothing is allocated. At
+    zero_pad 9 the short reference's pilot-only map still fits."""
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    doc["sensing"]["zero_pad"] = zero_pad
+    scn = write_scn(tmp_path, doc)
+    with pytest.raises(ScenarioFileError) as exc:
+        load_scenario(scn)
+    assert [d.split(" map of ")[0] for d in exc.value.diagnostics] == [
+        f"sensing.zero_pad: a {m}" for m in modes]
+    assert main(["params", str(scn)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: sensing.zero_pad: a {modes[0]} map of " in err
+    assert f"map budget of {radar.MAX_MAP_CELLS} cells" in err
+
+
+def test_map_budget_is_the_map_size(tmp_path, monkeypatch):
+    """The validator prices each mode at exactly the cells of the map that
+    `range_doppler` makes from the sensing CFR."""
+    scn_file = write_scn(tmp_path, desk_scenario(sensing={
+        "modes": ["pilot_only", "full_frame"], "zero_pad": 3}))
+    scn = load_scenario(scn_file)
+    cfg, info = scn.frame, generate_info_bits(scn)
+    _, _, tx = build_tx_frame(cfg, info)
+    payload = tx.samples[cfg.m_preamble * cfg.symbol_len:].copy()
+    rg = demodulate_frame(IqStream(samples=payload, nominal_rate=tx.nominal_rate), cfg)
+    sizes = []
+    for mode in scn.sensing_modes:
+        cfr = radar.cfr_for_sensing(rg, cfg, mode, decoded_info_bits=info)
+        rd = radar.range_doppler(cfr, cfg, mode, zero_pad=scn.zero_pad)
+        assert radar.map_cells(cfg, mode, scn.zero_pad) == rd.magnitude_db.size
+        sizes.append(rd.magnitude_db.size)
+    monkeypatch.setattr(radar, "MAX_MAP_CELLS", max(sizes))
+    load_scenario(scn_file)
+    monkeypatch.setattr(radar, "MAX_MAP_CELLS", max(sizes) - 1)
+    with pytest.raises(ScenarioFileError) as exc:
+        load_scenario(scn_file)
+    assert exc.value.diagnostics == [
+        f"sensing.zero_pad: a full_frame map of {max(sizes)} cells at zero_pad 3 "
+        f"exceeds the map budget of {max(sizes) - 1} cells"]
 
 
 def test_capture_round_trip_matches_simulation(tmp_path, capsys):

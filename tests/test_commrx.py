@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bistatic_radcom.channel import (
     ChannelScenario,
@@ -194,3 +195,25 @@ def test_constellation_density_shape_and_peak():
     assert density.max() == pytest.approx(1.0)
     # four constellation points -> exactly four occupied cells
     assert np.count_nonzero(density) == 4
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 250),
+       st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
+       st.integers(0, 3000))
+@settings(max_examples=100, deadline=None)
+def test_constellation_density_matches_histogram2d(seed, bins, extent, n):
+    """Exact counts of np.histogram2d, with values on every bin edge, one ulp
+    either side of each edge, at +-extent and just outside the range."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(-extent, extent, bins + 1)
+    pool = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf), [-extent, extent, np.inf, -np.inf],
+                           rng.uniform(-1.2 * extent, 1.2 * extent, 64)])
+    re = np.concatenate([edges, rng.choice(pool, n)])
+    im = np.concatenate([rng.permutation(edges), rng.choice(pool, n)])
+    symbols = re.astype(np.complex128)
+    symbols.imag = im  # re + 1j * im would turn an infinite im into a NaN re
+    got, got_edges = constellation_density(symbols, bins=bins, extent=extent)
+    hist, _, _ = np.histogram2d(re, im, bins=[edges, edges])
+    assert np.array_equal(got_edges, edges)
+    assert np.array_equal(got, hist / max(hist.max(), 1.0))

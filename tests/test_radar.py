@@ -1,10 +1,17 @@
 """Range-Doppler processing and peak extraction."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from bistatic_radcom import dsp, radar
 from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.params import (
     SPEED_OF_LIGHT,
@@ -209,7 +216,8 @@ def test_extract_peaks_rejects_positive_threshold():
 
 
 # ---------------------------------------------------------------------------
-# the map and the peak rule are bit-exact against their whole-map forms
+# the map and the peak rule, computed in row blocks, are bit-exact against
+# their whole-map forms
 
 
 def range_doppler_db_oracle(cfr, window_kind, zero_pad):
@@ -237,8 +245,8 @@ def extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks):
                 is_peak &= m >= np.roll(m, (di, dj), axis=(0, 1))
     ri, di = np.nonzero(is_peak)
     order = np.argsort(m[ri, di])[::-1][:max_peaks]
-    dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
-    dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
+    dr, dd = (ax[1] - ax[0] if ax.size > 1 else 0.0
+              for ax in (rd_map.range_axis_m, rd_map.doppler_axis_hz))
     lin = 10.0 ** (m / 20.0)
     span = rd_map.range_axis_m.size * dr
     dets = []
@@ -254,26 +262,40 @@ def extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks):
     return dets
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.integers(2, 24),
-       st.sampled_from(["hamming", "rect"]), st.integers(1, 4))
+# Blocks of a few rows put every edge case at a block edge; 64 is the default.
+ROWS_PER_BLOCK = st.sampled_from([1, 2, 3, 5, 64])
+WORKERS = st.sampled_from([1, 3])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24), st.integers(1, 24),
+       st.sampled_from(["hamming", "rect"]), st.integers(1, 4), ROWS_PER_BLOCK, WORKERS)
 @settings(max_examples=100, deadline=None)
-def test_range_doppler_matches_complex_map_oracle(seed, nf, nt, window_kind, zero_pad):
+def test_range_doppler_matches_complex_map_oracle(seed, nf, nt, window_kind, zero_pad,
+                                                  rows, workers):
+    """Same bits at any block size and worker count, for odd and even Doppler
+    lengths (the two halves of the fftshift) and maps down to one row or
+    column."""
     rng = np.random.default_rng(seed)
     cfr = rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))
-    got = range_doppler(cfr, desk_cfg(), SensingMode.PILOT_ONLY,
-                        window_kind=window_kind, zero_pad=zero_pad).magnitude_db
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radar, "_MAP_ROWS", rows)
+        mp.setattr(dsp, "_workers", lambda: workers)
+        got = range_doppler(cfr, desk_cfg(), SensingMode.PILOT_ONLY,
+                            window_kind=window_kind, zero_pad=zero_pad).magnitude_db
     want = range_doppler_db_oracle(cfr, window_kind, zero_pad)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(2, 30),
-       st.integers(2, 12), st.sampled_from([-3.0, -12.0, -45.0]),
-       st.integers(1, 16))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 12), st.sampled_from([-3.0, -12.0, -45.0]),
+       st.integers(1, 16), ROWS_PER_BLOCK, WORKERS)
 @settings(max_examples=100, deadline=None)
-def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max_peaks):
+def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max_peaks,
+                                         rows, workers):
     """Maps quantized to a few dB levels, so plateaus, ties between
-    neighbors and ties across the wrapped edges are common."""
+    neighbors and ties across the wrapped edges and the block edges are
+    common; every block's 3x3 maximum is ndimage's wrapped maximum filter."""
     rng = np.random.default_rng(seed)
     m = -3.0 * rng.integers(0, levels, size=(nf, nt)).astype(float)
     m -= m.max()
@@ -282,7 +304,42 @@ def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max
                              range_axis_m=np.arange(nf) * 0.3,
                              doppler_axis_hz=(np.arange(nt) - nt // 2) * 25.0,
                              mode=SensingMode.PILOT_ONLY)
-    got = extract_peaks(rd_map, threshold_db, max_peaks=max_peaks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radar, "_MAP_ROWS", rows)
+        mp.setattr(dsp, "_workers", lambda: workers)
+        got = extract_peaks(rd_map, threshold_db, max_peaks=max_peaks)
     want = extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks)
     assert got == want
-    assert np.array_equal(_max3_wrapped(m), ndimage.maximum_filter(m, size=3, mode="wrap"))
+    blocks = [_max3_wrapped(m, s, min(s + rows, nf)) for s in range(0, nf, rows)]
+    assert np.array_equal(np.concatenate(blocks),
+                          ndimage.maximum_filter(m, size=3, mode="wrap"))
+
+
+def test_full_frame_map_memory(tmp_path):
+    """The run_short-sized full-frame map (2048 x 512 CFR, zero_pad 4) and its
+    peaks raise peak RSS by well under the 385 MB that the whole-map form with
+    its complex map and full-size temporaries took. Each worker thread holds
+    about 3 MB of block temporaries, so the worker count is fixed at 2."""
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from bistatic_radcom import dsp
+        from bistatic_radcom.params import FrameConfig, SensingMode
+        from bistatic_radcom.radar import extract_peaks, range_doppler
+
+        dsp._workers = lambda: 2
+        rng = np.random.default_rng(0)
+        cfr = rng.normal(size=(2048, 512)) + 1j * rng.normal(size=(2048, 512))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        rd = range_doppler(cfr, FrameConfig(m_payload=512), SensingMode.FULL_FRAME,
+                           zero_pad=4)
+        extract_peaks(rd, -45.0, max_peaks=8)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0)
+    """)
+    src = str(Path(radar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) < 300.0
