@@ -60,9 +60,11 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def run_blocks(block: Callable[[int, int], None], n: int, size: int = _BLOCK) -> None:
+def run_blocks(block: Callable[[int, int], None], n: int, size: int | None = None) -> None:
     """Call ``block(start, stop)`` on consecutive ``size``-element slices of
-    ``range(n)``, on up to one thread per CPU."""
+    ``range(n)`` (``_BLOCK`` when ``size`` is None), on up to one thread per
+    CPU."""
+    size = size or _BLOCK
     starts = range(0, n, size)
     with ThreadPoolExecutor(max_workers=max(1, min(_workers(), len(starts)))) as pool:
         futures = [pool.submit(block, s, min(s + size, n)) for s in starts]

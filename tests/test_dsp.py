@@ -212,6 +212,19 @@ def blocked(fn, block, workers):
         return fn()
 
 
+def test_run_blocks_reads_block_size_per_call():
+    """The default block size is read when `run_blocks` is called, so the
+    block-edge tests that patch ``_BLOCK`` do cut their inputs into blocks."""
+    def spans(**kw):
+        seen = []
+        dsp.run_blocks(lambda a, b: seen.append((a, b)), 1000, **kw)
+        return sorted(seen)
+
+    assert spans() == [(0, 1000)]
+    assert blocked(spans, 300, 2) == [(0, 300), (300, 600), (600, 900), (900, 1000)]
+    assert blocked(lambda: spans(size=500), 300, 2) == [(0, 500), (500, 1000)]
+
+
 def complex_noise(seed, n):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)

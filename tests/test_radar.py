@@ -245,8 +245,8 @@ def extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks):
                 is_peak &= m >= np.roll(m, (di, dj), axis=(0, 1))
     ri, di = np.nonzero(is_peak)
     order = np.argsort(m[ri, di])[::-1][:max_peaks]
-    dr, dd = (ax[1] - ax[0] if ax.size > 1 else 0.0
-              for ax in (rd_map.range_axis_m, rd_map.doppler_axis_hz))
+    dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
+    dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
     lin = 10.0 ** (m / 20.0)
     span = rd_map.range_axis_m.size * dr
     dets = []
@@ -287,19 +287,24 @@ def test_range_doppler_matches_complex_map_oracle(seed, nf, nt, window_kind, zer
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 30),
-       st.integers(1, 12), st.sampled_from([-3.0, -12.0, -45.0]),
-       st.integers(1, 16), ROWS_PER_BLOCK, WORKERS)
-@settings(max_examples=100, deadline=None)
-def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max_peaks,
-                                         rows, workers):
-    """Maps quantized to a few dB levels, so plateaus, ties between
-    neighbors and ties across the wrapped edges and the block edges are
-    common; every block's 3x3 maximum is ndimage's wrapped maximum filter."""
+def quantized_map(seed, nf, nt, levels):
+    """Map of a few dB levels, so plateaus, ties between neighbors and ties
+    across the wrapped edges and the block edges are common."""
     rng = np.random.default_rng(seed)
     m = -3.0 * rng.integers(0, levels, size=(nf, nt)).astype(float)
     m -= m.max()
     m += 0.5 * rng.integers(0, 2, size=(nf, nt)) * (rng.random() < 0.5)
+    return m
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(2, 30),
+       st.integers(2, 12), st.sampled_from([-3.0, -12.0, -45.0]),
+       st.integers(1, 16), ROWS_PER_BLOCK, WORKERS)
+@settings(max_examples=100, deadline=None)
+def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max_peaks,
+                                         rows, workers):
+    """Same detections as the roll rule at any block size and worker count."""
+    m = quantized_map(seed, nf, nt, levels)
     rd_map = RangeDopplerMap(magnitude_db=m,
                              range_axis_m=np.arange(nf) * 0.3,
                              doppler_axis_hz=(np.arange(nt) - nt // 2) * 25.0,
@@ -310,9 +315,32 @@ def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max
         got = extract_peaks(rd_map, threshold_db, max_peaks=max_peaks)
     want = extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks)
     assert got == want
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 12), ROWS_PER_BLOCK)
+@settings(max_examples=100, deadline=None)
+def test_max3_blocks_match_wrapped_maximum_filter(seed, nf, nt, levels, rows):
+    """The row blocks of the 3x3 maximum, put together, are ndimage's wrapped
+    maximum filter, down to maps of one row or column."""
+    m = quantized_map(seed, nf, nt, levels)
     blocks = [_max3_wrapped(m, s, min(s + rows, nf)) for s in range(0, nf, rows)]
     assert np.array_equal(np.concatenate(blocks),
                           ndimage.maximum_filter(m, size=3, mode="wrap"))
+
+
+def test_extract_peaks_on_one_bin_axis():
+    """A map of one range row or one Doppler column reports that axis's only
+    bin with no sub-bin shift, and refines the other axis as usual."""
+    profile = np.array([-40.0, -20.0, -6.0, 0.0, -6.0, -20.0, -40.0])
+    axis = np.arange(profile.size) * 0.3
+    row = RangeDopplerMap(magnitude_db=profile[None, :], range_axis_m=np.array([1.5]),
+                          doppler_axis_hz=axis, mode=SensingMode.PILOT_ONLY)
+    col = RangeDopplerMap(magnitude_db=profile[:, None], range_axis_m=axis,
+                          doppler_axis_hz=np.array([-25.0]), mode=SensingMode.PILOT_ONLY)
+    # the symmetric profile peaks exactly on bin 3
+    assert extract_peaks(row, -10.0) == [Detection(1.5, axis[3], 0.0)]
+    assert extract_peaks(col, -10.0) == [Detection(axis[3], -25.0, 0.0)]
 
 
 def test_full_frame_map_memory(tmp_path):
