@@ -7,10 +7,13 @@ sensing uses spacing 1 in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from enum import Enum
 
+from .ldpc import default_code
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+QPSK_BITS = 2  # coded bits per data cell
 
 
 class ConfigError(ValueError):
@@ -24,7 +27,7 @@ class SensingMode(Enum):
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """OFDM frame, pilot and coding parameters.
+    """OFDM frame and pilot parameters.
 
     ``bandwidth_hz`` doubles as the nominal complex sample rate (critically
     sampled baseband, no oversampling).
@@ -38,8 +41,6 @@ class FrameConfig:
     pilot_freq_spacing: int = 2
     pilot_time_spacing: int = 4
     bandwidth_hz: float = 1e9
-    bits_per_symbol: int = 2
-    code_rate: float = 2.0 / 3.0
     pilot_seed: int = 0x5EED_0001
     preamble_seed: int = 0x5EED_0002
 
@@ -81,13 +82,6 @@ class FrameConfig:
             return 1, 1
         return self.pilot_freq_spacing, self.pilot_time_spacing
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrameConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class RadarPerformance:
@@ -98,9 +92,6 @@ class RadarPerformance:
     doppler_resolution: float
     max_unamb_doppler: float
     max_ici_free_doppler: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def validate_config(cfg: FrameConfig) -> list[str]:
@@ -122,10 +113,6 @@ def validate_config(cfg: FrameConfig) -> list[str]:
         v.append("cp_len must be smaller than n_subcarriers")
     if cfg.bandwidth_hz <= 0:
         v.append("bandwidth_hz must be positive")
-    if cfg.bits_per_symbol != 2:
-        v.append("bits_per_symbol must be 2 (QPSK)")
-    if not 0.0 <= cfg.code_rate <= 1.0:
-        v.append("code_rate must be within [0, 1]")
     return v
 
 
@@ -163,7 +150,8 @@ def comm_throughput(cfg: FrameConfig) -> float:
     require_valid(cfg)
     data_elements = cfg.n_data_elements
     frame_duration = cfg.frame_len / cfg.bandwidth_hz
-    return cfg.bits_per_symbol * cfg.code_rate * data_elements / frame_duration
+    code = default_code()
+    return QPSK_BITS * (code.k / code.n) * data_elements / frame_duration
 
 
 def long_payload_config(**overrides) -> FrameConfig:

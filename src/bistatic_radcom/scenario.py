@@ -2,17 +2,20 @@
 
 A scenario bundles a frame configuration, an optional channel description
 (paths + impairments), receiver stage toggles, sensing settings and output
-options. Validation returns dotted-path diagnostics ("channel.paths[0].delay_ns:
-missing") so a bad file can be fixed without reading source code. The runner
-executes TX -> channel -> sync -> comm -> radar and writes a fixed artifact
-set into an output directory.
+options. Validation reads one table of field rows and returns dotted-path
+diagnostics ("channel.paths[0].delay_ns: missing required field") so a bad
+file can be fixed without reading source code. The runner executes TX ->
+channel -> sync -> comm -> radar, each stage tagging its failures, and writes
+a fixed artifact set into an output directory.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,7 @@ from .commrx import (cir_evolution, compensate_residual_sfo,
                      equalize, estimate_cfr, estimate_main_doppler,
                      evm_rms_percent)
 from .ldpc import default_code
-from .params import FrameConfig, SensingMode, validate_config
+from .params import QPSK_BITS, FrameConfig, SensingMode, validate_config
 from .sync import SyncError, synchronize
 from .txframe import (FrameGrid, IqStream, PayloadBits, assemble_frame,
                       build_tx_frame, frame_capacity_bits, frame_tables,
@@ -47,6 +50,20 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as a `PipelineError` tagged with
+    the stage `name`; a `SyncError` keeps its own `sync.<stage>` tag."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except SyncError as exc:
+        raise PipelineError(f"sync.{exc.stage}", str(exc)) from exc
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
 @dataclass
@@ -85,58 +102,115 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# schema validation
+# schema validation: one table of field rows, one walker
 
-_NUM = (int, float)
+_BAD = object()  # a value that did not parse
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_FRAME_BOUNDS = {"pilot_seed": _NON_NEGATIVE, "preamble_seed": _NON_NEGATIVE}
+
+# (section, key, attribute it fills, kind, bound as (test, message)). The
+# attribute is a FrameConfig field in "frame", a PathSpec field in
+# "channel.paths" and a Scenario field elsewhere; that dataclass holds the
+# default, and a field without one is required. Rows are checked in order.
+_ROWS = [
+    *(("frame", f.name, f.name, "number" if isinstance(f.default, float) else "integer",
+       _FRAME_BOUNDS.get(f.name)) for f in fields(FrameConfig)),
+    ("info_bits", "seed", "info_seed", "integer", _NON_NEGATIVE),
+    ("info_bits", "count", "info_count", "integer?", (lambda v: v > 0, "must be positive")),
+    ("info_bits", "known", "info_known", "bool", None),
+    ("channel.paths", "gain_db", "gain_db", "number", None),
+    ("channel.paths", "delay_ns", "delay_ns", "number", _NON_NEGATIVE),
+    ("channel.paths", "doppler_hz", "doppler_hz", "number", None),
+    ("channel.paths", "phase_deg", "phase_deg", "number", None),
+    ("channel.paths", "is_main", "is_main", "bool", None),
+    ("channel.impairments", "sto_samples", "sto_samples", "number", _NON_NEGATIVE),
+    ("channel.impairments", "cfo_hz", "cfo_hz", "number", None),
+    ("channel.impairments", "cpo_rad", "cpo_rad", "number", None),
+    ("channel.impairments", "sfo_norm", "sfo_norm", "number",
+     (lambda v: abs(v) < SFO_BOUND, f"|value| must be below {SFO_BOUND}")),
+    ("channel.impairments", "snr_db", "snr_db", "number?", None),
+    ("channel.impairments", "noise_seed", "noise_seed", "integer", _NON_NEGATIVE),
+    ("receiver", "correct_sfo", "correct_sfo", "bool", None),
+    ("receiver", "residual_sfo_compensation", "residual_sfo_compensation", "bool", None),
+    ("sensing", "modes", "sensing_modes", [{m.value: m for m in SensingMode}], None),
+    ("sensing", "zero_pad", "zero_pad", "integer", _AT_LEAST_ONE),
+    ("sensing", "window", "window", {"hamming": "hamming", "rect": "rect"}, None),
+    ("sensing", "peak_threshold_db", "peak_threshold_db", "number",
+     (lambda v: v < 0, "must be negative (relative to peak)")),
+    ("sensing", "max_peaks", "max_peaks", "integer", _AT_LEAST_ONE),
+    ("sensing", "write_map_csv", "write_map_csv", "bool", None),
+    ("outputs", "write_iq", "write_iq", "bool", None),
+]
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str, errors: list[str]) -> None:
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{where}{key}: unknown field")
-
-
-def _get_num(obj: dict, key: str, where: str, errors: list[str],
-             default=None, required: bool = False, allow_none: bool = False):
-    if key not in obj:
-        if required:
-            errors.append(f"{where}{key}: missing required field")
-        return default
-    v = obj[key]
-    if v is None and allow_none:
+def _parse(v, kind, at: str, errors: list[str]):
+    """A JSON value of one kind: "number", "integer" or "bool" (a trailing
+    "?" admits null), a dict of choices, or a list holding one dict (an
+    array of choices). Reports a value that does not parse, returning _BAD."""
+    if isinstance(kind, list):
+        if not isinstance(v, list):
+            errors.append(f"{at}: expected an array")
+            return _BAD
+        items = [_parse(x, kind[0], f"{at}[{i}]", errors) for i, x in enumerate(v)]
+        return _BAD if any(x is _BAD for x in items) else items
+    if isinstance(kind, dict):
+        if isinstance(v, str) and v in kind:
+            return kind[v]
+        errors.append(f"{at}: {v!r} is not one of {', '.join(kind)}")
+    elif v is None and kind.endswith("?"):
         return None
-    if isinstance(v, bool) or not isinstance(v, _NUM):
-        errors.append(f"{where}{key}: expected a number, got {type(v).__name__}")
-        return default
-    if isinstance(v, float) and not math.isfinite(v):
-        errors.append(f"{where}{key}: expected a finite number")
-        return default
-    return v
+    elif kind == "bool":
+        if isinstance(v, bool):
+            return v
+        errors.append(f"{at}: expected true/false")
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        errors.append(f"{at}: expected a number, got {type(v).__name__}")
+    elif not -sys.float_info.max <= v <= sys.float_info.max:  # NaN, inf, or too large
+        errors.append(f"{at}: expected a finite number")
+    elif kind.startswith("number"):
+        return v
+    elif isinstance(v, int) or v.is_integer():
+        return int(v)
+    else:
+        errors.append(f"{at}: expected an integer")
+    return _BAD
 
 
-def _get_int(obj: dict, key: str, where: str, errors: list[str], default=None):
-    v = _get_num(obj, key, where, errors, default)
-    if v is not None and not isinstance(v, bool) and float(v) != int(v):
-        errors.append(f"{where}{key}: expected an integer")
-        return default
-    return None if v is None else int(v)
-
-
-def _get_bool(obj: dict, key: str, where: str, errors: list[str], default: bool) -> bool:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        errors.append(f"{where}{key}: expected true/false")
-        return default
-    return v
+def _walk(obj, section: str, cls, errors: list[str], where: str = "") -> dict:
+    """Check the JSON object `obj` against the rows of `section`. Returns the
+    values that parsed, by attribute; an absent key keeps the default of
+    `cls`."""
+    where = where or section
+    if not isinstance(obj, dict):
+        errors.append(f"{where}: expected an object")
+        return {}
+    rows = [row for row in _ROWS if row[0] == section]
+    keys = {row[1] for row in rows}
+    errors.extend(f"{where}.{key}: unknown field" for key in obj if key not in keys)
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = {}
+    for _, key, attr, kind, bound in rows:
+        at = f"{where}.{key}"
+        if key not in obj:
+            if attr in required:
+                errors.append(f"{at}: missing required field")
+            continue
+        v = _parse(obj[key], kind, at, errors)
+        if v is not _BAD and v is not None and bound and not bound[0](v):
+            errors.append(f"{at}: {bound[1]}")
+        elif v is not _BAD:
+            values[attr] = v
+    return values
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario JSON file.
 
     Raises ScenarioFileError carrying every diagnostic found, each prefixed
-    with the dotted path of the offending field.
+    with the dotted path of the offending field. The cross-field checks run
+    only on a file whose every field parsed.
     """
     path = Path(path)
     if not path.is_file():
@@ -149,172 +223,56 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioFileError(["top level: expected a JSON object"])
 
     errors: list[str] = []
-    _check_keys(doc, {"name", "frame", "info_bits", "channel", "receiver",
-                      "sensing", "outputs"}, "", errors)
-
+    errors.extend(f"{key}: unknown field" for key in doc if key not in (
+        "name", "frame", "info_bits", "channel", "receiver", "sensing", "outputs"))
     name = doc.get("name", path.stem)
     if not isinstance(name, str):
         errors.append("name: expected a string")
-        name = path.stem
-
-    # frame ---------------------------------------------------------------
-    frame_doc = doc.get("frame", {})
-    frame = FrameConfig()
-    if not isinstance(frame_doc, dict):
-        errors.append("frame: expected an object")
-    else:
-        allowed = set(FrameConfig().to_dict())
-        _check_keys(frame_doc, allowed, "frame.", errors)
-        fields = {}
-        for key in allowed & set(frame_doc):
-            if key == "bandwidth_hz" or key == "code_rate":
-                v = _get_num(frame_doc, key, "frame.", errors)
-            else:
-                v = _get_int(frame_doc, key, "frame.", errors)
-            if v is not None:
-                fields[key] = v
-        frame = FrameConfig(**{**FrameConfig().to_dict(), **fields})
-        for msg in validate_config(frame):
-            errors.append(f"frame: {msg}")
-
-    scn = Scenario(name=name, frame=frame)
-
-    # info bits -----------------------------------------------------------
-    info_doc = doc.get("info_bits", {})
-    if not isinstance(info_doc, dict):
-        errors.append("info_bits: expected an object")
-    else:
-        _check_keys(info_doc, {"seed", "count", "known"}, "info_bits.", errors)
-        scn.info_seed = _get_int(info_doc, "seed", "info_bits.", errors, 1)
-        if info_doc.get("count") is not None:
-            scn.info_count = _get_int(info_doc, "count", "info_bits.", errors)
-            if scn.info_count is not None and scn.info_count <= 0:
-                errors.append("info_bits.count: must be positive")
-        scn.info_known = _get_bool(info_doc, "known", "info_bits.", errors, True)
-
-    # channel -------------------------------------------------------------
+    frame = _walk(doc.get("frame", {}), "frame", FrameConfig, errors)
+    values = _walk(doc.get("info_bits", {}), "info_bits", Scenario, errors)
+    paths: list[dict] = []
     if "channel" in doc:
+        values["has_channel"] = True
         ch = doc["channel"]
         if not isinstance(ch, dict):
             errors.append("channel: expected an object")
         else:
-            scn.has_channel = True
-            _check_keys(ch, {"paths", "impairments"}, "channel.", errors)
-            paths = ch.get("paths")
-            if not isinstance(paths, list) or not paths:
+            errors.extend(f"channel.{key}: unknown field" for key in ch
+                          if key not in ("paths", "impairments"))
+            path_docs = ch.get("paths")
+            if not isinstance(path_docs, list) or not path_docs:
                 errors.append("channel.paths: expected a non-empty array")
             else:
-                for i, p in enumerate(paths):
-                    where = f"channel.paths[{i}]."
-                    if not isinstance(p, dict):
-                        errors.append(f"channel.paths[{i}]: expected an object")
-                        continue
-                    _check_keys(p, {"gain_db", "delay_ns", "doppler_hz",
-                                    "phase_deg", "is_main"}, where, errors)
-                    gain_db = _get_num(p, "gain_db", where, errors, required=True)
-                    delay_ns = _get_num(p, "delay_ns", where, errors, required=True)
-                    if delay_ns is not None and delay_ns < 0:
-                        errors.append(f"{where}delay_ns: must be non-negative")
-                    spec = PathSpec(
-                        gain_db=gain_db if gain_db is not None else 0.0,
-                        delay_ns=delay_ns if delay_ns is not None else 0.0,
-                        doppler_hz=_get_num(p, "doppler_hz", where, errors, 0.0),
-                        phase_deg=_get_num(p, "phase_deg", where, errors, 0.0),
-                        is_main=_get_bool(p, "is_main", where, errors, False),
-                    )
-                    scn.paths.append(spec)
-                mains = sum(1 for p in scn.paths if p.is_main)
-                if mains != 1:
-                    errors.append(f"channel.paths: exactly one path must set is_main (got {mains})")
-                else:
-                    main = next(p for p in scn.paths if p.is_main)
-                    for i, p in enumerate(scn.paths):
-                        if not p.is_main and p.gain_db >= main.gain_db:
-                            errors.append(f"channel.paths[{i}].gain_db: secondary path "
-                                          "must be weaker than the main path")
-            imp = ch.get("impairments", {})
-            if not isinstance(imp, dict):
-                errors.append("channel.impairments: expected an object")
-            else:
-                where = "channel.impairments."
-                _check_keys(imp, {"sto_samples", "cfo_hz", "cpo_rad", "sfo_norm",
-                                  "snr_db", "noise_seed"}, where, errors)
-                scn.sto_samples = _get_num(imp, "sto_samples", where, errors, 0.0)
-                scn.cfo_hz = _get_num(imp, "cfo_hz", where, errors, 0.0)
-                scn.cpo_rad = _get_num(imp, "cpo_rad", where, errors, 0.0)
-                scn.sfo_norm = _get_num(imp, "sfo_norm", where, errors, 0.0)
-                scn.snr_db = _get_num(imp, "snr_db", where, errors, None, allow_none=True)
-                scn.noise_seed = _get_int(imp, "noise_seed", where, errors, 0)
-                if scn.sfo_norm is not None and abs(scn.sfo_norm) >= SFO_BOUND:
-                    errors.append(f"{where}sfo_norm: |value| must be below {SFO_BOUND}")
-                if scn.sto_samples is not None and scn.sto_samples < 0:
-                    errors.append(f"{where}sto_samples: must be non-negative")
+                paths = [_walk(p, "channel.paths", PathSpec, errors, f"channel.paths[{i}]")
+                         for i, p in enumerate(path_docs)]
+            values.update(_walk(ch.get("impairments", {}), "channel.impairments",
+                                Scenario, errors))
+    for section in ("receiver", "sensing", "outputs"):
+        values.update(_walk(doc.get(section, {}), section, Scenario, errors))
+    if errors:
+        raise ScenarioFileError(errors)
 
-    # receiver ------------------------------------------------------------
-    rx = doc.get("receiver", {})
-    if not isinstance(rx, dict):
-        errors.append("receiver: expected an object")
-    else:
-        _check_keys(rx, {"correct_sfo", "residual_sfo_compensation"}, "receiver.", errors)
-        scn.correct_sfo = _get_bool(rx, "correct_sfo", "receiver.", errors, True)
-        scn.residual_sfo_compensation = _get_bool(
-            rx, "residual_sfo_compensation", "receiver.", errors, True)
-
-    # sensing -------------------------------------------------------------
-    sensing = doc.get("sensing", {})
-    if not isinstance(sensing, dict):
-        errors.append("sensing: expected an object")
-    else:
-        _check_keys(sensing, {"modes", "zero_pad", "window", "peak_threshold_db",
-                              "max_peaks", "write_map_csv"}, "sensing.", errors)
-        modes = sensing.get("modes", ["pilot_only"])
-        if not isinstance(modes, list):
-            errors.append("sensing.modes: expected an array")
-        else:
-            parsed = []
-            for i, m in enumerate(modes):
-                try:
-                    parsed.append(SensingMode(m))
-                except ValueError:
-                    valid = ", ".join(x.value for x in SensingMode)
-                    errors.append(f"sensing.modes[{i}]: {m!r} is not one of {valid}")
-            scn.sensing_modes = parsed
-        zp = _get_int(sensing, "zero_pad", "sensing.", errors, 2)
-        if zp is not None and zp < 1:
-            errors.append("sensing.zero_pad: must be >= 1")
-        else:
-            scn.zero_pad = zp if zp else 2
-        window = sensing.get("window", "hamming")
-        if window not in ("hamming", "rect"):
-            errors.append(f"sensing.window: {window!r} is not one of hamming, rect")
-        else:
-            scn.window = window
-        thr = _get_num(sensing, "peak_threshold_db", "sensing.", errors, -40.0)
-        if thr is not None and thr >= 0:
-            errors.append("sensing.peak_threshold_db: must be negative (relative to peak)")
-        else:
-            scn.peak_threshold_db = thr
-        mp = _get_int(sensing, "max_peaks", "sensing.", errors, 10)
-        if mp is not None and mp < 1:
-            errors.append("sensing.max_peaks: must be >= 1")
-        else:
-            scn.max_peaks = mp if mp else 10
-        scn.write_map_csv = _get_bool(sensing, "write_map_csv", "sensing.", errors, True)
-
-    # outputs -------------------------------------------------------------
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        errors.append("outputs: expected an object")
-    else:
-        _check_keys(outputs, {"write_iq"}, "outputs.", errors)
-        scn.write_iq = _get_bool(outputs, "write_iq", "outputs.", errors, False)
-
+    scn = Scenario(name=name, frame=FrameConfig(**frame),
+                   paths=[PathSpec(**p) for p in paths], **values)
+    errors.extend(f"frame: {msg}" for msg in validate_config(scn.frame))
+    _check_paths(scn, errors)
     if not errors:
-        _check_sample_budget(scn, errors)
-        _check_map_budget(scn, errors)
+        for check in (_check_sample_budget, _check_capacity, _check_map_budget):
+            check(scn, errors)
     if errors:
         raise ScenarioFileError(errors)
     return scn
+
+
+def _check_paths(scn: Scenario, errors: list[str]) -> None:
+    """A channel has exactly one main path, and every other path is weaker."""
+    mains = [p for p in scn.paths if p.is_main]
+    if scn.has_channel and len(mains) != 1:
+        errors.append(f"channel.paths: exactly one path must set is_main (got {len(mains)})")
+    elif mains:
+        errors.extend(f"channel.paths[{i}].gain_db: secondary path must be weaker than the "
+                      "main path" for i, p in enumerate(scn.paths)
+                      if not p.is_main and p.gain_db >= mains[0].gain_db)
 
 
 def _check_sample_budget(scn: Scenario, errors: list[str]) -> None:
@@ -338,6 +296,18 @@ def _check_sample_budget(scn: Scenario, errors: list[str]) -> None:
                  else "channel.impairments.sto_samples")
         errors.append(f"{where}: a delay plus STO of {extent:.6g} samples makes the channel "
                       f"stream longer than the sample budget of {budget}")
+
+
+def _check_capacity(scn: Scenario, errors: list[str]) -> None:
+    """The frame must carry a codeword, and the info bits must fit in it."""
+    max_info, n_cw = frame_capacity_bits(scn.frame)
+    if n_cw == 0:
+        cells = scn.frame.n_data_elements
+        errors.append(f"frame: its {cells} data cells carry {cells * QPSK_BITS} coded bits, "
+                      f"fewer than one codeword of {default_code().n}")
+    elif scn.info_count is not None and scn.info_count > max_info:
+        errors.append(f"info_bits.count: {scn.info_count} exceeds the frame capacity of "
+                      f"{max_info} info bits")
 
 
 def _check_map_budget(scn: Scenario, errors: list[str]) -> None:
@@ -377,8 +347,6 @@ def channel_from_scenario(scn: Scenario) -> ChannelScenario:
 def generate_info_bits(scn: Scenario) -> np.ndarray:
     max_info, _ = frame_capacity_bits(scn.frame)
     count = scn.info_count if scn.info_count is not None else max_info
-    if count > max_info:
-        raise PipelineError("tx", f"info_bits.count {count} exceeds frame capacity {max_info}")
     rng = np.random.default_rng(scn.info_seed)
     return rng.integers(0, 2, count, dtype=np.uint8)
 
@@ -405,12 +373,10 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     """
     cfg = scn.frame
 
-    try:
+    with _stage("sync"):
         payload_stream, report = synchronize(stream, cfg, correct_sfo=scn.correct_sfo)
-    except SyncError as exc:
-        raise PipelineError(f"sync.{exc.stage}", str(exc)) from exc
 
-    try:
+    with _stage("comm.estimation"):
         rg = demodulate_frame(payload_stream, cfg)
         doppler_hz, rg = estimate_main_doppler(rg, cfg)
         est = estimate_cfr(rg, cfg)
@@ -418,15 +384,13 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         if scn.residual_sfo_compensation:
             rg, est = compensate_residual_sfo(rg, est, cfg)
         delays, mag_db = cir_evolution(rg, cfg)
-    except Exception as exc:
-        raise PipelineError("comm.estimation", str(exc)) from exc
 
     _write_csv(outdir / "cir_evolution.csv",
                "pilot_symbol_index,delay_samples,delay_ns,mag_db",
                [frame_tables(cfg).m_pil.astype(float), delays,
                 delays / cfg.bandwidth_hz * 1e9, mag_db])
 
-    try:
+    with _stage("comm.decode"):
         s_hat, noise_vars, erased = equalize(rg, est.cfr, cfg)
         code = default_code()
         max_info, _ = frame_capacity_bits(cfg)
@@ -439,8 +403,6 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         ref_syms = tx_refs.get("data_symbols") if tx_refs else None
         metrics.evm_rms_percent = evm_rms_percent(s_hat, ref_syms)
         metrics.slope_fit_warning = est.slope_fit_warning
-    except Exception as exc:
-        raise PipelineError("comm.decode", str(exc)) from exc
 
     density, edges = constellation_density(s_hat)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -452,15 +414,13 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
 
     detections_rows: list[tuple] = []
     for mode in scn.sensing_modes:
-        try:
+        with _stage(f"radar.{mode.value}"):
             cfr_s = radar_mod.cfr_for_sensing(rg, cfg, mode, decoded_info_bits=info_hat)
             rd = radar_mod.range_doppler(cfr_s, cfg, mode,
                                          window_kind=scn.window,
                                          zero_pad=scn.zero_pad)
             dets = radar_mod.extract_peaks(rd, scn.peak_threshold_db,
                                            max_peaks=scn.max_peaks)
-        except Exception as exc:
-            raise PipelineError(f"radar.{mode.value}", str(exc)) from exc
         if scn.write_map_csv:
             rr, dd = np.meshgrid(rd.range_axis_m, rd.doppler_axis_hz, indexing="ij")
             _write_csv(outdir / f"rd_map_{mode.value}.csv",
@@ -499,19 +459,11 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
     """Full simulation: TX frame, channel, receive pipeline, artifacts."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _stage("tx"):
         frame, payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("tx", str(exc)) from exc
-    try:
+    with _stage("channel"):
         ch = channel_from_scenario(scn)
         rx_stream = run_channel(tx_stream, ch)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("channel", str(exc)) from exc
 
     if scn.write_iq:
         from .iqfile import write_iq
@@ -538,6 +490,7 @@ def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> d
     tx_refs = None
     if scn.info_known:
         # the references need the payload grid, not the modulated samples
-        payload, symbols = map_payload(generate_info_bits(scn), scn.frame)
-        tx_refs = _tx_refs(assemble_frame(scn.frame, symbols), payload)
+        with _stage("tx"):
+            payload, symbols = map_payload(generate_info_bits(scn), scn.frame)
+            tx_refs = _tx_refs(assemble_frame(scn.frame, symbols), payload)
     return run_receive_pipeline(stream, scn, outdir, tx_refs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ldpc import default_code
-from .params import FrameConfig, require_valid
+from .params import QPSK_BITS, FrameConfig, require_valid
 
 class FramingError(ValueError):
     """Raised on symbol/bit count mismatches during frame assembly."""
@@ -168,7 +168,7 @@ def pilot_cfr(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
 def frame_capacity_bits(cfg: FrameConfig) -> tuple[int, int]:
     """(max info bits, codeword count) that fit in one frame."""
     code = default_code()
-    coded_capacity = cfg.n_data_elements * cfg.bits_per_symbol
+    coded_capacity = cfg.n_data_elements * QPSK_BITS
     n_cw = coded_capacity // code.n
     return n_cw * code.k, n_cw
 
@@ -217,7 +217,7 @@ def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, n
     """Encode the info bits and map them onto every data cell of the frame;
     cells beyond the coded payload carry zero bits."""
     payload = encode_payload(info_bits, cfg)
-    all_bits = np.zeros(cfg.n_data_elements * cfg.bits_per_symbol, dtype=np.uint8)
+    all_bits = np.zeros(cfg.n_data_elements * QPSK_BITS, dtype=np.uint8)
     all_bits[:payload.coded_bits.size] = payload.coded_bits
     return payload, map_qpsk(all_bits)
 

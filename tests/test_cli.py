@@ -1,6 +1,10 @@
 """Command-line interface: scenario runs, captures and parameter reports."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +101,185 @@ def test_missing_required_field_exits_2_without_artifacts(tmp_path, capsys):
     assert main(["run", str(scn), "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "channel.paths[1].delay_ns" in err
+    assert not out.exists()
+
+
+DELETE = object()
+
+
+def edited(doc, edits):
+    """``doc`` with each dotted path (``channel.paths[1].delay_ns``) set to
+    its value, or removed for DELETE."""
+    for path, value in edits.items():
+        node = doc
+        *parents, last = [int(k) if k.isdigit() else k
+                          for k in re.findall(r"[^.\[\]]+", path)]
+        for k in parents:
+            node = node[k]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+BUDGET = f"the sample budget of {dsp.MAX_STREAM_SAMPLES}"
+MAP_BUDGET = f"the map budget of {radar.MAX_MAP_CELLS} cells"
+
+# One malformed edit of the desk scenario per case, with every diagnostic the
+# validator reports for it, in order.
+DIAGNOSTICS = {
+    "unknown_top": ({"bogus": 1}, ["bogus: unknown field"]),
+    "unknown_nested": ({"sensing.zero_padding": 4, "channel.paths[0].gain": 1.0},
+                       ["channel.paths[0].gain: unknown field",
+                        "sensing.zero_padding: unknown field"]),
+    "missing_delay": ({"channel.paths[1].delay_ns": DELETE},
+                      ["channel.paths[1].delay_ns: missing required field"]),
+    "not_numbers": ({"frame.bandwidth_hz": True, "channel.impairments.cfo_hz": "fast",
+                     "sensing.peak_threshold_db": None},
+                    ["frame.bandwidth_hz: expected a number, got bool",
+                     "channel.impairments.cfo_hz: expected a number, got str",
+                     "sensing.peak_threshold_db: expected a number, got NoneType"]),
+    "not_finite": ({"channel.paths[1].doppler_hz": float("-inf"),
+                    "channel.impairments.snr_db": float("inf")},
+                   ["channel.paths[1].doppler_hz: expected a finite number",
+                    "channel.impairments.snr_db: expected a finite number"]),
+    "not_integers": ({"sensing.max_peaks": 2.5, "info_bits.seed": 1.5,
+                      "frame.m_payload": 128.0},
+                     ["info_bits.seed: expected an integer",
+                      "sensing.max_peaks: expected an integer"]),
+    "not_bools": ({"receiver.correct_sfo": 1, "outputs.write_iq": "yes",
+                   "info_bits.known": None, "channel.paths[0].is_main": True},
+                  ["info_bits.known: expected true/false",
+                   "receiver.correct_sfo: expected true/false",
+                   "outputs.write_iq: expected true/false"]),
+    "not_objects": ({"frame": [], "info_bits": 3, "receiver": "x", "sensing": [],
+                     "outputs": 1},
+                    ["frame: expected an object", "info_bits: expected an object",
+                     "receiver: expected an object", "sensing: expected an object",
+                     "outputs: expected an object"]),
+    "channel_not_object": ({"channel": "x"}, ["channel: expected an object"]),
+    "impairments_not_object": ({"channel.impairments": []},
+                               ["channel.impairments: expected an object"]),
+    "path_not_object": ({"channel.paths[1]": 5}, ["channel.paths[1]: expected an object"]),
+    "paths_not_array": ({"channel.paths": {}},
+                        ["channel.paths: expected a non-empty array"]),
+    "paths_empty": ({"channel.paths": []}, ["channel.paths: expected a non-empty array"]),
+    "modes_not_array": ({"sensing.modes": "pilot_only"},
+                        ["sensing.modes: expected an array"]),
+    "name_not_string": ({"name": 5}, ["name: expected a string"]),
+    "delay_ns": ({"channel.paths[1].delay_ns": -1.0},
+                 ["channel.paths[1].delay_ns: must be non-negative"]),
+    "sto_samples": ({"channel.impairments.sto_samples": -1},
+                    ["channel.impairments.sto_samples: must be non-negative"]),
+    "sfo_norm": ({"channel.impairments.sfo_norm": -1e-3},
+                 ["channel.impairments.sfo_norm: |value| must be below 0.001"]),
+    "count": ({"info_bits.count": 0}, ["info_bits.count: must be positive"]),
+    "zero_pad": ({"sensing.zero_pad": 0}, ["sensing.zero_pad: must be >= 1"]),
+    "window": ({"sensing.window": "hann"},
+               ["sensing.window: 'hann' is not one of hamming, rect"]),
+    "peak_threshold_db": ({"sensing.peak_threshold_db": 0},
+                          ["sensing.peak_threshold_db: must be negative (relative to peak)"]),
+    "max_peaks": ({"sensing.max_peaks": 0}, ["sensing.max_peaks: must be >= 1"]),
+    "modes": ({"sensing.modes": ["pilot_only", "radar", 3]},
+              ["sensing.modes[1]: 'radar' is not one of pilot_only, full_frame",
+               "sensing.modes[2]: 3 is not one of pilot_only, full_frame"]),
+    "two_mains": ({"channel.paths[1].is_main": True},
+                  ["channel.paths: exactly one path must set is_main (got 2)"]),
+    "no_main": ({"channel.paths[0].is_main": False},
+                ["channel.paths: exactly one path must set is_main (got 0)"]),
+    "weaker": ({"channel.paths[1].gain_db": 0.0},
+               ["channel.paths[1].gain_db: secondary path must be weaker than the main path"]),
+    "frame_config": ({"frame.m_sfo": 9, "frame.cp_len": 300},
+                     ["frame: m_sfo must be even",
+                      "frame: cp_len must be smaller than n_subcarriers"]),
+    "frame_budget": ({"frame.m_payload": 10 ** 7},
+                     [f"frame: a frame of 3200003840 samples exceeds {BUDGET}",
+                      "sensing.zero_pad: a pilot_only map of 5120000000 cells at zero_pad 4 "
+                      f"exceeds {MAP_BUDGET}"]),
+    "delay_budget": ({"channel.paths[1].delay_ns": 1e12},
+                     ["channel.paths[1].delay_ns: a delay plus STO of 1e+12 samples makes "
+                      f"the channel stream longer than {BUDGET}"]),
+    "map_budget": ({"sensing.zero_pad": 1000},
+                   ["sensing.zero_pad: a pilot_only map of 4096000000 cells at zero_pad 1000 "
+                    f"exceeds {MAP_BUDGET}"]),
+    "across_sections": ({"name": 5, "bogus": 1, "frame.m_sc": "b", "info_bits.known": 0,
+                         "channel.paths[1].delay_ns": -2.0, "sensing.window": "x",
+                         "outputs.write_iq": 1},
+                        ["bogus: unknown field", "name: expected a string",
+                         "frame.m_sc: expected a number, got str",
+                         "info_bits.known: expected true/false",
+                         "channel.paths[1].delay_ns: must be non-negative",
+                         "sensing.window: 'x' is not one of hamming, rect",
+                         "outputs.write_iq: expected true/false"]),
+    # reported in schema order, whatever the hash seed
+    "frame_fields": ({"frame.n_subcarriers": "a", "frame.cp_len": "b", "frame.m_payload": 1.5,
+                      "frame.m_sfo": "c"},
+                     ["frame.n_subcarriers: expected a number, got str",
+                      "frame.cp_len: expected a number, got str",
+                      "frame.m_sfo: expected a number, got str",
+                      "frame.m_payload: expected an integer"]),
+    # a field that did not parse gets no follow-on cross-field diagnostic
+    "frame_follow_on": ({"frame.cp_len": "b"}, ["frame.cp_len: expected a number, got str"]),
+    "main_not_bool": ({"channel.paths[0].is_main": "yes"},
+                      ["channel.paths[0].is_main: expected true/false"]),
+    "gain_missing": ({"channel.paths[1].gain_db": DELETE},
+                     ["channel.paths[1].gain_db: missing required field"]),
+    "gain_not_number": ({"channel.paths[1].gain_db": "loud"},
+                        ["channel.paths[1].gain_db: expected a number, got str"]),
+}
+
+
+@pytest.mark.parametrize("case", DIAGNOSTICS)
+def test_diagnostics_are_pinned(tmp_path, case):
+    edits, expected = DIAGNOSTICS[case]
+    scn = write_scn(tmp_path, edited(desk_scenario(), edits))
+    with pytest.raises(ScenarioFileError) as exc:
+        load_scenario(scn)
+    assert exc.value.diagnostics == expected
+
+
+def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
+    scn = write_scn(tmp_path, edited(desk_scenario(), DIAGNOSTICS["frame_fields"][0]))
+    code = ("import sys\n"
+            "from bistatic_radcom.scenario import ScenarioFileError, load_scenario\n"
+            "try:\n    load_scenario(sys.argv[1])\n"
+            "except ScenarioFileError as exc:\n    print(exc.diagnostics)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    orders = set()
+    for seed in ("1", "2", "3", "4"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code, str(scn)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        orders.add(out.stdout)
+    assert orders == {f"{DIAGNOSTICS['frame_fields'][1]}\n"}
+
+
+@pytest.mark.parametrize("edits, diagnostic", [
+    ({"info_bits.seed": -1}, "info_bits.seed: must be non-negative"),
+    ({"channel.impairments.noise_seed": -1},
+     "channel.impairments.noise_seed: must be non-negative"),
+    ({"frame.pilot_seed": -1}, "frame.pilot_seed: must be non-negative"),
+    ({"frame.preamble_seed": -1}, "frame.preamble_seed: must be non-negative"),
+    ({"info_bits.count": 38017},
+     "info_bits.count: 38017 exceeds the frame capacity of 38016 info bits"),
+    ({"frame.n_subcarriers": 4, "frame.cp_len": 1, "frame.m_payload": 4},
+     "frame: its 14 data cells carry 28 coded bits, fewer than one codeword of 648"),
+    ({"frame.code_rate": 0.5}, "frame.code_rate: unknown field"),
+    ({"frame.bits_per_symbol": 2}, "frame.bits_per_symbol: unknown field"),
+    ({"channel.paths[1].delay_ns": 10 ** 400},
+     "channel.paths[1].delay_ns: expected a finite number"),
+], ids=["info_seed", "noise_seed", "pilot_seed", "preamble_seed", "count",
+        "no_codeword", "code_rate", "bits_per_symbol", "beyond_float"])
+def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
+    """Inputs that cannot run are rejected by the validator with one
+    diagnostic, before `run` or `capture` does any work."""
+    scn = write_scn(tmp_path, edited(desk_scenario(), edits))
+    out = tmp_path / "out"
+    for argv in (["run", str(scn)], ["capture", str(tmp_path / "rx.iq"), str(scn)]):
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {diagnostic}\n"
     assert not out.exists()
 
 

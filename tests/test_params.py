@@ -35,11 +35,6 @@ def test_derived_sizes_long():
     assert cfg.n_data_elements == 2048 * 4096 - 1024 * 1024
 
 
-def test_round_trip_dict():
-    cfg = short_payload_config(pilot_seed=123)
-    assert FrameConfig.from_dict(cfg.to_dict()) == cfg
-
-
 def test_processing_gain_formula():
     cfg = long_payload_config()
     full = radar_performance(cfg, SensingMode.FULL_FRAME)
