@@ -34,8 +34,6 @@ class ReceivedGrid:
 @dataclass
 class CfrEstimate:
     cfr: np.ndarray               # complex, N x M_pl
-    measured_mask: np.ndarray     # True where measured at a pilot
-    main_doppler_hz: float = 0.0
     delay_slope: float = 0.0      # seconds per payload symbol
     slope_fit_warning: bool = False
 
@@ -48,16 +46,6 @@ class CommMetrics:
     frames_decoded: int = 0
     decoder_converged: bool = True
     slope_fit_warning: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "pre_fec_ber": self.pre_fec_ber,
-            "post_fec_ber": self.post_fec_ber,
-            "evm_rms_percent": self.evm_rms_percent,
-            "frames_decoded": self.frames_decoded,
-            "decoder_converged": self.decoder_converged,
-            "slope_fit_warning": self.slope_fit_warning,
-        }
 
 
 def demodulate_frame(payload_stream: IqStream, cfg: FrameConfig) -> ReceivedGrid:
@@ -120,7 +108,7 @@ def estimate_cfr(rg: ReceivedGrid, cfg: FrameConfig) -> CfrEstimate:
     full_f = _interp_axis(hp, tables.k_pil, np.arange(cfg.n_subcarriers), axis=0)
     cfr = _interp_axis(full_f, tables.m_pil, np.arange(cfg.m_payload), axis=1)
     cfr[np.ix_(tables.k_pil, tables.m_pil)] = hp
-    return CfrEstimate(cfr=cfr, measured_mask=~tables.data_mask)
+    return CfrEstimate(cfr=cfr)
 
 
 def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
@@ -174,9 +162,7 @@ def compensate_residual_sfo(rg: ReceivedGrid, cfr_est: CfrEstimate,
     ramp = np.exp(2j * np.pi * np.outer(k_signed, slope * m) / cfg.n_subcarriers)
     grid = rg.grid * ramp
     cfr = cfr_est.cfr * ramp
-    est = CfrEstimate(cfr=cfr, measured_mask=cfr_est.measured_mask,
-                      main_doppler_hz=cfr_est.main_doppler_hz,
-                      delay_slope=float(slope / cfg.bandwidth_hz),
+    est = CfrEstimate(cfr=cfr, delay_slope=float(slope / cfg.bandwidth_hz),
                       slope_fit_warning=warning)
     return ReceivedGrid(grid=grid, cfg=cfg), est
 

@@ -1,6 +1,9 @@
 """Rate-2/3 quasi-cyclic LDPC code (IEEE 802.11n, n = 648, Z = 27).
 
-Systematic encoding via a precomputed GF(2) inverse of the parity part of H,
+H is kept as one table of circulant edges, the variable index of every edge
+read off the base matrix. From it come systematic encoding by
+back-substitution over the dual-diagonal parity part (Richardson & Urbanke,
+IEEE Trans. Inf. Theory 2001), the parity check as a gather and XOR, and
 decoding with a batched normalized min-sum belief-propagation decoder
 (flooding schedule). The decoder iterates only the codewords whose hard
 decision still fails the parity check: a codeword leaves this active set,
@@ -27,84 +30,73 @@ _BASE_MATRIX = [
 _Z = 27
 
 
-def _expand_base_matrix() -> np.ndarray:
-    rows = len(_BASE_MATRIX) * _Z
-    cols = len(_BASE_MATRIX[0]) * _Z
-    h = np.zeros((rows, cols), dtype=np.uint8)
-    eye = np.eye(_Z, dtype=np.uint8)
-    for i, row in enumerate(_BASE_MATRIX):
-        for j, shift in enumerate(row):
-            if shift >= 0:
-                h[i * _Z:(i + 1) * _Z, j * _Z:(j + 1) * _Z] = np.roll(eye, -shift, axis=1)
-    return h
+def _circulant_edges() -> np.ndarray:
+    """Variable index of every edge of H as (block rows, 11, Z).
 
-
-def _gf2_inv(a: np.ndarray) -> np.ndarray:
-    """Invert a square binary matrix over GF(2)."""
-    n = a.shape[0]
-    aug = np.concatenate([a.astype(np.uint8) % 2, np.eye(n, dtype=np.uint8)], axis=1)
-    for col in range(n):
-        pivots = np.nonzero(aug[col:, col])[0]
-        if pivots.size == 0:
-            raise np.linalg.LinAlgError("matrix is singular over GF(2)")
-        p = col + pivots[0]
-        if p != col:
-            aug[[col, p]] = aug[[p, col]]
-        mask = aug[:, col].copy()
-        mask[col] = 0
-        aug[mask.astype(bool)] ^= aug[col]
-    return aug[:, n:]
+    Row r of block row i checks, in each nonzero block (i, j) with shift s,
+    variable j*Z + (r - s) % Z. Every block row has 11 nonzero blocks, in
+    column order along axis 1.
+    """
+    r = np.arange(_Z)
+    return np.array([[j * _Z + (r - shift) % _Z for j, shift in enumerate(row) if shift >= 0]
+                     for row in _BASE_MATRIX])
 
 
 class LdpcCode:
     """Fixed rate-2/3 (648, 432) LDPC code with batch encode/decode."""
 
     def __init__(self) -> None:
-        self.h = _expand_base_matrix()
-        self.n = self.h.shape[1]
-        self.n_parity = self.h.shape[0]
+        self._edges = _circulant_edges()
+        self.n = len(_BASE_MATRIX[0]) * _Z
+        self.n_parity = len(_BASE_MATRIX) * _Z
         self.k = self.n - self.n_parity
-        h1 = self.h[:, :self.k]
-        h2 = self.h[:, self.k:]
-        # parity = (H2^-1 H1) @ info (mod 2)
-        self._enc = (_gf2_inv(h2).astype(np.uint32) @ h1.astype(np.uint32)) % 2
-        self._enc = self._enc.astype(np.uint8)
-        self._h_t = self.h.T.astype(np.float32)
-        self._build_edges()
-
-    def _build_edges(self) -> None:
         # every check has the same degree (11), so the check-major edges
-        # reshape to (checks, degree, batch); np.nonzero walks H row by row
-        self.check_degree = int(self.h[0].sum())
-        self.edge_var = np.nonzero(self.h)[1].astype(np.int32)
+        # reshape to (checks, degree, batch)
+        self.check_degree = self._edges.shape[1]
+        self.edge_var = self._edges.transpose(0, 2, 1).reshape(-1).astype(np.int32)
         # variable nodes grouped by degree, each group's edges as a
         # (variables, degree) table in check order
         var_order = np.argsort(self.edge_var, kind="stable")
-        var_degrees = self.h.sum(axis=0)
+        var_degrees = np.bincount(self.edge_var, minlength=self.n)
         self._var_groups = []
         for d in np.unique(var_degrees).tolist():
             variables = np.nonzero(var_degrees == d)[0]
             first = np.searchsorted(self.edge_var[var_order], variables)
             self._var_groups.append((variables, var_order[first[:, None] + np.arange(d)]))
 
+    def _syndrome(self, codewords: np.ndarray) -> np.ndarray:
+        """H c over GF(2), shape (..., block rows, Z): check i*Z + r at [i, r]."""
+        return np.bitwise_xor.reduce(codewords[..., self._edges], axis=-2)
+
     # -- encoding -----------------------------------------------------------
 
     def encode(self, info: np.ndarray) -> np.ndarray:
-        """Encode info bits, shape (..., k) -> codewords (..., n)."""
+        """Encode info bits, shape (..., k) -> codewords (..., n).
+
+        Back-substitution over the dual-diagonal parity part of H: with s_i
+        the syndrome of the info bits alone at block row i, parity block
+        p0 = sum of all s_i, then p1 = s_0 + P^1 p0 and p_(i+1) = s_i + p_i,
+        where block row 4 also holds p0 (its column of shifts is 1, 0, 1 at
+        block rows 0, 4, 7).
+        """
         info = np.asarray(info, dtype=np.uint8)
         if info.shape[-1] != self.k:
             raise ValueError(f"info block length must be {self.k}, got {info.shape[-1]}")
-        parity = (info.astype(np.uint32) @ self._enc.T) % 2
-        return np.concatenate([info, parity.astype(np.uint8)], axis=-1)
+        blocks = np.zeros(info.shape[:-1] + (self.n // _Z, _Z), dtype=np.uint8)
+        codewords = blocks.reshape(info.shape[:-1] + (self.n,))
+        codewords[..., :self.k] = info
+        s = self._syndrome(codewords)
+        parity = blocks[..., self.k // _Z:, :]
+        parity[..., 0, :] = np.bitwise_xor.reduce(s, axis=-2)
+        s[..., 0, :] ^= np.roll(parity[..., 0, :], 1, axis=-1)
+        s[..., 4, :] ^= parity[..., 0, :]
+        np.bitwise_xor.accumulate(s[..., :-1, :], axis=-2, out=parity[..., 1:, :])
+        return codewords
 
     def check(self, codewords: np.ndarray) -> np.ndarray:
-        """True for each codeword satisfying H c = 0.
-
-        The syndrome is a float32 BLAS product. It is exact: every row of H
-        has weight 11, so each syndrome entry is an integer of at most 11.
-        """
-        syndrome = np.asarray(codewords, dtype=np.float32) @ self._h_t
-        return ~np.any(syndrome.astype(np.uint8) & 1, axis=-1)
+        """True for each codeword satisfying H c = 0."""
+        syndrome = self._syndrome(np.asarray(codewords, dtype=np.uint8))
+        return ~np.any(syndrome, axis=(-2, -1))
 
     # -- decoding -----------------------------------------------------------
 
@@ -196,7 +188,7 @@ _CODE: LdpcCode | None = None
 
 
 def default_code() -> LdpcCode:
-    """Shared code instance (construction involves a GF(2) inverse)."""
+    """Shared code instance."""
     global _CODE
     if _CODE is None:
         _CODE = LdpcCode()

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -147,13 +147,18 @@ _ROWS = [
 def _parse(v, kind, at: str, errors: list[str]):
     """A JSON value of one kind: "number", "integer" or "bool" (a trailing
     "?" admits null), a dict of choices, or a list holding one dict (an
-    array of choices). Reports a value that does not parse, returning _BAD."""
+    array of distinct choices). Reports a value that does not parse,
+    returning _BAD."""
     if isinstance(kind, list):
         if not isinstance(v, list):
             errors.append(f"{at}: expected an array")
             return _BAD
         items = [_parse(x, kind[0], f"{at}[{i}]", errors) for i, x in enumerate(v)]
-        return _BAD if any(x is _BAD for x in items) else items
+        if any(x is _BAD for x in items):
+            return _BAD
+        repeats = [f"{at}[{i}]: {x!r} is listed twice" for i, x in enumerate(v) if x in v[:i]]
+        errors.extend(repeats)
+        return _BAD if repeats else items
     if isinstance(kind, dict):
         if isinstance(v, str) and v in kind:
             return kind[v]
@@ -358,9 +363,28 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+_CSV_CELLS = 1 << 14  # about the lines formatted per block
+
+
 def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
-    data = np.column_stack(columns)
-    np.savetxt(path, data, fmt="%.9g", delimiter=",", header=header, comments="")
+    """One line per element of the equally shaped `columns`, in C order,
+    each value as "%.9g": the lines `np.savetxt` writes. Blocks of leading
+    rows, about `_CSV_CELLS` lines each, are stacked and formatted one at a
+    time, so the stacked columns never exist whole."""
+    rows = max(1, _CSV_CELLS // max(1, math.prod(columns[0].shape[1:])))
+    line = ",".join(["%.9g"] * len(columns)) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for start in range(0, len(columns[0]), rows):
+            block = np.column_stack([c[start:start + rows].reshape(-1) for c in columns])
+            f.write("".join([line % tuple(r) for r in block.tolist()]))
+
+
+def _write_map_csv(path: Path, rd: radar_mod.RangeDopplerMap) -> None:
+    shape = rd.magnitude_db.shape
+    _write_csv(path, "range_m,doppler_hz,mag_db",
+               [np.broadcast_to(rd.range_axis_m[:, None], shape),
+                np.broadcast_to(rd.doppler_axis_hz, shape), rd.magnitude_db])
 
 
 def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
@@ -380,7 +404,6 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         rg = demodulate_frame(payload_stream, cfg)
         doppler_hz, rg = estimate_main_doppler(rg, cfg)
         est = estimate_cfr(rg, cfg)
-        est.main_doppler_hz = doppler_hz
         if scn.residual_sfo_compensation:
             rg, est = compensate_residual_sfo(rg, est, cfg)
         delays, mag_db = cir_evolution(rg, cfg)
@@ -422,11 +445,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
             dets = radar_mod.extract_peaks(rd, scn.peak_threshold_db,
                                            max_peaks=scn.max_peaks)
         if scn.write_map_csv:
-            rr, dd = np.meshgrid(rd.range_axis_m, rd.doppler_axis_hz, indexing="ij")
-            _write_csv(outdir / f"rd_map_{mode.value}.csv",
-                       "range_m,doppler_hz,mag_db",
-                       [rr.reshape(-1), dd.reshape(-1),
-                        rd.magnitude_db.reshape(-1)])
+            _write_map_csv(outdir / f"rd_map_{mode.value}.csv", rd)
         for d in dets:
             detections_rows.append((mode.value, d.rel_bistatic_range_m,
                                     d.doppler_shift_hz, d.magnitude_db))
@@ -437,7 +456,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
             f.write(f"{row[0]},{row[1]:.9g},{row[2]:.9g},{row[3]:.9g}\n")
 
     _write_json(outdir / "sync_report.json", report.to_dict())
-    summary = metrics.to_dict()
+    summary = asdict(metrics)
     summary["main_doppler_hz"] = float(doppler_hz)
     summary["residual_delay_slope_s_per_symbol"] = float(est.delay_slope)
     summary["info_bits_decoded"] = int(info_hat.size)

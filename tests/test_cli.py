@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bistatic_radcom import dsp, radar
+from bistatic_radcom import dsp, radar, scenario
 from bistatic_radcom.channel import apply_paths_and_cfo
 from bistatic_radcom.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
 from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.iqfile import write_iq
+from bistatic_radcom.params import SensingMode
 from bistatic_radcom.scenario import (ScenarioFileError, channel_from_scenario,
                                       generate_info_bits, load_scenario)
 from bistatic_radcom.txframe import IqStream, build_tx_frame
@@ -184,6 +185,8 @@ DIAGNOSTICS = {
     "modes": ({"sensing.modes": ["pilot_only", "radar", 3]},
               ["sensing.modes[1]: 'radar' is not one of pilot_only, full_frame",
                "sensing.modes[2]: 3 is not one of pilot_only, full_frame"]),
+    "modes_repeated": ({"sensing.modes": ["pilot_only", "full_frame", "pilot_only"]},
+                       ["sensing.modes[2]: 'pilot_only' is listed twice"]),
     "two_mains": ({"channel.paths[1].is_main": True},
                   ["channel.paths: exactly one path must set is_main (got 2)"]),
     "no_main": ({"channel.paths[0].is_main": False},
@@ -410,6 +413,38 @@ def test_map_budget_is_the_map_size(tmp_path, monkeypatch):
         f"exceeds the map budget of {max(sizes) - 1} cells"]
 
 
+def _whole_map_csv(path, rd):
+    """The map CSV as one meshgrid + column_stack + savetxt of the whole map."""
+    rr, dd = np.meshgrid(rd.range_axis_m, rd.doppler_axis_hz, indexing="ij")
+    np.savetxt(path, np.column_stack([rr.reshape(-1), dd.reshape(-1),
+                                      rd.magnitude_db.reshape(-1)]),
+               fmt="%.9g", delimiter=",", header="range_m,doppler_hz,mag_db", comments="")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (13, 17)])
+@pytest.mark.parametrize("block_cells", [7, 40, scenario._CSV_CELLS])
+def test_map_csv_written_in_blocks_matches_whole_map(tmp_path, monkeypatch, shape,
+                                                     block_cells):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    mag = np.minimum(rng.normal(-30.0, 20.0, shape), 0.0)
+    mag.flat[:4] = [np.nan, -np.inf, -0.0, 1e-310][:mag.size]
+    rd = radar.RangeDopplerMap(
+        magnitude_db=mag,
+        range_axis_m=np.arange(shape[0]) * 0.3 - 2.0,
+        doppler_axis_hz=(np.arange(shape[1]) - shape[1] // 2) * 123.456789,
+        mode=SensingMode.PILOT_ONLY)
+    monkeypatch.setattr(scenario, "_CSV_CELLS", block_cells)
+    scenario._write_map_csv(tmp_path / "blocks.csv", rd)
+    _whole_map_csv(tmp_path / "whole.csv", rd)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # one-dimensional columns, as for cir_evolution.csv and constellation.csv
+    cols = [rd.doppler_axis_hz, rd.magnitude_db[0]]
+    scenario._write_csv(tmp_path / "cols.csv", "a,b", cols)
+    np.savetxt(tmp_path / "cols_whole.csv", np.column_stack(cols), fmt="%.9g",
+               delimiter=",", header="a,b", comments="")
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "cols_whole.csv").read_bytes()
+
+
 def test_capture_round_trip_matches_simulation(tmp_path, capsys):
     doc = desk_scenario(outputs={"write_iq": True})
     scn = write_scn(tmp_path, doc)
@@ -464,6 +499,31 @@ def test_noise_only_capture_exits_3(tmp_path, capsys):
     assert main(["capture", str(iq), str(scn),
                  "--out", str(tmp_path / "o")]) == EXIT_PIPELINE
     assert "pipeline error" in capsys.readouterr().err
+
+
+def test_traced_benchmark_names_resolve(tmp_path):
+    """perfbench's tracer wraps package functions by name; one traced run of
+    the desk scenario must nest cleanly and count the LDPC codewords."""
+    scn = write_scn(tmp_path, desk_scenario())
+    code = ("import json, sys\n"
+            "from tracer import Tracer, install, selfcheck\n"
+            "from bistatic_radcom import scenario\n"
+            "tracer = Tracer(run_id='test')\n"
+            "install(tracer)\n"
+            "scenario.run_scenario(scenario.load_scenario(sys.argv[1]), sys.argv[2])\n"
+            "print(json.dumps({'violations': selfcheck(tracer.spans),\n"
+            "                  'spans': tracer.spans}))\n")
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), str(root / "perfbench"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, str(scn), str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, check=True, timeout=300)
+    result = json.loads(out.stdout)
+    assert result["violations"] == []
+    for name in ("ldpc.encode", "ldpc.check", "ldpc.decode"):
+        spans = [s for s in result["spans"] if s["name"] == name]
+        assert spans and all(s["codewords"] > 0 for s in spans), name
 
 
 def test_runs_are_byte_identical(tmp_path):

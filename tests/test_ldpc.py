@@ -1,10 +1,12 @@
 """Channel code: encoder/decoder invariants and noise performance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistatic_radcom.ldpc import _check_to_var, default_code
+from bistatic_radcom.ldpc import _BASE_MATRIX, _check_to_var, default_code
 
 
 @pytest.fixture(scope="module")
@@ -12,16 +14,44 @@ def code():
     return default_code()
 
 
-def test_dimensions(code):
+@pytest.fixture(scope="module")
+def h():
+    """Dense parity-check matrix expanded from the base matrix: each shift s
+    is a 27x27 identity with its columns rolled left by s."""
+    z = 27
+    dense = np.zeros((len(_BASE_MATRIX) * z, len(_BASE_MATRIX[0]) * z), dtype=np.uint8)
+    eye = np.eye(z, dtype=np.uint8)
+    for i, row in enumerate(_BASE_MATRIX):
+        for j, shift in enumerate(row):
+            if shift >= 0:
+                dense[i * z:(i + 1) * z, j * z:(j + 1) * z] = np.roll(eye, -shift, axis=1)
+    return dense
+
+
+def test_dimensions(code, h):
     assert code.n == 648
     assert code.k == 432
-    assert code.h.shape == (216, 648)
+    assert h.shape == (216, 648)
 
 
-def test_parity_matrix_is_sparse_binary(code):
-    assert set(np.unique(code.h)) <= {0, 1}
+def test_parity_matrix_is_sparse_binary(h):
+    assert set(np.unique(h)) <= {0, 1}
     # row weight of a QC-LDPC prototype stays small
-    assert code.h.sum(axis=1).max() <= 12
+    assert h.sum(axis=1).max() <= 12
+
+
+def test_decoder_edges_walk_h_row_by_row(code, h):
+    assert np.array_equal(code.edge_var, np.nonzero(h)[1])
+    assert code.check_degree == 11
+
+
+def test_encode_matches_recorded_digest(code):
+    # sha256 of this batch as encoded by the dense GF(2)-inverse generator
+    info = np.random.default_rng(2024).integers(0, 2, (64, code.k), dtype=np.uint8)
+    cw = code.encode(info)
+    assert cw.dtype == np.uint8 and cw.shape == (64, code.n)
+    assert hashlib.sha256(cw.tobytes()).hexdigest() == (
+        "2ef032e044e761e5fccfc12c73a9a48835f8b4040712a16492b2b7ac28d58eb3")
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -134,13 +164,13 @@ def test_decode_flags_match_bits_and_rows_decode_alone(code, seed, es_n0_db, max
         assert ok_i[0] == ok[i]
 
 
-def _integer_check(code, cw):
-    return ~np.any((cw.astype(np.int64) @ code.h.T.astype(np.int64)) % 2, axis=-1)
+def _integer_check(h, cw):
+    return ~np.any((cw.astype(np.int64) @ h.T.astype(np.int64)) % 2, axis=-1)
 
 
-def test_float32_check_matches_integer_syndrome(code):
-    # float32 sums of at most 11 ones are exact
-    assert np.all(code.h.sum(axis=1) == 11)
+def test_check_matches_integer_syndrome(code, h):
+    # every row of H has weight 11, so the all-ones word fails every check
+    assert np.all(h.sum(axis=1) == 11)
     rng = np.random.default_rng(11)
     words = rng.integers(0, 2, (200, code.n), dtype=np.uint8)
     cw = code.encode(rng.integers(0, 2, (3, code.k), dtype=np.uint8))
@@ -148,7 +178,10 @@ def test_float32_check_matches_integer_syndrome(code):
     single_errors = np.repeat(cw[:1], code.n, axis=0)
     single_errors[np.arange(code.n), np.arange(code.n)] ^= 1
     for batch in (words, cw, ones, single_errors):
-        assert np.array_equal(code.check(batch), _integer_check(code, batch))
+        assert np.array_equal(code.check(batch), _integer_check(h, batch))
+    # the syndrome itself, check i*27 + r at block row i, row r
+    syndrome = (words.astype(np.int64) @ h.T.astype(np.int64)) % 2
+    assert np.array_equal(code._syndrome(words).reshape(len(words), -1), syndrome)
     assert code.check(cw).all()
     assert not code.check(ones)[0]
     assert not code.check(single_errors).any()
