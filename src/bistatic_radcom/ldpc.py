@@ -4,8 +4,9 @@ H is kept as one table of circulant edges, the variable index of every edge
 read off the base matrix. From it come systematic encoding by
 back-substitution over the dual-diagonal parity part (Richardson & Urbanke,
 IEEE Trans. Inf. Theory 2001), the parity check as a gather and XOR, and
-decoding with a batched normalized min-sum belief-propagation decoder
-(flooding schedule). The decoder iterates only the codewords whose hard
+decoding with a batched normalized min-sum decoder (Chen & Fossorier, IEEE
+Trans. Commun. 2002) on the layered schedule, one block row after another
+(Hocevar, SiPS 2004). The decoder iterates only the codewords whose hard
 decision still fails the parity check: a codeword leaves this active set,
 with its bits, at the first iteration it passes. A converged flag therefore
 always means that the returned bits satisfy H c = 0.
@@ -50,19 +51,6 @@ class LdpcCode:
         self.n = len(_BASE_MATRIX[0]) * _Z
         self.n_parity = len(_BASE_MATRIX) * _Z
         self.k = self.n - self.n_parity
-        # every check has the same degree (11), so the check-major edges
-        # reshape to (checks, degree, batch)
-        self.check_degree = self._edges.shape[1]
-        self.edge_var = self._edges.transpose(0, 2, 1).reshape(-1).astype(np.int32)
-        # variable nodes grouped by degree, each group's edges as a
-        # (variables, degree) table in check order
-        var_order = np.argsort(self.edge_var, kind="stable")
-        var_degrees = np.bincount(self.edge_var, minlength=self.n)
-        self._var_groups = []
-        for d in np.unique(var_degrees).tolist():
-            variables = np.nonzero(var_degrees == d)[0]
-            first = np.searchsorted(self.edge_var[var_order], variables)
-            self._var_groups.append((variables, var_order[first[:, None] + np.arange(d)]))
 
     def _syndrome(self, codewords: np.ndarray) -> np.ndarray:
         """H c over GF(2), shape (..., block rows, Z): check i*Z + r at [i, r]."""
@@ -107,13 +95,16 @@ class LdpcCode:
         ``llrs`` has shape (batch, n) with positive values favoring bit 0.
         Returns (hard bits (batch, n), converged flags (batch,)).
 
-        Flooding schedule over an active set: the codewords whose hard
-        decision fails the parity check. A codeword leaves the set at the
-        first iteration its hard decision passes; its bits from that
-        iteration are returned and flagged converged. Codewords still active
-        after ``max_iter`` iterations return their last hard decision,
-        flagged unconverged. So a codeword is flagged converged exactly when
-        its returned bits satisfy ``check``.
+        Layered schedule: one iteration updates the block rows of H in
+        order, each against the posterior LLRs its predecessors left. Each
+        variable appears at most once in a block row, so a block row's
+        checks update in one batch. The iterations run over an active set:
+        the codewords whose hard decision fails the parity check. A codeword
+        leaves the set at the first iteration its hard decision passes; its
+        bits from that iteration are returned and flagged converged.
+        Codewords still active after ``max_iter`` iterations return their
+        last hard decision, flagged unconverged. So a codeword is flagged
+        converged exactly when its returned bits satisfy ``check``.
         """
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float32))
         llrs = np.clip(llrs, -40.0, 40.0)
@@ -123,13 +114,14 @@ class LdpcCode:
         if active.size == 0:
             return out_bits, out_ok
 
-        llr_a = llrs[active].T.copy()           # (n, b)
-        v2c = llr_a[self.edge_var]              # (E, b), check-major
-        total = llr_a                           # the result if max_iter is 0
+        rows = self._edges.transpose(0, 2, 1)   # (block rows, Z checks, 11)
+        total = llrs[active].T.copy()           # (n, b) posterior LLRs
+        c2v = np.zeros(rows.shape + (active.size,), dtype=np.float32)
         for _ in range(max_iter):
-            c2v = _check_to_var(v2c.reshape(self.n_parity, self.check_degree, -1),
-                                scale).reshape(v2c.shape)
-            total = llr_a + self._var_sums(c2v)
+            for edges, row_c2v in zip(rows, c2v):
+                v2c = total[edges] - row_c2v
+                row_c2v[...] = _check_to_var(v2c, scale)
+                total[edges] = v2c + row_c2v
             bits = (total < 0).astype(np.uint8)
             now_ok = self.check(bits.T)
             if now_ok.any():
@@ -139,26 +131,9 @@ class LdpcCode:
                 active = active[keep]
                 if active.size == 0:
                     return out_bits, out_ok
-                llr_a, total, c2v = llr_a[:, keep], total[:, keep], c2v[:, keep]
-            v2c = total[self.edge_var] - c2v
+                total, c2v = total[:, keep], c2v[..., keep]
         out_bits[active] = (total < 0).T
         return out_bits, out_ok
-
-    def _var_sums(self, c2v: np.ndarray) -> np.ndarray:
-        """Sum of the incoming check messages (E, b) at each variable (n, b).
-
-        The float32 additions run in one fixed order for every batch size,
-        edge 0 + (edge 1 + edge 2 + ...), the order ``np.add.reduceat`` over
-        variable-major edges takes. So a codeword decodes to the same bits
-        alone as in any batch.
-        """
-        sums = np.empty((self.n, c2v.shape[1]), dtype=np.float32)
-        for variables, edges in self._var_groups:
-            rest = c2v[edges[:, 1]]
-            for k in range(2, edges.shape[1]):
-                rest += c2v[edges[:, k]]
-            sums[variables] = c2v[edges[:, 0]] + rest
-        return sums
 
 
 def _check_to_var(v2c: np.ndarray, scale: float) -> np.ndarray:

@@ -455,7 +455,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         for row in detections_rows:
             f.write(f"{row[0]},{row[1]:.9g},{row[2]:.9g},{row[3]:.9g}\n")
 
-    _write_json(outdir / "sync_report.json", report.to_dict())
+    _write_json(outdir / "sync_report.json", asdict(report))
     summary = asdict(metrics)
     summary["main_doppler_hz"] = float(doppler_hz)
     summary["residual_delay_slope_s_per_symbol"] = float(est.delay_slope)

@@ -42,17 +42,6 @@ class SyncReport:
     timing_metric_peak: float = 0.0
     pair_phase_slopes: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        d = {
-            "coarse_start": int(self.coarse_start),
-            "fine_start": int(self.fine_start),
-            "cfo_hat_hz": float(self.cfo_hat_hz),
-            "sfo_hat": float(self.sfo_hat),
-            "timing_metric_peak": float(self.timing_metric_peak),
-            "pair_phase_slopes": [float(s) for s in self.pair_phase_slopes],
-        }
-        return d
-
 
 def _first_preamble_time_symbol(cfg: FrameConfig) -> np.ndarray:
     """Known time-domain useful part (no CP) of the first preamble symbol."""
@@ -257,11 +246,9 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     if abs(fine_start - coarse_start) > cfg.cp_len:
         raise SyncError("fine_timing", "fine start outside the coarse lock window")
 
-    # the local correction above referenced phase to ref_n; re-reference the
-    # clock-offset estimator to raw samples with its own region correction
-    delta_hat, slopes = estimate_sfo_tsai(
-        IqStream(samples=y.samples[fine_start:], nominal_rate=y.nominal_rate),
-        cfg, 0, cfo_hat)
+    # the local correction above referenced phase to ref_n; the clock-offset
+    # estimator reads the raw samples with its own region correction
+    delta_hat, slopes = estimate_sfo_tsai(y, cfg, fine_start, cfo_hat)
 
     if correct_sfo:
         z = resample_correct(y, delta_hat)

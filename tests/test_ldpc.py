@@ -41,8 +41,9 @@ def test_parity_matrix_is_sparse_binary(h):
 
 
 def test_decoder_edges_walk_h_row_by_row(code, h):
-    assert np.array_equal(code.edge_var, np.nonzero(h)[1])
-    assert code.check_degree == 11
+    # the circulant edge table the decoder reads, in check order
+    assert np.array_equal(code._edges.transpose(0, 2, 1).reshape(-1), np.nonzero(h)[1])
+    assert code._edges.shape[1] == 11
 
 
 def test_encode_matches_recorded_digest(code):
@@ -162,6 +163,46 @@ def test_decode_flags_match_bits_and_rows_decode_alone(code, seed, es_n0_db, max
         bits_i, ok_i = code.decode(row[None, :], max_iter=max_iter)
         assert np.array_equal(bits_i[0], bits[i])
         assert ok_i[0] == ok[i]
+
+
+def _layered_decode_reference(h, llrs, max_iter, scale=0.8):
+    """Layered min-sum on the dense H, one codeword at a time: each iteration
+    updates the block rows of 27 checks in order, every check's variables
+    read off its row of H."""
+    z = 27
+    block_rows = [np.array([np.nonzero(row)[0] for row in h[i:i + z]])
+                  for i in range(0, len(h), z)]
+    llrs = np.clip(np.atleast_2d(np.asarray(llrs, dtype=np.float32)), -40.0, 40.0)
+    out_bits = (llrs < 0).astype(np.uint8)
+    out_ok = _integer_check(h, out_bits)
+    for b in np.nonzero(~out_ok)[0]:
+        total = llrs[b].copy()
+        c2v = [np.zeros(cols.shape, dtype=np.float32) for cols in block_rows]
+        for _ in range(max_iter):
+            for cols, msgs in zip(block_rows, c2v):
+                v2c = total[cols] - msgs
+                msgs[...] = _check_to_var(v2c[:, :, None], scale)[:, :, 0]
+                total[cols] = v2c + msgs
+            out_bits[b] = total < 0
+            if _integer_check(h, out_bits[b]):
+                out_ok[b] = True
+                break
+    return out_bits, out_ok
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 50])
+def test_decode_matches_dense_layered_reference(code, h, max_iter):
+    rng = np.random.default_rng(100 + max_iter)
+    for es_n0_db in (1.0, 1.5, 2.0, 2.5):
+        info = rng.integers(0, 2, (8, code.k), dtype=np.uint8)
+        x = 1.0 - 2.0 * code.encode(info).astype(float)  # BPSK
+        sigma = np.sqrt(1.0 / (2.0 * 10 ** (es_n0_db / 10.0)))
+        llrs = 2.0 * (x + rng.normal(0.0, sigma, x.shape)) / sigma ** 2
+        llrs[0] = 2.0 * x[0] / sigma ** 2  # valid before any iteration
+        bits, ok = code.decode(llrs, max_iter=max_iter)
+        want_bits, want_ok = _layered_decode_reference(h, llrs, max_iter)
+        assert np.array_equal(bits, want_bits)
+        assert np.array_equal(ok, want_ok)
 
 
 def _integer_check(h, cw):

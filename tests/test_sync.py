@@ -11,6 +11,12 @@ from bistatic_radcom.channel import (
     PropagationPath,
     run_channel,
 )
+from bistatic_radcom.commrx import (
+    demap_decode,
+    demodulate_frame,
+    equalize,
+    estimate_cfr,
+)
 from bistatic_radcom.params import FrameConfig
 from bistatic_radcom.sync import (
     SyncError,
@@ -157,6 +163,24 @@ def test_truncated_capture_raises():
                      nominal_rate=y.nominal_rate)
     with pytest.raises(SyncError):
         synchronize(short, cfg)
+
+
+@pytest.mark.parametrize("cut", [1, 5, 20, 40])
+def test_capture_starting_inside_first_cp_decodes(cut):
+    """A capture whose first samples fall inside the first preamble CP
+    synchronizes to a negative frame start and decodes without error."""
+    cfg = desk_cfg()
+    rng = np.random.default_rng(4)
+    info = rng.integers(0, 2, frame_capacity_bits(cfg)[0], dtype=np.uint8)
+    _, payload, tx = build_tx_frame(cfg, info)
+    y = IqStream(samples=tx.samples[cut:], nominal_rate=tx.nominal_rate)
+    stream, rep = synchronize(y, cfg)
+    assert rep.fine_start == -cut
+    rg = demodulate_frame(stream, cfg)
+    s_hat, nv, _ = equalize(rg, estimate_cfr(rg, cfg).cfr, cfg)
+    _, metrics = demap_decode(s_hat, nv, cfg, payload.codeword_count, info.size,
+                              tx_info_bits=info)
+    assert metrics.post_fec_ber == 0.0
 
 
 def test_full_impairment_desk_chain():
