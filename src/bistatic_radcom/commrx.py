@@ -26,12 +26,6 @@ class WeakMainPathError(RuntimeError):
 
 
 @dataclass
-class ReceivedGrid:
-    grid: np.ndarray  # complex, N x M_pl
-    cfg: FrameConfig
-
-
-@dataclass
 class CfrEstimate:
     cfr: np.ndarray               # complex, N x M_pl
     delay_slope: float = 0.0      # seconds per payload symbol
@@ -48,16 +42,16 @@ class CommMetrics:
     slope_fit_warning: bool = False
 
 
-def demodulate_frame(payload_stream: IqStream, cfg: FrameConfig) -> ReceivedGrid:
-    """S/P conversion, CP removal and unitary column-wise DFT."""
+def demodulate_frame(payload_stream: IqStream, cfg: FrameConfig) -> np.ndarray:
+    """S/P conversion, CP removal and unitary column-wise DFT; returns the
+    N x M_pl payload grid."""
     require_valid(cfg)
     s = payload_stream.samples
     expected = cfg.symbol_len * cfg.m_payload
     if s.size != expected:
         raise FramingError(f"payload stream must hold {expected} samples, got {s.size}")
     blocks = s.reshape(cfg.m_payload, cfg.symbol_len).T
-    return ReceivedGrid(grid=np.fft.fft(blocks[cfg.cp_len:, :], axis=0, norm="ortho"),
-                        cfg=cfg)
+    return np.fft.fft(blocks[cfg.cp_len:, :], axis=0, norm="ortho")
 
 
 def _main_tap(cir_mag: np.ndarray) -> int:
@@ -69,10 +63,10 @@ def _main_tap(cir_mag: np.ndarray) -> int:
     return peak
 
 
-def estimate_main_doppler(rg: ReceivedGrid, cfg: FrameConfig) -> tuple[float, ReceivedGrid]:
+def estimate_main_doppler(grid: np.ndarray, cfg: FrameConfig) -> tuple[float, np.ndarray]:
     """Estimate the main-path Doppler from the phase progression of the
     strongest CIR tap across pilot symbols, and de-rotate the whole grid."""
-    hp = pilot_cfr(rg.grid, cfg)
+    hp = pilot_cfr(grid, cfg)
     cir = np.fft.ifft(hp, axis=0)
     tap = _main_tap(np.mean(np.abs(cir), axis=1))
     track = cir[tap, :]
@@ -86,7 +80,7 @@ def estimate_main_doppler(rg: ReceivedGrid, cfg: FrameConfig) -> tuple[float, Re
     f_hat = phase_step / (2.0 * np.pi * t_pilot)
     m = np.arange(cfg.m_payload)
     rot = np.exp(-2j * np.pi * f_hat * m * cfg.symbol_len / cfg.bandwidth_hz)
-    return float(f_hat), ReceivedGrid(grid=rg.grid * rot[None, :], cfg=cfg)
+    return float(f_hat), grid * rot[None, :]
 
 
 def _interp_axis(values: np.ndarray, xp: np.ndarray, x: np.ndarray,
@@ -100,10 +94,10 @@ def _interp_axis(values: np.ndarray, xp: np.ndarray, x: np.ndarray,
     return (1.0 - w)[None, :] * values[:, pos] + w[None, :] * values[:, pos + 1]
 
 
-def estimate_cfr(rg: ReceivedGrid, cfg: FrameConfig) -> CfrEstimate:
+def estimate_cfr(grid: np.ndarray, cfg: FrameConfig) -> CfrEstimate:
     """Bilinear interpolation (frequency first, then time) of the pilot
     channel estimates over the full grid; edges held."""
-    hp = pilot_cfr(rg.grid, cfg)
+    hp = pilot_cfr(grid, cfg)
     tables = frame_tables(cfg)
     full_f = _interp_axis(hp, tables.k_pil, np.arange(cfg.n_subcarriers), axis=0)
     cfr = _interp_axis(full_f, tables.m_pil, np.arange(cfg.m_payload), axis=1)
@@ -140,11 +134,11 @@ def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
     return delay_samples, b
 
 
-def compensate_residual_sfo(rg: ReceivedGrid, cfr_est: CfrEstimate,
-                            cfg: FrameConfig) -> tuple[ReceivedGrid, CfrEstimate]:
+def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
+                            cfg: FrameConfig) -> tuple[np.ndarray, CfrEstimate]:
     """Track the linear drift of the main-tap delay across pilot symbols and
     align all payload symbols via per-subcarrier phase ramps."""
-    hp = pilot_cfr(rg.grid, cfg)
+    hp = pilot_cfr(grid, cfg)
     delays, mags = _tap_delays(hp, cfg)
     m_pil = frame_tables(cfg).m_pil.astype(float)
     w = mags ** 2
@@ -160,22 +154,20 @@ def compensate_residual_sfo(rg: ReceivedGrid, cfr_est: CfrEstimate,
     k_signed = np.fft.fftfreq(cfg.n_subcarriers, d=1.0 / cfg.n_subcarriers)
     m = np.arange(cfg.m_payload)
     ramp = np.exp(2j * np.pi * np.outer(k_signed, slope * m) / cfg.n_subcarriers)
-    grid = rg.grid * ramp
-    cfr = cfr_est.cfr * ramp
-    est = CfrEstimate(cfr=cfr, delay_slope=float(slope / cfg.bandwidth_hz),
+    est = CfrEstimate(cfr=cfr_est.cfr * ramp, delay_slope=float(slope / cfg.bandwidth_hz),
                       slope_fit_warning=warning)
-    return ReceivedGrid(grid=grid, cfg=cfg), est
+    return grid * ramp, est
 
 
-def cir_evolution(rg: ReceivedGrid, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
+def cir_evolution(grid: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """(per-pilot-symbol main-tap delay in samples, magnitude in dB rel max)."""
-    hp = pilot_cfr(rg.grid, cfg)
+    hp = pilot_cfr(grid, cfg)
     delays, mags = _tap_delays(hp, cfg)
     mag_db = 20.0 * np.log10(np.maximum(mags, 1e-30) / max(mags.max(), 1e-30))
     return delays, mag_db
 
 
-def equalize(rg: ReceivedGrid, cfr: np.ndarray,
+def equalize(grid: np.ndarray, cfr: np.ndarray,
              cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-forcing equalization at data positions.
 
@@ -183,23 +175,23 @@ def equalize(rg: ReceivedGrid, cfr: np.ndarray,
     effective noise variances for LLR scaling, erasure flags).
     """
     h = data_elements(cfr, cfg)
-    y = data_elements(rg.grid, cfg)
+    y = data_elements(grid, cfg)
     mag = np.abs(h)
     erased = mag < 1e-6
     safe_h = np.where(erased, 1.0, h)
     s_hat = y / safe_h
     s_hat[erased] = 0.0
 
-    noise_var = _noise_variance_per_subcarrier(rg, cfg)
-    nv_grid = np.broadcast_to(noise_var[:, None], rg.grid.shape)
+    noise_var = _noise_variance_per_subcarrier(grid, cfg)
+    nv_grid = np.broadcast_to(noise_var[:, None], grid.shape)
     nv = data_elements(nv_grid, cfg) / np.maximum(mag, 1e-6) ** 2
     return s_hat, nv, erased
 
 
-def _noise_variance_per_subcarrier(rg: ReceivedGrid, cfg: FrameConfig) -> np.ndarray:
+def _noise_variance_per_subcarrier(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Noise variance proxy from pilot-to-pilot channel estimate differences,
     interpolated over all subcarriers."""
-    hp = pilot_cfr(rg.grid, cfg)
+    hp = pilot_cfr(grid, cfg)
     if hp.shape[1] > 1:
         d = np.diff(hp, axis=1)
         var_rows = 0.5 * np.mean(np.abs(d) ** 2, axis=1)

@@ -64,8 +64,8 @@ def read_iq(path: str | Path) -> IqStream:
     if side.get("format") != "cf32_le":
         raise DataError(f"unsupported IQ format: {side.get('format')!r}")
     rate = side.get("sample_rate_hz")
-    if not isinstance(rate, (int, float)) or rate <= 0:
-        raise DataError("sidecar must declare a positive sample_rate_hz")
+    if not isinstance(rate, (int, float)) or not 0 < rate < float("inf"):
+        raise DataError("sidecar must declare a finite, positive sample_rate_hz")
     inter = np.frombuffer(raw, dtype="<f4")
     declared = side.get("num_samples")
     if declared is not None and declared != inter.size // 2:

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.fft
 
 from . import dsp
-from .commrx import ReceivedGrid
 from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode, require_valid
 from .txframe import map_payload, payload_grid, pilot_cfr
 
@@ -41,7 +40,6 @@ class RangeDopplerMap:
     range_axis_m: np.ndarray
     doppler_axis_hz: np.ndarray
     mode: SensingMode
-    window_kind: str = "hamming"
 
 
 @dataclass
@@ -51,17 +49,17 @@ class Detection:
     magnitude_db: float
 
 
-def cfr_for_sensing(rg: ReceivedGrid, cfg: FrameConfig, mode: SensingMode,
+def cfr_for_sensing(grid: np.ndarray, cfg: FrameConfig, mode: SensingMode,
                     decoded_info_bits: np.ndarray | None = None) -> np.ndarray:
     """Sensing CFR matrix: pilot submatrix, or full-grid Y/X with the TX
     payload grid rebuilt from the decoded info bits."""
     require_valid(cfg)
     if mode is SensingMode.PILOT_ONLY:
-        return pilot_cfr(rg.grid, cfg)
+        return pilot_cfr(grid, cfg)
     if decoded_info_bits is None:
         raise ReconstructionError("full-frame sensing requires decoded bits")
     _, symbols = map_payload(decoded_info_bits, cfg)
-    return rg.grid / payload_grid(cfg, symbols)
+    return grid / payload_grid(cfg, symbols)
 
 
 def map_cells(cfg: FrameConfig, mode: SensingMode, zero_pad: int) -> int:
@@ -127,8 +125,7 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     doppler_step = 1.0 / (t_sym * nt * zero_pad)
     doppler_axis = (np.arange(nt * zero_pad) - nt * zero_pad // 2) * doppler_step
     return RangeDopplerMap(magnitude_db=mag_db, range_axis_m=range_axis,
-                           doppler_axis_hz=doppler_axis, mode=mode,
-                           window_kind=window_kind)
+                           doppler_axis_hz=doppler_axis, mode=mode)
 
 
 def _parabolic(vals: np.ndarray, i: int) -> float:

@@ -30,9 +30,9 @@ from .commrx import (cir_evolution, compensate_residual_sfo,
 from .ldpc import default_code
 from .params import QPSK_BITS, FrameConfig, SensingMode, validate_config
 from .sync import SyncError, synchronize
-from .txframe import (FrameGrid, IqStream, PayloadBits, assemble_frame,
-                      build_tx_frame, frame_capacity_bits, frame_tables,
-                      map_payload, symbols_from_grid)
+from .txframe import (IqStream, PayloadBits, build_tx_frame, codeword_count,
+                      frame_capacity_bits, frame_tables, map_payload,
+                      symbols_from_grid)
 
 
 class ScenarioFileError(ValueError):
@@ -89,7 +89,6 @@ class Scenario:
     sfo_norm: float = 0.0
     snr_db: float | None = None
     noise_seed: int = 0
-    has_channel: bool = False
     correct_sfo: bool = True
     residual_sfo_compensation: bool = True
     sensing_modes: list[SensingMode] = field(default_factory=lambda: [SensingMode.PILOT_ONLY])
@@ -237,7 +236,6 @@ def load_scenario(path: str | Path) -> Scenario:
     values = _walk(doc.get("info_bits", {}), "info_bits", Scenario, errors)
     paths: list[dict] = []
     if "channel" in doc:
-        values["has_channel"] = True
         ch = doc["channel"]
         if not isinstance(ch, dict):
             errors.append("channel: expected an object")
@@ -272,7 +270,7 @@ def load_scenario(path: str | Path) -> Scenario:
 def _check_paths(scn: Scenario, errors: list[str]) -> None:
     """A channel has exactly one main path, and every other path is weaker."""
     mains = [p for p in scn.paths if p.is_main]
-    if scn.has_channel and len(mains) != 1:
+    if scn.paths and len(mains) != 1:
         errors.append(f"channel.paths: exactly one path must set is_main (got {len(mains)})")
     elif mains:
         errors.extend(f"channel.paths[{i}].gain_db: secondary path must be weaker than the "
@@ -289,7 +287,7 @@ def _check_sample_budget(scn: Scenario, errors: list[str]) -> None:
         errors.append(f"frame: a frame of {n_tx} samples exceeds the sample budget "
                       f"of {budget}")
         return
-    if not scn.has_channel:
+    if not scn.paths:
         return
     fs = scn.frame.bandwidth_hz
     i, worst = max(enumerate(scn.paths), key=lambda ip: ip[1].delay_ns)
@@ -326,7 +324,7 @@ def _check_map_budget(scn: Scenario, errors: list[str]) -> None:
 
 
 def channel_from_scenario(scn: Scenario) -> ChannelScenario:
-    if not scn.has_channel:
+    if not scn.paths:
         raise PipelineError("channel", "scenario declares no channel section")
     paths = tuple(
         PropagationPath(
@@ -349,18 +347,31 @@ def channel_from_scenario(scn: Scenario) -> ChannelScenario:
     return ChannelScenario(paths=paths, impairments=imp)
 
 
+def info_length(scn: Scenario) -> int:
+    """Info bits per frame: ``info_bits.count``, or the frame capacity."""
+    return scn.info_count if scn.info_count is not None else frame_capacity_bits(scn.frame)[0]
+
+
 def generate_info_bits(scn: Scenario) -> np.ndarray:
-    max_info, _ = frame_capacity_bits(scn.frame)
-    count = scn.info_count if scn.info_count is not None else max_info
     rng = np.random.default_rng(scn.info_seed)
-    return rng.integers(0, 2, count, dtype=np.uint8)
+    return rng.integers(0, 2, info_length(scn), dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
 # artifact writing
 
+def _json_safe(v):
+    """``v`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_json_safe(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 _CSV_CELLS = 1 << 14  # about the lines formatted per block
@@ -388,12 +399,14 @@ def _write_map_csv(path: Path, rd: radar_mod.RangeDopplerMap) -> None:
 
 
 def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
-                         tx_refs: dict | None = None) -> dict:
+                         payload: PayloadBits | None = None,
+                         tx_symbols: np.ndarray | None = None) -> dict:
     """Sync -> comm -> radar on a sample stream; writes all RX artifacts.
 
-    ``tx_refs`` optionally carries the known transmit side (info/coded bits,
-    data symbols, codeword count) so error rates and EVM use true references.
-    Returns a summary dict (also written as comm_metrics.json).
+    The known transmit side, when given, sets the references of the error
+    rates (``payload``'s info and coded bits) and of the EVM (the data
+    symbols ``tx_symbols``). Returns a summary dict (also written as
+    comm_metrics.json).
     """
     cfg = scn.frame
 
@@ -401,12 +414,12 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         payload_stream, report = synchronize(stream, cfg, correct_sfo=scn.correct_sfo)
 
     with _stage("comm.estimation"):
-        rg = demodulate_frame(payload_stream, cfg)
-        doppler_hz, rg = estimate_main_doppler(rg, cfg)
-        est = estimate_cfr(rg, cfg)
+        grid = demodulate_frame(payload_stream, cfg)
+        doppler_hz, grid = estimate_main_doppler(grid, cfg)
+        est = estimate_cfr(grid, cfg)
         if scn.residual_sfo_compensation:
-            rg, est = compensate_residual_sfo(rg, est, cfg)
-        delays, mag_db = cir_evolution(rg, cfg)
+            grid, est = compensate_residual_sfo(grid, est, cfg)
+        delays, mag_db = cir_evolution(grid, cfg)
 
     _write_csv(outdir / "cir_evolution.csv",
                "pilot_symbol_index,delay_samples,delay_ns,mag_db",
@@ -414,17 +427,13 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
                 delays / cfg.bandwidth_hz * 1e9, mag_db])
 
     with _stage("comm.decode"):
-        s_hat, noise_vars, erased = equalize(rg, est.cfr, cfg)
-        code = default_code()
-        max_info, _ = frame_capacity_bits(cfg)
-        info_len = scn.info_count if scn.info_count is not None else max_info
-        n_cw = max(1, -(-info_len // code.k))
-        tx_info = tx_refs.get("info_bits") if tx_refs else None
-        tx_coded = tx_refs.get("coded_bits") if tx_refs else None
-        info_hat, metrics = demap_decode(s_hat, noise_vars, cfg, n_cw, info_len,
-                                         tx_info_bits=tx_info, tx_coded_bits=tx_coded)
-        ref_syms = tx_refs.get("data_symbols") if tx_refs else None
-        metrics.evm_rms_percent = evm_rms_percent(s_hat, ref_syms)
+        s_hat, noise_vars, erased = equalize(grid, est.cfr, cfg)
+        info_len = info_length(scn)
+        info_hat, metrics = demap_decode(
+            s_hat, noise_vars, cfg, codeword_count(info_len), info_len,
+            tx_info_bits=payload.info_bits if payload else None,
+            tx_coded_bits=payload.coded_bits if payload else None)
+        metrics.evm_rms_percent = evm_rms_percent(s_hat, tx_symbols)
         metrics.slope_fit_warning = est.slope_fit_warning
 
     density, edges = constellation_density(s_hat)
@@ -438,7 +447,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     detections_rows: list[tuple] = []
     for mode in scn.sensing_modes:
         with _stage(f"radar.{mode.value}"):
-            cfr_s = radar_mod.cfr_for_sensing(rg, cfg, mode, decoded_info_bits=info_hat)
+            cfr_s = radar_mod.cfr_for_sensing(grid, cfg, mode, decoded_info_bits=info_hat)
             rd = radar_mod.range_doppler(cfr_s, cfg, mode,
                                          window_kind=scn.window,
                                          zero_pad=scn.zero_pad)
@@ -464,22 +473,12 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     return summary
 
 
-def _tx_refs(frame: FrameGrid, payload: PayloadBits) -> dict:
-    """Known transmit side (info/coded bits, data symbols) for error rates
-    and EVM."""
-    return {
-        "info_bits": payload.info_bits,
-        "coded_bits": payload.coded_bits,
-        "data_symbols": symbols_from_grid(frame),
-    }
-
-
 def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
     """Full simulation: TX frame, channel, receive pipeline, artifacts."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with _stage("tx"):
-        frame, payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))
+        grid, payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))
     with _stage("channel"):
         ch = channel_from_scenario(scn)
         rx_stream = run_channel(tx_stream, ch)
@@ -491,25 +490,28 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
 
     # the data symbols are taken after the channel's memory peak and the TX
     # grid is released before the receiver's (sync resampler) peak
-    tx_refs = _tx_refs(frame, payload)
-    del frame
-    return run_receive_pipeline(rx_stream, scn, outdir, tx_refs)
+    tx_symbols = symbols_from_grid(grid, scn.frame)
+    del grid
+    return run_receive_pipeline(rx_stream, scn, outdir, payload, tx_symbols)
 
 
 def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> dict:
     """Receive pipeline on externally captured samples.
 
-    When the scenario marks the payload as known (seeded), transmit-side
+    The capture's sample rate must be the frame's ``bandwidth_hz``. When
+    the scenario marks the payload as known (seeded), transmit-side
     references are regenerated so BER/EVM are measured against truth.
     """
     from .iqfile import read_iq
+    stream = read_iq(iq_path)
+    if stream.nominal_rate != scn.frame.bandwidth_hz:
+        raise dsp.DataError(f"capture sample_rate_hz {stream.nominal_rate:g} differs from "
+                            f"frame.bandwidth_hz {scn.frame.bandwidth_hz:g}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    stream = read_iq(iq_path)
-    tx_refs = None
+    payload = tx_symbols = None
     if scn.info_known:
-        # the references need the payload grid, not the modulated samples
+        # the references need the data symbols, not the modulated samples
         with _stage("tx"):
-            payload, symbols = map_payload(generate_info_bits(scn), scn.frame)
-            tx_refs = _tx_refs(assemble_frame(scn.frame, symbols), payload)
-    return run_receive_pipeline(stream, scn, outdir, tx_refs)
+            payload, tx_symbols = map_payload(generate_info_bits(scn), scn.frame)
+    return run_receive_pipeline(stream, scn, outdir, payload, tx_symbols)

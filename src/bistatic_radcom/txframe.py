@@ -39,12 +39,6 @@ class PayloadBits:
 
 
 @dataclass
-class FrameGrid:
-    grid: np.ndarray          # complex, N x M
-    cfg: FrameConfig
-
-
-@dataclass
 class IqStream:
     samples: np.ndarray
     nominal_rate: float
@@ -173,6 +167,11 @@ def frame_capacity_bits(cfg: FrameConfig) -> tuple[int, int]:
     return n_cw * code.k, n_cw
 
 
+def codeword_count(info_len: int) -> int:
+    """Codewords carrying ``info_len`` info bits; at least one."""
+    return max(1, -(-info_len // default_code().k))
+
+
 def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
     """Systematic LDPC encoding; a short final block is zero-padded."""
     require_valid(cfg)
@@ -182,7 +181,7 @@ def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
     if info_bits.size > max_info:
         raise CapacityError(
             f"payload of {info_bits.size} bits exceeds frame capacity of {max_info} info bits")
-    n_cw = max(1, -(-info_bits.size // code.k))
+    n_cw = codeword_count(info_bits.size)
     if n_cw > max_cw:
         raise CapacityError(f"frame fits at most {max_cw} codewords")
     padded = np.zeros(n_cw * code.k, dtype=np.uint8)
@@ -191,24 +190,24 @@ def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
     return PayloadBits(info_bits=info_bits, coded_bits=coded, codeword_count=n_cw)
 
 
-def assemble_frame(cfg: FrameConfig, payload_symbols: np.ndarray) -> FrameGrid:
+def assemble_frame(cfg: FrameConfig, payload_symbols: np.ndarray) -> np.ndarray:
     """Place preamble, pilots and data symbols on the N x M grid."""
     n, mpb, mpl = cfg.n_subcarriers, cfg.m_preamble, cfg.m_payload
     grid = np.zeros((n, mpb + mpl), dtype=np.complex128)
     grid[:, :mpb] = frame_tables(cfg).preamble
     grid[:, mpb:] = payload_grid(cfg, payload_symbols)
-    return FrameGrid(grid=grid, cfg=cfg)
+    return grid
 
 
-def symbols_from_grid(frame: FrameGrid) -> np.ndarray:
-    """Data symbols in the same column-major order used by assemble_frame."""
-    return data_elements(frame.grid[:, frame.cfg.m_preamble:], frame.cfg)
+def symbols_from_grid(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Data symbols of an N x M frame grid, in the column-major order used
+    by assemble_frame."""
+    return data_elements(grid[:, cfg.m_preamble:], cfg)
 
 
-def modulate(frame: FrameGrid) -> IqStream:
+def modulate(grid: np.ndarray, cfg: FrameConfig) -> IqStream:
     """Per-column unitary IDFT, CP prepend, P/S concatenation."""
-    cfg = frame.cfg
-    time_syms = np.fft.ifft(frame.grid, axis=0, norm="ortho")
+    time_syms = np.fft.ifft(grid, axis=0, norm="ortho")
     with_cp = np.concatenate([time_syms[-cfg.cp_len:, :], time_syms], axis=0)
     return IqStream(samples=with_cp.T.reshape(-1), nominal_rate=cfg.bandwidth_hz)
 
@@ -222,8 +221,9 @@ def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, n
     return payload, map_qpsk(all_bits)
 
 
-def build_tx_frame(cfg: FrameConfig, info_bits: np.ndarray) -> tuple[FrameGrid, PayloadBits, IqStream]:
-    """Convenience TX chain: encode, map, assemble, modulate."""
+def build_tx_frame(cfg: FrameConfig, info_bits: np.ndarray) -> tuple[np.ndarray, PayloadBits, IqStream]:
+    """Convenience TX chain: encode, map, assemble, modulate. Returns the
+    N x M frame grid, the payload bits and the sample stream."""
     payload, symbols = map_payload(info_bits, cfg)
-    frame = assemble_frame(cfg, symbols)
-    return frame, payload, modulate(frame)
+    grid = assemble_frame(cfg, symbols)
+    return grid, payload, modulate(grid, cfg)

@@ -85,7 +85,7 @@ def test_doppler_shift_theorem():
     # first OFDM symbol: multiplying by e^{j2pi n/N} shifts bins up by one
     blk = y.samples[cfg.cp_len:cfg.cp_len + cfg.n_subcarriers]
     got = np.fft.fft(blk, norm="ortho")
-    want = np.roll(frame.grid[:, 0], 1) * np.exp(
+    want = np.roll(frame[:, 0], 1) * np.exp(
         2j * np.pi * fd * cfg.cp_len / cfg.bandwidth_hz)
     assert np.allclose(got, want, atol=1e-6)
 

@@ -485,6 +485,43 @@ def test_truncated_capture_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", [2e9, 5e8, float("nan"), float("inf")])
+def test_capture_at_another_sample_rate_exits_2(tmp_path, capsys, rate):
+    """The receiver runs at frame.bandwidth_hz; a sidecar declaring any other
+    rate, or a non-finite one, is an input error before any artifact."""
+    scn = write_scn(tmp_path, desk_scenario(outputs={"write_iq": True}))
+    out1 = tmp_path / "sim"
+    assert main(["run", str(scn), "--out", str(out1)]) == EXIT_OK
+    side = out1 / "rx.iq.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), "sample_rate_hz": rate}))
+    out2 = tmp_path / "cap"
+    assert main(["capture", str(out1 / "rx.iq"), str(scn),
+                 "--out", str(out2)]) == EXIT_INPUT
+    assert "sample_rate_hz" in capsys.readouterr().err
+    assert not out2.exists()
+
+
+def test_blind_capture_writes_strict_json(tmp_path, capsys):
+    """Without known info bits the BERs are unmeasured: JSON null, not NaN."""
+    doc = desk_scenario(outputs={"write_iq": True})
+    scn = write_scn(tmp_path, doc)
+    out1 = tmp_path / "sim"
+    assert main(["run", str(scn), "--out", str(out1)]) == EXIT_OK
+    blind = write_scn(tmp_path, {**doc, "info_bits": {"seed": 3, "known": False}}, "blind.json")
+    out2 = tmp_path / "cap"
+    assert main(["capture", str(out1 / "rx.iq"), str(blind), "--out", str(out2)]) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+            for p in sorted(out2.glob("*.json"))}
+    assert docs["comm_metrics.json"]["pre_fec_ber"] is None
+    assert docs["comm_metrics.json"]["post_fec_ber"] is None
+    assert isinstance(docs["comm_metrics.json"]["evm_rms_percent"], float)
+    assert "sync_report.json" in docs
+
+
 def test_noise_only_capture_exits_3(tmp_path, capsys):
     doc = desk_scenario(outputs={"write_iq": True})
     scn = write_scn(tmp_path, doc)

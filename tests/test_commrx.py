@@ -51,9 +51,9 @@ def test_demodulate_grid_matches_tx_loopback():
     cfg = desk_cfg()
     _, (frame, _, tx) = make_frame(cfg)
     rg = demodulate_frame(payload_stream(tx, cfg), cfg)
-    assert rg.grid.shape == (cfg.n_subcarriers, cfg.m_payload)
-    tx_payload = frame.grid[:, cfg.m_preamble:]
-    assert np.allclose(rg.grid, tx_payload, atol=1e-10)
+    assert rg.shape == (cfg.n_subcarriers, cfg.m_payload)
+    tx_payload = frame[:, cfg.m_preamble:]
+    assert np.allclose(rg, tx_payload, atol=1e-10)
 
 
 def test_cfr_exact_at_pilots_flat_channel():
@@ -111,7 +111,7 @@ def test_equalize_flags_null_channel_cells():
     cfg = desk_cfg()
     _, (frame, _, tx) = make_frame(cfg)
     rg = demodulate_frame(payload_stream(tx, cfg), cfg)
-    cfr = np.ones_like(rg.grid)
+    cfr = np.ones_like(rg)
     cfr[10, :] = 0.0
     _, _, erased = equalize(rg, cfr, cfg)
     assert erased.any()

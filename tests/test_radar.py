@@ -165,7 +165,7 @@ def test_cfr_for_sensing_full_frame_flat_channel():
                       nominal_rate=tx.nominal_rate)
     rg = demodulate_frame(stream, cfg)
     cfr = cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME, decoded_info_bits=info)
-    assert cfr.shape == rg.grid.shape
+    assert cfr.shape == rg.shape
     assert np.allclose(cfr, 1.0, atol=1e-9)
 
 
@@ -196,7 +196,7 @@ def test_payload_grid_matches_tx():
         info = rng.integers(0, 2, n_info, dtype=np.uint8)
         frame, _, _ = build_tx_frame(cfg, info)
         grid = payload_grid(cfg, map_payload(info, cfg)[1])
-        assert np.array_equal(grid, frame.grid[:, cfg.m_preamble:])
+        assert np.array_equal(grid, frame[:, cfg.m_preamble:])
 
 
 def test_range_doppler_rejects_non_finite():

@@ -106,12 +106,12 @@ def test_frame_data_round_trip(seed):
     nbits = rng.integers(1, frame_capacity_bits(cfg)[0] + 1)
     info = rng.integers(0, 2, nbits, dtype=np.uint8)
     frame, payload, stream = build_tx_frame(cfg, info)
-    got = symbols_from_grid(frame)
+    got = symbols_from_grid(frame, cfg)
     coded = payload.coded_bits
     assert np.array_equal(hard_bits(got)[:coded.size], coded)
     # the layout functions invert each other and read pilots as a unit channel
     region = payload_grid(cfg, got)
-    assert np.array_equal(region, frame.grid[:, cfg.m_preamble:])
+    assert np.array_equal(region, frame[:, cfg.m_preamble:])
     assert np.array_equal(data_elements(region, cfg), got)
     assert np.array_equal(pilot_cfr(region, cfg),
                           np.ones((cfg.n_pilot_rows, cfg.n_pilot_cols)))
@@ -129,7 +129,7 @@ def test_masks_cover_frame_regions():
     assert np.array_equal(tables.data_mask, ~pilot_cells)
     assert tables.data_mask.sum() == cfg.n_data_elements
     frame, _, _ = build_tx_frame(cfg, np.array([1, 0, 1], dtype=np.uint8))
-    assert frame.grid.shape == (cfg.n_subcarriers, cfg.m_preamble + cfg.m_payload)
+    assert frame.shape == (cfg.n_subcarriers, cfg.m_preamble + cfg.m_payload)
 
 
 def test_modulate_demodulate_identity():
@@ -141,13 +141,13 @@ def test_modulate_demodulate_identity():
     # CP is the tail copy
     assert np.allclose(blocks[:cfg.cp_len], blocks[-cfg.cp_len:])
     rebuilt = np.fft.fft(blocks[cfg.cp_len:], axis=0, norm="ortho")
-    assert np.allclose(rebuilt, frame.grid, atol=1e-12)
+    assert np.allclose(rebuilt, frame, atol=1e-12)
 
 
 def test_modulate_preserves_power():
     cfg = small_cfg()
     frame, _, stream = build_tx_frame(cfg, np.array([0, 1], dtype=np.uint8))
-    grid_pwr = np.sum(np.abs(frame.grid) ** 2)
+    grid_pwr = np.sum(np.abs(frame) ** 2)
     useful = stream.samples.reshape(cfg.m_total, cfg.symbol_len)[:, cfg.cp_len:]
     assert np.sum(np.abs(useful) ** 2) == pytest.approx(grid_pwr)
 
