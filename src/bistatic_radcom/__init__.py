@@ -17,7 +17,6 @@ from .params import (
     long_payload_config,
     radar_performance,
     short_payload_config,
-    validate_config,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "long_payload_config",
     "radar_performance",
     "short_payload_config",
-    "validate_config",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import scipy.fft
 
 from . import dsp
 from .ldpc import default_code
-from .params import FrameConfig, require_valid
+from .params import FrameConfig
 from .txframe import (FramingError, IqStream, data_elements, frame_tables,
                       pilot_cfr)
 
@@ -45,7 +45,6 @@ class CommMetrics:
 def demodulate_frame(payload_stream: IqStream, cfg: FrameConfig) -> np.ndarray:
     """S/P conversion, CP removal and unitary column-wise DFT; returns the
     N x M_pl payload grid."""
-    require_valid(cfg)
     s = payload_stream.samples
     expected = cfg.symbol_len * cfg.m_payload
     if s.size != expected:
@@ -72,10 +71,7 @@ def estimate_main_doppler(grid: np.ndarray, cfg: FrameConfig) -> tuple[float, np
     track = cir[tap, :]
     # weighted mean phase increment between consecutive pilot symbols
     inc = track[1:] * np.conj(track[:-1])
-    if inc.size == 0:
-        phase_step = 0.0
-    else:
-        phase_step = float(np.angle(np.sum(inc)))
+    phase_step = float(np.angle(np.sum(inc)))
     t_pilot = cfg.pilot_time_spacing * cfg.symbol_len / cfg.bandwidth_hz
     f_hat = phase_step / (2.0 * np.pi * t_pilot)
     m = np.arange(cfg.m_payload)
@@ -191,12 +187,8 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
 def _noise_variance_per_subcarrier(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Noise variance proxy from pilot-to-pilot channel estimate differences,
     interpolated over all subcarriers."""
-    hp = pilot_cfr(grid, cfg)
-    if hp.shape[1] > 1:
-        d = np.diff(hp, axis=1)
-        var_rows = 0.5 * np.mean(np.abs(d) ** 2, axis=1)
-    else:
-        var_rows = np.full(hp.shape[0], 1e-6)
+    d = np.diff(pilot_cfr(grid, cfg), axis=1)
+    var_rows = 0.5 * np.mean(np.abs(d) ** 2, axis=1)
     var = np.interp(np.arange(cfg.n_subcarriers), frame_tables(cfg).k_pil, var_rows)
     return np.maximum(var, 1e-12)
 
@@ -216,8 +208,7 @@ def qpsk_llrs(symbols: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
 def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
                  codeword_count: int, info_len: int,
                  tx_info_bits: np.ndarray | None = None,
-                 tx_coded_bits: np.ndarray | None = None,
-                 max_iter: int = 50) -> tuple[np.ndarray, CommMetrics]:
+                 tx_coded_bits: np.ndarray | None = None) -> tuple[np.ndarray, CommMetrics]:
     """Soft demapping and LDPC decoding; padding stripped from the output.
 
     When the transmitted bits are provided, pre/post-FEC BERs are measured
@@ -229,7 +220,7 @@ def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
     if llrs.size < n_coded:
         raise FramingError("fewer symbols than required for the declared codewords")
     llrs = llrs[:n_coded].reshape(codeword_count, code.n)
-    bits, ok = code.decode(llrs, max_iter=max_iter)
+    bits, ok = code.decode(llrs)
     info = bits[:, :code.k].reshape(-1)[:info_len]
 
     metrics = CommMetrics(frames_decoded=1, decoder_converged=bool(ok.all()))

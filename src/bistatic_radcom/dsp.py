@@ -33,7 +33,7 @@ from scipy import signal
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 1710 MB, 163 B per sample, so a stream at the budget needs about 2.7 GB.
+# at 1674 MB, 159 B per sample, so a stream at the budget needs about 2.7 GB.
 MAX_STREAM_SAMPLES = 1 << 24
 
 

@@ -29,6 +29,7 @@ _BASE_MATRIX = [
     [17, 11, 11, 20, -1, 21, -1, 26, -1,  3, -1, -1, 18, -1, 26, -1,  1, -1, -1, -1, -1, -1, -1,  0],
 ]
 _Z = 27
+_MIN_SUM_SCALE = 0.8  # normalization of the min-sum check-node messages
 
 
 def _circulant_edges() -> np.ndarray:
@@ -88,8 +89,7 @@ class LdpcCode:
 
     # -- decoding -----------------------------------------------------------
 
-    def decode(self, llrs: np.ndarray, max_iter: int = 50,
-               scale: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+    def decode(self, llrs: np.ndarray, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
         """Normalized min-sum decoding of a batch of codewords.
 
         ``llrs`` has shape (batch, n) with positive values favoring bit 0.
@@ -120,7 +120,7 @@ class LdpcCode:
         for _ in range(max_iter):
             for edges, row_c2v in zip(rows, c2v):
                 v2c = total[edges] - row_c2v
-                row_c2v[...] = _check_to_var(v2c, scale)
+                row_c2v[...] = _check_to_var(v2c, _MIN_SUM_SCALE)
                 total[edges] = v2c + row_c2v
             bits = (total < 0).astype(np.uint8)
             now_ok = self.check(bits.T)

@@ -7,6 +7,7 @@ sensing uses spacing 1 in both directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,7 +18,12 @@ QPSK_BITS = 2  # coded bits per data cell
 
 
 class ConfigError(ValueError):
-    """Raised when a frame configuration violates an invariant."""
+    """Raised when a frame configuration violates an invariant; carries the
+    full list of violations."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("; ".join(violations))
+        self.violations = violations
 
 
 class SensingMode(Enum):
@@ -30,7 +36,8 @@ class FrameConfig:
     """OFDM frame and pilot parameters.
 
     ``bandwidth_hz`` doubles as the nominal complex sample rate (critically
-    sampled baseband, no oversampling).
+    sampled baseband, no oversampling). Construction raises `ConfigError`
+    on a frame that cannot run, so every instance is valid.
     """
 
     n_subcarriers: int = 2048
@@ -43,6 +50,33 @@ class FrameConfig:
     bandwidth_hz: float = 1e9
     pilot_seed: int = 0x5EED_0001
     preamble_seed: int = 0x5EED_0002
+
+    def __post_init__(self):
+        v = []
+        for name in ("n_subcarriers", "cp_len", "m_sc", "m_payload",
+                     "pilot_freq_spacing", "pilot_time_spacing"):
+            if getattr(self, name) <= 0:
+                v.append(f"{name} must be positive")
+        if self.m_sfo <= 0:
+            v.append("m_sfo must be positive")
+        elif self.m_sfo % 2 != 0:
+            v.append("m_sfo must be even")
+        if self.pilot_freq_spacing > 0 and self.n_subcarriers % self.pilot_freq_spacing != 0:
+            v.append("n_subcarriers not divisible by pilot_freq_spacing")
+        if self.pilot_time_spacing > 0 and self.m_payload % self.pilot_time_spacing != 0:
+            v.append("m_payload not divisible by pilot_time_spacing")
+        if self.cp_len >= self.n_subcarriers:
+            v.append("cp_len must be smaller than n_subcarriers")
+        if not self.bandwidth_hz > 0:
+            v.append("bandwidth_hz must be positive")
+        # the CFR interpolation needs two pilots along each axis, and the
+        # Doppler, drift and noise estimates compare neighbouring pilot
+        # symbols; checked last, as the counts divide by the spacings
+        if not v and (self.n_pilot_rows < 2 or self.n_pilot_cols < 2):
+            v.append(f"the {self.n_pilot_rows} x {self.n_pilot_cols} pilot grid needs at "
+                     "least 2 pilot subcarriers and 2 pilot symbols")
+        if v:
+            raise ConfigError(v)
 
     @property
     def m_preamble(self) -> int:
@@ -94,39 +128,8 @@ class RadarPerformance:
     max_ici_free_doppler: float
 
 
-def validate_config(cfg: FrameConfig) -> list[str]:
-    """Return every violated invariant (empty list means the config is valid)."""
-    v = []
-    for name in ("n_subcarriers", "cp_len", "m_sc", "m_payload",
-                 "pilot_freq_spacing", "pilot_time_spacing"):
-        if getattr(cfg, name) <= 0:
-            v.append(f"{name} must be positive")
-    if cfg.m_sfo <= 0:
-        v.append("m_sfo must be positive")
-    elif cfg.m_sfo % 2 != 0:
-        v.append("m_sfo must be even")
-    if cfg.pilot_freq_spacing > 0 and cfg.n_subcarriers % cfg.pilot_freq_spacing != 0:
-        v.append("n_subcarriers not divisible by pilot_freq_spacing")
-    if cfg.pilot_time_spacing > 0 and cfg.m_payload % cfg.pilot_time_spacing != 0:
-        v.append("m_payload not divisible by pilot_time_spacing")
-    if cfg.cp_len >= cfg.n_subcarriers:
-        v.append("cp_len must be smaller than n_subcarriers")
-    if cfg.bandwidth_hz <= 0:
-        v.append("bandwidth_hz must be positive")
-    return v
-
-
-def require_valid(cfg: FrameConfig) -> None:
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError("; ".join(violations))
-
-
 def radar_performance(cfg: FrameConfig, mode: SensingMode) -> RadarPerformance:
     """Closed-form bistatic OFDM radar performance figures for a sensing mode."""
-    require_valid(cfg)
-    import math
-
     dn, dm = cfg.effective_spacings(mode)
     n, ncp, mpl, b = cfg.n_subcarriers, cfg.cp_len, cfg.m_payload, cfg.bandwidth_hz
     gp = (n / dn) * (mpl / dm)
@@ -147,7 +150,6 @@ def comm_throughput(cfg: FrameConfig) -> float:
     Pilot resource elements count as overhead; the preamble contributes to
     the frame duration in the denominator.
     """
-    require_valid(cfg)
     data_elements = cfg.n_data_elements
     frame_duration = cfg.frame_len / cfg.bandwidth_hz
     code = default_code()

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.fft
 
 from . import dsp
-from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode, require_valid
+from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode
 from .txframe import map_payload, payload_grid, pilot_cfr
 
 # Range rows per block of the map's Doppler pass, its dB conversion and the
@@ -53,7 +53,6 @@ def cfr_for_sensing(grid: np.ndarray, cfg: FrameConfig, mode: SensingMode,
                     decoded_info_bits: np.ndarray | None = None) -> np.ndarray:
     """Sensing CFR matrix: pilot submatrix, or full-grid Y/X with the TX
     payload grid rebuilt from the decoded info bits."""
-    require_valid(cfg)
     if mode is SensingMode.PILOT_ONLY:
         return pilot_cfr(grid, cfg)
     if decoded_info_bits is None:

@@ -28,7 +28,7 @@ from .commrx import (cir_evolution, compensate_residual_sfo,
                      equalize, estimate_cfr, estimate_main_doppler,
                      evm_rms_percent)
 from .ldpc import default_code
-from .params import QPSK_BITS, FrameConfig, SensingMode, validate_config
+from .params import QPSK_BITS, ConfigError, FrameConfig, SensingMode
 from .sync import SyncError, synchronize
 from .txframe import (IqStream, PayloadBits, build_tx_frame, codeword_count,
                       frame_capacity_bits, frame_tables, map_payload,
@@ -255,26 +255,30 @@ def load_scenario(path: str | Path) -> Scenario:
     if errors:
         raise ScenarioFileError(errors)
 
-    scn = Scenario(name=name, frame=FrameConfig(**frame),
-                   paths=[PathSpec(**p) for p in paths], **values)
-    errors.extend(f"frame: {msg}" for msg in validate_config(scn.frame))
-    _check_paths(scn, errors)
-    if not errors:
-        for check in (_check_sample_budget, _check_capacity, _check_map_budget):
-            check(scn, errors)
+    try:
+        cfg = FrameConfig(**frame)
+    except ConfigError as exc:
+        errors.extend(f"frame: {msg}" for msg in exc.violations)
+    path_specs = [PathSpec(**p) for p in paths]
+    _check_paths(path_specs, errors)
+    if errors:
+        raise ScenarioFileError(errors)
+    scn = Scenario(name=name, frame=cfg, paths=path_specs, **values)
+    for check in (_check_sample_budget, _check_capacity, _check_map_budget):
+        check(scn, errors)
     if errors:
         raise ScenarioFileError(errors)
     return scn
 
 
-def _check_paths(scn: Scenario, errors: list[str]) -> None:
+def _check_paths(paths: list[PathSpec], errors: list[str]) -> None:
     """A channel has exactly one main path, and every other path is weaker."""
-    mains = [p for p in scn.paths if p.is_main]
-    if scn.paths and len(mains) != 1:
+    mains = [p for p in paths if p.is_main]
+    if paths and len(mains) != 1:
         errors.append(f"channel.paths: exactly one path must set is_main (got {len(mains)})")
     elif mains:
         errors.extend(f"channel.paths[{i}].gain_db: secondary path must be weaker than the "
-                      "main path" for i, p in enumerate(scn.paths)
+                      "main path" for i, p in enumerate(paths)
                       if not p.is_main and p.gain_db >= mains[0].gain_db)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import run_blocks, sfo_correction_chain
-from .params import FrameConfig, require_valid
+from .params import FrameConfig
 from .txframe import IqStream, frame_tables, sc_differential
 from .channel import SFO_BOUND
 
@@ -28,8 +28,10 @@ INT_CFO_SEARCH = 8  # +- even subcarrier shifts searched for the integer CFO
 
 
 class SyncError(RuntimeError):
+    """A synchronization failure; ``stage`` names the function that failed."""
+
     def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
+        super().__init__(message)
         self.stage = stage
 
 
@@ -55,7 +57,6 @@ def schmidl_cox(y: IqStream, cfg: FrameConfig) -> tuple[int, float, np.ndarray]:
     M(d) = |P(d)|^2 / R(d)^2 with half-symbol lag correlation; the coarse
     start is mapped from the midpoint of the 90%-of-peak plateau.
     """
-    require_valid(cfg)
     s = y.samples
     n = cfg.n_subcarriers
     half = n // 2
@@ -180,8 +181,6 @@ def estimate_sfo_tsai(y: IqStream, cfg: FrameConfig, fine_start: int,
     n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
     ts = 1.0 / y.nominal_rate
     n_pairs = cfg.m_sfo // 2
-    if n_pairs < 1:
-        raise SyncError("estimate_sfo_tsai", "no identical symbol pairs available")
 
     first_sfo = fine_start + cfg.m_sc * sym
     stop = first_sfo + cfg.m_sfo * sym
@@ -206,6 +205,9 @@ def estimate_sfo_tsai(y: IqStream, cfg: FrameConfig, fine_start: int,
         # weighted LS through the origin: slope of phase vs signed index
         # (the pair's common phase is removed first to avoid intercept bias)
         wsum = w.sum()
+        if not wsum > 0:
+            raise SyncError("estimate_sfo_tsai",
+                            f"clock-tracking symbol pair {pair} carries no energy")
         kc = k_signed - (w * k_signed).sum() / wsum
         pc = phase - (w * phase).sum() / wsum
         s_num = (w * kc * pc).sum()
@@ -232,7 +234,6 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     """Full chain; returns the CFO-corrected payload sample stream of exactly
     (N+N_CP)*M_pl samples plus a report. ``correct_sfo=False`` skips the
     resampling stage (ablation toggle)."""
-    require_valid(cfg)
     sym = cfg.symbol_len
     ts = 1.0 / y.nominal_rate
 
@@ -243,8 +244,6 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     y_loc = local_cfo_correct(
         y, cfo_hat, (ref_n, coarse_start + cfg.m_preamble * sym + 2 * cfg.cp_len))
     fine_start = ref_n + fine_timing(y_loc, cfg, coarse_start - ref_n)
-    if abs(fine_start - coarse_start) > cfg.cp_len:
-        raise SyncError("fine_timing", "fine start outside the coarse lock window")
 
     # the local correction above referenced phase to ref_n; the clock-offset
     # estimator reads the raw samples with its own region correction

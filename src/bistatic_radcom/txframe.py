@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ldpc import default_code
-from .params import QPSK_BITS, FrameConfig, require_valid
+from .params import QPSK_BITS, FrameConfig
 
 class FramingError(ValueError):
     """Raised on symbol/bit count mismatches during frame assembly."""
@@ -77,7 +77,6 @@ def build_preamble(cfg: FrameConfig) -> np.ndarray:
     related to the first, enabling integer CFO resolution. The remaining
     M_sfo symbols are adjacent identical pairs.
     """
-    require_valid(cfg)
     rng = np.random.default_rng(cfg.preamble_seed)
     n = cfg.n_subcarriers
     pb = np.zeros((n, cfg.m_preamble), dtype=np.complex128)
@@ -119,7 +118,6 @@ def payload_masks(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def frame_tables(cfg: FrameConfig) -> FrameTables:
     """The layout tables of ``cfg``, built on first use and then shared."""
-    require_valid(cfg)
     tables = FrameTables(
         preamble=build_preamble(cfg),
         pilots=pilot_values(cfg),
@@ -174,7 +172,6 @@ def codeword_count(info_len: int) -> int:
 
 def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
     """Systematic LDPC encoding; a short final block is zero-padded."""
-    require_valid(cfg)
     code = default_code()
     info_bits = np.asarray(info_bits, dtype=np.uint8).ravel()
     max_info, max_cw = frame_capacity_bits(cfg)

@@ -196,6 +196,10 @@ DIAGNOSTICS = {
     "frame_config": ({"frame.m_sfo": 9, "frame.cp_len": 300},
                      ["frame: m_sfo must be even",
                       "frame: cp_len must be smaller than n_subcarriers"]),
+    # one pilot symbol: no pilot-to-pilot Doppler, drift or noise estimate
+    "pilot_grid": ({"frame.m_payload": 4},
+                   ["frame: the 128 x 1 pilot grid needs at least 2 pilot subcarriers "
+                    "and 2 pilot symbols"]),
     "frame_budget": ({"frame.m_payload": 10 ** 7},
                      [f"frame: a frame of 3200003840 samples exceeds {BUDGET}",
                       "sensing.zero_pad: a pilot_only map of 5120000000 cells at zero_pad 4 "
@@ -267,14 +271,17 @@ def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
     ({"frame.preamble_seed": -1}, "frame.preamble_seed: must be non-negative"),
     ({"info_bits.count": 38017},
      "info_bits.count: 38017 exceeds the frame capacity of 38016 info bits"),
-    ({"frame.n_subcarriers": 4, "frame.cp_len": 1, "frame.m_payload": 4},
-     "frame: its 14 data cells carry 28 coded bits, fewer than one codeword of 648"),
+    ({"frame.n_subcarriers": 4, "frame.cp_len": 1, "frame.m_payload": 8},
+     "frame: its 28 data cells carry 56 coded bits, fewer than one codeword of 648"),
+    ({"frame.m_payload": 4},
+     "frame: the 128 x 1 pilot grid needs at least 2 pilot subcarriers and 2 pilot symbols"),
     ({"frame.code_rate": 0.5}, "frame.code_rate: unknown field"),
     ({"frame.bits_per_symbol": 2}, "frame.bits_per_symbol: unknown field"),
     ({"channel.paths[1].delay_ns": 10 ** 400},
      "channel.paths[1].delay_ns: expected a finite number"),
 ], ids=["info_seed", "noise_seed", "pilot_seed", "preamble_seed", "count",
-        "no_codeword", "code_rate", "bits_per_symbol", "beyond_float"])
+        "no_codeword", "one_pilot_symbol", "code_rate", "bits_per_symbol",
+        "beyond_float"])
 def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
     """Inputs that cannot run are rejected by the validator with one
     diagnostic, before `run` or `capture` does any work."""
@@ -536,6 +543,43 @@ def test_noise_only_capture_exits_3(tmp_path, capsys):
     assert main(["capture", str(iq), str(scn),
                  "--out", str(tmp_path / "o")]) == EXIT_PIPELINE
     assert "pipeline error" in capsys.readouterr().err
+
+
+def desk_capture(tmp_path, capsys, **over):
+    """The scenario file of a desk run and the rx.iq it wrote, with the
+    run's stdout and stderr consumed."""
+    scn = write_scn(tmp_path, desk_scenario(outputs={"write_iq": True}, **over))
+    out = tmp_path / "sim"
+    assert main(["run", str(scn), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    return scn, out / "rx.iq"
+
+
+def test_zeroed_capture_names_its_stage_once(tmp_path, capsys):
+    scn, iq = desk_capture(tmp_path, capsys)
+    iq.write_bytes(bytes(iq.stat().st_size))
+    assert main(["capture", str(iq), str(scn),
+                 "--out", str(tmp_path / "o")]) == EXIT_PIPELINE
+    assert capsys.readouterr().err == ("pipeline error: [sync.schmidl_cox] timing metric "
+                                       "peak 0.000 below lock threshold\n")
+
+
+@pytest.mark.parametrize("correct_sfo", [False, True])
+def test_capture_without_clock_tracking_energy_exits_3(tmp_path, capsys, correct_sfo):
+    """Zeroed clock-tracking symbols leave no pair to estimate the clock
+    offset from: a tagged sync failure, whether or not the stream would be
+    resampled, and no NaN estimate."""
+    scn, iq = desk_capture(tmp_path, capsys, receiver={"correct_sfo": correct_sfo})
+    cfg = load_scenario(scn).frame
+    start = json.loads((tmp_path / "sim" / "sync_report.json").read_text())["fine_start"]
+    first = start + cfg.m_sc * cfg.symbol_len
+    samples = np.fromfile(iq, dtype=np.complex64)
+    samples[first:first + cfg.m_sfo * cfg.symbol_len] = 0
+    samples.tofile(iq)
+    assert main(["capture", str(iq), str(scn),
+                 "--out", str(tmp_path / "o")]) == EXIT_PIPELINE
+    assert capsys.readouterr().err == ("pipeline error: [sync.estimate_sfo_tsai] "
+                                       "clock-tracking symbol pair 0 carries no energy\n")
 
 
 def test_traced_benchmark_names_resolve(tmp_path):

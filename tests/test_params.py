@@ -1,9 +1,10 @@
 """Frame configuration and closed-form performance figures."""
 
 import math
+from dataclasses import asdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bistatic_radcom.params import (
     SPEED_OF_LIGHT,
@@ -13,15 +14,22 @@ from bistatic_radcom.params import (
     comm_throughput,
     long_payload_config,
     radar_performance,
-    require_valid,
     short_payload_config,
-    validate_config,
 )
 
 
+def violations(**fields) -> list[str]:
+    """Every invariant that a FrameConfig of ``fields`` violates."""
+    try:
+        FrameConfig(**fields)
+    except ConfigError as exc:
+        return exc.violations
+    return []
+
+
 def test_default_configs_are_valid():
-    assert validate_config(long_payload_config()) == []
-    assert validate_config(short_payload_config()) == []
+    for cfg in (long_payload_config(), short_payload_config()):
+        assert violations(**asdict(cfg)) == []
 
 
 def test_derived_sizes_long():
@@ -72,18 +80,41 @@ def test_throughput_both_payload_lengths():
 
 
 def test_validation_reports_all_violations():
-    cfg = FrameConfig(n_subcarriers=100, pilot_freq_spacing=3, m_sfo=5,
-                      cp_len=200)
-    v = validate_config(cfg)
+    with pytest.raises(ConfigError) as exc:
+        FrameConfig(n_subcarriers=100, pilot_freq_spacing=3, m_sfo=5, cp_len=200)
+    v = exc.value.violations
     assert any("m_sfo must be even" in m for m in v)
     assert any("divisible by pilot_freq_spacing" in m for m in v)
     assert any("cp_len" in m for m in v)
-    with pytest.raises(ConfigError):
-        require_valid(cfg)
+    assert str(exc.value) == "; ".join(v)
 
 
 def test_odd_m_sfo_rejected():
-    assert "m_sfo must be even" in validate_config(FrameConfig(m_sfo=9))
+    assert "m_sfo must be even" in violations(m_sfo=9)
+
+
+@pytest.mark.parametrize("fields, violation", [
+    ({"cp_len": 0}, "cp_len must be positive"),
+    ({"bandwidth_hz": -1e9}, "bandwidth_hz must be positive"),
+    ({"bandwidth_hz": float("nan")}, "bandwidth_hz must be positive"),
+    ({"m_payload": 4}, "the 1024 x 1 pilot grid needs at least 2 pilot subcarriers "
+                       "and 2 pilot symbols"),
+    ({"n_subcarriers": 4, "cp_len": 1, "pilot_freq_spacing": 4},
+     "the 1 x 1024 pilot grid needs at least 2 pilot subcarriers and 2 pilot symbols"),
+], ids=["no_cp", "negative_bandwidth", "nan_bandwidth", "one_pilot_symbol",
+        "one_pilot_subcarrier"])
+def test_unrunnable_frame_cannot_be_built(fields, violation):
+    """A frame the receiver cannot run raises at construction, with one
+    violation naming the field."""
+    assert violations(**fields) == [violation]
+
+
+def test_pilot_grid_rule_waits_for_the_spacings():
+    """The pilot-grid rule divides by the spacings, so it is checked only
+    when every other invariant holds."""
+    assert violations(pilot_time_spacing=0, m_payload=4) == [
+        "pilot_time_spacing must be positive"]
+    assert violations(pilot_time_spacing=4, m_payload=8) == []
 
 
 @given(
@@ -94,10 +125,10 @@ def test_odd_m_sfo_rejected():
 )
 def test_effective_spacing_gain_difference(n, dn, dm, mpl):
     """Full-frame gain exceeds pilot-only gain by exactly 10·log10(dN·dM)."""
-    cfg = FrameConfig(n_subcarriers=n, cp_len=n // 4, m_payload=mpl,
-                      pilot_freq_spacing=dn, pilot_time_spacing=dm)
-    if validate_config(cfg):
-        return
+    fields = dict(n_subcarriers=n, cp_len=n // 4, m_payload=mpl,
+                  pilot_freq_spacing=dn, pilot_time_spacing=dm)
+    assume(not violations(**fields))
+    cfg = FrameConfig(**fields)
     full = radar_performance(cfg, SensingMode.FULL_FRAME)
     pilot = radar_performance(cfg, SensingMode.PILOT_ONLY)
     assert full.processing_gain_db - pilot.processing_gain_db == pytest.approx(
