@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dsp
 from .dsp import fractional_delay, require_finite, resample_arbitrary, run_blocks
 from .txframe import IqStream
 
@@ -78,7 +79,9 @@ def stream_len(n_tx: int, max_delay_samples: float) -> int:
 def apply_paths_and_cfo(x: IqStream, scenario: ChannelScenario) -> IqStream:
     """Multipath sum with per-path delay/Doppler, then common CFO/CPO phasor.
 
-    The phasors and the path sum run block by block (`run_blocks`)."""
+    The phasors and the path sum run block by block (`run_blocks`). A path
+    delayed by a whole number of samples adds its shifted slice of ``x``
+    block by block; only a fractional delay builds its delayed stream."""
     require_finite(x.samples, "transmit stream")
     imp = scenario.impairments
     fs = x.nominal_rate
@@ -88,16 +91,26 @@ def apply_paths_and_cfo(x: IqStream, scenario: ChannelScenario) -> IqStream:
     out_len = stream_len(x.samples.size, max_delay * fs)
     y = np.zeros(out_len, dtype=np.complex128)
     for p in scenario.paths:
-        delayed = fractional_delay(x.samples, (p.delay_s + imp.sto_s) * fs,
-                                   out_len=out_len)
+        delay = (p.delay_s + imp.sto_s) * fs
+        if float(delay).is_integer():
+            shift, delayed = int(delay), x.samples  # delayed by shift samples
+        else:
+            shift, delayed = 0, fractional_delay(x.samples, delay, out_len=out_len)
 
         def add_path(start: int, stop: int) -> None:
-            seg = delayed[start:stop]
+            # the block of the delayed stream, zero outside it; a block of
+            # zeros adds nothing to y, so it is skipped
+            lo, hi = max(start, shift), min(stop, shift + delayed.size)
+            if lo >= hi:
+                return
+            seg = np.zeros(stop - start, dtype=np.complex128)
+            seg[lo - start:hi - start] = delayed[lo - shift:hi - shift]
             if p.doppler_hz != 0.0:
                 seg *= np.exp(2j * np.pi * p.doppler_hz * np.arange(start, stop) * ts)
             y[start:stop] += p.gain * seg
 
         run_blocks(add_path, out_len)
+        del delayed
     if imp.cfo_hz != 0.0 or imp.cpo_rad != 0.0:
         def rotate(start: int, stop: int) -> None:
             n = np.arange(start, stop)
@@ -119,16 +132,24 @@ def apply_sfo(x: IqStream, sfo_norm: float) -> IqStream:
 
 def add_awgn(x: IqStream, snr_db: float | None, ref_power: float,
              seed: int) -> IqStream:
-    """Circularly-symmetric complex AWGN at the given SNR vs ``ref_power``."""
+    """Circularly-symmetric complex AWGN at the given SNR vs ``ref_power``.
+
+    The noise is drawn in order, ``dsp._BLOCK`` (I, Q) rows at a time, and
+    added in place to one copy of the input: the generator's stream and the
+    sums are those of one whole-stream draw."""
     if snr_db is None:
         return IqStream(samples=x.samples.copy(), nominal_rate=x.nominal_rate)
     if ref_power <= 0:
         raise ScenarioError("ref_power must be positive")
     noise_var = ref_power / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), (x.samples.size, 2))
-    return IqStream(samples=x.samples + noise[:, 0] + 1j * noise[:, 1],
-                    nominal_rate=x.nominal_rate)
+    y = np.array(x.samples, dtype=np.complex128)
+    for start in range(0, y.size, dsp._BLOCK):
+        stop = min(start + dsp._BLOCK, y.size)
+        noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), (stop - start, 2))
+        y.real[start:stop] += noise[:, 0]
+        y.imag[start:stop] += noise[:, 1]
+    return IqStream(samples=y, nominal_rate=x.nominal_rate)
 
 
 def main_path_rx_power(x: IqStream, scenario: ChannelScenario) -> float:
@@ -139,8 +160,15 @@ def main_path_rx_power(x: IqStream, scenario: ChannelScenario) -> float:
 
 
 def run_channel(x: IqStream, scenario: ChannelScenario) -> IqStream:
-    """Full impairment chain: paths + CFO/CPO, then SFO resampling, then AWGN."""
+    """Full impairment chain: paths + CFO/CPO, then SFO resampling, then AWGN.
+
+    The SNR reference is measured before any channel stream exists, and a
+    stage with nothing to do is skipped rather than run as a copy."""
     imp = scenario.impairments
+    ref_power = main_path_rx_power(x, scenario)
     y = apply_paths_and_cfo(x, scenario)
-    y = apply_sfo(y, imp.sfo_norm)
-    return add_awgn(y, imp.snr_db, main_path_rx_power(x, scenario), imp.noise_seed)
+    if imp.sfo_norm != 0.0:
+        y = apply_sfo(y, imp.sfo_norm)
+    if imp.snr_db is not None:
+        y = add_awgn(y, imp.snr_db, ref_power, imp.noise_seed)
+    return y

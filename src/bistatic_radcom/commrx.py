@@ -17,7 +17,7 @@ import scipy.fft
 from . import dsp
 from .ldpc import default_code
 from .params import FrameConfig
-from .txframe import (FramingError, IqStream, data_elements, frame_tables,
+from .txframe import (FramingError, IqStream, frame_tables,
                       pilot_cfr)
 
 
@@ -163,24 +163,37 @@ def cir_evolution(grid: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.nd
     return delays, mag_db
 
 
+_EQUALIZE_COLUMNS = 64  # payload symbols equalized per block
+
+
 def equalize(grid: np.ndarray, cfr: np.ndarray,
              cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-forcing equalization at data positions.
 
     Returns (equalized data symbols in column-major frame order, per-symbol
-    effective noise variances for LLR scaling, erasure flags).
+    effective noise variances for LLR scaling, erasure flags). Blocks of
+    ``_EQUALIZE_COLUMNS`` payload symbols are equalized at a time; the data
+    cells of a block are one contiguous range of that order.
     """
-    h = data_elements(cfr, cfg)
-    y = data_elements(grid, cfg)
-    mag = np.abs(h)
-    erased = mag < 1e-6
-    safe_h = np.where(erased, 1.0, h)
-    s_hat = y / safe_h
-    s_hat[erased] = 0.0
-
+    mask = frame_tables(cfg).data_mask
+    first = np.concatenate([[0], np.cumsum(mask.sum(axis=0))])  # first cell of each column
     noise_var = _noise_variance_per_subcarrier(grid, cfg)
-    nv_grid = np.broadcast_to(noise_var[:, None], grid.shape)
-    nv = data_elements(nv_grid, cfg) / np.maximum(mag, 1e-6) ** 2
+    s_hat = np.empty(first[-1], dtype=np.complex128)
+    nv = np.empty(first[-1])
+    erased = np.empty(first[-1], dtype=bool)
+
+    def block(start: int, stop: int) -> None:
+        cells = mask[:, start:stop].T
+        lo, hi = first[start], first[stop]
+        h = cfr[:, start:stop].T[cells]
+        mag = np.abs(h)
+        lost = np.less(mag, 1e-6, out=erased[lo:hi])
+        s = np.divide(grid[:, start:stop].T[cells], np.where(lost, 1.0, h), out=s_hat[lo:hi])
+        s[lost] = 0.0
+        nv_cells = np.broadcast_to(noise_var, (stop - start, noise_var.size))[cells]
+        np.divide(nv_cells, np.maximum(mag, 1e-6) ** 2, out=nv[lo:hi])
+
+    dsp.run_blocks(block, mask.shape[1], _EQUALIZE_COLUMNS)
     return s_hat, nv, erased
 
 

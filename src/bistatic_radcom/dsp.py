@@ -6,17 +6,31 @@ receiver-side correction chain (`sfo_correction_chain`, FIR interpolate-by-2,
 cubic polynomial rate conversion, FIR decimate-by-2). Keeping them different
 avoids testing an implementation against itself.
 
-The resampler and all three stages of the correction chain evaluate their
-output in fixed blocks of ``_BLOCK`` samples, spread over a thread per usable
-CPU by `run_blocks`; the channel and the receiver apply their phasors the same
-way. The threads overlap because NumPy releases the interpreter lock in
-``take`` and in ufuncs, and SciPy's ``upfirdn`` releases it in its filter
-loop (each FIR block filters an input slice that overlaps its neighbours by
-the filter length). Every block writes its own slice of a preallocated output
-and the block edges do not depend on the thread count, so the result is
-bit-for-bit the same on any number of cores. `fractional_delay` shifts by a
-slice copy when the delay is a whole number of samples and otherwise filters
-by overlap-add, whose batched FFTs also run on every CPU with the same bits.
+The resampler and the correction chain evaluate their output in fixed
+blocks of ``_BLOCK`` samples, spread over a thread per usable CPU by
+`run_blocks`; the channel and the receiver apply their phasors the same way.
+The threads overlap because NumPy releases the interpreter lock in ``take``
+and in ufuncs, and SciPy's ``upfirdn`` releases it in its filter loop. Every
+block writes its own slice of a preallocated output and the block edges do
+not depend on the thread count, so the result is bit-for-bit the same on any
+number of cores.
+
+The correction chain is fused: each output block filters, from the slice of
+the input it depends on, only the interpolator outputs under its cubic
+stencils, converts them to the decimator input it needs and decimates that.
+Each FIR slice overlaps its neighbours by the filter length and starts on
+the one-shot call's filter phase (`_fir_span`), so every sample has the bits
+of the three stages run one after the other over the whole stream, while
+neither 2n-sample intermediate stream exists.
+
+`fractional_delay` shifts by a slice copy when the delay is a whole number
+of samples. Otherwise it filters by overlap-add in chunks of ``_OA_CHUNK``
+input samples, one ``oaconvolve`` call each, on a thread per CPU. The chunk
+is a whole number of ``oaconvolve``'s own block steps, so the chunks cut the
+input where one whole-stream call would cut it into blocks; the outputs of
+neighbouring chunks overlap by the filter length, and those two terms are
+added as the whole-stream call adds its two overlapping blocks. The result
+has the bits of that call without its stream-sized temporaries.
 """
 
 from __future__ import annotations
@@ -26,14 +40,15 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 from scipy import signal
 
 
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 1674 MB, 159 B per sample, so a stream at the budget needs about 2.7 GB.
+# at 1043 MB, 99 B per sample, so a stream at the budget needs about 1.7 GB.
+# That peak is set in comm estimation and decoding; the sample path (TX,
+# channel, sync) peaks at about 930 MB.
 MAX_STREAM_SAMPLES = 1 << 24
 
 
@@ -79,6 +94,13 @@ _FRAC_DELAY_TAPS = 63
 _FRAC_DELAY_BETA = 8.0
 
 
+# Input samples per overlap-add chunk: a multiple of the 428-sample block
+# step that `signal.oaconvolve` takes for 63 taps, so every chunk cuts the
+# input at the block edges of one whole-stream call, and longer than its
+# 490-sample FFT block, below which it would fall back to one FFT.
+_OA_CHUNK = 428 * 64
+
+
 def fractional_delay(x: np.ndarray, delay_samples: float,
                      out_len: int | None = None) -> np.ndarray:
     """Delay ``x`` by an arbitrary (possibly fractional) number of samples.
@@ -98,18 +120,52 @@ def fractional_delay(x: np.ndarray, delay_samples: float,
         out_len = x.size + max(n_int, 0) + center + 1
     out = np.zeros(out_len, dtype=np.complex128)
     if frac == 0.0:
-        y, shift = x, n_int  # out[n] = x[n - n_int]
-    else:
-        arg = np.arange(ntaps) - center - frac
-        h = np.sinc(arg) * _kaiser_at(arg, ntaps, _FRAC_DELAY_BETA)
-        with scipy.fft.set_workers(_workers()):
-            y = signal.oaconvolve(x, h, mode="full")  # y[m] ~ x(m - center - frac)
-        shift = n_int - center  # out[n] = y[n + center - n_int]
-    n_lo = max(0, shift)
-    n_hi = min(out_len, y.size + shift)
-    if n_hi > n_lo:
-        out[n_lo:n_hi] = y[n_lo - shift:n_hi - shift]
+        _place(out, x, n_int)  # out[n] = x[n - n_int]
+        return out
+    arg = np.arange(ntaps) - center - frac
+    h = np.sinc(arg) * _kaiser_at(arg, ntaps, _FRAC_DELAY_BETA)
+    # y[m] ~ x(m - center - frac) lands at out[m + shift]
+    _oaconvolve_into(x, h, out, n_int - center)
     return out
+
+
+def _place(out: np.ndarray, vals: np.ndarray, at: int) -> None:
+    """``out[at + i] = vals[i]`` wherever ``at + i`` falls inside ``out``."""
+    lo, hi = max(at, 0), min(at + vals.size, out.size)
+    if hi > lo:
+        out[lo:hi] = vals[lo - at:hi - at]
+
+
+def _oaconvolve_into(x: np.ndarray, h: np.ndarray, out: np.ndarray, shift: int) -> None:
+    """Write ``y = signal.oaconvolve(x, h)`` into ``out`` as
+    ``out[m + shift] = y[m]``, dropping what falls outside ``out``.
+
+    The input is cut into chunks of ``_OA_CHUNK`` samples (the last one takes
+    the remainder), each convolved on its own. A chunk's first and last
+    ``h.size - 1`` outputs overlap its neighbours'; those two are added
+    once every chunk is done, as the one-shot call adds two overlapping
+    blocks, so the bits are the same."""
+    ov = h.size - 1
+    starts = list(range(0, max(x.size // _OA_CHUNK, 1) * _OA_CHUNK, _OA_CHUNK))
+    stops = starts[1:] + [x.size]
+    last = len(starts) - 1
+    heads = np.empty((last, ov), dtype=np.complex128)
+    tails = np.empty_like(heads)
+
+    def chunk(c: int, _: int) -> None:
+        lo, hi = starts[c], stops[c]
+        y = signal.oaconvolve(x[lo:hi], h, mode="full")
+        body_lo = lo if c == 0 else lo + ov
+        body_hi = hi + ov if c == last else hi
+        _place(out, y[body_lo - lo:body_hi - lo], body_lo + shift)
+        if c > 0:
+            heads[c - 1] = y[:ov]
+        if c < last:
+            tails[c] = y[-ov:]
+
+    run_blocks(chunk, len(starts), 1)
+    for c in range(last):
+        _place(out, tails[c] + heads[c], stops[c] + shift)
 
 
 def _kaiser_at(t: np.ndarray, ntaps: int, beta: float) -> np.ndarray:
@@ -206,14 +262,17 @@ def _halfband_fir() -> np.ndarray:
     return signal.firwin(_STAGE_TAPS, 0.5, window=("kaiser", _STAGE_BETA))
 
 
-def _cubic_lagrange(up: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _cubic_lagrange(up: np.ndarray, t: np.ndarray, lo: int = 0,
+                    size: int | None = None) -> np.ndarray:
     """4-tap cubic Lagrange interpolation at fractional indices t of the
-    samples u held in ``up``, which pads them with 2 zeros in front and 3
-    behind."""
+    samples u held in a padded array of ``size`` entries (default
+    ``up.size``), which pads them with 2 zeros in front and 3 behind;
+    ``up`` holds that array from index ``lo`` on."""
     base = np.floor(t).astype(np.int64)
     mu = t - base
     i = base + 2  # offset from the left zero pad
-    np.clip(i, 1, up.size - 3, out=i)
+    np.clip(i, 1, (up.size if size is None else size) - 3, out=i)
+    i -= lo
     xm1, x0, x1, x2 = up[i - 1], up[i], up[i + 1], up[i + 2]
     c0 = x0
     c1 = -xm1 / 3.0 - 0.5 * x0 + x1 - x2 / 6.0
@@ -222,27 +281,28 @@ def _cubic_lagrange(up: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ((c3 * mu + c2) * mu + c1) * mu + c0
 
 
-def _fir_blocks(h: np.ndarray, x: np.ndarray, up: int, down: int,
-                out: np.ndarray) -> None:
-    """Write the first ``out.size`` samples of ``signal.upfirdn(h, x, up,
-    down)`` into ``out``, block by block.
+def _fir_span(taps: int, up: int, down: int, start: int, stop: int,
+              n_in: int) -> tuple[int, int]:
+    """The input slice ``[lo, hi)`` that outputs ``start:stop`` of
+    ``signal.upfirdn(h, x, up, down)`` depend on, for ``taps`` filter taps
+    and ``n_in`` input samples.
 
-    Each block filters the input slice its outputs depend on, widened by one
-    filter length and started on a multiple of ``down`` so the local output
-    grid and filter phases line up with the one-shot call; every kept output
-    sums the same products in the same order, so the bits are identical.
-    """
-    reach = -(-h.size // up)  # input samples under the filter at each phase
+    The slice is widened by one filter length and starts on a multiple of
+    ``down``, so the local output grid and filter phases line up with the
+    one-shot call: `_fir_range` on it sums the same products in the same
+    order, and the bits are identical."""
+    reach = -(-taps // up)  # input samples under the filter at each phase
+    lo = max(start * down // up - reach + 1, 0)
+    lo -= lo % down
+    return lo, min((stop - 1) * down // up + 1, n_in)
 
-    def block(start: int, stop: int) -> None:
-        lo = max(start * down // up - reach + 1, 0)
-        lo -= lo % down
-        hi = min((stop - 1) * down // up + 1, x.size)
-        skip = start - lo * up // down
-        local = signal.upfirdn(h, x[lo:hi], up=up, down=down)
-        out[start:stop] = local[skip:skip + stop - start]
 
-    run_blocks(block, out.size)
+def _fir_range(h: np.ndarray, xs: np.ndarray, lo: int, up: int, down: int,
+               start: int, stop: int) -> np.ndarray:
+    """Outputs ``start:stop`` of ``signal.upfirdn(h, x, up, down)`` from
+    ``xs = x[lo:hi]``, the slice that `_fir_span` gives."""
+    skip = start - lo * up // down
+    return signal.upfirdn(h, xs, up=up, down=down)[skip:skip + stop - start]
 
 
 def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
@@ -253,27 +313,42 @@ def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
     delays are folded into the conversion instants, so the output is aligned
     with the input. Ratios below the estimator's numerical floor bypass the
     chain entirely.
+
+    The stages are fused per output block: the block's decimator input is
+    interpolated from the slice of interpolator output under its cubic
+    stencils, which is filtered from the slice of ``y`` it depends on. Neither
+    intermediate stream (2n samples each) exists whole, and every sample has
+    the bits of the three one-shot stages.
     """
     y = np.asarray(y, dtype=np.complex128)
     if abs(delta_hat) < _BYPASS_THRESHOLD:
         return y.copy()
     h = _halfband_fir()
+    h_up = 2.0 * h
     d = (_STAGE_TAPS - 1) / 2.0  # group delay of each stage at the 2x rate
-    # the interpolator's 2n + 46 outputs, between the cubic stage's zero pads
-    up = np.empty(2 * y.size + _STAGE_TAPS + 3, dtype=np.complex128)
-    up[:2] = 0.0
-    up[-3:] = 0.0
-    _fir_blocks(2.0 * h, y, 2, 1, up[2:-3])
-    v = np.empty(2 * y.size + _STAGE_TAPS, dtype=np.complex128)
+    n_u = 2 * y.size + _STAGE_TAPS - 2  # interpolator outputs
+    n_v = 2 * y.size + _STAGE_TAPS  # cubic-stage outputs
+    size = n_u + 5  # the interpolator outputs between 2 leading and 3 trailing zeros
+    z = np.empty(y.size, dtype=np.complex128)
 
     def block(start: int, stop: int) -> None:
-        k = np.arange(start, stop)
-        v[start:stop] = _cubic_lagrange(up, (k + d) / (1.0 + delta_hat) + d)
+        lo_v, hi_v = _fir_span(h.size, 1, 2, start, stop, n_v)
+        # both FIR group delays (d at the 2x rate each) are pre-advanced
+        # inside the SRC instants, so decimator output m equals y(m/(1+delta))
+        t = (np.arange(lo_v, hi_v) + d) / (1.0 + delta_hat) + d
+        # padded interpolator samples under the stencils (t is increasing)
+        lo_u = min(max(int(np.floor(t[0])) + 2, 1), size - 3) - 1
+        hi_u = min(max(int(np.floor(t[-1])) + 2, 1), size - 3) + 3
+        up = np.zeros(hi_u - lo_u, dtype=np.complex128)
+        j0, j1 = max(lo_u - 2, 0), min(hi_u - 2, n_u)  # interpolator output indices
+        if j1 > j0:
+            a, b = _fir_span(h_up.size, 2, 1, j0, j1, y.size)
+            up[j0 + 2 - lo_u:j1 + 2 - lo_u] = _fir_range(h_up, y[a:b], a, 2, 1, j0, j1)
+        v = _cubic_lagrange(up, t, lo_u, size)
+        z[start:stop] = _fir_range(h, v, lo_v, 1, 2, start, stop)
 
-    run_blocks(block, v.size)
-    del up
-    # both FIR group delays (d at the 2x rate each) are pre-advanced inside
-    # the SRC instants, so decimator output m directly equals y(m/(1+delta))
-    z = np.empty(y.size, dtype=np.complex128)
-    _fir_blocks(h, v, 1, 2, z)
+    # a quarter block: each output block holds some 25 temporaries of twice
+    # its length, which stay small enough for the allocator to reuse rather
+    # than map fresh pages for every block
+    run_blocks(block, y.size, max(_BLOCK // 4, 1))
     return z

@@ -70,7 +70,10 @@ def read_iq(path: str | Path) -> IqStream:
     declared = side.get("num_samples")
     if declared is not None and declared != inter.size // 2:
         raise DataError(f"sidecar declares {declared} samples, file holds {inter.size // 2}")
-    samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
+    # filled in place: no stream-sized temporaries besides the file's bytes
+    samples = np.empty(inter.size // 2, dtype=np.complex128)
+    samples.real = inter[0::2]
+    samples.imag = inter[1::2]
     if not np.all(np.isfinite(samples)):
         raise DataError("IQ file contains non-finite samples")
     return IqStream(samples=samples, nominal_rate=float(rate))

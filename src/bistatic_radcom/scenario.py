@@ -405,20 +405,30 @@ def _write_map_csv(path: Path, rd: radar_mod.RangeDopplerMap) -> None:
 def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
                          payload: PayloadBits | None = None,
                          tx_symbols: np.ndarray | None = None) -> dict:
-    """Sync -> comm -> radar on a sample stream; writes all RX artifacts.
+    """Sync -> comm -> radar on a sample stream; writes all RX artifacts
+    into ``outdir``, which it creates.
 
     The known transmit side, when given, sets the references of the error
     rates (``payload``'s info and coded bits) and of the EVM (the data
     symbols ``tx_symbols``). Returns a summary dict (also written as
     comm_metrics.json).
+
+    The stream is let go once synchronized and the payload stream once
+    demodulated. The callers in this module pass the stream straight from
+    the call that makes it, keeping no reference, so its memory is free for
+    the stages after sync.
     """
     cfg = scn.frame
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     with _stage("sync"):
         payload_stream, report = synchronize(stream, cfg, correct_sfo=scn.correct_sfo)
+    del stream
 
     with _stage("comm.estimation"):
         grid = demodulate_frame(payload_stream, cfg)
+        del payload_stream
         doppler_hz, grid = estimate_main_doppler(grid, cfg)
         est = estimate_cfr(grid, cfg)
         if scn.residual_sfo_compensation:
@@ -483,20 +493,38 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     with _stage("tx"):
         grid, payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))
-    with _stage("channel"):
-        ch = channel_from_scenario(scn)
-        rx_stream = run_channel(tx_stream, ch)
-
-    if scn.write_iq:
-        from .iqfile import write_iq
-        write_iq(outdir / "tx.iq", tx_stream, metadata={"scenario": scn.name})
-        write_iq(outdir / "rx.iq", rx_stream, metadata={"scenario": scn.name})
-
-    # the data symbols are taken after the channel's memory peak and the TX
-    # grid is released before the receiver's (sync resampler) peak
+    # the data symbols are the EVM reference; the grid is released before
+    # the channel runs
     tx_symbols = symbols_from_grid(grid, scn.frame)
     del grid
-    return run_receive_pipeline(rx_stream, scn, outdir, payload, tx_symbols)
+
+    def channel_output() -> IqStream:
+        """The received stream. Its TX stream is released once it is made
+        (and written, with ``write_iq``): a closure, so that this drops
+        run_scenario's own reference. The receiver gets the result as a
+        temporary, so it holds the only reference and drops it after sync."""
+        nonlocal tx_stream
+        with _stage("channel"):
+            rx_stream = run_channel(tx_stream, channel_from_scenario(scn))
+        if scn.write_iq:
+            from .iqfile import write_iq
+            write_iq(outdir / "tx.iq", tx_stream, metadata={"scenario": scn.name})
+            write_iq(outdir / "rx.iq", rx_stream, metadata={"scenario": scn.name})
+        del tx_stream
+        return rx_stream
+
+    return run_receive_pipeline(channel_output(), scn, outdir, payload, tx_symbols)
+
+
+def _read_capture(iq_path: str | Path, scn: Scenario) -> IqStream:
+    """The capture's samples; its sample rate must be the frame's
+    ``bandwidth_hz``."""
+    from .iqfile import read_iq
+    stream = read_iq(iq_path)
+    if stream.nominal_rate != scn.frame.bandwidth_hz:
+        raise dsp.DataError(f"capture sample_rate_hz {stream.nominal_rate:g} differs from "
+                            f"frame.bandwidth_hz {scn.frame.bandwidth_hz:g}")
+    return stream
 
 
 def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> dict:
@@ -506,16 +534,9 @@ def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> d
     the scenario marks the payload as known (seeded), transmit-side
     references are regenerated so BER/EVM are measured against truth.
     """
-    from .iqfile import read_iq
-    stream = read_iq(iq_path)
-    if stream.nominal_rate != scn.frame.bandwidth_hz:
-        raise dsp.DataError(f"capture sample_rate_hz {stream.nominal_rate:g} differs from "
-                            f"frame.bandwidth_hz {scn.frame.bandwidth_hz:g}")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     payload = tx_symbols = None
     if scn.info_known:
         # the references need the data symbols, not the modulated samples
         with _stage("tx"):
             payload, tx_symbols = map_payload(generate_info_bits(scn), scn.frame)
-    return run_receive_pipeline(stream, scn, outdir, payload, tx_symbols)
+    return run_receive_pipeline(_read_capture(iq_path, scn), scn, outdir, payload, tx_symbols)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dsp
 from .dsp import run_blocks, sfo_correction_chain
 from .params import FrameConfig
 from .txframe import IqStream, frame_tables, sc_differential
@@ -63,20 +64,41 @@ def schmidl_cox(y: IqStream, cfg: FrameConfig) -> tuple[int, float, np.ndarray]:
     if s.size < cfg.symbol_len + half:
         raise SyncError("schmidl_cox", "stream shorter than the preamble")
 
-    prod = np.conj(s[:-half]) * s[half:]
-    pwr = np.abs(s) ** 2
+    # cp[d] and cw[d]: running sums of the half-lag products and of the
+    # power over s[:d], built block by block; each block starts from the
+    # last sum before it, which is the order of one whole-stream cumsum
     n_d = s.size - n
-    cp = np.cumsum(np.concatenate([[0.0 + 0.0j], prod]))
-    cw = np.cumsum(np.concatenate([[0.0], pwr]))
-    p = cp[half:half + n_d] - cp[:n_d]
-    r1 = cw[half:half + n_d] - cw[:n_d]          # first half-window energy
-    r2 = cw[n:n + n_d] - cw[half:half + n_d]     # second half-window energy
-    # normalized correlation, bounded by 1; windows with negligible energy
-    # in either half (zero guards, capture padding) are gated out
-    r_floor = 0.01 * np.mean(pwr) * half
-    valid = (r1 > r_floor) & (r2 > r_floor)
-    metric = np.where(valid, np.abs(p) ** 2 /
-                      np.maximum(r1 * r2, 1e-60), 0.0)
+    cp = np.empty(s.size - half + 1, dtype=np.complex128)
+    cw = np.empty(s.size + 1)
+    cp[0] = cw[0] = 0.0
+
+    def products(start: int, stop: int) -> None:
+        np.multiply(np.conj(s[start:stop]), s[start + half:stop + half],
+                    out=cp[1 + start:1 + stop])
+
+    run_blocks(products, s.size - half)
+    np.square(np.abs(s, out=cw[1:]), out=cw[1:])
+    # the gate is relative to the mean power, one pairwise sum over the stream
+    r_floor = 0.01 * np.mean(cw[1:]) * half
+    for acc in (cp, cw):
+        for start in range(1, acc.size, dsp._BLOCK):
+            stop = min(start + dsp._BLOCK, acc.size)
+            acc[start] += acc[start - 1]
+            np.cumsum(acc[start:stop], out=acc[start:stop])
+
+    metric = np.empty(n_d)
+
+    def timing_metric(start: int, stop: int) -> None:
+        p = cp[half + start:half + stop] - cp[start:stop]
+        r1 = cw[half + start:half + stop] - cw[start:stop]  # first half-window energy
+        r2 = cw[n + start:n + stop] - cw[half + start:half + stop]  # second half
+        # normalized correlation, bounded by 1; windows with negligible
+        # energy in either half (zero guards, capture padding) are gated out
+        valid = (r1 > r_floor) & (r2 > r_floor)
+        metric[start:stop] = np.where(valid, np.abs(p) ** 2 /
+                                      np.maximum(r1 * r2, 1e-60), 0.0)
+
+    run_blocks(timing_metric, n_d)
 
     d_peak = int(np.argmax(metric))
     peak = metric[d_peak]
@@ -95,7 +117,7 @@ def schmidl_cox(y: IqStream, cfg: FrameConfig) -> tuple[int, float, np.ndarray]:
     coarse_start = d_mid - cfg.cp_len // 2
 
     ts = 1.0 / y.nominal_rate
-    frac_cfo = np.angle(p[d_mid]) / (np.pi * n * ts)
+    frac_cfo = np.angle(cp[half + d_mid] - cp[d_mid]) / (np.pi * n * ts)
 
     int_cfo = _integer_cfo(s, cfg, coarse_start, frac_cfo, ts)
     cfo_hat = frac_cfo + int_cfo * cfg.subcarrier_spacing

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import run_blocks
 from .ldpc import default_code
 from .params import QPSK_BITS, FrameConfig
 
@@ -202,11 +203,25 @@ def symbols_from_grid(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return data_elements(grid[:, cfg.m_preamble:], cfg)
 
 
+_MODULATE_COLUMNS = 64  # OFDM symbols transformed per block
+
+
 def modulate(grid: np.ndarray, cfg: FrameConfig) -> IqStream:
-    """Per-column unitary IDFT, CP prepend, P/S concatenation."""
-    time_syms = np.fft.ifft(grid, axis=0, norm="ortho")
-    with_cp = np.concatenate([time_syms[-cfg.cp_len:, :], time_syms], axis=0)
-    return IqStream(samples=with_cp.T.reshape(-1), nominal_rate=cfg.bandwidth_hz)
+    """Per-column unitary IDFT, CP prepend, P/S concatenation.
+
+    Blocks of ``_MODULATE_COLUMNS`` columns are transformed at a time, each
+    straight into its rows of one (M, N + CP) output array, so no transform
+    of the whole grid is ever held."""
+    cp = cfg.cp_len
+    out = np.empty((grid.shape[1], grid.shape[0] + cp), dtype=np.complex128)
+
+    def block(start: int, stop: int) -> None:
+        time_syms = np.fft.ifft(grid[:, start:stop], axis=0, norm="ortho").T
+        out[start:stop, cp:] = time_syms
+        out[start:stop, :cp] = time_syms[:, -cp:]
+
+    run_blocks(block, grid.shape[1], _MODULATE_COLUMNS)
+    return IqStream(samples=out.reshape(-1), nominal_rate=cfg.bandwidth_hz)
 
 
 def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, np.ndarray]:

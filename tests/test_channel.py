@@ -146,6 +146,29 @@ def test_awgn_reproducible_per_seed():
     assert not np.array_equal(a.samples, c.samples)
 
 
+def awgn_one_draw(x, snr_db, ref_power, seed):
+    """AWGN as one whole-stream draw, added out of place."""
+    noise_var = ref_power / (10.0 ** (snr_db / 10.0))
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), (x.size, 2))
+    return x + noise[:, 0] + 1j * noise[:, 1]
+
+
+@pytest.mark.parametrize("n, chunk", [(1, 7), (49, 7), (50, 7), (1000, 64),
+                                      (2 * (1 << 15) + 123, 1 << 15)])
+def test_chunked_awgn_matches_one_draw(monkeypatch, n, chunk):
+    """Noise drawn in chunks (whole or not) and added in place gives the bits
+    of one draw added out of place, and leaves the input as it was."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    before = x.copy()
+    monkeypatch.setattr(dsp, "_BLOCK", chunk)
+    got = add_awgn(IqStream(samples=x, nominal_rate=1e9), 7.5, 2.0, seed=11).samples
+    want = awgn_one_draw(x, 7.5, 2.0, 11)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
+
 def test_main_path_power_reference():
     x = tone_stream(n=1000)
     sc = ChannelScenario(

@@ -14,7 +14,7 @@ from bistatic_radcom import dsp, radar, scenario
 from bistatic_radcom.channel import apply_paths_and_cfo
 from bistatic_radcom.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
 from bistatic_radcom.commrx import demodulate_frame
-from bistatic_radcom.iqfile import write_iq
+from bistatic_radcom.iqfile import read_iq, write_iq
 from bistatic_radcom.params import SensingMode
 from bistatic_radcom.scenario import (ScenarioFileError, channel_from_scenario,
                                       generate_info_bits, load_scenario)
@@ -358,6 +358,21 @@ def test_sample_budget_is_the_channel_stream_length(tmp_path, monkeypatch):
     with pytest.raises(ScenarioFileError) as exc:
         load_scenario(scn_file)
     assert exc.value.diagnostics[0].startswith("channel.impairments.sto_samples: ")
+
+
+def test_read_iq_matches_two_plane_sum(tmp_path):
+    """The complex stream filled in place from the float32 planes equals
+    the sum of the two widened planes, sample for sample."""
+    rng = np.random.default_rng(5)
+    inter = (rng.normal(size=2 * 1001) * 10.0 ** rng.integers(-30, 30, 2 * 1001)).astype("<f4")
+    iq = tmp_path / "rx.iq"
+    iq.write_bytes(inter.tobytes())
+    (tmp_path / "rx.iq.json").write_text(json.dumps(
+        {"format": "cf32_le", "sample_rate_hz": 1e9, "num_samples": 1001}))
+    got = read_iq(iq).samples
+    want = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_capture_past_sample_budget_exits_2(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bistatic_radcom import commrx, dsp
 from bistatic_radcom.channel import (
     ChannelScenario,
     ImpairmentSet,
@@ -27,6 +28,7 @@ from bistatic_radcom.sync import synchronize
 from bistatic_radcom.txframe import (
     IqStream,
     build_tx_frame,
+    data_elements,
     frame_capacity_bits,
     map_qpsk,
 )
@@ -105,6 +107,40 @@ def test_equalize_decodes_loopback_exactly():
     assert metrics.pre_fec_ber == 0.0
     assert metrics.post_fec_ber == 0.0
     assert metrics.decoder_converged
+
+
+def equalize_one_shot(grid, cfr, cfg):
+    """Zero-forcing equalization over every data cell at once."""
+    h = data_elements(cfr, cfg)
+    y = data_elements(grid, cfg)
+    mag = np.abs(h)
+    erased = mag < 1e-6
+    s_hat = y / np.where(erased, 1.0, h)
+    s_hat[erased] = 0.0
+    noise_var = commrx._noise_variance_per_subcarrier(grid, cfg)
+    nv_grid = np.broadcast_to(noise_var[:, None], grid.shape)
+    nv = data_elements(nv_grid, cfg) / np.maximum(mag, 1e-6) ** 2
+    return s_hat, nv, erased
+
+
+@pytest.mark.parametrize("columns, workers", [(1, 1), (5, 3), (64, 2)])
+def test_blocked_equalize_matches_one_shot(monkeypatch, columns, workers):
+    """Blocks of payload symbols on 1 to 3 threads, erased cells included,
+    return the one-shot symbols, noise variances and erasures bit for bit."""
+    cfg = desk_cfg()
+    rng = np.random.default_rng(columns)
+    shape = (cfg.n_subcarriers, cfg.m_payload)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cfr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cfr[rng.random(shape) < 0.05] = 0.0
+    monkeypatch.setattr(commrx, "_EQUALIZE_COLUMNS", columns)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    got = equalize(grid, cfr, cfg)
+    want = equalize_one_shot(grid, cfr, cfg)
+    assert want[2].any()
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 def test_equalize_flags_null_channel_cells():

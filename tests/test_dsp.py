@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
+from scipy.signal import _signaltools
 
 from bistatic_radcom import dsp
 from bistatic_radcom.dsp import (
@@ -316,7 +317,73 @@ def test_blocked_fir_stage_matches_one_shot_upfirdn(seed, rates, n, block, trim)
     x = complex_noise(seed, n)
     want = signal.upfirdn(h, x, up=up, down=down)
     want = want[:max(want.size + trim, 1)]
+
+    def fir_blocks():
+        out = np.empty_like(want)
+
+        def one(start, stop):
+            lo, hi = dsp._fir_span(h.size, up, down, start, stop, x.size)
+            out[start:stop] = dsp._fir_range(h, x[lo:hi], lo, up, down, start, stop)
+
+        dsp.run_blocks(one, out.size)
+        return out
+
     for workers in (1, 3):
-        got = np.empty_like(want)
-        blocked(lambda: dsp._fir_blocks(h, x, up, down, got), block, workers)
+        assert same_bits(blocked(fir_blocks, block, workers), want)
+
+
+def fractional_delay_one_shot(x, delay_samples, out_len):
+    """The fractional delay as one ``oaconvolve`` over the whole input."""
+    ntaps = dsp._FRAC_DELAY_TAPS
+    center = (ntaps - 1) // 2
+    n_int = int(np.floor(delay_samples))
+    arg = np.arange(ntaps) - center - (delay_samples - n_int)
+    h = np.sinc(arg) * dsp._kaiser_at(arg, ntaps, dsp._FRAC_DELAY_BETA)
+    y = signal.oaconvolve(x, h, mode="full")
+    out = np.zeros(out_len, dtype=np.complex128)
+    shift = n_int - center
+    n_lo, n_hi = max(0, shift), min(out_len, y.size + shift)
+    out[n_lo:n_hi] = y[n_lo - shift:n_hi - shift]
+    return out
+
+
+def test_overlap_add_chunk_is_a_whole_number_of_oaconvolve_steps():
+    """The chunk must cut the input at the block edges of one whole-stream
+    ``oaconvolve``; this fails if SciPy changes its block step for 63 taps."""
+    step = _signaltools._calc_oa_lens(dsp._OA_CHUNK, dsp._FRAC_DELAY_TAPS)[2]
+    assert step == 428
+    assert dsp._OA_CHUNK % step == 0
+
+
+@pytest.mark.parametrize("chunk", [428 * 2, 428 * 3, dsp._OA_CHUNK])
+@pytest.mark.parametrize("n, delay, len_offset", [
+    (428 * 5, 3.4, 0), (428 * 5 + 17, 0.25, 40), (428 * 7 + 300, 70.75, -100),
+    (800, 12.5, 0), (428 * 2 + 1, -20.6, 5), (428 * 64 * 2 + 999, 5007.25, 0)])
+def test_chunked_fractional_delay_matches_one_shot(chunk, n, delay, len_offset):
+    """Chunked overlap-add, one chunk or many, output cut short or extended,
+    on 1 or 3 threads, returns the bits of one whole-stream ``oaconvolve``."""
+    x = complex_noise(n, n)
+    out_len = n + max(int(np.floor(delay)), 0) + 32 + len_offset
+    want = fractional_delay_one_shot(x, delay, out_len)
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dsp, "_OA_CHUNK", chunk)
+            mp.setattr(dsp, "_workers", lambda: workers)
+            got = fractional_delay(x, delay, out_len)
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("delta", [2e-5, -3e-4, 7e-7, 5e-9])
+def test_fused_chain_matches_three_stages(delta):
+    """On 150 k samples, default and short blocks, the fused correction chain
+    returns the bits of its three stages each run over the whole stream; a
+    ratio below the bypass threshold returns a copy of the input."""
+    y = complex_noise(7, 150_001)
+    if abs(delta) < dsp._BYPASS_THRESHOLD:
+        want = y
+    else:
+        want = chain_one_shot_oracle(y, delta)
+    for block, workers in ((dsp._BLOCK, 2), (1000, 3)):
+        got = blocked(lambda: sfo_correction_chain(y, delta), block, workers)
+        assert got is not y
         assert same_bits(got, want)

@@ -1,10 +1,16 @@
 """Receiver synchronization: timing, carrier offset and clock offset."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistatic_radcom import dsp
+from bistatic_radcom import dsp, sync
 from bistatic_radcom.channel import (
     ChannelScenario,
     ImpairmentSet,
@@ -110,6 +116,55 @@ def test_timing_metric_bounded():
     _, frac, metric = schmidl_cox(y, cfg)
     assert np.all(metric <= 1.0 + 1e-9)
     assert metric.max() > 0.3
+
+
+def schmidl_cox_one_shot(y, cfg):
+    """Coarse timing with every running sum and the metric over the whole
+    stream at once."""
+    s = y.samples
+    n = cfg.n_subcarriers
+    half = n // 2
+    prod = np.conj(s[:-half]) * s[half:]
+    pwr = np.abs(s) ** 2
+    n_d = s.size - n
+    cp = np.cumsum(np.concatenate([[0.0 + 0.0j], prod]))
+    cw = np.cumsum(np.concatenate([[0.0], pwr]))
+    p = cp[half:half + n_d] - cp[:n_d]
+    r1 = cw[half:half + n_d] - cw[:n_d]
+    r2 = cw[n:n + n_d] - cw[half:half + n_d]
+    r_floor = 0.01 * np.mean(pwr) * half
+    valid = (r1 > r_floor) & (r2 > r_floor)
+    metric = np.where(valid, np.abs(p) ** 2 / np.maximum(r1 * r2, 1e-60), 0.0)
+    d_peak = int(np.argmax(metric))
+    thr = 0.9 * metric[d_peak]
+    lo = hi = d_peak
+    while lo > 0 and metric[lo - 1] >= thr:
+        lo -= 1
+    while hi < metric.size - 1 and metric[hi + 1] >= thr:
+        hi += 1
+    d_mid = (lo + hi) // 2
+    coarse_start = d_mid - cfg.cp_len // 2
+    ts = 1.0 / y.nominal_rate
+    frac_cfo = np.angle(p[d_mid]) / (np.pi * n * ts)
+    int_cfo = sync._integer_cfo(s, cfg, coarse_start, frac_cfo, ts)
+    return coarse_start, frac_cfo + int_cfo * cfg.subcarrier_spacing, metric
+
+
+@pytest.mark.parametrize("block, workers", [(100, 1), (777, 3), (dsp._BLOCK, 2)])
+def test_blocked_schmidl_cox_matches_one_shot(block, workers):
+    """Running sums carried across blocks and the metric on blocks, on 1 to 3
+    threads, return the one-shot start, CFO and metric bit for bit."""
+    cfg = desk_cfg()
+    _, _, tx = make_frame(cfg)
+    y = through_channel(tx, sto=400, cfo_hz=2.1e6, cpo=0.5, snr_db=12.0, seed=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsp, "_BLOCK", block)
+        mp.setattr(dsp, "_workers", lambda: workers)
+        start, cfo, metric = schmidl_cox(y, cfg)
+    want_start, want_cfo, want_metric = schmidl_cox_one_shot(y, cfg)
+    assert start == want_start
+    assert np.float64(cfo).view(np.uint64) == np.float64(want_cfo).view(np.uint64)
+    assert np.array_equal(metric.view(np.uint64), want_metric.view(np.uint64))
 
 
 def test_clock_offset_estimate_noiseless():
@@ -220,3 +275,54 @@ def test_blocked_payload_derotation_matches_one_shot(correct_sfo):
         want = z[start:start + n.size].copy()
         want *= np.exp(-2j * np.pi * rep.cfo_hat_hz * n * ts)
         assert np.array_equal(payload.samples.view(np.uint64), want.view(np.uint64))
+
+
+def test_channel_and_sync_memory(tmp_path):
+    """The channel and synchronization of a 2.66 M-sample stream, the size
+    of the long reference cut to 1024 payload symbols, raise the peak RSS of
+    the process that runs them by about 200 MB, down from the 323 MB that
+    whole-stream temporaries took.
+
+    The TX stream is made here and loaded by the measured process. That
+    process reads its own high-water mark (``VmHWM``): ``ru_maxrss`` of a
+    child starts at the RSS of the process that spawned it, which would hide
+    part of the rise. The worker count is fixed at 2, because each thread
+    holds its own block temporaries."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+    cfg = FrameConfig(n_subcarriers=2048, cp_len=512, m_payload=1024)
+    _, _, tx = make_frame(cfg, seed=1)
+    np.save(tmp_path / "tx.npy", tx.samples)
+    code = textwrap.dedent("""
+        import numpy as np
+        from bistatic_radcom import dsp
+        from bistatic_radcom.channel import (ChannelScenario, ImpairmentSet,
+                                             PropagationPath, run_channel)
+        from bistatic_radcom.params import FrameConfig
+        from bistatic_radcom.sync import synchronize
+        from bistatic_radcom.txframe import IqStream
+
+        def peak_mb():
+            with open("/proc/self/status") as f:
+                line = next(x for x in f if x.startswith("VmHWM:"))
+            return int(line.split()[1]) / 1024.0
+
+        dsp._workers = lambda: 2
+        cfg = FrameConfig(n_subcarriers=2048, cp_len=512, m_payload=1024)
+        tx = IqStream(samples=np.load("tx.npy"), nominal_rate=cfg.bandwidth_hz)
+        sc = ChannelScenario(
+            paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=0.0, is_main=True),
+                   PropagationPath(gain=0.03, delay_s=7.25e-9, doppler_hz=2000.0)),
+            impairments=ImpairmentSet(sto_s=5e-6, cfo_hz=146484.375, cpo_rad=0.7,
+                                      sfo_norm=2e-5, snr_db=15.0, noise_seed=7))
+        before = peak_mb()
+        payload, report = synchronize(run_channel(tx, sc), cfg)
+        assert report.timing_metric_peak > 0.9
+        print(peak_mb() - before)
+    """)
+    src = str(Path(dsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) < 240.0

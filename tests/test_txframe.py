@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bistatic_radcom import dsp, txframe
 from bistatic_radcom.params import FrameConfig
 from bistatic_radcom.txframe import (
     CapacityError,
@@ -150,6 +151,28 @@ def test_modulate_preserves_power():
     grid_pwr = np.sum(np.abs(frame) ** 2)
     useful = stream.samples.reshape(cfg.m_total, cfg.symbol_len)[:, cfg.cp_len:]
     assert np.sum(np.abs(useful) ** 2) == pytest.approx(grid_pwr)
+
+
+def modulate_one_shot(grid, cfg):
+    """The modulator as one transform of the whole grid."""
+    time_syms = np.fft.ifft(grid, axis=0, norm="ortho")
+    with_cp = np.concatenate([time_syms[-cfg.cp_len:, :], time_syms], axis=0)
+    return with_cp.T.reshape(-1)
+
+
+@pytest.mark.parametrize("columns, workers", [(1, 1), (3, 3), (7, 2), (64, 2)])
+def test_blocked_modulate_matches_one_shot(monkeypatch, columns, workers):
+    """Blocks of columns on 1 to 3 threads, their edges inside the frame or
+    past it, return the bits of one whole-grid transform."""
+    cfg = small_cfg()
+    rng = np.random.default_rng(columns)
+    shape = (cfg.n_subcarriers, cfg.m_total)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    monkeypatch.setattr(txframe, "_MODULATE_COLUMNS", columns)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    got = modulate(grid, cfg).samples
+    want = modulate_one_shot(grid, cfg)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_capacity_overflow_raises():
