@@ -76,26 +76,26 @@ def stream_len(n_tx: int, max_delay_samples: float) -> int:
     return n_tx + int(np.ceil(max_delay_samples)) + 64
 
 
-def apply_paths_and_cfo(x: IqStream, scenario: ChannelScenario) -> IqStream:
-    """Multipath sum with per-path delay/Doppler, then common CFO/CPO phasor.
+def apply_paths_and_cfo(x: np.ndarray, fs: float, scenario: ChannelScenario) -> np.ndarray:
+    """Multipath sum with per-path delay/Doppler, then common CFO/CPO phasor,
+    on samples ``x`` at rate ``fs``.
 
     The phasors and the path sum run block by block (`run_blocks`). A path
     delayed by a whole number of samples adds its shifted slice of ``x``
     block by block; only a fractional delay builds its delayed stream."""
-    require_finite(x.samples, "transmit stream")
+    require_finite(x, "transmit stream")
     imp = scenario.impairments
-    fs = x.nominal_rate
     ts = 1.0 / fs
 
     max_delay = max(p.delay_s for p in scenario.paths) + max(imp.sto_s, 0.0)
-    out_len = stream_len(x.samples.size, max_delay * fs)
+    out_len = stream_len(x.size, max_delay * fs)
     y = np.zeros(out_len, dtype=np.complex128)
     for p in scenario.paths:
         delay = (p.delay_s + imp.sto_s) * fs
         if float(delay).is_integer():
-            shift, delayed = int(delay), x.samples  # delayed by shift samples
+            shift, delayed = int(delay), x  # delayed by shift samples
         else:
-            shift, delayed = 0, fractional_delay(x.samples, delay, out_len=out_len)
+            shift, delayed = 0, fractional_delay(x, delay, out_len)
 
         def add_path(start: int, stop: int) -> None:
             # the block of the delayed stream, zero outside it; a block of
@@ -117,45 +117,39 @@ def apply_paths_and_cfo(x: IqStream, scenario: ChannelScenario) -> IqStream:
             y[start:stop] *= np.exp(1j * (2.0 * np.pi * imp.cfo_hz * n * ts + imp.cpo_rad))
 
         run_blocks(rotate, out_len)
-    return IqStream(samples=y, nominal_rate=fs)
+    return y
 
 
-def apply_sfo(x: IqStream, sfo_norm: float) -> IqStream:
+def apply_sfo(x: np.ndarray, sfo_norm: float) -> np.ndarray:
     """Receiver sampling at instants n*T_s*(1+delta) of the incoming signal."""
     if abs(sfo_norm) >= SFO_BOUND:
         raise ScenarioError(f"|sfo_norm| must be below {SFO_BOUND}")
-    if sfo_norm == 0.0:
-        return IqStream(samples=x.samples.copy(), nominal_rate=x.nominal_rate)
-    y = resample_arbitrary(x.samples, 1.0 + sfo_norm, out_len=x.samples.size)
-    return IqStream(samples=y, nominal_rate=x.nominal_rate)
+    return resample_arbitrary(x, 1.0 + sfo_norm, x.size)
 
 
-def add_awgn(x: IqStream, snr_db: float | None, ref_power: float,
-             seed: int) -> IqStream:
+def add_awgn(x: np.ndarray, snr_db: float, ref_power: float, seed: int) -> np.ndarray:
     """Circularly-symmetric complex AWGN at the given SNR vs ``ref_power``.
 
     The noise is drawn in order, ``dsp._BLOCK`` (I, Q) rows at a time, and
     added in place to one copy of the input: the generator's stream and the
     sums are those of one whole-stream draw."""
-    if snr_db is None:
-        return IqStream(samples=x.samples.copy(), nominal_rate=x.nominal_rate)
     if ref_power <= 0:
         raise ScenarioError("ref_power must be positive")
     noise_var = ref_power / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    y = np.array(x.samples, dtype=np.complex128)
+    y = np.array(x, dtype=np.complex128)
     for start in range(0, y.size, dsp._BLOCK):
         stop = min(start + dsp._BLOCK, y.size)
         noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), (stop - start, 2))
         y.real[start:stop] += noise[:, 0]
         y.imag[start:stop] += noise[:, 1]
-    return IqStream(samples=y, nominal_rate=x.nominal_rate)
+    return y
 
 
-def main_path_rx_power(x: IqStream, scenario: ChannelScenario) -> float:
+def main_path_rx_power(x: np.ndarray, scenario: ChannelScenario) -> float:
     """Receive power of the main-path contribution, the SNR reference."""
-    active = np.abs(x.samples) > 0
-    mean_pwr = np.mean(np.abs(x.samples[active]) ** 2) if active.any() else 0.0
+    active = np.abs(x) > 0
+    mean_pwr = np.mean(np.abs(x[active]) ** 2) if active.any() else 0.0
     return abs(scenario.main_path.gain) ** 2 * mean_pwr
 
 
@@ -165,10 +159,10 @@ def run_channel(x: IqStream, scenario: ChannelScenario) -> IqStream:
     The SNR reference is measured before any channel stream exists, and a
     stage with nothing to do is skipped rather than run as a copy."""
     imp = scenario.impairments
-    ref_power = main_path_rx_power(x, scenario)
-    y = apply_paths_and_cfo(x, scenario)
+    ref_power = main_path_rx_power(x.samples, scenario)
+    y = apply_paths_and_cfo(x.samples, x.nominal_rate, scenario)
     if imp.sfo_norm != 0.0:
         y = apply_sfo(y, imp.sfo_norm)
     if imp.snr_db is not None:
         y = add_awgn(y, imp.snr_db, ref_power, imp.noise_seed)
-    return y
+    return IqStream(samples=y, nominal_rate=x.nominal_rate)

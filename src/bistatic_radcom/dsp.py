@@ -23,9 +23,8 @@ the one-shot call's filter phase (`_fir_span`), so every sample has the bits
 of the three stages run one after the other over the whole stream, while
 neither 2n-sample intermediate stream exists.
 
-`fractional_delay` shifts by a slice copy when the delay is a whole number
-of samples. Otherwise it filters by overlap-add in chunks of ``_OA_CHUNK``
-input samples, one ``oaconvolve`` call each, on a thread per CPU. The chunk
+`fractional_delay` filters by overlap-add in chunks of ``_OA_CHUNK`` input
+samples, one ``oaconvolve`` call each, on a thread per CPU. The chunk
 is a whole number of ``oaconvolve``'s own block steps, so the chunks cut the
 input where one whole-stream call would cut it into blocks; the outputs of
 neighbouring chunks overlap by the filter length, and those two terms are
@@ -101,28 +100,20 @@ _FRAC_DELAY_BETA = 8.0
 _OA_CHUNK = 428 * 64
 
 
-def fractional_delay(x: np.ndarray, delay_samples: float,
-                     out_len: int | None = None) -> np.ndarray:
-    """Delay ``x`` by an arbitrary (possibly fractional) number of samples.
+def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.ndarray:
+    """The first ``out_len`` samples of ``x`` delayed by a fractional number
+    of samples.
 
-    A whole number of samples is an exact shift. Otherwise windowed-sinc
-    interpolation, 63 taps, Kaiser beta=8, by overlap-add; the filter group
-    delay is compensated so output index n corresponds to x(n - delay).
-    The default output length extends past the input by the integer delay
-    plus half a filter length to hold the shifted tail.
+    Windowed-sinc interpolation, 63 taps, Kaiser beta=8, by overlap-add; the
+    filter group delay is compensated so output index n corresponds to
+    x(n - delay).
     """
     x = np.asarray(x, dtype=np.complex128)
     n_int = int(np.floor(delay_samples))
-    frac = delay_samples - n_int
     ntaps = _FRAC_DELAY_TAPS
     center = (ntaps - 1) // 2
-    if out_len is None:
-        out_len = x.size + max(n_int, 0) + center + 1
     out = np.zeros(out_len, dtype=np.complex128)
-    if frac == 0.0:
-        _place(out, x, n_int)  # out[n] = x[n - n_int]
-        return out
-    arg = np.arange(ntaps) - center - frac
+    arg = np.arange(ntaps) - center - (delay_samples - n_int)
     h = np.sinc(arg) * _kaiser_at(arg, ntaps, _FRAC_DELAY_BETA)
     # y[m] ~ x(m - center - frac) lands at out[m + shift]
     _oaconvolve_into(x, h, out, n_int - center)
@@ -194,9 +185,9 @@ def _polyphase_table() -> np.ndarray:
 _TABLE_T: np.ndarray | None = None  # tap-major copy: row k holds tap k of every phase
 
 
-def resample_arbitrary(x: np.ndarray, ratio: float, t0: float = 0.0,
-                       out_len: int | None = None) -> np.ndarray:
-    """Evaluate band-limited interpolation of ``x`` at times n*ratio + t0.
+def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:
+    """Evaluate band-limited interpolation of ``x`` at times n*ratio,
+    n < ``out_len``.
 
     Polyphase windowed-sinc table (80 taps) with nearest-phase lookup; the
     phase grid is dense enough that quantization stays below the filter's
@@ -208,28 +199,23 @@ def resample_arbitrary(x: np.ndarray, ratio: float, t0: float = 0.0,
     if _TABLE_T is None:
         _TABLE_T = np.ascontiguousarray(_polyphase_table().T)
     x = np.asarray(x, dtype=np.complex128)
-    if out_len is None:
-        out_len = int(np.floor((x.size - 1 - t0) / ratio)) + 1 if ratio > 0 else x.size
-        out_len = max(out_len, 0)
     taps = _POLY_TAPS
     half = taps // 2 - 1
-    # window n starts at x[base - half]; a full window of zeros on either
-    # side of the usual padding absorbs every window that leaves the input
-    lead = taps + half
-    xr = np.zeros(lead + x.size + 2 * taps)
+    # window n starts at x[base - half], which is xr[base]; the zeros behind
+    # the input absorb every window that leaves it
+    xr = np.zeros(half + x.size + 2 * taps)
     xi = np.zeros_like(xr)
-    xr[lead:lead + x.size] = x.real
-    xi[lead:lead + x.size] = x.imag
+    xr[half:half + x.size] = x.real
+    xi[half:half + x.size] = x.imag
     y = np.empty(out_len, dtype=np.complex128)
     yv = y.view(np.float64)
 
     def block(start: int, stop: int) -> None:
-        t = np.arange(start, stop) * ratio + t0
+        t = np.arange(start, stop) * ratio
         base = np.floor(t).astype(np.int64)
         mu = t - base
         p0 = np.rint(mu * _POLY_PHASES).astype(np.int64)
-        np.clip(base, -taps, x.size + half + taps, out=base)
-        base += taps  # xr index of each window start
+        np.minimum(base, x.size + half + taps, out=base)
         coeff = np.empty(stop - start)
         prod = np.empty(stop - start)
         acc_re = np.zeros(stop - start)
@@ -262,16 +248,15 @@ def _halfband_fir() -> np.ndarray:
     return signal.firwin(_STAGE_TAPS, 0.5, window=("kaiser", _STAGE_BETA))
 
 
-def _cubic_lagrange(up: np.ndarray, t: np.ndarray, lo: int = 0,
-                    size: int | None = None) -> np.ndarray:
+def _cubic_lagrange(up: np.ndarray, t: np.ndarray, lo: int, size: int) -> np.ndarray:
     """4-tap cubic Lagrange interpolation at fractional indices t of the
-    samples u held in a padded array of ``size`` entries (default
-    ``up.size``), which pads them with 2 zeros in front and 3 behind;
-    ``up`` holds that array from index ``lo`` on."""
+    samples u held in a padded array of ``size`` entries, which pads them
+    with 2 zeros in front and 3 behind; ``up`` holds that array from index
+    ``lo`` on."""
     base = np.floor(t).astype(np.int64)
     mu = t - base
     i = base + 2  # offset from the left zero pad
-    np.clip(i, 1, (up.size if size is None else size) - 3, out=i)
+    np.clip(i, 1, size - 3, out=i)
     i -= lo
     xm1, x0, x1, x2 = up[i - 1], up[i], up[i + 1], up[i + 2]
     c0 = x0

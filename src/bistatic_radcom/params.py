@@ -57,6 +57,9 @@ class FrameConfig:
                      "pilot_freq_spacing", "pilot_time_spacing"):
             if getattr(self, name) <= 0:
                 v.append(f"{name} must be positive")
+        if self.n_subcarriers > 0 and self.n_subcarriers % 2 != 0:
+            # Schmidl-Cox timing needs the two identical half symbols
+            v.append("n_subcarriers must be even")
         if self.m_sfo <= 0:
             v.append("m_sfo must be positive")
         elif self.m_sfo % 2 != 0:

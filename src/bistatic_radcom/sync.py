@@ -9,6 +9,9 @@ symbols, resampling correction of the whole stream, preamble discard and
 payload CFO correction.
 
 Index convention: frame start = first CP sample of the first preamble symbol.
+
+The stages work on plain sample arrays at the frame's rate ``bandwidth_hz``;
+`synchronize` takes an `IqStream` and rejects one at any other rate.
 """
 
 from __future__ import annotations
@@ -46,19 +49,13 @@ class SyncReport:
     pair_phase_slopes: list[float] = field(default_factory=list)
 
 
-def _first_preamble_time_symbol(cfg: FrameConfig) -> np.ndarray:
-    """Known time-domain useful part (no CP) of the first preamble symbol."""
-    return np.fft.ifft(frame_tables(cfg).preamble[:, 0], norm="ortho")
-
-
-def schmidl_cox(y: IqStream, cfg: FrameConfig) -> tuple[int, float, np.ndarray]:
+def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     """Coarse frame start and combined integer+fractional CFO estimate.
 
-    Returns (coarse_start, cfo_hat_hz, timing_metric). The timing metric is
-    M(d) = |P(d)|^2 / R(d)^2 with half-symbol lag correlation; the coarse
-    start is mapped from the midpoint of the 90%-of-peak plateau.
+    Returns (coarse_start, cfo_hat_hz, timing_metric_peak). The timing
+    metric is M(d) = |P(d)|^2 / R(d)^2 with half-symbol lag correlation; the
+    coarse start is mapped from the midpoint of the 90%-of-peak plateau.
     """
-    s = y.samples
     n = cfg.n_subcarriers
     half = n // 2
     if s.size < cfg.symbol_len + half:
@@ -116,12 +113,12 @@ def schmidl_cox(y: IqStream, cfg: FrameConfig) -> tuple[int, float, np.ndarray]:
     d_mid = (lo + hi) // 2
     coarse_start = d_mid - cfg.cp_len // 2
 
-    ts = 1.0 / y.nominal_rate
+    ts = 1.0 / cfg.bandwidth_hz
     frac_cfo = np.angle(cp[half + d_mid] - cp[d_mid]) / (np.pi * n * ts)
 
     int_cfo = _integer_cfo(s, cfg, coarse_start, frac_cfo, ts)
     cfo_hat = frac_cfo + int_cfo * cfg.subcarrier_spacing
-    return coarse_start, cfo_hat, metric
+    return coarse_start, cfo_hat, float(peak)
 
 
 def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
@@ -141,7 +138,7 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     even, v = sc_differential(cfg)
     diff_rx = y2 * np.conj(y1)
     best_g, best_metric = 0, -1.0
-    gmax = min(INT_CFO_SEARCH, n // 2 - 2)
+    gmax = min(INT_CFO_SEARCH, n // 2 - 2) // 2 * 2  # even, so 0 is searched
     for g in range(-gmax, gmax + 1, 2):
         b = np.abs(np.sum(diff_rx[(even + g) % n] * np.conj(v))) ** 2
         if b > best_metric:
@@ -149,29 +146,29 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     return best_g
 
 
-def local_cfo_correct(y: IqStream, cfo_hat_hz: float,
-                      region: tuple[int, int]) -> IqStream:
+def local_cfo_correct(s: np.ndarray, cfg: FrameConfig, cfo_hat_hz: float,
+                      region: tuple[int, int]) -> np.ndarray:
     """The samples in [start, stop), clipped to the stream, de-rotated by the
     CFO estimate; the phase reference n = 0 sits at the (clipped) region
-    start, which is index 0 of the returned stream."""
+    start, which is index 0 of the returned samples."""
     start, stop = region
     start = max(start, 0)
-    stop = min(stop, y.samples.size)
+    stop = min(stop, s.size)
     if start >= stop:
         raise SyncError("local_cfo_correct", "empty or out-of-bounds region")
-    out = y.samples[start:stop].copy()
+    out = s[start:stop].copy()
     if cfo_hat_hz != 0.0:
         n = np.arange(stop - start)
-        out *= np.exp(-2j * np.pi * cfo_hat_hz * n / y.nominal_rate)
-    return IqStream(samples=out, nominal_rate=y.nominal_rate)
+        out *= np.exp(-2j * np.pi * cfo_hat_hz * n / cfg.bandwidth_hz)
+    return out
 
 
-def fine_timing(y_corrected: IqStream, cfg: FrameConfig, coarse_start: int) -> int:
-    """Fine frame start from cross-correlation against the known first
-    preamble symbol (useful part). Searches coarse_start +- N_CP."""
-    s = y_corrected.samples
+def fine_timing(s: np.ndarray, cfg: FrameConfig, coarse_start: int) -> int:
+    """Fine frame start in the CFO-corrected samples ``s``, from
+    cross-correlation against the known first preamble symbol (useful part).
+    Searches coarse_start +- N_CP."""
     n, ncp = cfg.n_subcarriers, cfg.cp_len
-    ref = _first_preamble_time_symbol(cfg)
+    ref = np.fft.ifft(frame_tables(cfg).preamble[:, 0], norm="ortho")  # useful part
     w = ncp
     d0 = coarse_start + ncp  # candidate start of the useful part
     cands = np.arange(max(d0 - w, 0), min(d0 + w + 1, s.size - n))
@@ -189,7 +186,7 @@ def fine_timing(y_corrected: IqStream, cfg: FrameConfig, coarse_start: int) -> i
     return int(cands[best]) - ncp
 
 
-def estimate_sfo_tsai(y: IqStream, cfg: FrameConfig, fine_start: int,
+def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
                       cfo_hat_hz: float) -> tuple[float, list[float]]:
     """Weighted least-squares clock-offset estimate from the pairwise
     identical preamble symbols.
@@ -199,9 +196,8 @@ def estimate_sfo_tsai(y: IqStream, cfg: FrameConfig, fine_start: int,
     the normalized clock offset; slopes are combined across subcarriers and
     pairs with |Y|^2 weights.
     """
-    s = y.samples
     n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
-    ts = 1.0 / y.nominal_rate
+    ts = 1.0 / cfg.bandwidth_hz
     n_pairs = cfg.m_sfo // 2
 
     first_sfo = fine_start + cfg.m_sc * sym
@@ -243,44 +239,48 @@ def estimate_sfo_tsai(y: IqStream, cfg: FrameConfig, fine_start: int,
     return float(delta_hat), [float(x) for x in slopes]
 
 
-def resample_correct(y: IqStream, delta_hat: float) -> IqStream:
+def resample_correct(s: np.ndarray, delta_hat: float) -> np.ndarray:
     """Invert the clock-ratio mismatch: output m = input at m/(1+delta_hat)."""
     if abs(delta_hat) >= SFO_BOUND:
         raise SyncError("resample_correct", f"|delta_hat| must be below {SFO_BOUND}")
-    z = sfo_correction_chain(y.samples, delta_hat)
-    return IqStream(samples=z, nominal_rate=y.nominal_rate)
+    return sfo_correction_chain(s, delta_hat)
 
 
 def synchronize(y: IqStream, cfg: FrameConfig,
                 correct_sfo: bool = True) -> tuple[IqStream, SyncReport]:
     """Full chain; returns the CFO-corrected payload sample stream of exactly
     (N+N_CP)*M_pl samples plus a report. ``correct_sfo=False`` skips the
-    resampling stage (ablation toggle)."""
+    resampling stage (ablation toggle). The stream's rate must be the
+    frame's ``bandwidth_hz``, the rate every stage assumes."""
+    if y.nominal_rate != cfg.bandwidth_hz:
+        raise SyncError("synchronize", f"stream rate {y.nominal_rate:g} differs from "
+                                       f"frame.bandwidth_hz {cfg.bandwidth_hz:g}")
+    s = y.samples
     sym = cfg.symbol_len
-    ts = 1.0 / y.nominal_rate
+    ts = 1.0 / cfg.bandwidth_hz
 
-    coarse_start, cfo_hat, metric = schmidl_cox(y, cfg)
+    coarse_start, cfo_hat, peak = schmidl_cox(s, cfg)
     # fine timing searches only inside the de-rotated preamble region, whose
     # indices are offset by its start ref_n
     ref_n = max(coarse_start - cfg.cp_len, 0)
-    y_loc = local_cfo_correct(
-        y, cfo_hat, (ref_n, coarse_start + cfg.m_preamble * sym + 2 * cfg.cp_len))
-    fine_start = ref_n + fine_timing(y_loc, cfg, coarse_start - ref_n)
+    s_loc = local_cfo_correct(
+        s, cfg, cfo_hat, (ref_n, coarse_start + cfg.m_preamble * sym + 2 * cfg.cp_len))
+    fine_start = ref_n + fine_timing(s_loc, cfg, coarse_start - ref_n)
 
     # the local correction above referenced phase to ref_n; the clock-offset
     # estimator reads the raw samples with its own region correction
-    delta_hat, slopes = estimate_sfo_tsai(y, cfg, fine_start, cfo_hat)
+    delta_hat, slopes = estimate_sfo_tsai(s, cfg, fine_start, cfo_hat)
 
     if correct_sfo:
-        z = resample_correct(y, delta_hat)
+        z = resample_correct(s, delta_hat)
         start_z = int(round(fine_start * (1.0 + delta_hat)))
     else:
-        z = y
+        z = s
         start_z = fine_start
 
     pl_start = start_z + cfg.m_preamble * sym
     pl_len = cfg.m_payload * sym
-    if pl_start < 0 or pl_start + pl_len > z.samples.size:
+    if pl_start < 0 or pl_start + pl_len > z.size:
         raise SyncError("synchronize", "payload extends past end of stream")
     payload = np.empty(pl_len, dtype=np.complex128)
 
@@ -288,7 +288,7 @@ def synchronize(y: IqStream, cfg: FrameConfig,
         # in place, stream times phasor: NumPy may evaluate ``a * np.exp(..)``
         # as phasor times stream, and complex products round differently
         n = np.arange(start, stop)
-        payload[start:stop] = z.samples[pl_start + start:pl_start + stop]
+        payload[start:stop] = z[pl_start + start:pl_start + stop]
         payload[start:stop] *= np.exp(-2j * np.pi * cfo_hat * n * ts)
 
     run_blocks(derotate, pl_len)
@@ -298,7 +298,7 @@ def synchronize(y: IqStream, cfg: FrameConfig,
         fine_start=fine_start,
         cfo_hat_hz=float(cfo_hat),
         sfo_hat=float(delta_hat),
-        timing_metric_peak=float(metric.max()),
+        timing_metric_peak=peak,
         pair_phase_slopes=slopes,
     )
-    return IqStream(samples=payload, nominal_rate=y.nominal_rate), report
+    return IqStream(samples=payload, nominal_rate=cfg.bandwidth_hz), report

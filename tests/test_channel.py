@@ -25,9 +25,11 @@ def small_cfg():
     return FrameConfig(n_subcarriers=64, cp_len=16, m_payload=32)
 
 
-def tone_stream(n=4096, f=0.01, rate=1e9):
-    t = np.arange(n)
-    return IqStream(samples=np.exp(2j * np.pi * f * t), nominal_rate=rate)
+FS = 1e9
+
+
+def tone(n=4096, f=0.01):
+    return np.exp(2j * np.pi * f * np.arange(n))
 
 
 def single_main(**imp):
@@ -56,18 +58,19 @@ def test_sfo_bound_enforced():
 
 
 def test_clean_channel_is_identity():
-    x = tone_stream()
-    y = run_channel(x, single_main())
-    assert np.allclose(y.samples[:x.samples.size], x.samples, atol=1e-10)
+    x = tone()
+    y = run_channel(IqStream(samples=x, nominal_rate=FS), single_main())
+    assert y.nominal_rate == FS
+    assert np.allclose(y.samples[:x.size], x, atol=1e-10)
 
 
 def test_integer_delay_path():
-    x = tone_stream()
+    x = tone()
     sc = ChannelScenario(
         paths=(PropagationPath(gain=1.0, delay_s=12e-9, doppler_hz=0.0, is_main=True),))
-    y = apply_paths_and_cfo(x, sc)
+    y = apply_paths_and_cfo(x, FS, sc)
     # 12 ns at 1 GS/s = 12 samples
-    assert np.allclose(y.samples[12:12 + 4096], x.samples, atol=1e-9)
+    assert np.allclose(y[12:12 + 4096], x, atol=1e-9)
 
 
 def test_doppler_shift_theorem():
@@ -80,10 +83,9 @@ def test_doppler_shift_theorem():
     fd = cfg.subcarrier_spacing
     sc = ChannelScenario(
         paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=fd, is_main=True),))
-    y = apply_paths_and_cfo(tx, sc)
-    sym = cfg.symbol_len
+    y = apply_paths_and_cfo(tx.samples, tx.nominal_rate, sc)
     # first OFDM symbol: multiplying by e^{j2pi n/N} shifts bins up by one
-    blk = y.samples[cfg.cp_len:cfg.cp_len + cfg.n_subcarriers]
+    blk = y[cfg.cp_len:cfg.cp_len + cfg.n_subcarriers]
     got = np.fft.fft(blk, norm="ortho")
     want = np.roll(frame[:, 0], 1) * np.exp(
         2j * np.pi * fd * cfg.cp_len / cfg.bandwidth_hz)
@@ -91,18 +93,11 @@ def test_doppler_shift_theorem():
 
 
 def test_cfo_cpo_phasor():
-    x = tone_stream(n=1000)
-    y = apply_paths_and_cfo(x, single_main(cfo_hz=1e5, cpo_rad=0.5))
+    x = tone(n=1000)
+    y = apply_paths_and_cfo(x, FS, single_main(cfo_hz=1e5, cpo_rad=0.5))
     n = np.arange(1000)
-    expect = x.samples * np.exp(1j * (2 * np.pi * 1e5 * n / 1e9 + 0.5))
-    assert np.allclose(y.samples[:1000], expect, atol=1e-9)
-
-
-def test_apply_sfo_zero_is_identity():
-    x = tone_stream()
-    y = apply_sfo(x, 0.0)
-    assert np.array_equal(y.samples, x.samples)
-    assert y.samples is not x.samples
+    expect = x * np.exp(1j * (2 * np.pi * 1e5 * n / 1e9 + 0.5))
+    assert np.allclose(y[:1000], expect, atol=1e-9)
 
 
 def test_apply_sfo_timebase():
@@ -110,12 +105,11 @@ def test_apply_sfo_timebase():
     n = 8192
     f = 0.05
     t = np.arange(n)
-    x = IqStream(samples=np.exp(2j * np.pi * f * t), nominal_rate=1e9)
     delta = 1e-4
-    y = apply_sfo(x, delta)
+    y = apply_sfo(tone(n, f), delta)
     expect = np.exp(2j * np.pi * f * t * (1 + delta))
     m = slice(64, n - 64)
-    assert np.sqrt(np.mean(np.abs(y.samples[m] - expect[m]) ** 2)) < 1e-4
+    assert np.sqrt(np.mean(np.abs(y[m] - expect[m]) ** 2)) < 1e-4
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(-5.0, 25.0))
@@ -123,27 +117,34 @@ def test_apply_sfo_timebase():
 def test_awgn_calibration(seed, snr_db):
     """Measured noise power matches the requested SNR within 3%."""
     n = 100_000
-    x = IqStream(samples=np.ones(n, dtype=complex), nominal_rate=1e9)
-    y = add_awgn(x, snr_db, ref_power=1.0, seed=seed)
-    noise = y.samples - x.samples
+    x = np.ones(n, dtype=complex)
+    noise = add_awgn(x, snr_db, ref_power=1.0, seed=seed) - x
     measured = np.mean(np.abs(noise) ** 2)
     expected = 10 ** (-snr_db / 10.0)
     assert measured == pytest.approx(expected, rel=0.03)
 
 
-def test_awgn_none_is_noiseless():
-    x = tone_stream(n=100)
-    y = add_awgn(x, None, ref_power=1.0, seed=0)
-    assert np.array_equal(y.samples, x.samples)
+def test_run_channel_skips_idle_stages(monkeypatch):
+    """No clock offset and no SNR: the clock and noise stages never run."""
+    from bistatic_radcom import channel
+
+    def idle(*_):
+        raise AssertionError("stage with nothing to do was run")
+
+    monkeypatch.setattr(channel, "apply_sfo", idle)
+    monkeypatch.setattr(channel, "add_awgn", idle)
+    x = tone(n=100)
+    y = run_channel(IqStream(samples=x, nominal_rate=FS), single_main())
+    assert np.array_equal(y.samples[:100], x)
 
 
 def test_awgn_reproducible_per_seed():
-    x = tone_stream(n=1000)
+    x = tone(n=1000)
     a = add_awgn(x, 10.0, 1.0, seed=42)
     b = add_awgn(x, 10.0, 1.0, seed=42)
     c = add_awgn(x, 10.0, 1.0, seed=43)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def awgn_one_draw(x, snr_db, ref_power, seed):
@@ -163,14 +164,14 @@ def test_chunked_awgn_matches_one_draw(monkeypatch, n, chunk):
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     before = x.copy()
     monkeypatch.setattr(dsp, "_BLOCK", chunk)
-    got = add_awgn(IqStream(samples=x, nominal_rate=1e9), 7.5, 2.0, seed=11).samples
+    got = add_awgn(x, 7.5, 2.0, seed=11)
     want = awgn_one_draw(x, 7.5, 2.0, 11)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
 
 
 def test_main_path_power_reference():
-    x = tone_stream(n=1000)
+    x = tone(n=1000)
     sc = ChannelScenario(
         paths=(PropagationPath(gain=0.5, delay_s=0.0, doppler_hz=0.0, is_main=True),
                PropagationPath(gain=0.1, delay_s=5e-9, doppler_hz=0.0)))
@@ -186,10 +187,10 @@ def test_two_path_resolvable_delays():
     sc = ChannelScenario(
         paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=0.0, is_main=True),
                PropagationPath(gain=0.3, delay_s=7.25e-9, doppler_hz=0.0)))
-    y = apply_paths_and_cfo(tx, sc)
+    y = apply_paths_and_cfo(tx.samples, tx.nominal_rate, sc)
     # first payload symbol: every subcarrier is occupied
     off = cfg.m_preamble * cfg.symbol_len + cfg.cp_len
-    blk = y.samples[off:off + cfg.n_subcarriers]
+    blk = y[off:off + cfg.n_subcarriers]
     tx_blk = tx.samples[off:off + cfg.n_subcarriers]
     cfr = np.fft.fft(blk) / np.fft.fft(tx_blk)
     # window in physical frequency order to keep sidelobes below the echo
@@ -203,19 +204,29 @@ def test_two_path_resolvable_delays():
     assert abs(target_bin - 7.25 * 8) <= 4
 
 
-def paths_and_cfo_oracle(x, scenario):
+def delayed_one_shot(x, delay, out_len):
+    """``x`` delayed by ``delay`` samples: an exact shift for a whole number
+    of samples, `fractional_delay` otherwise."""
+    if not float(delay).is_integer():
+        return fractional_delay(x, delay, out_len)
+    out = np.zeros(out_len, dtype=np.complex128)
+    d = int(delay)
+    lo, hi = max(d, 0), min(d + x.size, out_len)
+    out[lo:hi] = x[lo - d:hi - d]
+    return out
+
+
+def paths_and_cfo_oracle(x, fs, scenario):
     """The multipath sum and the CFO/CPO phasor, each over the whole stream
     at once."""
     imp = scenario.impairments
-    fs = x.nominal_rate
     ts = 1.0 / fs
     max_delay = max(p.delay_s for p in scenario.paths) + max(imp.sto_s, 0.0)
-    out_len = x.samples.size + int(np.ceil(max_delay * fs)) + 64
+    out_len = x.size + int(np.ceil(max_delay * fs)) + 64
     y = np.zeros(out_len, dtype=np.complex128)
     n = np.arange(out_len)
     for p in scenario.paths:
-        delayed = fractional_delay(x.samples, (p.delay_s + imp.sto_s) * fs,
-                                   out_len=out_len)
+        delayed = delayed_one_shot(x, (p.delay_s + imp.sto_s) * fs, out_len)
         if p.doppler_hz != 0.0:
             delayed *= np.exp(2j * np.pi * p.doppler_hz * n * ts)
         y += p.gain * delayed
@@ -243,17 +254,17 @@ def test_blocked_paths_and_cfo_match_one_shot(seed, n, paths, sto, cfo_hz, cpo,
     3 threads, return the bits of the whole-stream expressions."""
     rng = np.random.default_rng(seed)
     fs = 1e9
-    x = IqStream(samples=rng.normal(size=n) + 1j * rng.normal(size=n), nominal_rate=fs)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
     sc = ChannelScenario(
         paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=1.5e6, is_main=True),)
         + tuple(PropagationPath(gain=g * np.exp(1j * ph), delay_s=d / fs, doppler_hz=fd)
                 for g, ph, d, fd in paths),
         impairments=ImpairmentSet(sto_s=sto / fs, cfo_hz=cfo_hz, cpo_rad=cpo))
-    want = paths_and_cfo_oracle(x, sc)
+    want = paths_and_cfo_oracle(x, fs, sc)
     for workers in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dsp, "_BLOCK", block)
             mp.setattr(dsp, "_workers", lambda: workers)
-            got = apply_paths_and_cfo(x, sc).samples
+            got = apply_paths_and_cfo(x, fs, sc)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -94,6 +94,26 @@ def test_run_desk_scenario_produces_artifacts(tmp_path, capsys):
     assert any(abs(r - 12e-9 * 299792458.0) < 0.2 for r in ranges)
 
 
+def ten_subcarrier_scenario():
+    """The desk scenario on a 10-subcarrier frame with a CFO of 2 subcarrier
+    spacings; one path, as the echo would outlast the 2-sample CP."""
+    doc = desk_scenario(frame={"n_subcarriers": 10, "cp_len": 2, "m_payload": 64})
+    doc["channel"]["paths"] = doc["channel"]["paths"][:1]
+    doc["channel"]["impairments"]["cfo_hz"] = 2e8
+    return doc
+
+
+def test_ten_subcarrier_frame_decodes(tmp_path, capsys):
+    """The integer-CFO search on a 10-subcarrier frame tests the even shifts
+    0 and +-2, so a two-subcarrier CFO decodes without error."""
+    scn = write_scn(tmp_path, ten_subcarrier_scenario())
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "comm_metrics.json").read_text())["post_fec_ber"] == 0.0
+    rep = json.loads((out / "sync_report.json").read_text())
+    assert rep["cfo_hat_hz"] == pytest.approx(2e8, abs=1e7)
+
+
 def test_missing_required_field_exits_2_without_artifacts(tmp_path, capsys):
     doc = desk_scenario()
     del doc["channel"]["paths"][1]["delay_ns"]
@@ -275,12 +295,14 @@ def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
      "frame: its 28 data cells carry 56 coded bits, fewer than one codeword of 648"),
     ({"frame.m_payload": 4},
      "frame: the 128 x 1 pilot grid needs at least 2 pilot subcarriers and 2 pilot symbols"),
+    ({"frame.n_subcarriers": 255, "frame.pilot_freq_spacing": 3},
+     "frame: n_subcarriers must be even"),
     ({"frame.code_rate": 0.5}, "frame.code_rate: unknown field"),
     ({"frame.bits_per_symbol": 2}, "frame.bits_per_symbol: unknown field"),
     ({"channel.paths[1].delay_ns": 10 ** 400},
      "channel.paths[1].delay_ns: expected a finite number"),
 ], ids=["info_seed", "noise_seed", "pilot_seed", "preamble_seed", "count",
-        "no_codeword", "one_pilot_symbol", "code_rate", "bits_per_symbol",
+        "no_codeword", "one_pilot_symbol", "odd_subcarriers", "code_rate", "bits_per_symbol",
         "beyond_float"])
 def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
     """Inputs that cannot run are rejected by the validator with one
@@ -349,9 +371,8 @@ def test_sample_budget_is_the_channel_stream_length(tmp_path, monkeypatch):
     the channel makes from it."""
     scn_file = write_scn(tmp_path, desk_scenario())
     scn = load_scenario(scn_file)
-    tx = IqStream(samples=np.zeros(scn.frame.frame_len, dtype=np.complex128),
-                  nominal_rate=scn.frame.bandwidth_hz)
-    n = apply_paths_and_cfo(tx, channel_from_scenario(scn)).samples.size
+    tx = np.zeros(scn.frame.frame_len, dtype=np.complex128)
+    n = apply_paths_and_cfo(tx, scn.frame.bandwidth_hz, channel_from_scenario(scn)).size
     monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", n)
     load_scenario(scn_file)
     monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", n - 1)

@@ -93,6 +93,17 @@ def test_odd_m_sfo_rejected():
     assert "m_sfo must be even" in violations(m_sfo=9)
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_subcarriers": 255, "cp_len": 64, "pilot_freq_spacing": 3},
+    {"n_subcarriers": 63, "cp_len": 16, "pilot_freq_spacing": 1},
+    {"n_subcarriers": 15, "cp_len": 4, "pilot_freq_spacing": 5},
+], ids=["255", "63", "15"])
+def test_odd_subcarrier_count_rejected(fields):
+    """Schmidl-Cox timing needs two identical half symbols, which an odd
+    number of subcarriers cannot hold."""
+    assert violations(**fields) == ["n_subcarriers must be even"]
+
+
 @pytest.mark.parametrize("fields, violation", [
     ({"cp_len": 0}, "cp_len must be positive"),
     ({"bandwidth_hz": -1e9}, "bandwidth_hz must be positive"),

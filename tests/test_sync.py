@@ -110,18 +110,17 @@ def test_negative_cfo_recovery():
 
 
 def test_timing_metric_bounded():
+    """The metric's peak, and so every value of it, stays within 1."""
     cfg = desk_cfg()
     _, _, tx = make_frame(cfg)
     y = through_channel(tx, sto=400, snr_db=5.0)
-    _, frac, metric = schmidl_cox(y, cfg)
-    assert np.all(metric <= 1.0 + 1e-9)
-    assert metric.max() > 0.3
+    _, _, peak = schmidl_cox(y.samples, cfg)
+    assert 0.3 < peak <= 1.0 + 1e-9
 
 
-def schmidl_cox_one_shot(y, cfg):
+def schmidl_cox_one_shot(s, cfg):
     """Coarse timing with every running sum and the metric over the whole
     stream at once."""
-    s = y.samples
     n = cfg.n_subcarriers
     half = n // 2
     prod = np.conj(s[:-half]) * s[half:]
@@ -144,27 +143,27 @@ def schmidl_cox_one_shot(y, cfg):
         hi += 1
     d_mid = (lo + hi) // 2
     coarse_start = d_mid - cfg.cp_len // 2
-    ts = 1.0 / y.nominal_rate
+    ts = 1.0 / cfg.bandwidth_hz
     frac_cfo = np.angle(p[d_mid]) / (np.pi * n * ts)
     int_cfo = sync._integer_cfo(s, cfg, coarse_start, frac_cfo, ts)
-    return coarse_start, frac_cfo + int_cfo * cfg.subcarrier_spacing, metric
+    return coarse_start, frac_cfo + int_cfo * cfg.subcarrier_spacing, metric[d_peak]
 
 
 @pytest.mark.parametrize("block, workers", [(100, 1), (777, 3), (dsp._BLOCK, 2)])
 def test_blocked_schmidl_cox_matches_one_shot(block, workers):
     """Running sums carried across blocks and the metric on blocks, on 1 to 3
-    threads, return the one-shot start, CFO and metric bit for bit."""
+    threads, return the one-shot start, CFO and metric peak bit for bit."""
     cfg = desk_cfg()
     _, _, tx = make_frame(cfg)
     y = through_channel(tx, sto=400, cfo_hz=2.1e6, cpo=0.5, snr_db=12.0, seed=4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dsp, "_BLOCK", block)
         mp.setattr(dsp, "_workers", lambda: workers)
-        start, cfo, metric = schmidl_cox(y, cfg)
-    want_start, want_cfo, want_metric = schmidl_cox_one_shot(y, cfg)
-    assert start == want_start
-    assert np.float64(cfo).view(np.uint64) == np.float64(want_cfo).view(np.uint64)
-    assert np.array_equal(metric.view(np.uint64), want_metric.view(np.uint64))
+        got = schmidl_cox(y.samples, cfg)
+    want = schmidl_cox_one_shot(y.samples, cfg)
+    assert got[0] == want[0]
+    assert np.array(got[1:]).view(np.uint64).tolist() == \
+        np.array(want[1:], dtype=np.float64).view(np.uint64).tolist()
 
 
 def test_clock_offset_estimate_noiseless():
@@ -267,11 +266,11 @@ def test_blocked_payload_derotation_matches_one_shot(correct_sfo):
             payload, rep = synchronize(y, cfg, correct_sfo=correct_sfo)
         z, start = y.samples, rep.fine_start
         if correct_sfo:
-            z = resample_correct(y, rep.sfo_hat).samples
+            z = resample_correct(y.samples, rep.sfo_hat)
             start = int(round(rep.fine_start * (1.0 + rep.sfo_hat)))
         start += cfg.m_preamble * cfg.symbol_len
         n = np.arange(cfg.m_payload * cfg.symbol_len)
-        ts = 1.0 / y.nominal_rate
+        ts = 1.0 / cfg.bandwidth_hz
         want = z[start:start + n.size].copy()
         want *= np.exp(-2j * np.pi * rep.cfo_hat_hz * n * ts)
         assert np.array_equal(payload.samples.view(np.uint64), want.view(np.uint64))
@@ -326,3 +325,47 @@ def test_channel_and_sync_memory(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     assert float(out) < 240.0
+
+
+def test_stages_on_arrays_compose_to_synchronize():
+    """The stages, called by hand on the sample array, give the report of
+    `synchronize`."""
+    cfg = desk_cfg()
+    _, _, tx = make_frame(cfg)
+    y = through_channel(tx, sto=555, cfo_hz=1.6 * cfg.subcarrier_spacing, sfo=2e-5)
+    _, rep = synchronize(y, cfg)
+    s = y.samples
+    coarse, cfo, peak = schmidl_cox(s, cfg)
+    ref_n = max(coarse - cfg.cp_len, 0)
+    s_loc = local_cfo_correct(s, cfg, cfo, (ref_n, s.size))
+    assert s_loc.size == s.size - ref_n
+    fine = ref_n + fine_timing(s_loc, cfg, coarse - ref_n)
+    sfo, slopes = estimate_sfo_tsai(s, cfg, fine, cfo)
+    assert (coarse, fine, cfo, sfo, peak, slopes) == (
+        rep.coarse_start, rep.fine_start, rep.cfo_hat_hz, rep.sfo_hat,
+        rep.timing_metric_peak, rep.pair_phase_slopes)
+
+
+def test_stream_at_another_rate_is_rejected():
+    """Every stage assumes the frame's sample rate, so `synchronize` refuses
+    a stream at any other rate rather than mis-scale its CFO phasors."""
+    cfg = desk_cfg()
+    _, _, tx = make_frame(cfg)
+    y = through_channel(tx, sto=500)
+    with pytest.raises(SyncError) as exc:
+        synchronize(IqStream(samples=y.samples, nominal_rate=2 * cfg.bandwidth_hz), cfg)
+    assert exc.value.stage == "synchronize"
+    assert "differs from frame.bandwidth_hz" in str(exc.value)
+
+
+@pytest.mark.parametrize("cfo_subcarriers", [0.0, 2.0])
+def test_integer_cfo_search_includes_zero_at_ten_subcarriers(cfo_subcarriers):
+    """N = 10 leaves room for shifts up to 3 subcarriers; the search must
+    test the even shifts -2, 0, 2, not the odd ones that miss a zero or
+    two-subcarrier offset."""
+    cfg = FrameConfig(n_subcarriers=10, cp_len=2, m_payload=64)
+    _, _, tx = make_frame(cfg)
+    df = cfg.subcarrier_spacing
+    y = through_channel(tx, sto=50, cfo_hz=cfo_subcarriers * df)
+    _, rep = synchronize(y, cfg, correct_sfo=False)
+    assert rep.cfo_hat_hz == pytest.approx(cfo_subcarriers * df, abs=0.1 * df)
