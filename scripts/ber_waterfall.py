@@ -19,8 +19,8 @@ from bistatic_radcom.channel import (ChannelScenario, ImpairmentSet,
 from bistatic_radcom.commrx import (compensate_residual_sfo, demap_decode,
                                     demodulate_frame, equalize, estimate_cfr,
                                     estimate_main_doppler, evm_rms_percent)
-from bistatic_radcom.params import FrameConfig
-from bistatic_radcom.sync import SyncError, synchronize
+from bistatic_radcom.params import FrameConfig, PipelineError
+from bistatic_radcom.sync import synchronize
 from bistatic_radcom.txframe import build_tx_frame, frame_capacity_bits
 
 
@@ -62,7 +62,7 @@ def main() -> int:
         for seed in range(args.seeds):
             try:
                 p, q, e = run_once(cfg, snr, seed)
-            except SyncError:
+            except PipelineError:  # a sync stage failed
                 fails += 1
                 continue
             pre.append(p)

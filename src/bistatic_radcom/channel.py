@@ -16,13 +16,8 @@ import numpy as np
 
 from . import dsp
 from .dsp import fractional_delay, require_finite, resample_arbitrary, run_blocks
+from .params import SFO_BOUND, ConfigError
 from .txframe import IqStream
-
-SFO_BOUND = 1e-3  # sanity bound, far above any realistic clock error
-
-
-class ScenarioError(ValueError):
-    """Raised for inconsistent channel scenarios."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class ImpairmentSet:
 
     def __post_init__(self):
         if abs(self.sfo_norm) >= SFO_BOUND:
-            raise ScenarioError(f"|sfo_norm| must be below {SFO_BOUND}")
+            raise ConfigError([f"|sfo_norm| must be below {SFO_BOUND}"])
 
 
 @dataclass(frozen=True)
@@ -53,17 +48,18 @@ class ChannelScenario:
     impairments: ImpairmentSet = field(default_factory=ImpairmentSet)
 
     def __post_init__(self):
+        mains = [abs(p.gain) for p in self.paths if p.is_main]
+        v = []
         if not self.paths:
-            raise ScenarioError("scenario needs at least one path")
-        mains = [p for p in self.paths if p.is_main]
-        if len(mains) != 1:
-            raise ScenarioError("scenario needs exactly one main path")
-        main = mains[0]
-        for p in self.paths:
-            if p.delay_s < 0:
-                raise ScenarioError("path delays must be non-negative")
-            if not p.is_main and abs(p.gain) >= abs(main.gain):
-                raise ScenarioError("secondary paths must be weaker than the main path")
+            v.append("scenario needs at least one path")
+        elif len(mains) != 1:
+            v.append("scenario needs exactly one main path")
+        if any(p.delay_s < 0 for p in self.paths):
+            v.append("path delays must be non-negative")
+        if len(mains) == 1 and any(abs(p.gain) >= mains[0] for p in self.paths if not p.is_main):
+            v.append("secondary paths must be weaker than the main path")
+        if v:
+            raise ConfigError(v)
 
     @property
     def main_path(self) -> PropagationPath:
@@ -122,8 +118,6 @@ def apply_paths_and_cfo(x: np.ndarray, fs: float, scenario: ChannelScenario) -> 
 
 def apply_sfo(x: np.ndarray, sfo_norm: float) -> np.ndarray:
     """Receiver sampling at instants n*T_s*(1+delta) of the incoming signal."""
-    if abs(sfo_norm) >= SFO_BOUND:
-        raise ScenarioError(f"|sfo_norm| must be below {SFO_BOUND}")
     return resample_arbitrary(x, 1.0 + sfo_norm, x.size)
 
 
@@ -134,7 +128,7 @@ def add_awgn(x: np.ndarray, snr_db: float, ref_power: float, seed: int) -> np.nd
     added in place to one copy of the input: the generator's stream and the
     sums are those of one whole-stream draw."""
     if ref_power <= 0:
-        raise ScenarioError("ref_power must be positive")
+        raise ConfigError(["ref_power must be positive"])
     noise_var = ref_power / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     y = np.array(x, dtype=np.complex128)

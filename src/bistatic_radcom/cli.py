@@ -6,8 +6,8 @@ Verbs:
   params <config.json>                   print closed-form performance figures
 
 The default output directory comes from $BISTATIC_RADCOM_OUT (falling back
-to the current directory). Exit codes: 0 ok, 2 input/schema error,
-3 pipeline failure.
+to the current directory). Exit codes: 0 ok, 2 `ConfigError` (an input the
+run cannot use), 3 `PipelineError` (a failed stage, tagged).
 """
 
 from __future__ import annotations
@@ -17,20 +17,15 @@ import os
 import sys
 from pathlib import Path
 
-from .dsp import DataError
-from .params import SensingMode, comm_throughput, radar_performance
-from .scenario import (PipelineError, ScenarioFileError, load_scenario,
-                       process_capture, run_scenario)
+from .params import (ConfigError, PipelineError, SensingMode, comm_throughput,
+                     radar_performance)
+from .scenario import load_scenario, process_capture, run_scenario
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PIPELINE = 3
 
 OUTDIR_ENV = "BISTATIC_RADCOM_OUT"
-
-
-def _default_outdir() -> str:
-    return os.environ.get(OUTDIR_ENV, ".")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             _print_params(scn)
             return EXIT_OK
 
-        outdir = Path(args.out if args.out is not None else _default_outdir())
+        outdir = Path(args.out if args.out is not None else os.environ.get(OUTDIR_ENV, "."))
         if args.verb == "run":
             scn = load_scenario(args.scenario)
             summary = run_scenario(scn, outdir)
@@ -98,12 +93,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {key} = {summary[key]:.6g}")
         return EXIT_OK
 
-    except ScenarioFileError as exc:
-        for diag in exc.diagnostics:
-            print(f"error: {diag}", file=sys.stderr)
-        return EXIT_INPUT
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        for violation in exc.violations:
+            print(f"error: {violation}", file=sys.stderr)
         return EXIT_INPUT
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)

@@ -17,12 +17,7 @@ import scipy.fft
 from . import dsp
 from .ldpc import default_code
 from .params import FrameConfig
-from .txframe import (FramingError, IqStream, frame_tables,
-                      pilot_cfr)
-
-
-class WeakMainPathError(RuntimeError):
-    """Raised when no dominant channel tap can be identified."""
+from .txframe import IqStream, frame_tables, pilot_cfr
 
 
 @dataclass
@@ -48,7 +43,7 @@ def demodulate_frame(payload_stream: IqStream, cfg: FrameConfig) -> np.ndarray:
     s = payload_stream.samples
     expected = cfg.symbol_len * cfg.m_payload
     if s.size != expected:
-        raise FramingError(f"payload stream must hold {expected} samples, got {s.size}")
+        raise ValueError(f"payload stream must hold {expected} samples, got {s.size}")
     blocks = s.reshape(cfg.m_payload, cfg.symbol_len).T
     return np.fft.fft(blocks[cfg.cp_len:, :], axis=0, norm="ortho")
 
@@ -58,7 +53,7 @@ def _main_tap(cir_mag: np.ndarray) -> int:
     peak = int(np.argmax(cir_mag))
     med = float(np.median(cir_mag))
     if cir_mag[peak] < 10 ** (6.0 / 20.0) * max(med, 1e-30):
-        raise WeakMainPathError("no dominant channel tap (peak < 6 dB above median)")
+        raise RuntimeError("no dominant channel tap (peak < 6 dB above median)")
     return peak
 
 
@@ -231,7 +226,7 @@ def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
     llrs = qpsk_llrs(symbols, noise_vars)
     n_coded = codeword_count * code.n
     if llrs.size < n_coded:
-        raise FramingError("fewer symbols than required for the declared codewords")
+        raise ValueError("fewer symbols than required for the declared codewords")
     llrs = llrs[:n_coded].reshape(codeword_count, code.n)
     bits, ok = code.decode(llrs)
     info = bits[:, :code.k].reshape(-1)[:info_len]

@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 from scipy import signal
 
+from .params import ConfigError
 
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
@@ -51,13 +52,9 @@ from scipy import signal
 MAX_STREAM_SAMPLES = 1 << 24
 
 
-class DataError(ValueError):
-    """Raised for non-finite or malformed sample data."""
-
-
 def require_finite(x: np.ndarray, what: str = "input") -> None:
     if not np.all(np.isfinite(x)):
-        raise DataError(f"{what} contains non-finite samples")
+        raise ConfigError([f"{what} contains non-finite samples"])
 
 
 # ---------------------------------------------------------------------------

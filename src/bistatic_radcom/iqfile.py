@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dsp import DataError
+from .params import ConfigError
 from .txframe import IqStream
 
 
@@ -25,8 +25,7 @@ def write_iq(path: str | Path, stream: IqStream, metadata: dict | None = None) -
     """Write samples as interleaved float32 LE with a JSON sidecar."""
     path = Path(path)
     s = np.asarray(stream.samples, dtype=np.complex128)
-    if not np.all(np.isfinite(s)):
-        raise DataError("refusing to write non-finite samples")
+    dsp.require_finite(s, "stream to write")
     inter = np.empty(2 * s.size, dtype="<f4")
     inter[0::2] = s.real.astype(np.float32)
     inter[1::2] = s.imag.astype(np.float32)
@@ -45,35 +44,34 @@ def read_iq(path: str | Path) -> IqStream:
     """Read an interleaved float32 LE IQ file and its JSON sidecar."""
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"IQ file not found: {path}")
+        raise ConfigError([f"IQ file not found: {path}"])
     n_samples = path.stat().st_size // 8
     if n_samples > dsp.MAX_STREAM_SAMPLES:
-        raise DataError(f"IQ file holds {n_samples} samples, more than the sample "
-                        f"budget of {dsp.MAX_STREAM_SAMPLES}")
+        raise ConfigError([f"IQ file holds {n_samples} samples, more than the sample "
+                           f"budget of {dsp.MAX_STREAM_SAMPLES}"])
     raw = path.read_bytes()
     if len(raw) % 8 != 0:
-        raise DataError(f"truncated IQ file (size {len(raw)} is not a whole "
-                        "number of complex float32 samples)")
+        raise ConfigError([f"truncated IQ file (size {len(raw)} is not a whole "
+                           "number of complex float32 samples)"])
     side_file = sidecar_path(path)
     if not side_file.is_file():
-        raise DataError(f"missing sidecar file: {side_file}")
+        raise ConfigError([f"missing sidecar file: {side_file}"])
     try:
         side = json.loads(side_file.read_text())
     except json.JSONDecodeError as exc:
-        raise DataError(f"malformed sidecar JSON: {exc}") from exc
+        raise ConfigError([f"malformed sidecar JSON: {exc}"]) from exc
     if side.get("format") != "cf32_le":
-        raise DataError(f"unsupported IQ format: {side.get('format')!r}")
+        raise ConfigError([f"unsupported IQ format: {side.get('format')!r}"])
     rate = side.get("sample_rate_hz")
     if not isinstance(rate, (int, float)) or not 0 < rate < float("inf"):
-        raise DataError("sidecar must declare a finite, positive sample_rate_hz")
+        raise ConfigError(["sidecar must declare a finite, positive sample_rate_hz"])
     inter = np.frombuffer(raw, dtype="<f4")
     declared = side.get("num_samples")
     if declared is not None and declared != inter.size // 2:
-        raise DataError(f"sidecar declares {declared} samples, file holds {inter.size // 2}")
+        raise ConfigError([f"sidecar declares {declared} samples, file holds {inter.size // 2}"])
     # filled in place: no stream-sized temporaries besides the file's bytes
     samples = np.empty(inter.size // 2, dtype=np.complex128)
     samples.real = inter[0::2]
     samples.imag = inter[1::2]
-    if not np.all(np.isfinite(samples)):
-        raise DataError("IQ file contains non-finite samples")
+    dsp.require_finite(samples, "IQ file")
     return IqStream(samples=samples, nominal_rate=float(rate))

@@ -15,15 +15,24 @@ from .ldpc import default_code
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 QPSK_BITS = 2  # coded bits per data cell
+SFO_BOUND = 1e-3  # bound on a clock offset, far above any realistic one
 
 
 class ConfigError(ValueError):
-    """Raised when a frame configuration violates an invariant; carries the
-    full list of violations."""
+    """An input a run cannot use (a configuration, a scenario file, a sample
+    file, an output directory); carries the full list of violations."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+class PipelineError(RuntimeError):
+    """A pipeline stage failed; tagged with the stage name."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"[{stage}] {message}")
+        self.stage = stage
 
 
 class SensingMode(Enum):

@@ -30,10 +30,6 @@ _MAP_ROWS = 64
 MAX_MAP_CELLS = 1 << 26
 
 
-class ReconstructionError(RuntimeError):
-    """Raised when decoded bits are unusable for data-aided sensing."""
-
-
 @dataclass
 class RangeDopplerMap:
     magnitude_db: np.ndarray   # range bins x Doppler bins, 0 dB at peak
@@ -56,7 +52,7 @@ def cfr_for_sensing(grid: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     if mode is SensingMode.PILOT_ONLY:
         return pilot_cfr(grid, cfg)
     if decoded_info_bits is None:
-        raise ReconstructionError("full-frame sensing requires decoded bits")
+        raise RuntimeError("full-frame sensing requires decoded bits")
     _, symbols = map_payload(decoded_info_bits, cfg)
     return grid / payload_grid(cfg, symbols)
 
@@ -75,8 +71,7 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     The Doppler DFT, its magnitude and the dB conversion run on blocks of
     ``_MAP_ROWS`` range rows that write straight into one float64 map, so
     the complex map never exists whole."""
-    if not np.all(np.isfinite(cfr)):
-        raise ValueError("sensing CFR contains non-finite values")
+    dsp.require_finite(cfr, "sensing CFR")
     nf, nt = cfr.shape
     if window_kind == "hamming":
         wf, wt = np.hamming(nf), np.hamming(nt)

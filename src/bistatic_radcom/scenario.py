@@ -22,46 +22,28 @@ import numpy as np
 
 from . import dsp, radar as radar_mod
 from .channel import (ChannelScenario, ImpairmentSet, PropagationPath,
-                      SFO_BOUND, run_channel, stream_len)
+                      run_channel, stream_len)
 from .commrx import (cir_evolution, compensate_residual_sfo,
                      constellation_density, demap_decode, demodulate_frame,
                      equalize, estimate_cfr, estimate_main_doppler,
                      evm_rms_percent)
 from .ldpc import default_code
-from .params import QPSK_BITS, ConfigError, FrameConfig, SensingMode
-from .sync import SyncError, synchronize
+from .params import (QPSK_BITS, SFO_BOUND, ConfigError, FrameConfig,
+                     PipelineError, SensingMode)
+from .sync import synchronize
 from .txframe import (IqStream, PayloadBits, build_tx_frame, codeword_count,
                       frame_capacity_bits, frame_tables, map_payload,
                       symbols_from_grid)
 
 
-class ScenarioFileError(ValueError):
-    """Raised for unreadable or schema-violating scenario files; carries the
-    full list of dotted-path diagnostics."""
-
-    def __init__(self, diagnostics: list[str]):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = diagnostics
-
-
-class PipelineError(RuntimeError):
-    """Raised when a pipeline stage fails; tagged with the stage name."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
-
-
 @contextmanager
 def _stage(name: str):
     """Re-raise a failure inside the block as a `PipelineError` tagged with
-    the stage `name`; a `SyncError` keeps its own `sync.<stage>` tag."""
+    the stage `name`; one already tagged (``sync.<function>``) passes."""
     try:
         yield
     except PipelineError:
         raise
-    except SyncError as exc:
-        raise PipelineError(f"sync.{exc.stage}", str(exc)) from exc
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
 
@@ -212,19 +194,19 @@ def _walk(obj, section: str, cls, errors: list[str], where: str = "") -> dict:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario JSON file.
 
-    Raises ScenarioFileError carrying every diagnostic found, each prefixed
+    Raises ConfigError carrying every diagnostic found, each prefixed
     with the dotted path of the offending field. The cross-field checks run
     only on a file whose every field parsed.
     """
     path = Path(path)
     if not path.is_file():
-        raise ScenarioFileError([f"scenario file not found: {path}"])
+        raise ConfigError([f"scenario file not found: {path}"])
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ScenarioFileError([f"invalid JSON at line {exc.lineno}: {exc.msg}"])
+        raise ConfigError([f"invalid JSON at line {exc.lineno}: {exc.msg}"])
     if not isinstance(doc, dict):
-        raise ScenarioFileError(["top level: expected a JSON object"])
+        raise ConfigError(["top level: expected a JSON object"])
 
     errors: list[str] = []
     errors.extend(f"{key}: unknown field" for key in doc if key not in (
@@ -253,7 +235,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for section in ("receiver", "sensing", "outputs"):
         values.update(_walk(doc.get(section, {}), section, Scenario, errors))
     if errors:
-        raise ScenarioFileError(errors)
+        raise ConfigError(errors)
 
     try:
         cfg = FrameConfig(**frame)
@@ -262,12 +244,12 @@ def load_scenario(path: str | Path) -> Scenario:
     path_specs = [PathSpec(**p) for p in paths]
     _check_paths(path_specs, errors)
     if errors:
-        raise ScenarioFileError(errors)
+        raise ConfigError(errors)
     scn = Scenario(name=name, frame=cfg, paths=path_specs, **values)
     for check in (_check_sample_budget, _check_capacity, _check_map_budget):
         check(scn, errors)
     if errors:
-        raise ScenarioFileError(errors)
+        raise ConfigError(errors)
     return scn
 
 
@@ -328,8 +310,6 @@ def _check_map_budget(scn: Scenario, errors: list[str]) -> None:
 
 
 def channel_from_scenario(scn: Scenario) -> ChannelScenario:
-    if not scn.paths:
-        raise PipelineError("channel", "scenario declares no channel section")
     paths = tuple(
         PropagationPath(
             gain=10.0 ** (p.gain_db / 20.0) * complex(math.cos(math.radians(p.phase_deg)),
@@ -406,7 +386,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
                          payload: PayloadBits | None = None,
                          tx_symbols: np.ndarray | None = None) -> dict:
     """Sync -> comm -> radar on a sample stream; writes all RX artifacts
-    into ``outdir``, which it creates.
+    into the existing directory ``outdir``.
 
     The known transmit side, when given, sets the references of the error
     rates (``payload``'s info and coded bits) and of the EVM (the data
@@ -419,8 +399,6 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     the stages after sync.
     """
     cfg = scn.frame
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     with _stage("sync"):
         payload_stream, report = synchronize(stream, cfg, correct_sfo=scn.correct_sfo)
@@ -487,10 +465,22 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     return summary
 
 
-def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
-    """Full simulation: TX frame, channel, receive pipeline, artifacts."""
+def _make_outdir(outdir: str | Path) -> Path:
+    """Create the output directory; one that cannot be made is an input error."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create output directory {outdir}: {exc.strerror}"]) from exc
+    return outdir
+
+
+def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
+    """Full simulation: TX frame, channel, receive pipeline, artifacts. A
+    scenario without a channel is rejected before any work."""
+    if not scn.paths:
+        raise ConfigError(["channel: missing section, which run needs"])
+    outdir = _make_outdir(outdir)
     with _stage("tx"):
         grid, payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))
     # the data symbols are the EVM reference; the grid is released before
@@ -522,8 +512,8 @@ def _read_capture(iq_path: str | Path, scn: Scenario) -> IqStream:
     from .iqfile import read_iq
     stream = read_iq(iq_path)
     if stream.nominal_rate != scn.frame.bandwidth_hz:
-        raise dsp.DataError(f"capture sample_rate_hz {stream.nominal_rate:g} differs from "
-                            f"frame.bandwidth_hz {scn.frame.bandwidth_hz:g}")
+        raise ConfigError([f"capture sample_rate_hz {stream.nominal_rate:g} differs from "
+                           f"frame.bandwidth_hz {scn.frame.bandwidth_hz:g}"])
     return stream
 
 
@@ -532,11 +522,13 @@ def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> d
 
     The capture's sample rate must be the frame's ``bandwidth_hz``. When
     the scenario marks the payload as known (seeded), transmit-side
-    references are regenerated so BER/EVM are measured against truth.
+    references are regenerated so BER/EVM are measured against truth. The
+    capture, then the output directory, are checked before the receiver runs.
     """
     payload = tx_symbols = None
     if scn.info_known:
         # the references need the data symbols, not the modulated samples
         with _stage("tx"):
             payload, tx_symbols = map_payload(generate_info_bits(scn), scn.frame)
-    return run_receive_pipeline(_read_capture(iq_path, scn), scn, outdir, payload, tx_symbols)
+    return run_receive_pipeline(_read_capture(iq_path, scn), scn, _make_outdir(outdir),
+                                payload, tx_symbols)

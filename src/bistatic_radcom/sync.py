@@ -22,21 +22,12 @@ import numpy as np
 
 from . import dsp
 from .dsp import run_blocks, sfo_correction_chain
-from .params import FrameConfig
+from .params import SFO_BOUND, FrameConfig, PipelineError
 from .txframe import IqStream, frame_tables, sc_differential
-from .channel import SFO_BOUND
 
 SC_LOCK_THRESHOLD = 0.3
 PSL_THRESHOLD = 2.0
 INT_CFO_SEARCH = 8  # +- even subcarrier shifts searched for the integer CFO
-
-
-class SyncError(RuntimeError):
-    """A synchronization failure; ``stage`` names the function that failed."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(message)
-        self.stage = stage
 
 
 @dataclass
@@ -59,7 +50,7 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     n = cfg.n_subcarriers
     half = n // 2
     if s.size < cfg.symbol_len + half:
-        raise SyncError("schmidl_cox", "stream shorter than the preamble")
+        raise PipelineError("sync.schmidl_cox", "stream shorter than the preamble")
 
     # cp[d] and cw[d]: running sums of the half-lag products and of the
     # power over s[:d], built block by block; each block starts from the
@@ -100,7 +91,8 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     d_peak = int(np.argmax(metric))
     peak = metric[d_peak]
     if peak < SC_LOCK_THRESHOLD:
-        raise SyncError("schmidl_cox", f"timing metric peak {peak:.3f} below lock threshold")
+        raise PipelineError("sync.schmidl_cox",
+                            f"timing metric peak {peak:.3f} below lock threshold")
 
     # midpoint of the contiguous >= 90%-of-peak plateau around the maximum
     thr = 0.9 * peak
@@ -129,7 +121,7 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     u0 = coarse_start + ncp
     u1 = u0 + sym
     if u0 < 0 or u1 + n > s.size:
-        raise SyncError("schmidl_cox", "preamble not fully contained in stream")
+        raise PipelineError("sync.schmidl_cox", "preamble not fully contained in stream")
     nn = np.arange(u1 + n - u0)
     corr = np.exp(-2j * np.pi * frac_cfo * nn * ts)
     seg = s[u0:u1 + n] * corr
@@ -155,7 +147,7 @@ def local_cfo_correct(s: np.ndarray, cfg: FrameConfig, cfo_hat_hz: float,
     start = max(start, 0)
     stop = min(stop, s.size)
     if start >= stop:
-        raise SyncError("local_cfo_correct", "empty or out-of-bounds region")
+        raise PipelineError("sync.local_cfo_correct", "empty or out-of-bounds region")
     out = s[start:stop].copy()
     if cfo_hat_hz != 0.0:
         n = np.arange(stop - start)
@@ -173,7 +165,7 @@ def fine_timing(s: np.ndarray, cfg: FrameConfig, coarse_start: int) -> int:
     d0 = coarse_start + ncp  # candidate start of the useful part
     cands = np.arange(max(d0 - w, 0), min(d0 + w + 1, s.size - n))
     if cands.size == 0:
-        raise SyncError("fine_timing", "search window outside stream")
+        raise PipelineError("sync.fine_timing", "search window outside stream")
     mags = np.empty(cands.size)
     for i, d in enumerate(cands):
         mags[i] = np.abs(np.vdot(ref, s[d:d + n]))
@@ -181,8 +173,8 @@ def fine_timing(s: np.ndarray, cfg: FrameConfig, coarse_start: int) -> int:
     peak = mags[best]
     side = np.delete(mags, np.arange(max(best - 2, 0), min(best + 3, mags.size)))
     if side.size and peak / max(side.max(), 1e-30) < PSL_THRESHOLD:
-        raise SyncError("fine_timing", "ambiguous timing: correlation peak-to-sidelobe "
-                                       f"{peak / side.max():.2f} below {PSL_THRESHOLD}")
+        raise PipelineError("sync.fine_timing", "ambiguous timing: correlation "
+                            f"peak-to-sidelobe {peak / side.max():.2f} below {PSL_THRESHOLD}")
     return int(cands[best]) - ncp
 
 
@@ -203,7 +195,7 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
     first_sfo = fine_start + cfg.m_sc * sym
     stop = first_sfo + cfg.m_sfo * sym
     if first_sfo < 0 or stop > s.size:
-        raise SyncError("estimate_sfo_tsai", "clock-tracking symbols not in stream")
+        raise PipelineError("sync.estimate_sfo_tsai", "clock-tracking symbols not in stream")
 
     nn = np.arange(stop - first_sfo)
     seg = s[first_sfo:stop] * np.exp(-2j * np.pi * cfo_hat_hz * nn * ts)
@@ -224,8 +216,8 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
         # (the pair's common phase is removed first to avoid intercept bias)
         wsum = w.sum()
         if not wsum > 0:
-            raise SyncError("estimate_sfo_tsai",
-                            f"clock-tracking symbol pair {pair} carries no energy")
+            raise PipelineError("sync.estimate_sfo_tsai",
+                                f"clock-tracking symbol pair {pair} carries no energy")
         kc = k_signed - (w * k_signed).sum() / wsum
         pc = phase - (w * phase).sum() / wsum
         s_num = (w * kc * pc).sum()
@@ -242,7 +234,7 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
 def resample_correct(s: np.ndarray, delta_hat: float) -> np.ndarray:
     """Invert the clock-ratio mismatch: output m = input at m/(1+delta_hat)."""
     if abs(delta_hat) >= SFO_BOUND:
-        raise SyncError("resample_correct", f"|delta_hat| must be below {SFO_BOUND}")
+        raise PipelineError("sync.resample_correct", f"|delta_hat| must be below {SFO_BOUND}")
     return sfo_correction_chain(s, delta_hat)
 
 
@@ -253,8 +245,8 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     resampling stage (ablation toggle). The stream's rate must be the
     frame's ``bandwidth_hz``, the rate every stage assumes."""
     if y.nominal_rate != cfg.bandwidth_hz:
-        raise SyncError("synchronize", f"stream rate {y.nominal_rate:g} differs from "
-                                       f"frame.bandwidth_hz {cfg.bandwidth_hz:g}")
+        raise PipelineError("sync.synchronize", f"stream rate {y.nominal_rate:g} differs "
+                            f"from frame.bandwidth_hz {cfg.bandwidth_hz:g}")
     s = y.samples
     sym = cfg.symbol_len
     ts = 1.0 / cfg.bandwidth_hz
@@ -281,7 +273,7 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     pl_start = start_z + cfg.m_preamble * sym
     pl_len = cfg.m_payload * sym
     if pl_start < 0 or pl_start + pl_len > z.size:
-        raise SyncError("synchronize", "payload extends past end of stream")
+        raise PipelineError("sync.synchronize", "payload extends past end of stream")
     payload = np.empty(pl_len, dtype=np.complex128)
 
     def derotate(start: int, stop: int) -> None:

@@ -22,14 +22,7 @@ import numpy as np
 
 from .dsp import run_blocks
 from .ldpc import default_code
-from .params import QPSK_BITS, FrameConfig
-
-class FramingError(ValueError):
-    """Raised on symbol/bit count mismatches during frame assembly."""
-
-
-class CapacityError(ValueError):
-    """Raised when the info payload exceeds the frame capacity."""
+from .params import QPSK_BITS, ConfigError, FrameConfig
 
 
 @dataclass
@@ -64,7 +57,7 @@ def map_qpsk(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped QPSK, unit average power: (b1, b0) -> ((1-2b1)+j(1-2b0))/sqrt2."""
     bits = np.asarray(bits)
     if bits.size % 2 != 0:
-        raise FramingError("QPSK mapping requires an even number of bits")
+        raise ValueError("QPSK mapping requires an even number of bits")
     b = bits.reshape(-1, 2).astype(np.float64)
     return ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) / np.sqrt(2.0)
 
@@ -137,8 +130,8 @@ def payload_grid(cfg: FrameConfig, data_symbols: np.ndarray) -> np.ndarray:
     tables = frame_tables(cfg)
     data_symbols = np.asarray(data_symbols).ravel()
     if data_symbols.size != cfg.n_data_elements:
-        raise FramingError(f"expected {cfg.n_data_elements} payload symbols for "
-                           f"this config, got {data_symbols.size}")
+        raise ValueError(f"expected {cfg.n_data_elements} payload symbols for "
+                         f"this config, got {data_symbols.size}")
     grid = np.zeros((cfg.n_subcarriers, cfg.m_payload), dtype=np.complex128)
     grid[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = tables.pilots
     grid.T[tables.data_mask.T] = data_symbols
@@ -177,11 +170,11 @@ def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
     info_bits = np.asarray(info_bits, dtype=np.uint8).ravel()
     max_info, max_cw = frame_capacity_bits(cfg)
     if info_bits.size > max_info:
-        raise CapacityError(
-            f"payload of {info_bits.size} bits exceeds frame capacity of {max_info} info bits")
+        raise ConfigError(
+            [f"payload of {info_bits.size} bits exceeds frame capacity of {max_info} info bits"])
     n_cw = codeword_count(info_bits.size)
     if n_cw > max_cw:
-        raise CapacityError(f"frame fits at most {max_cw} codewords")
+        raise ConfigError([f"frame fits at most {max_cw} codewords"])
     padded = np.zeros(n_cw * code.k, dtype=np.uint8)
     padded[:info_bits.size] = info_bits
     coded = code.encode(padded.reshape(n_cw, code.k)).reshape(-1)

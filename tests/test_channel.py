@@ -9,7 +9,6 @@ from bistatic_radcom.channel import (
     ChannelScenario,
     ImpairmentSet,
     PropagationPath,
-    ScenarioError,
     add_awgn,
     apply_paths_and_cfo,
     apply_sfo,
@@ -17,7 +16,7 @@ from bistatic_radcom.channel import (
     run_channel,
 )
 from bistatic_radcom.dsp import fractional_delay
-from bistatic_radcom.params import FrameConfig
+from bistatic_radcom.params import ConfigError, FrameConfig
 from bistatic_radcom.txframe import IqStream, build_tx_frame, frame_capacity_bits
 
 
@@ -39,21 +38,35 @@ def single_main(**imp):
 
 
 def test_scenario_requires_exactly_one_main():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=(PropagationPath(1.0, 0.0, 0.0, False),))
-    with pytest.raises(ScenarioError):
+    assert exc.value.violations == ["scenario needs exactly one main path"]
+    with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=(PropagationPath(1.0, 0.0, 0.0, True),
                                PropagationPath(0.5, 1e-9, 0.0, True)))
+    assert exc.value.violations == ["scenario needs exactly one main path"]
+    with pytest.raises(ConfigError) as exc:
+        ChannelScenario(paths=())
+    assert exc.value.violations == ["scenario needs at least one path"]
 
 
 def test_secondary_must_be_weaker():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=(PropagationPath(0.5, 0.0, 0.0, True),
                                PropagationPath(0.9, 1e-9, 0.0, False)))
+    assert exc.value.violations == ["secondary paths must be weaker than the main path"]
+
+
+def test_channel_scenario_reports_every_violation():
+    with pytest.raises(ConfigError) as exc:
+        ChannelScenario(paths=(PropagationPath(0.5, -1e-9, 0.0, True),
+                               PropagationPath(0.9, 1e-9, 0.0, False)))
+    assert exc.value.violations == ["path delays must be non-negative",
+                                     "secondary paths must be weaker than the main path"]
 
 
 def test_sfo_bound_enforced():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match=r"\|sfo_norm\| must be below 0.001"):
         ImpairmentSet(sfo_norm=2e-3)
 
 

@@ -15,9 +15,8 @@ from bistatic_radcom.channel import apply_paths_and_cfo
 from bistatic_radcom.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
 from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.iqfile import read_iq, write_iq
-from bistatic_radcom.params import SensingMode
-from bistatic_radcom.scenario import (ScenarioFileError, channel_from_scenario,
-                                      generate_info_bits, load_scenario)
+from bistatic_radcom.params import ConfigError, SensingMode
+from bistatic_radcom.scenario import channel_from_scenario, generate_info_bits, load_scenario
 from bistatic_radcom.txframe import IqStream, build_tx_frame
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -261,17 +260,18 @@ DIAGNOSTICS = {
 def test_diagnostics_are_pinned(tmp_path, case):
     edits, expected = DIAGNOSTICS[case]
     scn = write_scn(tmp_path, edited(desk_scenario(), edits))
-    with pytest.raises(ScenarioFileError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_scenario(scn)
-    assert exc.value.diagnostics == expected
+    assert exc.value.violations == expected
 
 
 def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
     scn = write_scn(tmp_path, edited(desk_scenario(), DIAGNOSTICS["frame_fields"][0]))
     code = ("import sys\n"
-            "from bistatic_radcom.scenario import ScenarioFileError, load_scenario\n"
+            "from bistatic_radcom.params import ConfigError\n"
+            "from bistatic_radcom.scenario import load_scenario\n"
             "try:\n    load_scenario(sys.argv[1])\n"
-            "except ScenarioFileError as exc:\n    print(exc.diagnostics)\n")
+            "except ConfigError as exc:\n    print(exc.violations)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     orders = set()
     for seed in ("1", "2", "3", "4"):
@@ -358,9 +358,9 @@ def test_stream_past_sample_budget_is_diagnosed(tmp_path, capsys, path, oversize
     doc = desk_scenario()
     oversize(doc)
     scn = write_scn(tmp_path, doc)
-    with pytest.raises(ScenarioFileError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_scenario(scn)
-    assert [d for d in exc.value.diagnostics if d.startswith(f"{path}: ")
+    assert [d for d in exc.value.violations if d.startswith(f"{path}: ")
             and "sample budget" in d]
     assert main(["params", str(scn)]) == EXIT_INPUT
     assert f"{path}: " in capsys.readouterr().err
@@ -376,9 +376,9 @@ def test_sample_budget_is_the_channel_stream_length(tmp_path, monkeypatch):
     monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", n)
     load_scenario(scn_file)
     monkeypatch.setattr(dsp, "MAX_STREAM_SAMPLES", n - 1)
-    with pytest.raises(ScenarioFileError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_scenario(scn_file)
-    assert exc.value.diagnostics[0].startswith("channel.impairments.sto_samples: ")
+    assert exc.value.violations[0].startswith("channel.impairments.sto_samples: ")
 
 
 def test_read_iq_matches_two_plane_sum(tmp_path):
@@ -420,9 +420,9 @@ def test_map_past_cell_budget_exits_2(tmp_path, capsys, scenario, zero_pad, mode
     doc = json.loads((SCENARIOS / scenario).read_text())
     doc["sensing"]["zero_pad"] = zero_pad
     scn = write_scn(tmp_path, doc)
-    with pytest.raises(ScenarioFileError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_scenario(scn)
-    assert [d.split(" map of ")[0] for d in exc.value.diagnostics] == [
+    assert [d.split(" map of ")[0] for d in exc.value.violations] == [
         f"sensing.zero_pad: a {m}" for m in modes]
     assert main(["params", str(scn)]) == EXIT_INPUT
     err = capsys.readouterr().err
@@ -449,9 +449,9 @@ def test_map_budget_is_the_map_size(tmp_path, monkeypatch):
     monkeypatch.setattr(radar, "MAX_MAP_CELLS", max(sizes))
     load_scenario(scn_file)
     monkeypatch.setattr(radar, "MAX_MAP_CELLS", max(sizes) - 1)
-    with pytest.raises(ScenarioFileError) as exc:
+    with pytest.raises(ConfigError) as exc:
         load_scenario(scn_file)
-    assert exc.value.diagnostics == [
+    assert exc.value.violations == [
         f"sensing.zero_pad: a full_frame map of {max(sizes)} cells at zero_pad 3 "
         f"exceeds the map budget of {max(sizes) - 1} cells"]
 
@@ -616,6 +616,107 @@ def test_capture_without_clock_tracking_energy_exits_3(tmp_path, capsys, correct
                  "--out", str(tmp_path / "o")]) == EXIT_PIPELINE
     assert capsys.readouterr().err == ("pipeline error: [sync.estimate_sfo_tsai] "
                                        "clock-tracking symbol pair 0 carries no energy\n")
+
+
+def test_run_without_channel_exits_2_before_any_work(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    del doc["channel"]
+    scn = write_scn(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: channel: missing section, which run needs\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "capture"])
+def test_unusable_outdir_exits_2_without_traceback(tmp_path, capsys, verb):
+    """An --out below a regular file cannot be created: one input error,
+    before the receiver runs, on both verbs."""
+    scn, iq = desk_capture(tmp_path, capsys)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    argv = ["run", str(scn)] if verb == "run" else ["capture", str(iq), str(scn)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "bistatic_radcom.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == f"error: cannot create output directory {out}: Not a directory\n"
+    assert proc.stdout == ""
+
+
+@pytest.fixture(scope="module")
+def demo_capture(tmp_path_factory):
+    """The clock-drift demo's rx.iq, its scenario file (no map CSV) and the
+    demo's frame start, made once for the degenerate-capture table."""
+    tmp = tmp_path_factory.mktemp("demo")
+    doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    doc["outputs"]["write_iq"] = True
+    doc["sensing"]["write_map_csv"] = False
+    scn = write_scn(tmp, doc)
+    assert main(["run", str(scn), "--out", str(tmp / "sim")]) == EXIT_OK
+    start = json.loads((tmp / "sim" / "sync_report.json").read_text())["fine_start"]
+    return scn, read_iq(tmp / "sim" / "rx.iq").samples, start
+
+
+SYM = 320  # samples per symbol of the clock-drift demo: 256 + CP 64
+CLOCK = 2 * SYM  # first clock-tracking sample, from the frame start
+PAYLOAD = 12 * SYM  # first payload sample, from the frame start
+
+
+def _clipped(x, start):
+    a = 0.5 * np.sqrt(np.mean(np.abs(x) ** 2) / 2)
+    return np.clip(x.real, -a, a) + 1j * np.clip(x.imag, -a, a)
+
+
+# Degenerate captures made from the demo's rx.iq (x, with the frame starting
+# at sample `start`): each gives the exit code and stage tag seen, None for a
+# capture that decodes.
+DEGENERATE = {
+    "zero_payload": (lambda x, start: np.concatenate([x[:start + PAYLOAD],
+                                                      np.zeros(x.size - start - PAYLOAD)]),
+                     EXIT_PIPELINE, "comm.estimation"),
+    "dc": (lambda x, start: np.ones(x.size), EXIT_PIPELINE, "sync.fine_timing"),
+    "noise": (lambda x, start: np.random.default_rng(0).normal(size=(x.size, 2)) @ [1, 1j],
+              EXIT_PIPELINE, "sync.schmidl_cox"),
+    "clipped": (_clipped, EXIT_OK, None),
+    "cut_in_preamble": (lambda x, start: x[:start + SYM + 100], EXIT_PIPELINE,
+                        "sync.schmidl_cox"),
+    "cut_in_clock_tracking": (lambda x, start: x[:start + CLOCK + 3 * SYM], EXIT_PIPELINE,
+                              "sync.estimate_sfo_tsai"),
+    "cut_in_payload": (lambda x, start: x[:start + PAYLOAD + 100 * SYM], EXIT_PIPELINE,
+                       "sync.synchronize"),
+    "empty": (lambda x, start: x[:0], EXIT_PIPELINE, "sync.schmidl_cox"),
+    "ten_samples": (lambda x, start: x[:10], EXIT_PIPELINE, "sync.schmidl_cox"),
+    "scaled_up": (lambda x, start: x * 1e30, EXIT_OK, None),
+    "scaled_down": (lambda x, start: x * 1e-30, EXIT_PIPELINE, "sync.schmidl_cox"),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_degenerate_capture_decodes_or_names_one_stage(tmp_path, capsys, demo_capture, case):
+    """A degenerate capture either decodes, writing strict JSON with no
+    null estimate, or fails in one tagged stage; never with a traceback."""
+    scn, x, start = demo_capture
+    make, code, stage = DEGENERATE[case]
+    iq = tmp_path / "rx.iq"
+    write_iq(iq, IqStream(samples=make(x, start), nominal_rate=1e9))
+    out = tmp_path / "out"
+    assert main(["capture", str(iq), str(scn), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        for name in ("sync_report.json", "comm_metrics.json"):
+            doc = json.loads((out / name).read_text(), parse_constant=reject)
+            assert None not in doc.values(), name
+        assert err == ""
+    else:
+        assert re.fullmatch(r"pipeline error: \[[a-z_.]+\] [^\[\]\n]+\n", err), err
+        assert err.startswith(f"pipeline error: [{stage}] ")
 
 
 def test_traced_benchmark_names_resolve(tmp_path):

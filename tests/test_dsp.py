@@ -10,12 +10,12 @@ from scipy.signal import _signaltools
 
 from bistatic_radcom import dsp
 from bistatic_radcom.dsp import (
-    DataError,
     fractional_delay,
     require_finite,
     resample_arbitrary,
     sfo_correction_chain,
 )
+from bistatic_radcom.params import ConfigError
 
 
 def bandlimited(seed: int, n: int, occupancy: float) -> np.ndarray:
@@ -30,8 +30,9 @@ def bandlimited(seed: int, n: int, occupancy: float) -> np.ndarray:
 
 
 def test_require_finite_rejects_nan():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError) as exc:
         require_finite(np.array([1.0, np.nan]))
+    assert exc.value.violations == ["input contains non-finite samples"]
 
 
 def test_integer_delay_is_exact_shift(monkeypatch):

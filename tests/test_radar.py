@@ -15,6 +15,7 @@ from bistatic_radcom import dsp, radar
 from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.params import (
     SPEED_OF_LIGHT,
+    ConfigError,
     FrameConfig,
     SensingMode,
     radar_performance,
@@ -22,7 +23,6 @@ from bistatic_radcom.params import (
 from bistatic_radcom.radar import (
     Detection,
     RangeDopplerMap,
-    ReconstructionError,
     _max3_wrapped,
     _parabolic,
     cfr_for_sensing,
@@ -30,7 +30,6 @@ from bistatic_radcom.radar import (
     range_doppler,
 )
 from bistatic_radcom.txframe import (
-    FramingError,
     IqStream,
     build_tx_frame,
     frame_capacity_bits,
@@ -177,13 +176,13 @@ def test_full_frame_sensing_requires_bits():
     stream = IqStream(samples=tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(),
                       nominal_rate=tx.nominal_rate)
     rg = demodulate_frame(stream, cfg)
-    with pytest.raises(ReconstructionError):
+    with pytest.raises(RuntimeError, match="full-frame sensing requires decoded bits"):
         cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME)
 
 
 def test_payload_grid_rejects_wrong_symbol_count():
     cfg = desk_cfg()
-    with pytest.raises(FramingError):
+    with pytest.raises(ValueError, match="payload symbols for this config, got 17"):
         payload_grid(cfg, np.zeros(17, dtype=complex))
 
 
@@ -203,7 +202,7 @@ def test_range_doppler_rejects_non_finite():
     cfg = desk_cfg()
     cfr = np.ones((128, 32), dtype=complex)
     cfr[0, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sensing CFR contains non-finite samples"):
         range_doppler(cfr, cfg, SensingMode.PILOT_ONLY)
 
 

@@ -23,9 +23,8 @@ from bistatic_radcom.commrx import (
     equalize,
     estimate_cfr,
 )
-from bistatic_radcom.params import FrameConfig
+from bistatic_radcom.params import FrameConfig, PipelineError
 from bistatic_radcom.sync import (
-    SyncError,
     estimate_sfo_tsai,
     fine_timing,
     local_cfo_correct,
@@ -204,9 +203,9 @@ def test_no_lock_on_noise_raises():
     n = cfg.frame_len + 4000
     y = IqStream(samples=(rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2),
                  nominal_rate=cfg.bandwidth_hz)
-    with pytest.raises(SyncError) as exc:
+    with pytest.raises(PipelineError) as exc:
         synchronize(y, cfg)
-    assert exc.value.stage in ("schmidl_cox", "fine_timing")
+    assert exc.value.stage in ("sync.schmidl_cox", "sync.fine_timing")
 
 
 def test_truncated_capture_raises():
@@ -215,8 +214,9 @@ def test_truncated_capture_raises():
     y = through_channel(tx, sto=500)
     short = IqStream(samples=y.samples[:cfg.frame_len // 2],
                      nominal_rate=y.nominal_rate)
-    with pytest.raises(SyncError):
+    with pytest.raises(PipelineError) as exc:
         synchronize(short, cfg)
+    assert exc.value.stage.startswith("sync.")
 
 
 @pytest.mark.parametrize("cut", [1, 5, 20, 40])
@@ -352,9 +352,9 @@ def test_stream_at_another_rate_is_rejected():
     cfg = desk_cfg()
     _, _, tx = make_frame(cfg)
     y = through_channel(tx, sto=500)
-    with pytest.raises(SyncError) as exc:
+    with pytest.raises(PipelineError) as exc:
         synchronize(IqStream(samples=y.samples, nominal_rate=2 * cfg.bandwidth_hz), cfg)
-    assert exc.value.stage == "synchronize"
+    assert exc.value.stage == "sync.synchronize"
     assert "differs from frame.bandwidth_hz" in str(exc.value)
 
 

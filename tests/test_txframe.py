@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bistatic_radcom import dsp, txframe
-from bistatic_radcom.params import FrameConfig
+from bistatic_radcom.params import ConfigError, FrameConfig
 from bistatic_radcom.txframe import (
-    CapacityError,
-    FramingError,
     assemble_frame,
     build_preamble,
     build_tx_frame,
@@ -178,15 +176,18 @@ def test_blocked_modulate_matches_one_shot(monkeypatch, columns, workers):
 def test_capacity_overflow_raises():
     cfg = small_cfg()
     max_info, _ = frame_capacity_bits(cfg)
-    with pytest.raises(CapacityError):
+    with pytest.raises(ConfigError) as exc:
         encode_payload(np.zeros(max_info + 1, dtype=np.uint8), cfg)
+    assert exc.value.violations == [f"payload of {max_info + 1} bits exceeds frame "
+                                    f"capacity of {max_info} info bits"]
 
 
 def test_wrong_symbol_count_raises():
     cfg = small_cfg()
-    with pytest.raises(FramingError):
+    with pytest.raises(ValueError, match=f"expected {cfg.n_data_elements} payload symbols "
+                                         "for this config, got 17"):
         assemble_frame(cfg, np.zeros(17, dtype=complex))
-    with pytest.raises(FramingError):
+    with pytest.raises(ValueError, match=f"got {cfg.n_data_elements + 1}$"):
         payload_grid(cfg, np.zeros(cfg.n_data_elements + 1, dtype=complex))
 
 
