@@ -36,8 +36,8 @@ def run_once(cfg: FrameConfig, snr_db: float, seed: int):
             cfo_hz=0.2 * cfg.subcarrier_spacing,
             sfo_norm=2e-5, snr_db=snr_db, noise_seed=seed))
     rx = run_channel(tx, scenario)
-    stream, _ = synchronize(rx, cfg)
-    rg = demodulate_frame(stream, cfg)
+    samples, _ = synchronize(rx, cfg)
+    rg = demodulate_frame(samples, cfg)
     _, rg = estimate_main_doppler(rg, cfg)
     est = estimate_cfr(rg, cfg)
     rg, est = compensate_residual_sfo(rg, est, cfg)

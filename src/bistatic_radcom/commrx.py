@@ -17,7 +17,7 @@ import scipy.fft
 from . import dsp
 from .ldpc import default_code
 from .params import FrameConfig
-from .txframe import IqStream, frame_tables, pilot_cfr
+from .txframe import frame_tables, pilot_cfr
 
 
 @dataclass
@@ -37,10 +37,9 @@ class CommMetrics:
     slope_fit_warning: bool = False
 
 
-def demodulate_frame(payload_stream: IqStream, cfg: FrameConfig) -> np.ndarray:
-    """S/P conversion, CP removal and unitary column-wise DFT; returns the
-    N x M_pl payload grid."""
-    s = payload_stream.samples
+def demodulate_frame(s: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """S/P conversion, CP removal and unitary column-wise DFT of the payload
+    samples; returns the N x M_pl payload grid."""
     expected = cfg.symbol_len * cfg.m_payload
     if s.size != expected:
         raise ValueError(f"payload stream must hold {expected} samples, got {s.size}")

@@ -41,17 +41,18 @@ def write_iq(path: str | Path, stream: IqStream, metadata: dict | None = None) -
 
 
 def read_iq(path: str | Path) -> IqStream:
-    """Read an interleaved float32 LE IQ file and its JSON sidecar."""
+    """Read an interleaved float32 LE IQ file and its JSON sidecar. The file's
+    size and the sidecar are checked before any sample is read."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError([f"IQ file not found: {path}"])
-    n_samples = path.stat().st_size // 8
+    size = path.stat().st_size
+    n_samples = size // 8
     if n_samples > dsp.MAX_STREAM_SAMPLES:
         raise ConfigError([f"IQ file holds {n_samples} samples, more than the sample "
                            f"budget of {dsp.MAX_STREAM_SAMPLES}"])
-    raw = path.read_bytes()
-    if len(raw) % 8 != 0:
-        raise ConfigError([f"truncated IQ file (size {len(raw)} is not a whole "
+    if size % 8 != 0:
+        raise ConfigError([f"truncated IQ file (size {size} is not a whole "
                            "number of complex float32 samples)"])
     side_file = sidecar_path(path)
     if not side_file.is_file():
@@ -65,10 +66,10 @@ def read_iq(path: str | Path) -> IqStream:
     rate = side.get("sample_rate_hz")
     if not isinstance(rate, (int, float)) or not 0 < rate < float("inf"):
         raise ConfigError(["sidecar must declare a finite, positive sample_rate_hz"])
-    inter = np.frombuffer(raw, dtype="<f4")
     declared = side.get("num_samples")
-    if declared is not None and declared != inter.size // 2:
-        raise ConfigError([f"sidecar declares {declared} samples, file holds {inter.size // 2}"])
+    if declared is not None and declared != n_samples:
+        raise ConfigError([f"sidecar declares {declared} samples, file holds {n_samples}"])
+    inter = np.frombuffer(path.read_bytes(), dtype="<f4")
     # filled in place: no stream-sized temporaries besides the file's bytes
     samples = np.empty(inter.size // 2, dtype=np.complex128)
     samples.real = inter[0::2]

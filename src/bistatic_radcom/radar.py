@@ -130,11 +130,6 @@ def _parabolic(vals: np.ndarray, i: int) -> float:
     return float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
 
 
-def _bin_step(axis: np.ndarray) -> float:
-    """Bin spacing of a map axis; an axis of one bin gets no sub-bin shift."""
-    return axis[1] - axis[0] if axis.size > 1 else 0.0
-
-
 def _max3_wrapped(m: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Largest value of the 3x3 neighborhood of each cell in rows
     ``start:stop`` of ``m``, wrapping around both axes. Reads only those rows
@@ -174,8 +169,8 @@ def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
     order = np.argsort(m[ri, di])[::-1][:max_peaks]
 
     dets = []
-    dr = _bin_step(rd_map.range_axis_m)
-    dd = _bin_step(rd_map.doppler_axis_hz)
+    dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
+    dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
     span = rd_map.range_axis_m.size * dr  # unambiguous range of this mode
     for idx in order:
         i, j = int(ri[idx]), int(di[idx])

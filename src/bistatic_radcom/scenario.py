@@ -89,6 +89,11 @@ _BAD = object()  # a value that did not parse
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _FRAME_BOUNDS = {"pilot_seed": _NON_NEGATIVE, "preamble_seed": _NON_NEGATIVE}
+# Bound on a path gain or an SNR in dB, far beyond any physical link budget.
+# Within it the linear gain, the noise variance and the stream powers stay
+# finite and non-zero: a +500 dB path under -500 dB SNR makes samples of
+# power 1e100, whose power sums stay far inside the float range.
+_DB_BOUND = (lambda v: abs(v) <= 500.0, "|value| must be at most 500 dB")
 
 # (section, key, attribute it fills, kind, bound as (test, message)). The
 # attribute is a FrameConfig field in "frame", a PathSpec field in
@@ -100,7 +105,7 @@ _ROWS = [
     ("info_bits", "seed", "info_seed", "integer", _NON_NEGATIVE),
     ("info_bits", "count", "info_count", "integer?", (lambda v: v > 0, "must be positive")),
     ("info_bits", "known", "info_known", "bool", None),
-    ("channel.paths", "gain_db", "gain_db", "number", None),
+    ("channel.paths", "gain_db", "gain_db", "number", _DB_BOUND),
     ("channel.paths", "delay_ns", "delay_ns", "number", _NON_NEGATIVE),
     ("channel.paths", "doppler_hz", "doppler_hz", "number", None),
     ("channel.paths", "phase_deg", "phase_deg", "number", None),
@@ -110,7 +115,7 @@ _ROWS = [
     ("channel.impairments", "cpo_rad", "cpo_rad", "number", None),
     ("channel.impairments", "sfo_norm", "sfo_norm", "number",
      (lambda v: abs(v) < SFO_BOUND, f"|value| must be below {SFO_BOUND}")),
-    ("channel.impairments", "snr_db", "snr_db", "number?", None),
+    ("channel.impairments", "snr_db", "snr_db", "number?", _DB_BOUND),
     ("channel.impairments", "noise_seed", "noise_seed", "integer", _NON_NEGATIVE),
     ("receiver", "correct_sfo", "correct_sfo", "bool", None),
     ("receiver", "residual_sfo_compensation", "residual_sfo_compensation", "bool", None),
@@ -393,7 +398,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     symbols ``tx_symbols``). Returns a summary dict (also written as
     comm_metrics.json).
 
-    The stream is let go once synchronized and the payload stream once
+    The stream is let go once synchronized and the payload samples once
     demodulated. The callers in this module pass the stream straight from
     the call that makes it, keeping no reference, so its memory is free for
     the stages after sync.
@@ -401,12 +406,12 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     cfg = scn.frame
 
     with _stage("sync"):
-        payload_stream, report = synchronize(stream, cfg, correct_sfo=scn.correct_sfo)
+        payload_samples, report = synchronize(stream, cfg, correct_sfo=scn.correct_sfo)
     del stream
 
     with _stage("comm.estimation"):
-        grid = demodulate_frame(payload_stream, cfg)
-        del payload_stream
+        grid = demodulate_frame(payload_samples, cfg)
+        del payload_samples
         doppler_hz, grid = estimate_main_doppler(grid, cfg)
         est = estimate_cfr(grid, cfg)
         if scn.residual_sfo_compensation:

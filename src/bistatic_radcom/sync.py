@@ -11,7 +11,8 @@ payload CFO correction.
 Index convention: frame start = first CP sample of the first preamble symbol.
 
 The stages work on plain sample arrays at the frame's rate ``bandwidth_hz``;
-`synchronize` takes an `IqStream` and rejects one at any other rate.
+`synchronize` takes an `IqStream`, rejects one at any other rate, and
+returns the payload samples as a plain array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import dsp
 from .dsp import run_blocks, sfo_correction_chain
 from .params import SFO_BOUND, FrameConfig, PipelineError
-from .txframe import IqStream, frame_tables, sc_differential
+from .txframe import IqStream, frame_tables
 
 SC_LOCK_THRESHOLD = 0.3
 PSL_THRESHOLD = 2.0
@@ -127,7 +128,10 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     seg = s[u0:u1 + n] * corr
     y1 = np.fft.fft(seg[:n], norm="ortho")
     y2 = np.fft.fft(seg[sym:sym + n], norm="ortho")
-    even, v = sc_differential(cfg)
+    # the known differential c2[k] * conj(c1[k]) on the even subcarriers
+    pb = frame_tables(cfg).preamble
+    even = np.arange(0, n, 2)
+    v = pb[even, 1] * np.conj(pb[even, 0])
     diff_rx = y2 * np.conj(y1)
     best_g, best_metric = 0, -1.0
     gmax = min(INT_CFO_SEARCH, n // 2 - 2) // 2 * 2  # even, so 0 is searched
@@ -239,9 +243,9 @@ def resample_correct(s: np.ndarray, delta_hat: float) -> np.ndarray:
 
 
 def synchronize(y: IqStream, cfg: FrameConfig,
-                correct_sfo: bool = True) -> tuple[IqStream, SyncReport]:
-    """Full chain; returns the CFO-corrected payload sample stream of exactly
-    (N+N_CP)*M_pl samples plus a report. ``correct_sfo=False`` skips the
+                correct_sfo: bool = True) -> tuple[np.ndarray, SyncReport]:
+    """Full chain; returns the CFO-corrected payload samples, exactly
+    (N+N_CP)*M_pl of them, plus a report. ``correct_sfo=False`` skips the
     resampling stage (ablation toggle). The stream's rate must be the
     frame's ``bandwidth_hz``, the rate every stage assumes."""
     if y.nominal_rate != cfg.bandwidth_hz:
@@ -293,4 +297,4 @@ def synchronize(y: IqStream, cfg: FrameConfig,
         timing_metric_peak=peak,
         pair_phase_slopes=slopes,
     )
-    return IqStream(samples=payload, nominal_rate=cfg.bandwidth_hz), report
+    return payload, report

@@ -7,10 +7,10 @@ directions so time- and frequency-domain powers agree.
 
 This module is the sole owner of that layout: the pilot comb
 ``[::dN, ::dM]``, the seeded pilot and preamble symbols, and the
-column-major order of the data cells. Receivers read it through
-:func:`frame_tables` (one cached, read-only table set per ``FrameConfig``)
-and through :func:`payload_grid`, :func:`data_elements` and
-:func:`pilot_cfr`, never by rebuilding it.
+column-major order of the data cells. :func:`frame_tables` builds it, one
+cached, read-only table set per ``FrameConfig``, and is the only way to
+reach it; :func:`payload_grid`, :func:`symbols_from_grid` and
+:func:`pilot_cfr` read the payload region through those tables.
 """
 
 from __future__ import annotations
@@ -62,61 +62,40 @@ def map_qpsk(bits: np.ndarray) -> np.ndarray:
     return ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) / np.sqrt(2.0)
 
 
-def build_preamble(cfg: FrameConfig) -> np.ndarray:
-    """Frequency-domain preamble symbols, shape (N, M_pb).
+@functools.lru_cache(maxsize=8)
+def frame_tables(cfg: FrameConfig) -> FrameTables:
+    """The layout tables of ``cfg``, built on first use and then shared.
 
-    First S&C symbol occupies only even subcarriers (boosted by sqrt(2) to
-    keep unit symbol power), which yields two identical time-domain halves.
-    The second is a full QPSK symbol whose even subcarriers are differentially
-    related to the first, enabling integer CFO resolution. The remaining
-    M_sfo symbols are adjacent identical pairs.
+    The first S&C symbol occupies only even subcarriers (boosted by sqrt(2)
+    to keep unit symbol power), which yields two identical time-domain
+    halves. The second is a full QPSK symbol whose even subcarriers are
+    differentially related to the first, enabling integer CFO resolution.
+    The remaining M_sfo symbols are adjacent identical pairs. The pilots are
+    a seeded unit-power QPSK grid on the comb; every other payload cell
+    carries data.
     """
     rng = np.random.default_rng(cfg.preamble_seed)
     n = cfg.n_subcarriers
-    pb = np.zeros((n, cfg.m_preamble), dtype=np.complex128)
-
+    preamble = np.zeros((n, cfg.m_preamble), dtype=np.complex128)
     even = np.arange(0, n, 2)
-    pb[even, 0] = np.sqrt(2.0) * _seeded_qpsk(rng, even.size)
-    second = _seeded_qpsk(rng, n)
-    pb[:, 1] = second
+    preamble[even, 0] = np.sqrt(2.0) * _seeded_qpsk(rng, even.size)
+    preamble[:, 1] = _seeded_qpsk(rng, n)
     for i in range(cfg.m_sfo // 2):
         sym = _seeded_qpsk(rng, n)
-        pb[:, cfg.m_sc + 2 * i] = sym
-        pb[:, cfg.m_sc + 2 * i + 1] = sym
-    return pb
+        preamble[:, cfg.m_sc + 2 * i] = sym
+        preamble[:, cfg.m_sc + 2 * i + 1] = sym
 
-
-def sc_differential(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(even-subcarrier indices, known differential c2[k]*conj(c1[k])) of the
-    two S&C symbols, used for integer CFO resolution at the receiver."""
-    pb = frame_tables(cfg).preamble
-    even = np.arange(0, cfg.n_subcarriers, 2)
-    return even, pb[even, 1] * np.conj(pb[even, 0])
-
-
-def pilot_values(cfg: FrameConfig) -> np.ndarray:
-    """Seeded unit-power QPSK pilot grid, shape (N/dN, M_pl/dM)."""
     rng = np.random.default_rng(cfg.pilot_seed)
-    return _seeded_qpsk(rng, cfg.n_pilot_rows * cfg.n_pilot_cols).reshape(
+    pilots = _seeded_qpsk(rng, cfg.n_pilot_rows * cfg.n_pilot_cols).reshape(
         cfg.n_pilot_rows, cfg.n_pilot_cols)
-
-
-def payload_masks(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(pilot mask, data mask) over the payload region, each N x M_pl."""
-    n, mpl = cfg.n_subcarriers, cfg.m_payload
-    pilot = np.zeros((n, mpl), dtype=bool)
+    pilot = np.zeros((n, cfg.m_payload), dtype=bool)
     pilot[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = True
-    return pilot, ~pilot
 
-
-@functools.lru_cache(maxsize=8)
-def frame_tables(cfg: FrameConfig) -> FrameTables:
-    """The layout tables of ``cfg``, built on first use and then shared."""
     tables = FrameTables(
-        preamble=build_preamble(cfg),
-        pilots=pilot_values(cfg),
-        data_mask=payload_masks(cfg)[1],
-        k_pil=np.arange(0, cfg.n_subcarriers, cfg.pilot_freq_spacing),
+        preamble=preamble,
+        pilots=pilots,
+        data_mask=~pilot,
+        k_pil=np.arange(0, n, cfg.pilot_freq_spacing),
         m_pil=np.arange(0, cfg.m_payload, cfg.pilot_time_spacing),
     )
     for arr in vars(tables).values():
@@ -136,12 +115,6 @@ def payload_grid(cfg: FrameConfig, data_symbols: np.ndarray) -> np.ndarray:
     grid[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = tables.pilots
     grid.T[tables.data_mask.T] = data_symbols
     return grid
-
-
-def data_elements(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Data cells of an N x M_pl payload-region array, in the column-major
-    order used by :func:`payload_grid`."""
-    return grid.T[frame_tables(cfg).data_mask.T]
 
 
 def pilot_cfr(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -164,36 +137,10 @@ def codeword_count(info_len: int) -> int:
     return max(1, -(-info_len // default_code().k))
 
 
-def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
-    """Systematic LDPC encoding; a short final block is zero-padded."""
-    code = default_code()
-    info_bits = np.asarray(info_bits, dtype=np.uint8).ravel()
-    max_info, max_cw = frame_capacity_bits(cfg)
-    if info_bits.size > max_info:
-        raise ConfigError(
-            [f"payload of {info_bits.size} bits exceeds frame capacity of {max_info} info bits"])
-    n_cw = codeword_count(info_bits.size)
-    if n_cw > max_cw:
-        raise ConfigError([f"frame fits at most {max_cw} codewords"])
-    padded = np.zeros(n_cw * code.k, dtype=np.uint8)
-    padded[:info_bits.size] = info_bits
-    coded = code.encode(padded.reshape(n_cw, code.k)).reshape(-1)
-    return PayloadBits(info_bits=info_bits, coded_bits=coded, codeword_count=n_cw)
-
-
-def assemble_frame(cfg: FrameConfig, payload_symbols: np.ndarray) -> np.ndarray:
-    """Place preamble, pilots and data symbols on the N x M grid."""
-    n, mpb, mpl = cfg.n_subcarriers, cfg.m_preamble, cfg.m_payload
-    grid = np.zeros((n, mpb + mpl), dtype=np.complex128)
-    grid[:, :mpb] = frame_tables(cfg).preamble
-    grid[:, mpb:] = payload_grid(cfg, payload_symbols)
-    return grid
-
-
 def symbols_from_grid(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Data symbols of an N x M frame grid, in the column-major order used
-    by assemble_frame."""
-    return data_elements(grid[:, cfg.m_preamble:], cfg)
+    by :func:`payload_grid`."""
+    return grid[:, cfg.m_preamble:].T[frame_tables(cfg).data_mask.T]
 
 
 _MODULATE_COLUMNS = 64  # OFDM symbols transformed per block
@@ -218,17 +165,33 @@ def modulate(grid: np.ndarray, cfg: FrameConfig) -> IqStream:
 
 
 def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, np.ndarray]:
-    """Encode the info bits and map them onto every data cell of the frame;
-    cells beyond the coded payload carry zero bits."""
-    payload = encode_payload(info_bits, cfg)
+    """Systematic LDPC encoding (a short final block is zero-padded), mapped
+    onto every data cell of the frame; cells beyond the coded payload carry
+    zero bits."""
+    code = default_code()
+    info_bits = np.asarray(info_bits, dtype=np.uint8).ravel()
+    max_info, max_cw = frame_capacity_bits(cfg)
+    if info_bits.size > max_info:
+        raise ConfigError(
+            [f"payload of {info_bits.size} bits exceeds frame capacity of {max_info} info bits"])
+    n_cw = codeword_count(info_bits.size)
+    if n_cw > max_cw:
+        raise ConfigError([f"frame fits at most {max_cw} codewords"])
+    padded = np.zeros(n_cw * code.k, dtype=np.uint8)
+    padded[:info_bits.size] = info_bits
+    coded = code.encode(padded.reshape(n_cw, code.k)).reshape(-1)
     all_bits = np.zeros(cfg.n_data_elements * QPSK_BITS, dtype=np.uint8)
-    all_bits[:payload.coded_bits.size] = payload.coded_bits
+    all_bits[:coded.size] = coded
+    payload = PayloadBits(info_bits=info_bits, coded_bits=coded, codeword_count=n_cw)
     return payload, map_qpsk(all_bits)
 
 
 def build_tx_frame(cfg: FrameConfig, info_bits: np.ndarray) -> tuple[np.ndarray, PayloadBits, IqStream]:
-    """Convenience TX chain: encode, map, assemble, modulate. Returns the
-    N x M frame grid, the payload bits and the sample stream."""
+    """Convenience TX chain: encode, map, place preamble, pilots and data on
+    the N x M grid, modulate. Returns the frame grid, the payload bits and
+    the sample stream."""
     payload, symbols = map_payload(info_bits, cfg)
-    grid = assemble_frame(cfg, symbols)
+    grid = np.zeros((cfg.n_subcarriers, cfg.m_total), dtype=np.complex128)
+    grid[:, :cfg.m_preamble] = frame_tables(cfg).preamble
+    grid[:, cfg.m_preamble:] = payload_grid(cfg, symbols)
     return grid, payload, modulate(grid, cfg)

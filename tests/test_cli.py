@@ -1,14 +1,18 @@
 """Command-line interface: scenario runs, captures and parameter reports."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bistatic_radcom import dsp, radar, scenario
 from bistatic_radcom.channel import apply_paths_and_cfo
@@ -145,6 +149,7 @@ def edited(doc, edits):
 
 BUDGET = f"the sample budget of {dsp.MAX_STREAM_SAMPLES}"
 MAP_BUDGET = f"the map budget of {radar.MAX_MAP_CELLS} cells"
+DB_BOUND = "|value| must be at most 500 dB"
 
 # One malformed edit of the desk scenario per case, with every diagnostic the
 # validator reports for it, in order.
@@ -301,9 +306,18 @@ def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
     ({"frame.bits_per_symbol": 2}, "frame.bits_per_symbol: unknown field"),
     ({"channel.paths[1].delay_ns": 10 ** 400},
      "channel.paths[1].delay_ns: expected a finite number"),
+    # finite levels that would overflow the channel simulator or leave it a
+    # NaN stream
+    ({"channel.impairments.snr_db": 3100}, f"channel.impairments.snr_db: {DB_BOUND}"),
+    ({"channel.impairments.snr_db": -3100}, f"channel.impairments.snr_db: {DB_BOUND}"),
+    ({"channel.paths[0].gain_db": 8000}, f"channel.paths[0].gain_db: {DB_BOUND}"),
+    ({"channel.paths[0].gain_db": -8000}, f"channel.paths[0].gain_db: {DB_BOUND}"),
+    ({"channel.paths[0].gain_db": 3000}, f"channel.paths[0].gain_db: {DB_BOUND}"),
+    ({"channel.paths[1].gain_db": -501}, f"channel.paths[1].gain_db: {DB_BOUND}"),
 ], ids=["info_seed", "noise_seed", "pilot_seed", "preamble_seed", "count",
         "no_codeword", "one_pilot_symbol", "odd_subcarriers", "code_rate", "bits_per_symbol",
-        "beyond_float"])
+        "beyond_float", "snr_3100", "snr_minus_3100", "gain_8000", "gain_minus_8000",
+        "gain_3000", "secondary_gain_minus_501"])
 def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
     """Inputs that cannot run are rejected by the validator with one
     diagnostic, before `run` or `capture` does any work."""
@@ -313,6 +327,20 @@ def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
         assert main([*argv, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {diagnostic}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edits", [
+    {"channel.impairments.snr_db": -400.0},
+    {"channel.paths[0].gain_db": 500.0, "channel.impairments.snr_db": -500.0},
+    {"channel.paths[0].gain_db": -490.0, "channel.paths[1].gain_db": -500.0,
+     "channel.impairments.snr_db": 500.0},
+], ids=["snr_minus_400", "loud_path_under_noise", "faint_path"])
+def test_level_within_db_bound_runs(tmp_path, capsys, edits):
+    """Gains and SNRs up to the bound run; one too noisy or too faint to
+    lock fails in sync with a tagged error, not in the channel."""
+    scn = write_scn(tmp_path, edited(desk_scenario(), edits))
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PIPELINE
+    assert capsys.readouterr().err.startswith("pipeline error: [sync.schmidl_cox] ")
 
 
 def test_unknown_key_is_diagnosed(tmp_path, capsys):
@@ -396,6 +424,20 @@ def test_read_iq_matches_two_plane_sum(tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_read_iq_checks_sidecar_before_reading_samples(tmp_path, monkeypatch):
+    """Without a sidecar the capture is an input error naming the sidecar,
+    and the IQ file's samples are never read."""
+    iq = tmp_path / "rx.iq"
+    iq.write_bytes(bytes(8 * 100))
+    read = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self) or read_bytes(self))
+    with pytest.raises(ConfigError) as exc:
+        read_iq(iq)
+    assert exc.value.violations == [f"missing sidecar file: {iq}.json"]
+    assert read == []
+
+
 def test_capture_past_sample_budget_exits_2(tmp_path, capsys, monkeypatch):
     doc = desk_scenario()
     del doc["channel"]  # a capture ignores it; the frame alone fits the budget
@@ -439,7 +481,7 @@ def test_map_budget_is_the_map_size(tmp_path, monkeypatch):
     cfg, info = scn.frame, generate_info_bits(scn)
     _, _, tx = build_tx_frame(cfg, info)
     payload = tx.samples[cfg.m_preamble * cfg.symbol_len:].copy()
-    rg = demodulate_frame(IqStream(samples=payload, nominal_rate=tx.nominal_rate), cfg)
+    rg = demodulate_frame(payload, cfg)
     sizes = []
     for mode in scn.sensing_modes:
         cfr = radar.cfr_for_sensing(rg, cfg, mode, decoded_info_bits=info)
@@ -647,18 +689,30 @@ def test_unusable_outdir_exits_2_without_traceback(tmp_path, capsys, verb):
     assert proc.stdout == ""
 
 
-@pytest.fixture(scope="module")
-def demo_capture(tmp_path_factory):
-    """The clock-drift demo's rx.iq, its scenario file (no map CSV) and the
-    demo's frame start, made once for the degenerate-capture table."""
-    tmp = tmp_path_factory.mktemp("demo")
+def _demo_capture(tmp, **frame):
+    """The clock-drift demo's scenario file (no map CSV, ``frame`` fields
+    replaced), the rx.iq samples of its run and its frame start."""
     doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    doc["frame"].update(frame)
     doc["outputs"]["write_iq"] = True
     doc["sensing"]["write_map_csv"] = False
     scn = write_scn(tmp, doc)
     assert main(["run", str(scn), "--out", str(tmp / "sim")]) == EXIT_OK
     start = json.loads((tmp / "sim" / "sync_report.json").read_text())["fine_start"]
     return scn, read_iq(tmp / "sim" / "rx.iq").samples, start
+
+
+@pytest.fixture(scope="module")
+def demo_capture(tmp_path_factory):
+    """The demo's capture, made once for the degenerate-capture table."""
+    return _demo_capture(tmp_path_factory.mktemp("demo"))
+
+
+@pytest.fixture(scope="module")
+def small_demo_capture(tmp_path_factory):
+    """The demo's capture cut to 64 payload symbols, made once for the
+    damaged-capture suite."""
+    return _demo_capture(tmp_path_factory.mktemp("small_demo"), m_payload=64)
 
 
 SYM = 320  # samples per symbol of the clock-drift demo: 256 + CP 64
@@ -717,6 +771,59 @@ def test_degenerate_capture_decodes_or_names_one_stage(tmp_path, capsys, demo_ca
     else:
         assert re.fullmatch(r"pipeline error: \[[a-z_.]+\] [^\[\]\n]+\n", err), err
         assert err.startswith(f"pipeline error: [{stage}] ")
+
+
+def _damaged(x, start, kind, at, length, symbol):
+    """``x`` with one kind of damage: a span zeroed or held at a constant
+    (DC), a truncation, or one preamble or clock-tracking symbol zeroed.
+    ``at`` and ``length`` are fractions of the capture."""
+    y = x.copy()
+    lo = int(at * x.size)
+    hi = min(x.size, lo + 1 + int(length * x.size))
+    if kind == "zero_span":
+        y[lo:hi] = 0
+    elif kind == "dc_span":
+        y[lo:hi] = np.sqrt(np.mean(np.abs(x) ** 2))
+    elif kind == "truncation":
+        y = y[:lo]
+    else:
+        first = max(start + symbol * SYM, 0)
+        y[first:first + SYM] = 0
+    return y
+
+
+@given(kind=st.sampled_from(["zero_span", "dc_span", "truncation", "zero_symbol"]),
+       at=st.floats(0.0, 1.0, exclude_max=True), length=st.floats(0.0, 0.5),
+       symbol=st.integers(0, 11))
+@settings(max_examples=40, deadline=None)
+def test_damaged_capture_decodes_or_names_one_stage(small_demo_capture, kind, at, length,
+                                                    symbol):
+    """A capture with a span zeroed or held at DC, cut short, or with a
+    preamble or clock-tracking symbol zeroed, anywhere: exit 0 with strict
+    JSON and no null estimate, exit 3 with one stage tag, or exit 2 with one
+    input error. A traceback fails the example."""
+    scn, x, start = small_demo_capture
+    with tempfile.TemporaryDirectory() as tmp:
+        iq, out = Path(tmp) / "rx.iq", Path(tmp) / "out"
+        write_iq(iq, IqStream(samples=_damaged(x, start, kind, at, length, symbol),
+                              nominal_rate=1e9))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["capture", str(iq), str(scn), "--out", str(out)])
+        err = err.getvalue()
+        if code == EXIT_OK:
+            def reject(token):
+                raise ValueError(f"non-standard JSON constant {token}")
+
+            for path in sorted(out.glob("*.json")):
+                doc = json.loads(path.read_text(), parse_constant=reject)
+                assert None not in doc.values(), path.name
+            assert err == ""
+        elif code == EXIT_PIPELINE:
+            assert re.fullmatch(r"pipeline error: \[[a-z_.]+\] [^\[\]\n]+\n", err), err
+        else:
+            assert code == EXIT_INPUT
+            assert re.fullmatch(r"error: [^\n]+\n", err), err
 
 
 def test_traced_benchmark_names_resolve(tmp_path):

@@ -26,10 +26,9 @@ from bistatic_radcom.commrx import (
 from bistatic_radcom.params import FrameConfig
 from bistatic_radcom.sync import synchronize
 from bistatic_radcom.txframe import (
-    IqStream,
     build_tx_frame,
-    data_elements,
     frame_capacity_bits,
+    frame_tables,
     map_qpsk,
 )
 
@@ -44,15 +43,14 @@ def make_frame(cfg, seed=0):
     return info, build_tx_frame(cfg, info)
 
 
-def payload_stream(tx, cfg):
-    return IqStream(samples=tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(),
-                    nominal_rate=tx.nominal_rate)
+def payload_samples(tx, cfg):
+    return tx.samples[cfg.m_preamble * cfg.symbol_len:].copy()
 
 
 def test_demodulate_grid_matches_tx_loopback():
     cfg = desk_cfg()
     _, (frame, _, tx) = make_frame(cfg)
-    rg = demodulate_frame(payload_stream(tx, cfg), cfg)
+    rg = demodulate_frame(payload_samples(tx, cfg), cfg)
     assert rg.shape == (cfg.n_subcarriers, cfg.m_payload)
     tx_payload = frame[:, cfg.m_preamble:]
     assert np.allclose(rg, tx_payload, atol=1e-10)
@@ -61,7 +59,7 @@ def test_demodulate_grid_matches_tx_loopback():
 def test_cfr_exact_at_pilots_flat_channel():
     cfg = desk_cfg()
     _, (frame, _, tx) = make_frame(cfg)
-    rg = demodulate_frame(payload_stream(tx, cfg), cfg)
+    rg = demodulate_frame(payload_samples(tx, cfg), cfg)
     est = estimate_cfr(rg, cfg)
     assert np.allclose(est.cfr, 1.0, atol=1e-9)
 
@@ -70,9 +68,7 @@ def test_cfr_tracks_scaled_channel():
     cfg = desk_cfg()
     _, (frame, _, tx) = make_frame(cfg)
     h = 0.5 * np.exp(1j * 0.3)
-    stream = payload_stream(tx, cfg)
-    stream = IqStream(samples=h * stream.samples, nominal_rate=stream.nominal_rate)
-    rg = demodulate_frame(stream, cfg)
+    rg = demodulate_frame(h * payload_samples(tx, cfg), cfg)
     est = estimate_cfr(rg, cfg)
     assert np.allclose(est.cfr, h, atol=1e-9)
 
@@ -83,9 +79,7 @@ def test_main_doppler_estimate():
     fd = 2.0e3
     n = np.arange(tx.samples.size)
     shifted = tx.samples * np.exp(2j * np.pi * fd * n / tx.nominal_rate)
-    stream = IqStream(samples=shifted[cfg.m_preamble * cfg.symbol_len:].copy(),
-                      nominal_rate=tx.nominal_rate)
-    rg = demodulate_frame(stream, cfg)
+    rg = demodulate_frame(shifted[cfg.m_preamble * cfg.symbol_len:].copy(), cfg)
     fd_hat, rg2 = estimate_main_doppler(rg, cfg)
     assert fd_hat == pytest.approx(fd, rel=0.05)
     # after compensation the residual progression is tiny
@@ -96,7 +90,7 @@ def test_main_doppler_estimate():
 def test_equalize_decodes_loopback_exactly():
     cfg = desk_cfg()
     info, (frame, payload, tx) = make_frame(cfg)
-    rg = demodulate_frame(payload_stream(tx, cfg), cfg)
+    rg = demodulate_frame(payload_samples(tx, cfg), cfg)
     est = estimate_cfr(rg, cfg)
     s_hat, nv, erased = equalize(rg, est.cfr, cfg)
     assert not erased.any()
@@ -109,17 +103,22 @@ def test_equalize_decodes_loopback_exactly():
     assert metrics.decoder_converged
 
 
+def data_cells(grid, cfg):
+    """Data cells of an N x M_pl payload-region array, column-major."""
+    return grid.T[frame_tables(cfg).data_mask.T]
+
+
 def equalize_one_shot(grid, cfr, cfg):
     """Zero-forcing equalization over every data cell at once."""
-    h = data_elements(cfr, cfg)
-    y = data_elements(grid, cfg)
+    h = data_cells(cfr, cfg)
+    y = data_cells(grid, cfg)
     mag = np.abs(h)
     erased = mag < 1e-6
     s_hat = y / np.where(erased, 1.0, h)
     s_hat[erased] = 0.0
     noise_var = commrx._noise_variance_per_subcarrier(grid, cfg)
     nv_grid = np.broadcast_to(noise_var[:, None], grid.shape)
-    nv = data_elements(nv_grid, cfg) / np.maximum(mag, 1e-6) ** 2
+    nv = data_cells(nv_grid, cfg) / np.maximum(mag, 1e-6) ** 2
     return s_hat, nv, erased
 
 
@@ -146,7 +145,7 @@ def test_blocked_equalize_matches_one_shot(monkeypatch, columns, workers):
 def test_equalize_flags_null_channel_cells():
     cfg = desk_cfg()
     _, (frame, _, tx) = make_frame(cfg)
-    rg = demodulate_frame(payload_stream(tx, cfg), cfg)
+    rg = demodulate_frame(payload_samples(tx, cfg), cfg)
     cfr = np.ones_like(rg)
     cfr[10, :] = 0.0
     _, _, erased = equalize(rg, cfr, cfg)

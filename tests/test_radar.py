@@ -30,7 +30,6 @@ from bistatic_radcom.radar import (
     range_doppler,
 )
 from bistatic_radcom.txframe import (
-    IqStream,
     build_tx_frame,
     frame_capacity_bits,
     map_payload,
@@ -147,9 +146,7 @@ def test_cfr_for_sensing_pilot_only_flat_channel():
     rng = np.random.default_rng(0)
     info = rng.integers(0, 2, frame_capacity_bits(cfg)[0], dtype=np.uint8)
     frame, payload, tx = build_tx_frame(cfg, info)
-    stream = IqStream(samples=tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(),
-                      nominal_rate=tx.nominal_rate)
-    rg = demodulate_frame(stream, cfg)
+    rg = demodulate_frame(tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(), cfg)
     cfr = cfr_for_sensing(rg, cfg, SensingMode.PILOT_ONLY)
     assert cfr.shape == (cfg.n_pilot_rows, cfg.n_pilot_cols)
     assert np.allclose(cfr, 1.0, atol=1e-9)
@@ -160,9 +157,7 @@ def test_cfr_for_sensing_full_frame_flat_channel():
     rng = np.random.default_rng(0)
     info = rng.integers(0, 2, frame_capacity_bits(cfg)[0], dtype=np.uint8)
     frame, payload, tx = build_tx_frame(cfg, info)
-    stream = IqStream(samples=tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(),
-                      nominal_rate=tx.nominal_rate)
-    rg = demodulate_frame(stream, cfg)
+    rg = demodulate_frame(tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(), cfg)
     cfr = cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME, decoded_info_bits=info)
     assert cfr.shape == rg.shape
     assert np.allclose(cfr, 1.0, atol=1e-9)
@@ -173,9 +168,7 @@ def test_full_frame_sensing_requires_bits():
     rng = np.random.default_rng(0)
     info = rng.integers(0, 2, frame_capacity_bits(cfg)[0], dtype=np.uint8)
     _, _, tx = build_tx_frame(cfg, info)
-    stream = IqStream(samples=tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(),
-                      nominal_rate=tx.nominal_rate)
-    rg = demodulate_frame(stream, cfg)
+    rg = demodulate_frame(tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(), cfg)
     with pytest.raises(RuntimeError, match="full-frame sensing requires decoded bits"):
         cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME)
 
@@ -326,20 +319,6 @@ def test_max3_blocks_match_wrapped_maximum_filter(seed, nf, nt, levels, rows):
     blocks = [_max3_wrapped(m, s, min(s + rows, nf)) for s in range(0, nf, rows)]
     assert np.array_equal(np.concatenate(blocks),
                           ndimage.maximum_filter(m, size=3, mode="wrap"))
-
-
-def test_extract_peaks_on_one_bin_axis():
-    """A map of one range row or one Doppler column reports that axis's only
-    bin with no sub-bin shift, and refines the other axis as usual."""
-    profile = np.array([-40.0, -20.0, -6.0, 0.0, -6.0, -20.0, -40.0])
-    axis = np.arange(profile.size) * 0.3
-    row = RangeDopplerMap(magnitude_db=profile[None, :], range_axis_m=np.array([1.5]),
-                          doppler_axis_hz=axis, mode=SensingMode.PILOT_ONLY)
-    col = RangeDopplerMap(magnitude_db=profile[:, None], range_axis_m=axis,
-                          doppler_axis_hz=np.array([-25.0]), mode=SensingMode.PILOT_ONLY)
-    # the symmetric profile peaks exactly on bin 3
-    assert extract_peaks(row, -10.0) == [Detection(1.5, axis[3], 0.0)]
-    assert extract_peaks(col, -10.0) == [Detection(axis[3], -25.0, 0.0)]
 
 
 def test_full_frame_map_memory(tmp_path):

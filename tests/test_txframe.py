@@ -1,37 +1,31 @@
 """Frame construction, mapping and modulation round trips."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistatic_radcom import dsp, txframe
+from bistatic_radcom import dsp, sync, txframe
 from bistatic_radcom.params import ConfigError, FrameConfig
 from bistatic_radcom.txframe import (
-    assemble_frame,
-    build_preamble,
     build_tx_frame,
-    data_elements,
-    encode_payload,
     frame_capacity_bits,
     frame_tables,
+    map_payload,
     map_qpsk,
     modulate,
     payload_grid,
-    payload_masks,
     pilot_cfr,
-    pilot_values,
-    sc_differential,
     symbols_from_grid,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src" / "bistatic_radcom"
 
 
 def small_cfg(**kw):
     return FrameConfig(n_subcarriers=64, cp_len=16, m_payload=32, **kw)
+
+
+def fresh_tables(cfg):
+    """The tables of ``cfg`` built anew, past the cache."""
+    return frame_tables.__wrapped__(cfg)
 
 
 def hard_bits(symbols):
@@ -58,7 +52,7 @@ def test_qpsk_unit_average_power():
 
 def test_preamble_structure():
     cfg = small_cfg()
-    pre = build_preamble(cfg)
+    pre = frame_tables(cfg).preamble
     assert pre.shape == (64, 12)
     # first symbol occupies even subcarriers only -> half-repeated in time
     assert np.all(pre[1::2, 0] == 0)
@@ -71,29 +65,47 @@ def test_preamble_structure():
 
 
 def test_sc_differential_matches_preamble():
+    """The differential c2[k] * conj(c1[k]) of the two S&C symbols on the even
+    subcarriers, read off the modulated preamble, is the table's; the
+    integer CFO search of sync finds a shift of it by an even number of
+    subcarriers."""
     cfg = small_cfg()
-    pre = build_preamble(cfg)
-    even, v = sc_differential(cfg)
-    assert np.allclose(pre[even, 1] * np.conj(pre[even, 0]), v)
+    pre = frame_tables(cfg).preamble
+    _, _, tx = build_tx_frame(cfg, np.array([1, 0], dtype=np.uint8))
+    n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
+    y1 = np.fft.fft(tx.samples[ncp:ncp + n], norm="ortho")
+    y2 = np.fft.fft(tx.samples[sym + ncp:sym + ncp + n], norm="ortho")
+    even = np.arange(0, n, 2)
+    assert np.allclose(y2[even] * np.conj(y1[even]), pre[even, 1] * np.conj(pre[even, 0]))
+    ts = 1.0 / cfg.bandwidth_hz
+    k = np.arange(tx.samples.size)
+    for shift in (-4, 0, 2):
+        s = tx.samples * np.exp(2j * np.pi * shift * cfg.subcarrier_spacing * k * ts)
+        assert sync._integer_cfo(s, cfg, 0, 0.0, ts) == shift
 
 
 def test_preamble_deterministic_per_seed():
-    a = build_preamble(small_cfg())
-    b = build_preamble(small_cfg())
-    c = build_preamble(small_cfg(preamble_seed=99))
+    a = fresh_tables(small_cfg()).preamble
+    b = fresh_tables(small_cfg()).preamble
+    c = fresh_tables(small_cfg(preamble_seed=99)).preamble
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_pilot_grid_placement():
+    """Pilots sit on the comb [::dN, ::dM], every other payload cell carries
+    data, and the payload grid puts the table's pilots there."""
     cfg = small_cfg()
-    pilot_mask, data_mask = payload_masks(cfg)
+    tables = frame_tables(cfg)
+    pilot_mask = ~tables.data_mask
     assert pilot_mask.sum() == cfg.n_pilot_rows * cfg.n_pilot_cols
-    assert not np.any(pilot_mask & data_mask)
-    assert np.all(pilot_mask | data_mask)
     assert pilot_mask[0, 0]
     assert pilot_mask[cfg.pilot_freq_spacing, cfg.pilot_time_spacing]
     assert not pilot_mask[1, 0]
+    region = payload_grid(cfg, np.zeros(cfg.n_data_elements, dtype=complex))
+    assert np.array_equal(region[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing],
+                          tables.pilots)
+    assert np.array_equal(region != 0, pilot_mask)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -111,7 +123,6 @@ def test_frame_data_round_trip(seed):
     # the layout functions invert each other and read pilots as a unit channel
     region = payload_grid(cfg, got)
     assert np.array_equal(region, frame[:, cfg.m_preamble:])
-    assert np.array_equal(data_elements(region, cfg), got)
     assert np.array_equal(pilot_cfr(region, cfg),
                           np.ones((cfg.n_pilot_rows, cfg.n_pilot_cols)))
 
@@ -177,7 +188,7 @@ def test_capacity_overflow_raises():
     cfg = small_cfg()
     max_info, _ = frame_capacity_bits(cfg)
     with pytest.raises(ConfigError) as exc:
-        encode_payload(np.zeros(max_info + 1, dtype=np.uint8), cfg)
+        map_payload(np.zeros(max_info + 1, dtype=np.uint8), cfg)
     assert exc.value.violations == [f"payload of {max_info + 1} bits exceeds frame "
                                     f"capacity of {max_info} info bits"]
 
@@ -186,15 +197,17 @@ def test_wrong_symbol_count_raises():
     cfg = small_cfg()
     with pytest.raises(ValueError, match=f"expected {cfg.n_data_elements} payload symbols "
                                          "for this config, got 17"):
-        assemble_frame(cfg, np.zeros(17, dtype=complex))
+        payload_grid(cfg, np.zeros(17, dtype=complex))
     with pytest.raises(ValueError, match=f"got {cfg.n_data_elements + 1}$"):
         payload_grid(cfg, np.zeros(cfg.n_data_elements + 1, dtype=complex))
 
 
 def test_pilot_values_deterministic():
     cfg = small_cfg()
-    assert np.array_equal(pilot_values(cfg), pilot_values(cfg))
-    assert pilot_values(cfg).shape == (cfg.n_pilot_rows, cfg.n_pilot_cols)
+    pilots = fresh_tables(cfg).pilots
+    assert np.array_equal(pilots, fresh_tables(cfg).pilots)
+    assert pilots.shape == (cfg.n_pilot_rows, cfg.n_pilot_cols)
+    assert not np.array_equal(pilots, fresh_tables(small_cfg(pilot_seed=7)).pilots)
 
 
 def test_frame_tables_cached_and_read_only():
@@ -202,32 +215,11 @@ def test_frame_tables_cached_and_read_only():
     tables = frame_tables(cfg)
     assert frame_tables(small_cfg()) is tables
     assert frame_tables(small_cfg(pilot_seed=7)) is not tables
-    assert np.array_equal(tables.preamble, build_preamble(cfg))
-    assert np.array_equal(tables.pilots, pilot_values(cfg))
-    assert np.array_equal(tables.data_mask, payload_masks(cfg)[1])
+    for name, arr in vars(fresh_tables(cfg)).items():
+        assert np.array_equal(getattr(tables, name), arr), name
     assert np.array_equal(tables.k_pil, np.arange(0, 64, cfg.pilot_freq_spacing))
     assert np.array_equal(tables.m_pil, np.arange(0, 32, cfg.pilot_time_spacing))
     for name, arr in vars(tables).items():
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
         assert not arr.flags.writeable, name
-
-
-def test_frame_layout_owned_by_txframe():
-    """Other modules read the frame layout through txframe's tables and
-    layout functions, never by rebuilding it."""
-    layout_fns = {"pilot_values", "payload_masks", "build_preamble"}
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "txframe.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = {a.name for a in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno} {n}" for n in names & layout_fns]
-    assert len(list(SRC.glob("*.py"))) > 1
-    assert offenders == []
