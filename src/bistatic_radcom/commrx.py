@@ -116,7 +116,9 @@ def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
     b = mag[peaks, idx]
     c = mag[(peaks + 1) % (nb * pad), idx]
     denom = a - 2 * b + c
-    frac = np.where(np.abs(denom) > 1e-30, 0.5 * (a - c) / denom, 0.0)
+    # a flat top (a zeroed span) gives no refinement, and no division
+    frac = np.divide(0.5 * (a - c), denom, out=np.zeros_like(denom),
+                     where=np.abs(denom) > 1e-30)
     frac = np.clip(frac, -0.5, 0.5)
     pos = (peaks + frac)
     pos = np.where(pos > nb * pad / 2, pos - nb * pad, pos)  # signed (early/late)
@@ -158,6 +160,7 @@ def cir_evolution(grid: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.nd
 
 
 _EQUALIZE_COLUMNS = 64  # payload symbols equalized per block
+_ERASE_BELOW = 1e-6  # erasure floor, relative to the CFR's median magnitude at the pilots
 
 
 def equalize(grid: np.ndarray, cfr: np.ndarray,
@@ -168,8 +171,15 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
     effective noise variances for LLR scaling, erasure flags). Blocks of
     ``_EQUALIZE_COLUMNS`` payload symbols are equalized at a time; the data
     cells of a block are one contiguous range of that order.
+
+    A cell is erased (symbol 0, infinite noise variance) where the CFR
+    magnitude is at most ``_ERASE_BELOW`` times its median over the pilot
+    comb, so the gate does not depend on the absolute level; a zero cell is
+    always erased.
     """
     mask = frame_tables(cfg).data_mask
+    pilots = cfr[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing]
+    floor = _ERASE_BELOW * np.median(np.abs(pilots))
     first = np.concatenate([[0], np.cumsum(mask.sum(axis=0))])  # first cell of each column
     noise_var = _noise_variance_per_subcarrier(grid, cfg)
     s_hat = np.empty(first[-1], dtype=np.complex128)
@@ -181,11 +191,12 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
         lo, hi = first[start], first[stop]
         h = cfr[:, start:stop].T[cells]
         mag = np.abs(h)
-        lost = np.less(mag, 1e-6, out=erased[lo:hi])
+        lost = np.less_equal(mag, floor, out=erased[lo:hi])
         s = np.divide(grid[:, start:stop].T[cells], np.where(lost, 1.0, h), out=s_hat[lo:hi])
         s[lost] = 0.0
         nv_cells = np.broadcast_to(noise_var, (stop - start, noise_var.size))[cells]
-        np.divide(nv_cells, np.maximum(mag, 1e-6) ** 2, out=nv[lo:hi])
+        v = np.divide(nv_cells, mag ** 2, out=nv[lo:hi], where=~lost)
+        v[lost] = np.inf  # an erased cell carries no information
 
     dsp.run_blocks(block, mask.shape[1], _EQUALIZE_COLUMNS)
     return s_hat, nv, erased

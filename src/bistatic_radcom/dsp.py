@@ -10,10 +10,9 @@ The resampler and the correction chain evaluate their output in fixed
 blocks of ``_BLOCK`` samples, spread over a thread per usable CPU by
 `run_blocks`; the channel and the receiver apply their phasors the same way.
 The threads overlap because NumPy releases the interpreter lock in ``take``
-and in ufuncs, and SciPy's ``upfirdn`` releases it in its filter loop. Every
-block writes its own slice of a preallocated output and the block edges do
-not depend on the thread count, so the result is bit-for-bit the same on any
-number of cores.
+and in ufuncs. Every block writes its own slice of a preallocated output and
+the block edges do not depend on the thread count, so the result is
+bit-for-bit the same on any number of cores.
 
 The correction chain is fused: each output block filters, from the slice of
 the input it depends on, only the interpolator outputs under its cubic
@@ -24,12 +23,20 @@ of the three stages run one after the other over the whole stream, while
 neither 2n-sample intermediate stream exists.
 
 `fractional_delay` filters by overlap-add in chunks of ``_OA_CHUNK`` input
-samples, one ``oaconvolve`` call each, on a thread per CPU. The chunk
-is a whole number of ``oaconvolve``'s own block steps, so the chunks cut the
-input where one whole-stream call would cut it into blocks; the outputs of
-neighbouring chunks overlap by the filter length, and those two terms are
-added as the whole-stream call adds its two overlapping blocks. The result
-has the bits of that call without its stream-sized temporaries.
+samples, one `_oaconvolve` call each, on a thread per CPU. The chunk is a
+whole number of the overlap-add's own ``_OA_STEP`` (428-sample) block steps,
+so the chunks cut the input where one whole-stream call would cut it into
+blocks; the outputs of neighbouring chunks overlap by the filter length, and
+those two terms are added as the whole-stream call adds its two overlapping
+blocks. The result has the bits of that call without its stream-sized
+temporaries.
+
+The FIR stages (`_fir_range`), their filter (`_halfband_fir`) and the
+overlap-add (`_oaconvolve`) are the package's own, on NumPy and
+``scipy.fft``, written to give the bits of SciPy's ``signal.upfirdn``,
+``signal.firwin`` and ``signal.oaconvolve``; the tests hold them to those
+functions. The package does not import SciPy's signal module, whose import
+alone would take longer than the rest of the start-up.
 """
 
 from __future__ import annotations
@@ -39,16 +46,17 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
-from scipy import signal
+import scipy.fft
+import scipy.special
 
 from .params import ConfigError
 
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 1043 MB, 99 B per sample, so a stream at the budget needs about 1.7 GB.
+# at 1013 MB, 96 B per sample, so a stream at the budget needs about 1.6 GB.
 # That peak is set in comm estimation and decoding; the sample path (TX,
-# channel, sync) peaks at about 930 MB.
+# channel, sync) peaks at about 885 MB.
 MAX_STREAM_SAMPLES = 1 << 24
 
 
@@ -90,11 +98,15 @@ _FRAC_DELAY_TAPS = 63
 _FRAC_DELAY_BETA = 8.0
 
 
-# Input samples per overlap-add chunk: a multiple of the 428-sample block
-# step that `signal.oaconvolve` takes for 63 taps, so every chunk cuts the
-# input at the block edges of one whole-stream call, and longer than its
-# 490-sample FFT block, below which it would fall back to one FFT.
-_OA_CHUNK = 428 * 64
+# `_oaconvolve`'s FFT block and block step for the 63-tap filter: the sizes
+# SciPy's ``signal.oaconvolve`` picks for 63 taps (``_calc_oa_lens``)
+_OA_FFT = 490
+_OA_STEP = _OA_FFT - _FRAC_DELAY_TAPS + 1
+
+# Input samples per overlap-add chunk: a multiple of the block step, so every
+# chunk cuts the input at the block edges of one whole-stream call, and
+# longer than the FFT block, below which it would fall back to one FFT.
+_OA_CHUNK = _OA_STEP * 64
 
 
 def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.ndarray:
@@ -124,8 +136,38 @@ def _place(out: np.ndarray, vals: np.ndarray, at: int) -> None:
         out[lo:hi] = vals[lo - at:hi - at]
 
 
+def _oaconvolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The full convolution of ``x`` with the 63 taps ``h``, with the bits of
+    SciPy's ``signal.oaconvolve(x, h)`` for at least 12 input samples.
+
+    Above ``_OA_FFT`` samples the input is cut into ``_OA_STEP``-sample
+    blocks, zero-padded to as many blocks as SciPy's rule asks, each
+    convolved by one ``_OA_FFT``-point FFT, and each block's last 62 outputs
+    are added to the next block's first. At or below it, one FFT of the
+    next fast length covers the whole input, as ``fftconvolve`` does. Below
+    12 samples SciPy swaps its operands and the last bit can differ. No
+    transmit stream is that short: a frame must carry one 648-bit codeword,
+    and the smallest one `load_scenario` accepts (N = 10, one CP sample,
+    36 symbols) is 396 samples long."""
+    n, ov = x.size, h.size - 1
+    if n <= _OA_FFT:
+        nfft = scipy.fft.next_fast_len(n + ov, False)
+        y = scipy.fft.ifftn(scipy.fft.fftn(x, [nfft]) * scipy.fft.fftn(h, [nfft]), [nfft])
+        return y[:n + ov]
+    steps = -(-(n + 1) // _OA_STEP)
+    if _OA_STEP * steps < n + ov:
+        steps += 1
+    xp = np.zeros((steps, _OA_STEP), dtype=np.complex128)
+    xp.reshape(-1)[:n] = x
+    ret = scipy.fft.ifftn(scipy.fft.fftn(xp, [_OA_FFT], axes=[1])
+                          * scipy.fft.fftn(h[None, :], [_OA_FFT], axes=[1]),
+                          [_OA_FFT], axes=[1])
+    ret[1:, :ov] += ret[:-1, -ov:]
+    return ret[:, :_OA_STEP].reshape(-1)[:n + ov]
+
+
 def _oaconvolve_into(x: np.ndarray, h: np.ndarray, out: np.ndarray, shift: int) -> None:
-    """Write ``y = signal.oaconvolve(x, h)`` into ``out`` as
+    """Write ``y = _oaconvolve(x, h)`` into ``out`` as
     ``out[m + shift] = y[m]``, dropping what falls outside ``out``.
 
     The input is cut into chunks of ``_OA_CHUNK`` samples (the last one takes
@@ -142,7 +184,7 @@ def _oaconvolve_into(x: np.ndarray, h: np.ndarray, out: np.ndarray, shift: int) 
 
     def chunk(c: int, _: int) -> None:
         lo, hi = starts[c], stops[c]
-        y = signal.oaconvolve(x[lo:hi], h, mode="full")
+        y = _oaconvolve(x[lo:hi], h)
         body_lo = lo if c == 0 else lo + ov
         body_hi = hi + ov if c == last else hi
         _place(out, y[body_lo - lo:body_hi - lo], body_lo + shift)
@@ -241,8 +283,15 @@ _BYPASS_THRESHOLD = 1e-8
 
 
 def _halfband_fir() -> np.ndarray:
-    # cutoff at 1/4 of the doubled rate; 48 taps per the stage budget
-    return signal.firwin(_STAGE_TAPS, 0.5, window=("kaiser", _STAGE_BETA))
+    """Window-method lowpass, cutoff at 1/4 of the doubled rate, 48 taps per
+    the stage budget, unit gain at DC: SciPy's ``signal.firwin(48, 0.5,
+    window=("kaiser", 7.0))``, with its bits."""
+    alpha = (_STAGE_TAPS - 1) / 2.0
+    n = np.arange(_STAGE_TAPS, dtype=np.float64)
+    window = (scipy.special.i0(_STAGE_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0))
+              / scipy.special.i0(np.float64(_STAGE_BETA)))
+    h = 0.5 * np.sinc(0.5 * (n - alpha)) * window
+    return h / np.sum(h)
 
 
 def _cubic_lagrange(up: np.ndarray, t: np.ndarray, lo: int, size: int) -> np.ndarray:
@@ -266,7 +315,7 @@ def _cubic_lagrange(up: np.ndarray, t: np.ndarray, lo: int, size: int) -> np.nda
 def _fir_span(taps: int, up: int, down: int, start: int, stop: int,
               n_in: int) -> tuple[int, int]:
     """The input slice ``[lo, hi)`` that outputs ``start:stop`` of
-    ``signal.upfirdn(h, x, up, down)`` depend on, for ``taps`` filter taps
+    ``upfirdn(h, x, up, down)`` depend on, for ``taps`` filter taps
     and ``n_in`` input samples.
 
     The slice is widened by one filter length and starts on a multiple of
@@ -281,10 +330,41 @@ def _fir_span(taps: int, up: int, down: int, start: int, stop: int,
 
 def _fir_range(h: np.ndarray, xs: np.ndarray, lo: int, up: int, down: int,
                start: int, stop: int) -> np.ndarray:
-    """Outputs ``start:stop`` of ``signal.upfirdn(h, x, up, down)`` from
-    ``xs = x[lo:hi]``, the slice that `_fir_span` gives."""
-    skip = start - lo * up // down
-    return signal.upfirdn(h, xs, up=up, down=down)[skip:skip + stop - start]
+    """Outputs ``start:stop`` of ``upfirdn(h, x, up, down)`` (SciPy's
+    ``signal.upfirdn``: upsample by ``up``, filter, downsample by ``down``)
+    from ``xs = x[lo:hi]``, the slice that `_fir_span` gives.
+
+    Output k is the sum over i of ``x[k*down//up - i] * h[k*down % up + i*up]``.
+    The outputs of one filter phase are summed one tap at a time, from the
+    last tap to the first, into an accumulator that starts at +0, as
+    upfirdn's loop does. Each tap reads a contiguous slice of the input, or
+    of its even or odd samples when ``down`` is 2. A real tap scales the
+    real and imaginary parts on their own; against upfirdn's complex product
+    that changes at most the sign of a zero term, and a zero term leaves a
+    sum that started at +0 as it is, so the bits are the same."""
+    reach = -(-h.size // up)  # taps per phase
+    taps = np.zeros(reach * up)
+    taps[:h.size] = h
+    # zeros around xs, in front a whole number of ``down`` samples so each
+    # sample keeps the parity of its input index
+    front = -(-reach // down) * down
+    back = max((stop - 1) * down // up + 1 - lo - xs.size, 0)
+    xp = np.zeros(front + xs.size + back, dtype=np.complex128)
+    xp[front:front + xs.size] = xs
+    planes = [np.ascontiguousarray(xp[p::down]).view(np.float64) for p in range(down)]
+    out = np.empty(stop - start, dtype=np.complex128)
+    for k0 in range(start, min(start + up, stop)):
+        count = len(range(k0, stop, up))
+        newest = k0 * down // up - lo + front  # index in xp of output k0's newest sample
+        phase = k0 * down % up
+        acc = np.zeros(2 * count)
+        prod = np.empty_like(acc)
+        for i in range(reach - 1, -1, -1):
+            plane, at = planes[(newest - i) % down], (newest - i) // down
+            np.multiply(plane[2 * at:2 * (at + count)], taps[phase + i * up], out=prod)
+            acc += prod
+        out[k0 - start::up] = acc.view(np.complex128)
+    return out
 
 
 def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
@@ -329,8 +409,5 @@ def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
         v = _cubic_lagrange(up, t, lo_u, size)
         z[start:stop] = _fir_range(h, v, lo_v, 1, 2, start, stop)
 
-    # a quarter block: each output block holds some 25 temporaries of twice
-    # its length, which stay small enough for the allocator to reuse rather
-    # than map fresh pages for every block
-    run_blocks(block, y.size, max(_BLOCK // 4, 1))
+    run_blocks(block, y.size)
     return z

@@ -8,11 +8,12 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bistatic_radcom import dsp, radar, scenario
 from bistatic_radcom.channel import apply_paths_and_cfo
@@ -796,21 +797,27 @@ def _damaged(x, start, kind, at, length, symbol):
        at=st.floats(0.0, 1.0, exclude_max=True), length=st.floats(0.0, 0.5),
        symbol=st.integers(0, 11))
 @settings(max_examples=40, deadline=None)
+@example(kind="zero_span", at=0.515, length=0.143, symbol=0)  # flat CIR peaks
 def test_damaged_capture_decodes_or_names_one_stage(small_demo_capture, kind, at, length,
                                                     symbol):
     """A capture with a span zeroed or held at DC, cut short, or with a
     preamble or clock-tracking symbol zeroed, anywhere: exit 0 with strict
     JSON and no null estimate, exit 3 with one stage tag, or exit 2 with one
-    input error. A traceback fails the example."""
+    input error. A traceback or a runtime warning fails the example (pytest
+    records warnings, so they never reach the redirected stderr)."""
     scn, x, start = small_demo_capture
     with tempfile.TemporaryDirectory() as tmp:
         iq, out = Path(tmp) / "rx.iq", Path(tmp) / "out"
         write_iq(iq, IqStream(samples=_damaged(x, start, kind, at, length, symbol),
                               nominal_rate=1e9))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
             code = main(["capture", str(iq), str(scn), "--out", str(out)])
         err = err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+            [str(w.message) for w in caught]
         if code == EXIT_OK:
             def reject(token):
                 raise ValueError(f"non-standard JSON constant {token}")
@@ -824,6 +831,26 @@ def test_damaged_capture_decodes_or_names_one_stage(small_demo_capture, kind, at
         else:
             assert code == EXIT_INPUT
             assert re.fullmatch(r"error: [^\n]+\n", err), err
+
+
+@pytest.mark.parametrize("gain_db", [-300.0, 300.0])
+def test_noiseless_run_at_extreme_main_path_gain(tmp_path, capsys, gain_db):
+    """A noiseless run of the demo (64 payload symbols) with its main path at
+    -300 or +300 dB decodes every bit, or names the stage that failed; the
+    receiver's gates do not depend on the absolute signal level."""
+    doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    doc["frame"]["m_payload"] = 64
+    doc["sensing"]["write_map_csv"] = False
+    doc["channel"]["paths"][0]["gain_db"] = gain_db
+    code = main(["run", str(write_scn(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        metrics = json.loads((tmp_path / "out" / "comm_metrics.json").read_text())
+        assert metrics["post_fec_ber"] == 0.0
+        assert metrics["evm_rms_percent"] < 1.0
+    else:
+        assert code == EXIT_PIPELINE
+        assert re.fullmatch(r"pipeline error: \[[a-z_.]+\] [^\[\]\n]+\n", err), err
 
 
 def test_traced_benchmark_names_resolve(tmp_path):

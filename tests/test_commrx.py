@@ -1,5 +1,7 @@
 """Payload demodulation, channel estimation, equalization and decoding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,15 +112,18 @@ def data_cells(grid, cfg):
 
 def equalize_one_shot(grid, cfr, cfg):
     """Zero-forcing equalization over every data cell at once."""
+    t = frame_tables(cfg)
+    floor = 1e-6 * np.median(np.abs(cfr[np.ix_(t.k_pil, t.m_pil)]))
     h = data_cells(cfr, cfg)
     y = data_cells(grid, cfg)
     mag = np.abs(h)
-    erased = mag < 1e-6
+    erased = mag <= floor
     s_hat = y / np.where(erased, 1.0, h)
     s_hat[erased] = 0.0
     noise_var = commrx._noise_variance_per_subcarrier(grid, cfg)
     nv_grid = np.broadcast_to(noise_var[:, None], grid.shape)
-    nv = data_cells(nv_grid, cfg) / np.maximum(mag, 1e-6) ** 2
+    nv = data_cells(nv_grid, cfg) / np.where(erased, 1.0, mag ** 2)
+    nv[erased] = np.inf
     return s_hat, nv, erased
 
 
@@ -150,6 +155,38 @@ def test_equalize_flags_null_channel_cells():
     cfr[10, :] = 0.0
     _, _, erased = equalize(rg, cfr, cfg)
     assert erased.any()
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-9, 1e15])
+def test_equalize_erasure_is_scale_free(scale):
+    """The grid and its CFR scaled together by a power of ten (a main path
+    at -300 to +300 dB) erase the same cells and give the same symbols; the
+    erasure floor follows the CFR's own level, not an absolute one."""
+    cfg = desk_cfg()
+    _, (frame, _, tx) = make_frame(cfg)
+    rg = demodulate_frame(payload_samples(tx, cfg), cfg)
+    cfr = estimate_cfr(rg, cfg).cfr
+    cfr[10, :] = 1e-9 * cfr[10, :]
+    s_ref, _, erased_ref = equalize(rg, cfr, cfg)
+    s_hat, nv, erased = equalize(rg * scale, cfr * scale, cfg)
+    assert erased_ref.any() and not erased_ref.all()
+    assert np.array_equal(erased, erased_ref)
+    assert np.allclose(s_hat, s_ref, rtol=1e-12, atol=0.0)
+    assert np.all(np.isinf(nv[erased])) and np.all(np.isfinite(nv[~erased]))
+
+
+def test_equalize_erases_every_cell_of_a_zero_cfr():
+    """A CFR that is zero everywhere erases every data cell, without a
+    division warning."""
+    cfg = desk_cfg()
+    _, (frame, _, tx) = make_frame(cfg)
+    rg = demodulate_frame(payload_samples(tx, cfg), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s_hat, nv, erased = equalize(rg, np.zeros_like(rg), cfg)
+    assert erased.all()
+    assert not s_hat.any()
+    assert np.all(np.isinf(nv))
 
 
 def test_llr_signs_follow_bit_mapping():

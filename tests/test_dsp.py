@@ -1,6 +1,10 @@
 """Resampling and fractional-delay primitives."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,16 +319,22 @@ def test_fractional_delay_matches_fftconvolve_oracle(seed, n, delay, len_offset)
        st.sampled_from([(2, 1), (1, 2)]),
        st.integers(1, 700),
        st.integers(16, 160),
-       st.integers(-60, 0))
+       st.integers(-60, 0),
+       st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
-def test_blocked_fir_stage_matches_one_shot_upfirdn(seed, rates, n, block, trim):
+def test_blocked_fir_stage_matches_one_shot_upfirdn(seed, rates, n, block, trim,
+                                                    zero_at, zero_len):
     """Both FIR stages of the correction chain (x2 interpolator, /2
     decimator), filtered block by block on 1 or 3 threads, return the bits of
     one ``signal.upfirdn`` call over odd and even lengths, up to its last
-    sample or cut short of it."""
+    sample or cut short of it. A run of the input is zeroed, so products of
+    either sign of zero enter the sums."""
     up, down = rates
     h = dsp._halfband_fir() * up
     x = complex_noise(seed, n)
+    lo = int(zero_at * n)
+    x[lo:lo + int(zero_len * (n - lo))] = 0.0
     want = signal.upfirdn(h, x, up=up, down=down)
     want = want[:max(want.size + trim, 1)]
 
@@ -359,10 +369,42 @@ def fractional_delay_one_shot(x, delay_samples, out_len):
 
 def test_overlap_add_chunk_is_a_whole_number_of_oaconvolve_steps():
     """The chunk must cut the input at the block edges of one whole-stream
-    ``oaconvolve``; this fails if SciPy changes its block step for 63 taps."""
-    step = _signaltools._calc_oa_lens(dsp._OA_CHUNK, dsp._FRAC_DELAY_TAPS)[2]
+    ``oaconvolve``, and the package's own FFT block and block step must be
+    SciPy's; this fails if SciPy changes its block sizes for 63 taps."""
+    block, _, step, _ = _signaltools._calc_oa_lens(dsp._OA_CHUNK, dsp._FRAC_DELAY_TAPS)
     assert step == 428
+    assert (dsp._OA_FFT, dsp._OA_STEP) == (block, step)
     assert dsp._OA_CHUNK % step == 0
+
+
+def test_halfband_fir_has_firwin_bits():
+    assert same_bits(dsp._halfband_fir(),
+                     signal.firwin(dsp._STAGE_TAPS, 0.5, window=("kaiser", dsp._STAGE_BETA)))
+
+
+@pytest.mark.parametrize("lengths", [
+    range(12, 1201), [dsp._OA_CHUNK, 2 * dsp._OA_CHUNK - 1, 428 * 3, 428 * 3 + 61]])
+def test_oaconvolve_has_scipy_bits(lengths):
+    """The package's overlap-add returns ``signal.oaconvolve``'s bits on every
+    input length from 12 samples up through the one-FFT case (at or below
+    490 samples) and the blocked case, and at the chunk sizes that
+    `_oaconvolve_into` makes."""
+    h = np.sinc(np.arange(63) - 31.3) * dsp._kaiser_at(np.arange(63) - 31.3, 63, 8.0)
+    for n in lengths:
+        x = complex_noise(n, n)
+        assert same_bits(dsp._oaconvolve(x, h), signal.oaconvolve(x, h)), n
+
+
+def test_package_does_not_import_scipy_signal():
+    """The command line and the scenario pipeline load without SciPy's
+    signal module, whose import would be most of the start-up time."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "import bistatic_radcom.cli, bistatic_radcom.scenario\n"
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 @pytest.mark.parametrize("chunk", [428 * 2, 428 * 3, dsp._OA_CHUNK])
