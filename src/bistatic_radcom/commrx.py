@@ -51,7 +51,7 @@ def _main_tap(cir_mag: np.ndarray) -> int:
     """Index of the dominant tap of a mean CIR magnitude profile."""
     peak = int(np.argmax(cir_mag))
     med = float(np.median(cir_mag))
-    if cir_mag[peak] < 10 ** (6.0 / 20.0) * max(med, 1e-30):
+    if not cir_mag[peak] > 10 ** (6.0 / 20.0) * med:
         raise RuntimeError("no dominant channel tap (peak < 6 dB above median)")
     return peak
 
@@ -103,25 +103,20 @@ def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
     # reorder rows to physical frequency before zero padding so fractional
     # delays keep a single clean peak (padding must extend the band, not
     # split it at Nyquist)
-    cir = scipy.fft.ifft(np.fft.fftshift(hp, axes=0), n=nb * pad, axis=0,
+    size = nb * pad
+    cir = scipy.fft.ifft(np.fft.fftshift(hp, axes=0), n=size, axis=0,
                          workers=dsp._workers())
     mag = np.abs(cir)
     tap = _main_tap(np.mean(mag, axis=1))
     peaks = np.argmax(mag, axis=0)
     # keep per-symbol peaks near the common dominant tap (cyclic distance)
-    dist = np.minimum((peaks - tap) % (nb * pad), (tap - peaks) % (nb * pad))
+    dist = np.minimum((peaks - tap) % size, (tap - peaks) % size)
     peaks = np.where(dist <= pad, peaks, tap)
     idx = np.arange(hp.shape[1])
-    a = mag[(peaks - 1) % (nb * pad), idx]
     b = mag[peaks, idx]
-    c = mag[(peaks + 1) % (nb * pad), idx]
-    denom = a - 2 * b + c
-    # a flat top (a zeroed span) gives no refinement, and no division
-    frac = np.divide(0.5 * (a - c), denom, out=np.zeros_like(denom),
-                     where=np.abs(denom) > 1e-30)
-    frac = np.clip(frac, -0.5, 0.5)
-    pos = (peaks + frac)
-    pos = np.where(pos > nb * pad / 2, pos - nb * pad, pos)  # signed (early/late)
+    pos = peaks + dsp.parabolic_vertex(mag[(peaks - 1) % size, idx], b,
+                                       mag[(peaks + 1) % size, idx])
+    pos = np.where(pos > size / 2, pos - size, pos)  # signed (early/late)
     delay_samples = pos / pad
     return delay_samples, b
 
@@ -138,7 +133,7 @@ def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
     mc = m_pil - (w * m_pil).sum() / wsum
     dc = delays - (w * delays).sum() / wsum
     den = (w * mc * mc).sum()
-    slope = (w * mc * dc).sum() / max(den, 1e-30)  # samples per payload symbol
+    slope = (w * mc * dc).sum() / den if den > 0 else 0.0  # samples per payload symbol
     resid = dc - slope * mc
     rms_resid = np.sqrt((w * resid ** 2).sum() / wsum)
     warning = bool(rms_resid > 0.5)
@@ -177,9 +172,9 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
     comb, so the gate does not depend on the absolute level; a zero cell is
     always erased.
     """
-    mask = frame_tables(cfg).data_mask
-    pilots = cfr[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing]
-    floor = _ERASE_BELOW * np.median(np.abs(pilots))
+    tables = frame_tables(cfg)
+    mask = tables.data_mask
+    floor = _ERASE_BELOW * np.median(np.abs(cfr[np.ix_(tables.k_pil, tables.m_pil)]))
     first = np.concatenate([[0], np.cumsum(mask.sum(axis=0))])  # first cell of each column
     noise_var = _noise_variance_per_subcarrier(grid, cfg)
     s_hat = np.empty(first[-1], dtype=np.complex128)
@@ -204,11 +199,13 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
 
 def _noise_variance_per_subcarrier(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Noise variance proxy from pilot-to-pilot channel estimate differences,
-    interpolated over all subcarriers."""
-    d = np.diff(pilot_cfr(grid, cfg), axis=1)
+    interpolated over all subcarriers; floored at 1e-12 times the median
+    pilot channel power, so the floor follows the capture's level."""
+    hp = pilot_cfr(grid, cfg)
+    d = np.diff(hp, axis=1)
     var_rows = 0.5 * np.mean(np.abs(d) ** 2, axis=1)
     var = np.interp(np.arange(cfg.n_subcarriers), frame_tables(cfg).k_pil, var_rows)
-    return np.maximum(var, 1e-12)
+    return np.maximum(var, 1e-12 * np.median(np.abs(hp) ** 2))
 
 
 def qpsk_llrs(symbols: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
@@ -242,8 +239,8 @@ def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
     info = bits[:, :code.k].reshape(-1)[:info_len]
 
     metrics = CommMetrics(frames_decoded=1, decoder_converged=bool(ok.all()))
-    hard = (llrs.reshape(-1) < 0).astype(np.uint8)
     if tx_coded_bits is not None:
+        hard = (llrs.reshape(-1) < 0).astype(np.uint8)
         ref = np.asarray(tx_coded_bits, dtype=np.uint8).ravel()[:n_coded]
         metrics.pre_fec_ber = float(np.mean(hard != ref))
     if tx_info_bits is not None:

@@ -41,6 +41,7 @@ alone would take longer than the rest of the start-up.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -89,6 +90,14 @@ def run_blocks(block: Callable[[int, int], None], n: int, size: int | None = Non
         futures = [pool.submit(block, s, min(s + size, n)) for s in starts]
         for f in futures:
             f.result()
+
+
+def parabolic_vertex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Offset, clipped to +-0.5, of the vertex of the parabola through ``a,
+    b, c`` at -1, 0, +1; 0 where the three are collinear (a flat top)."""
+    denom = a - 2 * b + c
+    return np.clip(np.divide(0.5 * (a - c), denom, out=np.zeros_like(denom),
+                             where=np.abs(denom) > 1e-30), -0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +230,10 @@ def _polyphase_table() -> np.ndarray:
     return np.sinc(arg) * _kaiser_at(arg, _POLY_TAPS, _POLY_BETA)
 
 
-_TABLE_T: np.ndarray | None = None  # tap-major copy: row k holds tap k of every phase
+@functools.cache
+def _tap_major_table() -> np.ndarray:
+    """Tap-major copy of the polyphase table: row k holds tap k of every phase."""
+    return np.ascontiguousarray(_polyphase_table().T)
 
 
 def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:
@@ -234,14 +246,13 @@ def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:
     Each output sums its 80 taps left to right, one tap over a whole block
     at a time, on separate real and imaginary planes.
     """
-    global _TABLE_T
-    if _TABLE_T is None:
-        _TABLE_T = np.ascontiguousarray(_polyphase_table().T)
+    table = _tap_major_table()
     x = np.asarray(x, dtype=np.complex128)
     taps = _POLY_TAPS
     half = taps // 2 - 1
     # window n starts at x[base - half], which is xr[base]; the zeros behind
-    # the input absorb every window that leaves it
+    # the input absorb every window that leaves it, and "clip" reads the
+    # last of them for a window past the end
     xr = np.zeros(half + x.size + 2 * taps)
     xi = np.zeros_like(xr)
     xr[half:half + x.size] = x.real
@@ -254,13 +265,12 @@ def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:
         base = np.floor(t).astype(np.int64)
         mu = t - base
         p0 = np.rint(mu * _POLY_PHASES).astype(np.int64)
-        np.minimum(base, x.size + half + taps, out=base)
         coeff = np.empty(stop - start)
         prod = np.empty(stop - start)
         acc_re = np.zeros(stop - start)
         acc_im = np.zeros(stop - start)
         for k in range(taps):
-            np.take(_TABLE_T[k], p0, out=coeff, mode="clip")
+            np.take(table[k], p0, out=coeff, mode="clip")
             np.take(xr[k:], base, out=prod, mode="clip")
             prod *= coeff
             acc_re += prod

@@ -14,6 +14,8 @@ always means that the returned bits satisfy H c = 0.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Prototype matrix for the 648-bit rate-2/3 WLAN code: entries are circulant
@@ -159,12 +161,7 @@ def _check_to_var(v2c: np.ndarray, scale: float) -> np.ndarray:
     return np.float32(scale) * sign * ext_mag
 
 
-_CODE: LdpcCode | None = None
-
-
+@functools.cache
 def default_code() -> LdpcCode:
     """Shared code instance."""
-    global _CODE
-    if _CODE is None:
-        _CODE = LdpcCode()
-    return _CODE
+    return LdpcCode()

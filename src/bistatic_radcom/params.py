@@ -79,6 +79,11 @@ class FrameConfig:
             v.append("m_payload not divisible by pilot_time_spacing")
         if self.cp_len >= self.n_subcarriers:
             v.append("cp_len must be smaller than n_subcarriers")
+        elif self.cp_len > self.n_subcarriers // 2 - 3:
+            # the first Schmidl-Cox symbol repeats every N/2 samples, so a
+            # fine-timing window of +-cp_len that reaches the copy meets a
+            # sidelobe of about half the peak
+            v.append("cp_len must be at most n_subcarriers / 2 - 3")
         if not self.bandwidth_hz > 0:
             v.append("bandwidth_hz must be positive")
         # the CFR interpolation needs two pilots along each axis, and the

@@ -122,14 +122,6 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
                            doppler_axis_hz=doppler_axis, mode=mode)
 
 
-def _parabolic(vals: np.ndarray, i: int) -> float:
-    a, b, c = vals[i - 1], vals[i], vals[(i + 1) % vals.size]
-    denom = a - 2 * b + c
-    if abs(denom) < 1e-30:
-        return 0.0
-    return float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
-
-
 def _max3_wrapped(m: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Largest value of the 3x3 neighborhood of each cell in rows
     ``start:stop`` of ``m``, wrapping around both axes. Reads only those rows
@@ -167,16 +159,18 @@ def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
     dsp.run_blocks(peak_test, m.shape[0], _MAP_ROWS)
     ri, di = np.nonzero(is_peak)
     order = np.argsort(m[ri, di])[::-1][:max_peaks]
+    ri, di = ri[order], di[order]
+    # vertex of the linear magnitude at each detection and its two wrapped
+    # neighbours, along range and along Doppler
+    off = np.arange(-1, 2)[:, None]
+    frac_r = dsp.parabolic_vertex(*10.0 ** (m[(ri + off) % m.shape[0], di] / 20.0))
+    frac_d = dsp.parabolic_vertex(*10.0 ** (m[ri, (di + off) % m.shape[1]] / 20.0))
 
     dets = []
     dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
     dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
     span = rd_map.range_axis_m.size * dr  # unambiguous range of this mode
-    for idx in order:
-        i, j = int(ri[idx]), int(di[idx])
-        # linear magnitude of the detection's column and row only
-        fi = _parabolic(10.0 ** (m[:, j] / 20.0), i)
-        fj = _parabolic(10.0 ** (m[i, :] / 20.0), j)
+    for i, j, fi, fj in zip(ri.tolist(), di.tolist(), frac_r, frac_d):
         rng = float(rd_map.range_axis_m[i] + fi * dr)
         # delays wrapping past half the unambiguous span are reported as
         # negative relative ranges (target path shorter than the main path)

@@ -1,12 +1,14 @@
 """Receiver timing, carrier and sampling-clock synchronization chain.
 
-Order of operations: Schmidl-Cox coarse timing + CFO (fractional via the
+Order of operations: Schmidl-Cox coarse timing and CFO (fractional via the
 half-repeated first preamble symbol, integer via the differentially encoded
-second symbol), local CFO pre-correction around the preamble, fine timing by
-cross-correlation against the known first preamble symbol, weighted
-least-squares clock-offset estimation over the pairwise-identical preamble
-symbols, resampling correction of the whole stream, preamble discard and
-payload CFO correction.
+second symbol), fine timing by cross-correlation against the known first
+preamble symbol, weighted least-squares clock-offset estimation over the
+pairwise-identical preamble symbols, resampling correction of the whole
+stream, preamble discard and payload CFO correction. Each estimator
+de-rotates exactly the samples it reads through `local_cfo_correct`: the
+two S&C symbols by the fractional CFO, the N + 2 N_CP samples of the
+fine-timing window and the clock-tracking symbols by the full estimate.
 
 Index convention: frame start = first CP sample of the first preamble symbol.
 
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsp
 from .dsp import run_blocks, sfo_correction_chain
 from .params import SFO_BOUND, FrameConfig, PipelineError
 from .txframe import IqStream, frame_tables
@@ -54,8 +55,7 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
         raise PipelineError("sync.schmidl_cox", "stream shorter than the preamble")
 
     # cp[d] and cw[d]: running sums of the half-lag products and of the
-    # power over s[:d], built block by block; each block starts from the
-    # last sum before it, which is the order of one whole-stream cumsum
+    # power over s[:d]
     n_d = s.size - n
     cp = np.empty(s.size - half + 1, dtype=np.complex128)
     cw = np.empty(s.size + 1)
@@ -69,13 +69,10 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     np.square(np.abs(s, out=cw[1:]), out=cw[1:])
     # the gate is relative to the mean power, one pairwise sum over the stream
     r_floor = 0.01 * np.mean(cw[1:]) * half
-    for acc in (cp, cw):
-        for start in range(1, acc.size, dsp._BLOCK):
-            stop = min(start + dsp._BLOCK, acc.size)
-            acc[start] += acc[start - 1]
-            np.cumsum(acc[start:stop], out=acc[start:stop])
+    np.cumsum(cp, out=cp)
+    np.cumsum(cw, out=cw)
 
-    metric = np.empty(n_d)
+    metric = np.zeros(n_d)
 
     def timing_metric(start: int, stop: int) -> None:
         p = cp[half + start:half + stop] - cp[start:stop]
@@ -83,9 +80,9 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
         r2 = cw[n + start:n + stop] - cw[half + start:half + stop]  # second half
         # normalized correlation, bounded by 1; windows with negligible
         # energy in either half (zero guards, capture padding) are gated out
-        valid = (r1 > r_floor) & (r2 > r_floor)
-        metric[start:stop] = np.where(valid, np.abs(p) ** 2 /
-                                      np.maximum(r1 * r2, 1e-60), 0.0)
+        # and left at 0, so no other window needs a floor at any level
+        np.divide(np.abs(p) ** 2, r1 * r2, out=metric[start:stop],
+                  where=(r1 > r_floor) & (r2 > r_floor))
 
     run_blocks(timing_metric, n_d)
 
@@ -109,13 +106,13 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     ts = 1.0 / cfg.bandwidth_hz
     frac_cfo = np.angle(cp[half + d_mid] - cp[d_mid]) / (np.pi * n * ts)
 
-    int_cfo = _integer_cfo(s, cfg, coarse_start, frac_cfo, ts)
+    int_cfo = _integer_cfo(s, cfg, coarse_start, frac_cfo)
     cfo_hat = frac_cfo + int_cfo * cfg.subcarrier_spacing
     return coarse_start, cfo_hat, float(peak)
 
 
 def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
-                 frac_cfo: float, ts: float) -> int:
+                 frac_cfo: float) -> int:
     """Resolve the integer CFO (in even multiples of the subcarrier spacing)
     from the differential encoding between the two S&C preamble symbols."""
     n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
@@ -123,9 +120,7 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     u1 = u0 + sym
     if u0 < 0 or u1 + n > s.size:
         raise PipelineError("sync.schmidl_cox", "preamble not fully contained in stream")
-    nn = np.arange(u1 + n - u0)
-    corr = np.exp(-2j * np.pi * frac_cfo * nn * ts)
-    seg = s[u0:u1 + n] * corr
+    seg = local_cfo_correct(s, cfg, frac_cfo, (u0, u1 + n))
     y1 = np.fft.fft(seg[:n], norm="ortho")
     y2 = np.fft.fft(seg[sym:sym + n], norm="ortho")
     # the known differential c2[k] * conj(c1[k]) on the even subcarriers
@@ -146,33 +141,30 @@ def local_cfo_correct(s: np.ndarray, cfg: FrameConfig, cfo_hat_hz: float,
                       region: tuple[int, int]) -> np.ndarray:
     """The samples in [start, stop), clipped to the stream, de-rotated by the
     CFO estimate; the phase reference n = 0 sits at the (clipped) region
-    start, which is index 0 of the returned samples."""
-    start, stop = region
-    start = max(start, 0)
-    stop = min(stop, s.size)
+    start, which is index 0 of the returned samples. A new array, stream
+    times phasor: the in-place product rounds differently."""
+    start, stop = max(region[0], 0), min(region[1], s.size)
     if start >= stop:
         raise PipelineError("sync.local_cfo_correct", "empty or out-of-bounds region")
-    out = s[start:stop].copy()
-    if cfo_hat_hz != 0.0:
-        n = np.arange(stop - start)
-        out *= np.exp(-2j * np.pi * cfo_hat_hz * n / cfg.bandwidth_hz)
-    return out
+    return s[start:stop] * np.exp(-2j * np.pi * cfo_hat_hz * np.arange(stop - start)
+                                  * (1.0 / cfg.bandwidth_hz))
 
 
-def fine_timing(s: np.ndarray, cfg: FrameConfig, coarse_start: int) -> int:
-    """Fine frame start in the CFO-corrected samples ``s``, from
-    cross-correlation against the known first preamble symbol (useful part).
+def fine_timing(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
+                cfo_hat_hz: float) -> int:
+    """Fine frame start, from cross-correlation of the samples de-rotated by
+    the CFO estimate against the known first preamble symbol (useful part).
     Searches coarse_start +- N_CP."""
     n, ncp = cfg.n_subcarriers, cfg.cp_len
     ref = np.fft.ifft(frame_tables(cfg).preamble[:, 0], norm="ortho")  # useful part
-    w = ncp
     d0 = coarse_start + ncp  # candidate start of the useful part
-    cands = np.arange(max(d0 - w, 0), min(d0 + w + 1, s.size - n))
+    cands = np.arange(max(d0 - ncp, 0), min(d0 + ncp + 1, s.size - n))
     if cands.size == 0:
         raise PipelineError("sync.fine_timing", "search window outside stream")
+    seg = local_cfo_correct(s, cfg, cfo_hat_hz, (cands[0], cands[-1] + n))
     mags = np.empty(cands.size)
-    for i, d in enumerate(cands):
-        mags[i] = np.abs(np.vdot(ref, s[d:d + n]))
+    for i in range(cands.size):
+        mags[i] = np.abs(np.vdot(ref, seg[i:i + n]))
     best = int(np.argmax(mags))
     peak = mags[best]
     side = np.delete(mags, np.arange(max(best - 2, 0), min(best + 3, mags.size)))
@@ -193,7 +185,6 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
     pairs with |Y|^2 weights.
     """
     n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
-    ts = 1.0 / cfg.bandwidth_hz
     n_pairs = cfg.m_sfo // 2
 
     first_sfo = fine_start + cfg.m_sc * sym
@@ -201,8 +192,7 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
     if first_sfo < 0 or stop > s.size:
         raise PipelineError("sync.estimate_sfo_tsai", "clock-tracking symbols not in stream")
 
-    nn = np.arange(stop - first_sfo)
-    seg = s[first_sfo:stop] * np.exp(-2j * np.pi * cfo_hat_hz * nn * ts)
+    seg = local_cfo_correct(s, cfg, cfo_hat_hz, (first_sfo, stop))
 
     k_signed = np.fft.fftfreq(n, d=1.0 / n)  # 0..N/2-1, -N/2..-1
     num = 0.0
@@ -226,11 +216,11 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
         pc = phase - (w * phase).sum() / wsum
         s_num = (w * kc * pc).sum()
         s_den = (w * kc * kc).sum()
-        slope = s_num / max(s_den, 1e-30)
+        slope = s_num / s_den if s_den > 0 else 0.0
         slopes.append(slope)
         num += s_num
         den += s_den
-    slope_all = num / max(den, 1e-30)
+    slope_all = num / den if den > 0 else 0.0
     delta_hat = slope_all * n / (2.0 * np.pi * sym)
     return float(delta_hat), [float(x) for x in slopes]
 
@@ -256,15 +246,7 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     ts = 1.0 / cfg.bandwidth_hz
 
     coarse_start, cfo_hat, peak = schmidl_cox(s, cfg)
-    # fine timing searches only inside the de-rotated preamble region, whose
-    # indices are offset by its start ref_n
-    ref_n = max(coarse_start - cfg.cp_len, 0)
-    s_loc = local_cfo_correct(
-        s, cfg, cfo_hat, (ref_n, coarse_start + cfg.m_preamble * sym + 2 * cfg.cp_len))
-    fine_start = ref_n + fine_timing(s_loc, cfg, coarse_start - ref_n)
-
-    # the local correction above referenced phase to ref_n; the clock-offset
-    # estimator reads the raw samples with its own region correction
+    fine_start = fine_timing(s, cfg, coarse_start, cfo_hat)
     delta_hat, slopes = estimate_sfo_tsai(s, cfg, fine_start, cfo_hat)
 
     if correct_sfo:

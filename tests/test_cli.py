@@ -297,8 +297,12 @@ def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
     ({"frame.preamble_seed": -1}, "frame.preamble_seed: must be non-negative"),
     ({"info_bits.count": 38017},
      "info_bits.count: 38017 exceeds the frame capacity of 38016 info bits"),
+    ({"frame.n_subcarriers": 8, "frame.cp_len": 1, "frame.m_payload": 8},
+     "frame: its 56 data cells carry 112 coded bits, fewer than one codeword of 648"),
+    # fine timing's +-cp_len window would reach the half-symbol copy of the
+    # first Schmidl-Cox symbol
     ({"frame.n_subcarriers": 4, "frame.cp_len": 1, "frame.m_payload": 8},
-     "frame: its 28 data cells carry 56 coded bits, fewer than one codeword of 648"),
+     "frame: cp_len must be at most n_subcarriers / 2 - 3"),
     ({"frame.m_payload": 4},
      "frame: the 128 x 1 pilot grid needs at least 2 pilot subcarriers and 2 pilot symbols"),
     ({"frame.n_subcarriers": 255, "frame.pilot_freq_spacing": 3},
@@ -316,7 +320,8 @@ def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
     ({"channel.paths[0].gain_db": 3000}, f"channel.paths[0].gain_db: {DB_BOUND}"),
     ({"channel.paths[1].gain_db": -501}, f"channel.paths[1].gain_db: {DB_BOUND}"),
 ], ids=["info_seed", "noise_seed", "pilot_seed", "preamble_seed", "count",
-        "no_codeword", "one_pilot_symbol", "odd_subcarriers", "code_rate", "bits_per_symbol",
+        "no_codeword", "cp_reaches_half_symbol", "one_pilot_symbol", "odd_subcarriers",
+        "code_rate", "bits_per_symbol",
         "beyond_float", "snr_3100", "snr_minus_3100", "gain_8000", "gain_minus_8000",
         "gain_3000", "secondary_gain_minus_501"])
 def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
@@ -330,18 +335,26 @@ def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edits", [
-    {"channel.impairments.snr_db": -400.0},
-    {"channel.paths[0].gain_db": 500.0, "channel.impairments.snr_db": -500.0},
-    {"channel.paths[0].gain_db": -490.0, "channel.paths[1].gain_db": -500.0,
-     "channel.impairments.snr_db": 500.0},
+@pytest.mark.parametrize("edits, code", [
+    ({"channel.impairments.snr_db": -400.0}, EXIT_PIPELINE),
+    ({"channel.paths[0].gain_db": 500.0, "channel.impairments.snr_db": -500.0},
+     EXIT_PIPELINE),
+    ({"channel.paths[0].gain_db": -490.0, "channel.paths[1].gain_db": -500.0,
+      "channel.impairments.snr_db": 500.0}, EXIT_OK),
 ], ids=["snr_minus_400", "loud_path_under_noise", "faint_path"])
-def test_level_within_db_bound_runs(tmp_path, capsys, edits):
-    """Gains and SNRs up to the bound run; one too noisy or too faint to
-    lock fails in sync with a tagged error, not in the channel."""
+def test_level_within_db_bound_runs(tmp_path, capsys, edits, code):
+    """Gains and SNRs up to the bound run: one too noisy to lock fails in
+    sync with a tagged error, not in the channel; a faint but clean one
+    decodes, as the receiver's gates do not depend on the level."""
     scn = write_scn(tmp_path, edited(desk_scenario(), edits))
-    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PIPELINE
-    assert capsys.readouterr().err.startswith("pipeline error: [sync.schmidl_cox] ")
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == ""
+        metrics = json.loads((tmp_path / "out" / "comm_metrics.json").read_text())
+        assert metrics["post_fec_ber"] == 0.0
+    else:
+        assert err.startswith("pipeline error: [sync.schmidl_cox] ")
 
 
 def test_unknown_key_is_diagnosed(tmp_path, capsys):
@@ -746,7 +759,7 @@ DEGENERATE = {
     "empty": (lambda x, start: x[:0], EXIT_PIPELINE, "sync.schmidl_cox"),
     "ten_samples": (lambda x, start: x[:10], EXIT_PIPELINE, "sync.schmidl_cox"),
     "scaled_up": (lambda x, start: x * 1e30, EXIT_OK, None),
-    "scaled_down": (lambda x, start: x * 1e-30, EXIT_PIPELINE, "sync.schmidl_cox"),
+    "scaled_down": (lambda x, start: x * 1e-30, EXIT_OK, None),
 }
 
 
@@ -851,6 +864,68 @@ def test_noiseless_run_at_extreme_main_path_gain(tmp_path, capsys, gain_db):
     else:
         assert code == EXIT_PIPELINE
         assert re.fullmatch(r"pipeline error: \[[a-z_.]+\] [^\[\]\n]+\n", err), err
+
+
+def _noiseless_demo_run(tmp, gain_db):
+    """Exit code, sync report and comm metrics of a noiseless run of the
+    demo (64 payload symbols) with its main path at ``gain_db``."""
+    doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    doc["frame"]["m_payload"] = 64
+    doc["sensing"]["write_map_csv"] = False
+    doc["channel"]["paths"][0]["gain_db"] = gain_db
+    out = tmp / f"out_{gain_db:g}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(write_scn(tmp, doc, f"scn_{gain_db:g}.json")),
+                     "--out", str(out)])
+    if code != EXIT_OK:
+        return code, None, None
+    return (code, json.loads((out / "sync_report.json").read_text()),
+            json.loads((out / "comm_metrics.json").read_text()))
+
+
+@pytest.mark.parametrize("gain_db", [-400.0, -450.0, -500.0])
+def test_noiseless_run_far_below_unit_gain_matches_the_unit_gain_run(tmp_path, gain_db):
+    """A noiseless run with the main path at -400 dB or below, which the
+    +-500 dB bound accepts, locks, decodes and estimates the clock offset as
+    the 0 dB run does: no gate or estimator has an absolute floor."""
+    _, ref, _ = _noiseless_demo_run(tmp_path, 0.0)
+    code, rep, metrics = _noiseless_demo_run(tmp_path, gain_db)
+    assert code == EXIT_OK
+    assert metrics["post_fec_ber"] == 0.0
+    assert rep["fine_start"] == ref["fine_start"]
+    assert rep["sfo_hat"] == pytest.approx(ref["sfo_hat"], rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def small_demo_reference(small_demo_capture, tmp_path_factory):
+    """Sync report of the unscaled 64-symbol demo capture."""
+    scn, x, _ = small_demo_capture
+    tmp = tmp_path_factory.mktemp("small_demo_reference")
+    write_iq(tmp / "rx.iq", IqStream(samples=x, nominal_rate=1e9))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["capture", str(tmp / "rx.iq"), str(scn), "--out", str(tmp / "out")]) \
+            == EXIT_OK
+    return json.loads((tmp / "out" / "sync_report.json").read_text())
+
+
+@given(k=st.integers(-30, 30))
+@settings(max_examples=20, deadline=None)
+def test_capture_level_does_not_change_its_decode(small_demo_capture, small_demo_reference, k):
+    """The noiseless demo capture scaled by 10^k, anywhere in the float32
+    range, decodes every bit at the same frame start with the same clock
+    offset: the receiver's gates and estimators are relative to the
+    capture's own level."""
+    scn, x, start = small_demo_capture
+    with tempfile.TemporaryDirectory() as tmp:
+        iq, out = Path(tmp) / "rx.iq", Path(tmp) / "out"
+        write_iq(iq, IqStream(samples=x * 10.0 ** k, nominal_rate=1e9))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["capture", str(iq), str(scn), "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "sync_report.json").read_text())
+        metrics = json.loads((out / "comm_metrics.json").read_text())
+    assert metrics["post_fec_ber"] == 0.0
+    assert rep["fine_start"] == start
+    assert rep["sfo_hat"] == pytest.approx(small_demo_reference["sfo_hat"], rel=1e-5)
 
 
 def test_traced_benchmark_names_resolve(tmp_path):

@@ -13,6 +13,7 @@ from scipy import ndimage
 
 from bistatic_radcom import dsp, radar
 from bistatic_radcom.commrx import demodulate_frame
+from bistatic_radcom.dsp import parabolic_vertex
 from bistatic_radcom.params import (
     SPEED_OF_LIGHT,
     ConfigError,
@@ -24,7 +25,6 @@ from bistatic_radcom.radar import (
     Detection,
     RangeDopplerMap,
     _max3_wrapped,
-    _parabolic,
     cfr_for_sensing,
     extract_peaks,
     range_doppler,
@@ -241,15 +241,19 @@ def extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks):
     dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
     lin = 10.0 ** (m / 20.0)
     span = rd_map.range_axis_m.size * dr
+
+    def vertex(vals, i):
+        return parabolic_vertex(vals[i - 1], vals[i], vals[(i + 1) % vals.size])
+
     dets = []
     for idx in order:
         i, j = int(ri[idx]), int(di[idx])
-        rng = float(rd_map.range_axis_m[i] + _parabolic(lin[:, j], i) * dr)
+        rng = float(rd_map.range_axis_m[i] + vertex(lin[:, j], i) * dr)
         if rng > span / 2:
             rng -= span
         dets.append(Detection(
             rel_bistatic_range_m=rng,
-            doppler_shift_hz=float(rd_map.doppler_axis_hz[j] + _parabolic(lin[i, :], j) * dd),
+            doppler_shift_hz=float(rd_map.doppler_axis_hz[j] + vertex(lin[i, :], j) * dd),
             magnitude_db=float(m[i, j])))
     return dets
 

@@ -23,11 +23,10 @@ from bistatic_radcom.commrx import (
     equalize,
     estimate_cfr,
 )
-from bistatic_radcom.params import FrameConfig, PipelineError
+from bistatic_radcom.params import ConfigError, FrameConfig, PipelineError
 from bistatic_radcom.sync import (
     estimate_sfo_tsai,
     fine_timing,
-    local_cfo_correct,
     resample_correct,
     schmidl_cox,
     synchronize,
@@ -131,8 +130,8 @@ def schmidl_cox_one_shot(s, cfg):
     r1 = cw[half:half + n_d] - cw[:n_d]
     r2 = cw[n:n + n_d] - cw[half:half + n_d]
     r_floor = 0.01 * np.mean(pwr) * half
-    valid = (r1 > r_floor) & (r2 > r_floor)
-    metric = np.where(valid, np.abs(p) ** 2 / np.maximum(r1 * r2, 1e-60), 0.0)
+    metric = np.zeros(n_d)
+    np.divide(np.abs(p) ** 2, r1 * r2, out=metric, where=(r1 > r_floor) & (r2 > r_floor))
     d_peak = int(np.argmax(metric))
     thr = 0.9 * metric[d_peak]
     lo = hi = d_peak
@@ -144,7 +143,7 @@ def schmidl_cox_one_shot(s, cfg):
     coarse_start = d_mid - cfg.cp_len // 2
     ts = 1.0 / cfg.bandwidth_hz
     frac_cfo = np.angle(p[d_mid]) / (np.pi * n * ts)
-    int_cfo = sync._integer_cfo(s, cfg, coarse_start, frac_cfo, ts)
+    int_cfo = sync._integer_cfo(s, cfg, coarse_start, frac_cfo)
     return coarse_start, frac_cfo + int_cfo * cfg.subcarrier_spacing, metric[d_peak]
 
 
@@ -336,10 +335,7 @@ def test_stages_on_arrays_compose_to_synchronize():
     _, rep = synchronize(y, cfg)
     s = y.samples
     coarse, cfo, peak = schmidl_cox(s, cfg)
-    ref_n = max(coarse - cfg.cp_len, 0)
-    s_loc = local_cfo_correct(s, cfg, cfo, (ref_n, s.size))
-    assert s_loc.size == s.size - ref_n
-    fine = ref_n + fine_timing(s_loc, cfg, coarse - ref_n)
+    fine = fine_timing(s, cfg, coarse, cfo)
     sfo, slopes = estimate_sfo_tsai(s, cfg, fine, cfo)
     assert (coarse, fine, cfo, sfo, peak, slopes) == (
         rep.coarse_start, rep.fine_start, rep.cfo_hat_hz, rep.sfo_hat,
@@ -369,3 +365,41 @@ def test_integer_cfo_search_includes_zero_at_ten_subcarriers(cfo_subcarriers):
     y = through_channel(tx, sto=50, cfo_hz=cfo_subcarriers * df)
     _, rep = synchronize(y, cfg, correct_sfo=False)
     assert rep.cfo_hat_hz == pytest.approx(cfo_subcarriers * df, abs=0.1 * df)
+
+
+# The one frame up to N = 40 that the CP bound admits and that still cannot
+# lock: N = 14, cp_len 4, default preamble seed (a sidelobe of the fine-timing
+# correlation within 2x of its peak).
+UNLOCKED_SMALL_FRAME = (14, 4, FrameConfig.preamble_seed)
+
+
+def loopback_fine_start(n, cp_len, preamble_seed, sto=50):
+    """Fine start of a noiseless loopback of a 64-symbol frame."""
+    cfg = FrameConfig(n_subcarriers=n, cp_len=cp_len, m_payload=64,
+                      preamble_seed=preamble_seed)
+    _, _, tx = make_frame(cfg)
+    _, rep = synchronize(through_channel(tx, sto=sto), cfg, correct_sfo=False)
+    return rep.fine_start
+
+
+@pytest.mark.parametrize("n", range(6, 41, 2))
+def test_cp_bound_admits_only_frames_that_lock(n):
+    """The first Schmidl-Cox symbol repeats every N/2 samples, so fine
+    timing's +-cp_len window meets a sidelobe of about half its peak once
+    cp_len nears N/2. A frame is rejected at construction exactly when
+    cp_len exceeds N/2 - 3, and every frame that is built locks on a
+    noiseless loopback, for three preamble seeds."""
+    for cp_len in range(1, n):
+        if cp_len > n // 2 - 3:
+            with pytest.raises(ConfigError, match="cp_len must be at most"):
+                FrameConfig(n_subcarriers=n, cp_len=cp_len, m_payload=64)
+            continue
+        for seed in (FrameConfig.preamble_seed, 1, 2):
+            if (n, cp_len, seed) != UNLOCKED_SMALL_FRAME:
+                assert loopback_fine_start(n, cp_len, seed) == 50, (cp_len, seed)
+
+
+@pytest.mark.xfail(raises=PipelineError, strict=True,
+                   reason="fine-timing sidelobe within 2x of the peak")
+def test_unlocked_small_frame_locks():
+    assert loopback_fine_start(*UNLOCKED_SMALL_FRAME) == 50

@@ -81,7 +81,7 @@ def test_sc_differential_matches_preamble():
     k = np.arange(tx.samples.size)
     for shift in (-4, 0, 2):
         s = tx.samples * np.exp(2j * np.pi * shift * cfg.subcarrier_spacing * k * ts)
-        assert sync._integer_cfo(s, cfg, 0, 0.0, ts) == shift
+        assert sync._integer_cfo(s, cfg, 0, 0.0) == shift
 
 
 def test_preamble_deterministic_per_seed():
