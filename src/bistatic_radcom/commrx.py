@@ -150,7 +150,8 @@ def cir_evolution(grid: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.nd
     """(per-pilot-symbol main-tap delay in samples, magnitude in dB rel max)."""
     hp = pilot_cfr(grid, cfg)
     delays, mags = _tap_delays(hp, cfg)
-    mag_db = 20.0 * np.log10(np.maximum(mags, 1e-30) / max(mags.max(), 1e-30))
+    # floored 600 dB below the peak, which is above 0: `_main_tap` raises on a zero profile
+    mag_db = 20.0 * np.log10(np.maximum(mags / mags.max(), 1e-30))
     return delays, mag_db
 
 

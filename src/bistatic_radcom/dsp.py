@@ -22,17 +22,13 @@ the one-shot call's filter phase (`_fir_span`), so every sample has the bits
 of the three stages run one after the other over the whole stream, while
 neither 2n-sample intermediate stream exists.
 
-`fractional_delay` filters by overlap-add in chunks of ``_OA_CHUNK`` input
-samples, one `_oaconvolve` call each, on a thread per CPU. The chunk is a
-whole number of the overlap-add's own ``_OA_STEP`` (428-sample) block steps,
-so the chunks cut the input where one whole-stream call would cut it into
-blocks; the outputs of neighbouring chunks overlap by the filter length, and
-those two terms are added as the whole-stream call adds its two overlapping
-blocks. The result has the bits of that call without its stream-sized
-temporaries.
+`fractional_delay` filters by overlap-add, one block of ``_OA_STEPS``
+428-sample steps at a time on `run_blocks`, and writes each step straight
+into its output; a step depends only on its own input and the one before, so
+the result has the bits of one whole-stream call.
 
 The FIR stages (`_fir_range`), their filter (`_halfband_fir`) and the
-overlap-add (`_oaconvolve`) are the package's own, on NumPy and
+overlap-add (`fractional_delay`) are the package's own, on NumPy and
 ``scipy.fft``, written to give the bits of SciPy's ``signal.upfirdn``,
 ``signal.firwin`` and ``signal.oaconvolve``; the tests hold them to those
 functions. The package does not import SciPy's signal module, whose import
@@ -97,7 +93,7 @@ def parabolic_vertex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     b, c`` at -1, 0, +1; 0 where the three are collinear (a flat top)."""
     denom = a - 2 * b + c
     return np.clip(np.divide(0.5 * (a - c), denom, out=np.zeros_like(denom),
-                             where=np.abs(denom) > 1e-30), -0.5, 0.5)
+                             where=denom != 0), -0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +103,26 @@ _FRAC_DELAY_TAPS = 63
 _FRAC_DELAY_BETA = 8.0
 
 
-# `_oaconvolve`'s FFT block and block step for the 63-tap filter: the sizes
-# SciPy's ``signal.oaconvolve`` picks for 63 taps (``_calc_oa_lens``)
+# The overlap-add's FFT block and block step for the 63-tap filter: the
+# sizes SciPy's ``signal.oaconvolve`` picks for 63 taps (``_calc_oa_lens``)
 _OA_FFT = 490
 _OA_STEP = _OA_FFT - _FRAC_DELAY_TAPS + 1
-
-# Input samples per overlap-add chunk: a multiple of the block step, so every
-# chunk cuts the input at the block edges of one whole-stream call, and
-# longer than the FFT block, below which it would fall back to one FFT.
-_OA_CHUNK = _OA_STEP * 64
+_OA_STEPS = 64  # block steps per `run_blocks` block
 
 
 def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.ndarray:
     """The first ``out_len`` samples of ``x`` delayed by a fractional number
     of samples.
 
-    Windowed-sinc interpolation, 63 taps, Kaiser beta=8, by overlap-add; the
-    filter group delay is compensated so output index n corresponds to
-    x(n - delay).
+    Windowed-sinc interpolation, 63 taps, Kaiser beta=8; the filter group
+    delay is compensated so output index n corresponds to x(n - delay). The
+    filtering has the bits of SciPy's ``signal.oaconvolve`` for at least 12
+    input samples (below that SciPy swaps its operands; the shortest transmit
+    stream `load_scenario` accepts is 396 samples): each ``_OA_STEP``-sample
+    step of the input is convolved by one ``_OA_FFT``-point FFT, and its last
+    62 outputs are added to the next step's first. At or below ``_OA_FFT``
+    samples one FFT of the next fast length covers the input, as
+    ``fftconvolve`` does.
     """
     x = np.asarray(x, dtype=np.complex128)
     n_int = int(np.floor(delay_samples))
@@ -133,78 +131,36 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
     out = np.zeros(out_len, dtype=np.complex128)
     arg = np.arange(ntaps) - center - (delay_samples - n_int)
     h = np.sinc(arg) * _kaiser_at(arg, ntaps, _FRAC_DELAY_BETA)
-    # y[m] ~ x(m - center - frac) lands at out[m + shift]
-    _oaconvolve_into(x, h, out, n_int - center)
-    return out
-
-
-def _place(out: np.ndarray, vals: np.ndarray, at: int) -> None:
-    """``out[at + i] = vals[i]`` wherever ``at + i`` falls inside ``out``."""
-    lo, hi = max(at, 0), min(at + vals.size, out.size)
-    if hi > lo:
-        out[lo:hi] = vals[lo - at:hi - at]
-
-
-def _oaconvolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The full convolution of ``x`` with the 63 taps ``h``, with the bits of
-    SciPy's ``signal.oaconvolve(x, h)`` for at least 12 input samples.
-
-    Above ``_OA_FFT`` samples the input is cut into ``_OA_STEP``-sample
-    blocks, zero-padded to as many blocks as SciPy's rule asks, each
-    convolved by one ``_OA_FFT``-point FFT, and each block's last 62 outputs
-    are added to the next block's first. At or below it, one FFT of the
-    next fast length covers the whole input, as ``fftconvolve`` does. Below
-    12 samples SciPy swaps its operands and the last bit can differ. No
-    transmit stream is that short: a frame must carry one 648-bit codeword,
-    and the smallest one `load_scenario` accepts (N = 10, one CP sample,
-    36 symbols) is 396 samples long."""
-    n, ov = x.size, h.size - 1
-    if n <= _OA_FFT:
-        nfft = scipy.fft.next_fast_len(n + ov, False)
+    # y[m] ~ x(m - center - frac) lands at out[m + shift]; y[lo:hi] lands in out
+    shift, ov = n_int - center, ntaps - 1
+    lo, hi = max(-shift, 0), min(x.size + ov, out_len - shift)
+    if hi <= lo:
+        return out
+    if x.size <= _OA_FFT:
+        nfft = scipy.fft.next_fast_len(x.size + ov, False)
         y = scipy.fft.ifftn(scipy.fft.fftn(x, [nfft]) * scipy.fft.fftn(h, [nfft]), [nfft])
-        return y[:n + ov]
-    steps = -(-(n + 1) // _OA_STEP)
-    if _OA_STEP * steps < n + ov:
-        steps += 1
-    xp = np.zeros((steps, _OA_STEP), dtype=np.complex128)
-    xp.reshape(-1)[:n] = x
-    ret = scipy.fft.ifftn(scipy.fft.fftn(xp, [_OA_FFT], axes=[1])
-                          * scipy.fft.fftn(h[None, :], [_OA_FFT], axes=[1]),
-                          [_OA_FFT], axes=[1])
-    ret[1:, :ov] += ret[:-1, -ov:]
-    return ret[:, :_OA_STEP].reshape(-1)[:n + ov]
+        out[lo + shift:hi + shift] = y[lo:hi]
+        return out
+    hf = scipy.fft.fftn(h[None, :], [_OA_FFT], axes=[1])
+    first = lo // _OA_STEP
 
+    def block(start: int, stop: int) -> None:
+        # steps j0..j1 of y, from input steps j0 - 1 (its tail overlaps step j0) to j1
+        j0, j1 = first + start, first + stop
+        prev = max(j0 - 1, 0)
+        seg = x[prev * _OA_STEP:j1 * _OA_STEP]
+        rows = np.zeros((j1 - prev, _OA_STEP), dtype=np.complex128)
+        rows.reshape(-1)[:seg.size] = seg
+        ret = scipy.fft.ifftn(scipy.fft.fftn(rows, [_OA_FFT], axes=[1]) * hf,
+                              [_OA_FFT], axes=[1])
+        ret[1:, :ov] += ret[:-1, -ov:]
+        # the FFT of the last step leaves rounding noise past y's end: clip to hi
+        a, b = max(j0 * _OA_STEP, lo), min(j1 * _OA_STEP, hi)
+        y = ret[j0 - prev:, :_OA_STEP].reshape(-1)
+        out[a + shift:b + shift] = y[a - j0 * _OA_STEP:b - j0 * _OA_STEP]
 
-def _oaconvolve_into(x: np.ndarray, h: np.ndarray, out: np.ndarray, shift: int) -> None:
-    """Write ``y = _oaconvolve(x, h)`` into ``out`` as
-    ``out[m + shift] = y[m]``, dropping what falls outside ``out``.
-
-    The input is cut into chunks of ``_OA_CHUNK`` samples (the last one takes
-    the remainder), each convolved on its own. A chunk's first and last
-    ``h.size - 1`` outputs overlap its neighbours'; those two are added
-    once every chunk is done, as the one-shot call adds two overlapping
-    blocks, so the bits are the same."""
-    ov = h.size - 1
-    starts = list(range(0, max(x.size // _OA_CHUNK, 1) * _OA_CHUNK, _OA_CHUNK))
-    stops = starts[1:] + [x.size]
-    last = len(starts) - 1
-    heads = np.empty((last, ov), dtype=np.complex128)
-    tails = np.empty_like(heads)
-
-    def chunk(c: int, _: int) -> None:
-        lo, hi = starts[c], stops[c]
-        y = _oaconvolve(x[lo:hi], h)
-        body_lo = lo if c == 0 else lo + ov
-        body_hi = hi + ov if c == last else hi
-        _place(out, y[body_lo - lo:body_hi - lo], body_lo + shift)
-        if c > 0:
-            heads[c - 1] = y[:ov]
-        if c < last:
-            tails[c] = y[-ov:]
-
-    run_blocks(chunk, len(starts), 1)
-    for c in range(last):
-        _place(out, tails[c] + heads[c], stops[c] + shift)
+    run_blocks(block, -(-hi // _OA_STEP) - first, _OA_STEPS)
+    return out
 
 
 def _kaiser_at(t: np.ndarray, ntaps: int, beta: float) -> np.ndarray:

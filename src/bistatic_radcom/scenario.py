@@ -424,7 +424,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
                 delays / cfg.bandwidth_hz * 1e9, mag_db])
 
     with _stage("comm.decode"):
-        s_hat, noise_vars, erased = equalize(grid, est.cfr, cfg)
+        s_hat, noise_vars, _ = equalize(grid, est.cfr, cfg)
         info_len = info_length(scn)
         info_hat, metrics = demap_decode(
             s_hat, noise_vars, cfg, codeword_count(info_len), info_len,

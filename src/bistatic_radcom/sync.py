@@ -168,9 +168,10 @@ def fine_timing(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     best = int(np.argmax(mags))
     peak = mags[best]
     side = np.delete(mags, np.arange(max(best - 2, 0), min(best + 3, mags.size)))
-    if side.size and peak / max(side.max(), 1e-30) < PSL_THRESHOLD:
-        raise PipelineError("sync.fine_timing", "ambiguous timing: correlation "
-                            f"peak-to-sidelobe {peak / side.max():.2f} below {PSL_THRESHOLD}")
+    if side.size and not peak > PSL_THRESHOLD * side.max():
+        what = (f"peak-to-sidelobe {peak / side.max():.2f} not above {PSL_THRESHOLD}"
+                if peak > 0 else "zero over the search window")
+        raise PipelineError("sync.fine_timing", f"ambiguous timing: correlation {what}")
     return int(cands[best]) - ncp
 
 

@@ -896,26 +896,34 @@ def test_noiseless_run_far_below_unit_gain_matches_the_unit_gain_run(tmp_path, g
     assert rep["sfo_hat"] == pytest.approx(ref["sfo_hat"], rel=1e-9)
 
 
+def _cir_delays(out):
+    """The delay column of a run's ``cir_evolution.csv``, in samples."""
+    return np.loadtxt(out / "cir_evolution.csv", delimiter=",", skiprows=1)[:, 1]
+
+
 @pytest.fixture(scope="module")
 def small_demo_reference(small_demo_capture, tmp_path_factory):
-    """Sync report of the unscaled 64-symbol demo capture."""
+    """Sync report and CIR delays of the unscaled 64-symbol demo capture."""
     scn, x, _ = small_demo_capture
     tmp = tmp_path_factory.mktemp("small_demo_reference")
     write_iq(tmp / "rx.iq", IqStream(samples=x, nominal_rate=1e9))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["capture", str(tmp / "rx.iq"), str(scn), "--out", str(tmp / "out")]) \
             == EXIT_OK
-    return json.loads((tmp / "out" / "sync_report.json").read_text())
+    return json.loads((tmp / "out" / "sync_report.json").read_text()), _cir_delays(tmp / "out")
 
 
-@given(k=st.integers(-30, 30))
+@given(k=st.integers(-37, 37))
+@example(k=-37)
+@example(k=37)
 @settings(max_examples=20, deadline=None)
 def test_capture_level_does_not_change_its_decode(small_demo_capture, small_demo_reference, k):
     """The noiseless demo capture scaled by 10^k, anywhere in the float32
     range, decodes every bit at the same frame start with the same clock
-    offset: the receiver's gates and estimators are relative to the
-    capture's own level."""
+    offset and CIR profile: the receiver's gates and estimators are
+    relative to the capture's own level."""
     scn, x, start = small_demo_capture
+    ref, ref_delays = small_demo_reference
     with tempfile.TemporaryDirectory() as tmp:
         iq, out = Path(tmp) / "rx.iq", Path(tmp) / "out"
         write_iq(iq, IqStream(samples=x * 10.0 ** k, nominal_rate=1e9))
@@ -923,15 +931,18 @@ def test_capture_level_does_not_change_its_decode(small_demo_capture, small_demo
             assert main(["capture", str(iq), str(scn), "--out", str(out)]) == EXIT_OK
         rep = json.loads((out / "sync_report.json").read_text())
         metrics = json.loads((out / "comm_metrics.json").read_text())
+        delays = _cir_delays(out)
     assert metrics["post_fec_ber"] == 0.0
     assert rep["fine_start"] == start
-    assert rep["sfo_hat"] == pytest.approx(small_demo_reference["sfo_hat"], rel=1e-5)
+    assert rep["sfo_hat"] == pytest.approx(ref["sfo_hat"], rel=1e-5)
+    np.testing.assert_allclose(delays, ref_delays, rtol=0, atol=1e-6)
 
 
 def test_traced_benchmark_names_resolve(tmp_path):
-    """perfbench's tracer wraps package functions by name; one traced run of
-    the desk scenario must nest cleanly and count the LDPC codewords."""
-    scn = write_scn(tmp_path, desk_scenario())
+    """perfbench's tracer wraps package functions by name; a traced run of
+    the desk scenario must nest cleanly and count the LDPC codewords, with
+    its echo at 12 ns and at 12.25 ns, a fractional number of samples
+    late, which the path stage delays by `fractional_delay`."""
     code = ("import json, sys\n"
             "from tracer import Tracer, install, selfcheck\n"
             "from bistatic_radcom import scenario\n"
@@ -943,14 +954,23 @@ def test_traced_benchmark_names_resolve(tmp_path):
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), str(root / "perfbench"),
                                          os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code, str(scn), str(tmp_path / "out")],
-                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-                         text=True, check=True, timeout=300)
-    result = json.loads(out.stdout)
-    assert result["violations"] == []
-    for name in ("ldpc.encode", "ldpc.check", "ldpc.decode"):
-        spans = [s for s in result["spans"] if s["name"] == name]
-        assert spans and all(s["codewords"] > 0 for s in spans), name
+    for delay_ns in (12.0, 12.25):
+        doc = desk_scenario()
+        doc["channel"]["paths"][1]["delay_ns"] = delay_ns
+        scn = write_scn(tmp_path, doc, f"scn_{delay_ns:g}.json")
+        out = subprocess.run([sys.executable, "-c", code, str(scn),
+                              str(tmp_path / f"out_{delay_ns:g}")],
+                             env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                             text=True, check=True, timeout=300)
+        result = json.loads(out.stdout)
+        spans = result["spans"]
+        assert result["violations"] == [], delay_ns
+        for name in ("ldpc.encode", "ldpc.check", "ldpc.decode"):
+            named = [s for s in spans if s["name"] == name]
+            assert named and all(s["codewords"] > 0 for s in named), (delay_ns, name)
+        delays = [s for s in spans if s["name"] == "dsp.fractional_delay"]
+        assert delays or delay_ns % 1 == 0, delay_ns
+        assert all(spans[s["parent"]]["name"] == "channel.apply_paths_and_cfo" for s in delays)
 
 
 def test_runs_are_byte_identical(tmp_path):

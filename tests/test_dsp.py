@@ -368,13 +368,13 @@ def fractional_delay_one_shot(x, delay_samples, out_len):
 
 
 def test_overlap_add_chunk_is_a_whole_number_of_oaconvolve_steps():
-    """The chunk must cut the input at the block edges of one whole-stream
-    ``oaconvolve``, and the package's own FFT block and block step must be
-    SciPy's; this fails if SciPy changes its block sizes for 63 taps."""
-    block, _, step, _ = _signaltools._calc_oa_lens(dsp._OA_CHUNK, dsp._FRAC_DELAY_TAPS)
-    assert step == 428
-    assert (dsp._OA_FFT, dsp._OA_STEP) == (block, step)
-    assert dsp._OA_CHUNK % step == 0
+    """The package's own FFT block and block step must be the ones one
+    whole-stream ``oaconvolve`` uses at every length above one block; this
+    fails if SciPy changes its block sizes for 63 taps."""
+    for n in (491, 1000, 27_392, 10 ** 6, 2 ** 24):
+        block, _, step, _ = _signaltools._calc_oa_lens(n, dsp._FRAC_DELAY_TAPS)
+        assert (block, step) == (490, 428), n
+    assert (dsp._OA_FFT, dsp._OA_STEP) == (490, 428)
 
 
 def test_halfband_fir_has_firwin_bits():
@@ -383,16 +383,18 @@ def test_halfband_fir_has_firwin_bits():
 
 
 @pytest.mark.parametrize("lengths", [
-    range(12, 1201), [dsp._OA_CHUNK, 2 * dsp._OA_CHUNK - 1, 428 * 3, 428 * 3 + 61]])
+    range(12, 1201), [428 * 64, 428 * 128 - 1, 428 * 3, 428 * 3 + 61]])
 def test_oaconvolve_has_scipy_bits(lengths):
-    """The package's overlap-add returns ``signal.oaconvolve``'s bits on every
-    input length from 12 samples up through the one-FFT case (at or below
-    490 samples) and the blocked case, and at the chunk sizes that
-    `_oaconvolve_into` makes."""
-    h = np.sinc(np.arange(63) - 31.3) * dsp._kaiser_at(np.arange(63) - 31.3, 63, 8.0)
+    """The fractional delay has the bits of one whole-stream
+    ``signal.oaconvolve`` on every input length from 12 samples up through
+    the one-FFT case (at or below 490 samples) and the blocked case, with
+    the whole convolution and the zeros past its end in the output."""
+    delay = 31.3  # the filter centre: out[m] is the convolution's y[m]
     for n in lengths:
         x = complex_noise(n, n)
-        assert same_bits(dsp._oaconvolve(x, h), signal.oaconvolve(x, h)), n
+        out_len = n + 200
+        assert same_bits(fractional_delay(x, delay, out_len),
+                         fractional_delay_one_shot(x, delay, out_len)), n
 
 
 def test_package_does_not_import_scipy_signal():
@@ -407,19 +409,20 @@ def test_package_does_not_import_scipy_signal():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
-@pytest.mark.parametrize("chunk", [428 * 2, 428 * 3, dsp._OA_CHUNK])
+@pytest.mark.parametrize("chunk", [428, 428 * 2, 428 * 3, 428 * dsp._OA_STEPS])
 @pytest.mark.parametrize("n, delay, len_offset", [
     (428 * 5, 3.4, 0), (428 * 5 + 17, 0.25, 40), (428 * 7 + 300, 70.75, -100),
     (800, 12.5, 0), (428 * 2 + 1, -20.6, 5), (428 * 64 * 2 + 999, 5007.25, 0)])
 def test_chunked_fractional_delay_matches_one_shot(chunk, n, delay, len_offset):
-    """Chunked overlap-add, one chunk or many, output cut short or extended,
-    on 1 or 3 threads, returns the bits of one whole-stream ``oaconvolve``."""
+    """Overlap-add in blocks of ``chunk`` input samples (1, 2, 3 or 64
+    steps), one block or many, output cut short or extended, on 1 or 3
+    threads, returns the bits of one whole-stream ``oaconvolve``."""
     x = complex_noise(n, n)
     out_len = n + max(int(np.floor(delay)), 0) + 32 + len_offset
     want = fractional_delay_one_shot(x, delay, out_len)
     for workers in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dsp, "_OA_CHUNK", chunk)
+            mp.setattr(dsp, "_OA_STEPS", chunk // dsp._OA_STEP)
             mp.setattr(dsp, "_workers", lambda: workers)
             got = fractional_delay(x, delay, out_len)
         assert same_bits(got, want)
