@@ -398,10 +398,12 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     symbols ``tx_symbols``). Returns a summary dict (also written as
     comm_metrics.json).
 
-    The stream is let go once synchronized and the payload samples once
-    demodulated. The callers in this module pass the stream straight from
-    the call that makes it, keeping no reference, so its memory is free for
-    the stages after sync.
+    Each stream- or grid-sized array is let go after its last reader: the
+    stream once synchronized, the payload samples once demodulated, the CFR
+    once equalized, the noise variances once decoded, the equalized symbols
+    once binned, each sensing map once written. The callers in this module
+    pass the stream straight from the call that makes it, keeping no
+    reference, so its memory is free for the stages after sync.
     """
     cfg = scn.frame
 
@@ -425,15 +427,19 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
 
     with _stage("comm.decode"):
         s_hat, noise_vars, _ = equalize(grid, est.cfr, cfg)
+        delay_slope, slope_fit_warning = est.delay_slope, est.slope_fit_warning
+        del est
         info_len = info_length(scn)
         info_hat, metrics = demap_decode(
             s_hat, noise_vars, cfg, codeword_count(info_len), info_len,
             tx_info_bits=payload.info_bits if payload else None,
             tx_coded_bits=payload.coded_bits if payload else None)
+        del noise_vars
         metrics.evm_rms_percent = evm_rms_percent(s_hat, tx_symbols)
-        metrics.slope_fit_warning = est.slope_fit_warning
+        metrics.slope_fit_warning = slope_fit_warning
 
     density, edges = constellation_density(s_hat)
+    del s_hat
     centers = 0.5 * (edges[:-1] + edges[1:])
     re_c, im_c = np.meshgrid(centers, centers, indexing="ij")
     keep = density.reshape(-1) > 0
@@ -455,6 +461,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         for d in dets:
             detections_rows.append((mode.value, d.rel_bistatic_range_m,
                                     d.doppler_shift_hz, d.magnitude_db))
+        del cfr_s, rd
 
     with open(outdir / "detections.csv", "w") as f:
         f.write("mode,rel_bistatic_range_m,doppler_hz,mag_db\n")
@@ -464,7 +471,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     _write_json(outdir / "sync_report.json", asdict(report))
     summary = asdict(metrics)
     summary["main_doppler_hz"] = float(doppler_hz)
-    summary["residual_delay_slope_s_per_symbol"] = float(est.delay_slope)
+    summary["residual_delay_slope_s_per_symbol"] = float(delay_slope)
     summary["info_bits_decoded"] = int(info_hat.size)
     _write_json(outdir / "comm_metrics.json", summary)
     return summary

@@ -9,6 +9,9 @@ stream, preamble discard and payload CFO correction. Each estimator
 de-rotates exactly the samples it reads through `local_cfo_correct`: the
 two S&C symbols by the fractional CFO, the N + 2 N_CP samples of the
 fine-timing window and the clock-tracking symbols by the full estimate.
+Each estimate is one array operation: one argmax over all integer CFO
+shifts, one `np.correlate` over the fine-timing window, and one FFT and
+one weighted fit over all clock-tracking pairs, summed in pair order.
 
 Index convention: frame start = first CP sample of the first preamble symbol.
 
@@ -117,10 +120,9 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     from the differential encoding between the two S&C preamble symbols."""
     n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
     u0 = coarse_start + ncp
-    u1 = u0 + sym
-    if u0 < 0 or u1 + n > s.size:
+    if u0 < 0 or u0 + sym + n > s.size:
         raise PipelineError("sync.schmidl_cox", "preamble not fully contained in stream")
-    seg = local_cfo_correct(s, cfg, frac_cfo, (u0, u1 + n))
+    seg = local_cfo_correct(s, cfg, frac_cfo, (u0, u0 + sym + n))
     y1 = np.fft.fft(seg[:n], norm="ortho")
     y2 = np.fft.fft(seg[sym:sym + n], norm="ortho")
     # the known differential c2[k] * conj(c1[k]) on the even subcarriers
@@ -128,21 +130,21 @@ def _integer_cfo(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     even = np.arange(0, n, 2)
     v = pb[even, 1] * np.conj(pb[even, 0])
     diff_rx = y2 * np.conj(y1)
-    best_g, best_metric = 0, -1.0
     gmax = min(INT_CFO_SEARCH, n // 2 - 2) // 2 * 2  # even, so 0 is searched
-    for g in range(-gmax, gmax + 1, 2):
-        b = np.abs(np.sum(diff_rx[(even + g) % n] * np.conj(v))) ** 2
-        if b > best_metric:
-            best_metric, best_g = b, g
-    return best_g
+    shifts = np.arange(-gmax, gmax + 1, 2)
+    metric = np.abs(np.sum(diff_rx[(even + shifts[:, None]) % n] * np.conj(v), axis=1)) ** 2
+    return int(shifts[np.argmax(metric)])  # the first of equal maxima
 
 
 def local_cfo_correct(s: np.ndarray, cfg: FrameConfig, cfo_hat_hz: float,
                       region: tuple[int, int]) -> np.ndarray:
     """The samples in [start, stop), clipped to the stream, de-rotated by the
     CFO estimate; the phase reference n = 0 sits at the (clipped) region
-    start, which is index 0 of the returned samples. A new array, stream
-    times phasor: the in-place product rounds differently."""
+    start, which is index 0 of the returned samples. A new array: stream
+    times phasor below 16 384 samples, phasor times stream from there on,
+    where NumPy reuses the 256 KiB phasor temporary. The two round
+    differently, which is why the payload de-rotation in `synchronize`
+    keeps its own in-place stream-times-phasor form."""
     start, stop = max(region[0], 0), min(region[1], s.size)
     if start >= stop:
         raise PipelineError("sync.local_cfo_correct", "empty or out-of-bounds region")
@@ -162,9 +164,7 @@ def fine_timing(s: np.ndarray, cfg: FrameConfig, coarse_start: int,
     if cands.size == 0:
         raise PipelineError("sync.fine_timing", "search window outside stream")
     seg = local_cfo_correct(s, cfg, cfo_hat_hz, (cands[0], cands[-1] + n))
-    mags = np.empty(cands.size)
-    for i in range(cands.size):
-        mags[i] = np.abs(np.vdot(ref, seg[i:i + n]))
+    mags = np.abs(np.correlate(seg, ref, "valid"))  # conjugates ref, one value per candidate
     best = int(np.argmax(mags))
     peak = mags[best]
     side = np.delete(mags, np.arange(max(best - 2, 0), min(best + 3, mags.size)))
@@ -186,44 +186,32 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
     pairs with |Y|^2 weights.
     """
     n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
-    n_pairs = cfg.m_sfo // 2
-
     first_sfo = fine_start + cfg.m_sc * sym
     stop = first_sfo + cfg.m_sfo * sym
     if first_sfo < 0 or stop > s.size:
         raise PipelineError("sync.estimate_sfo_tsai", "clock-tracking symbols not in stream")
 
     seg = local_cfo_correct(s, cfg, cfo_hat_hz, (first_sfo, stop))
-
+    y = np.fft.fft(seg.reshape(cfg.m_sfo, sym)[:, ncp:], axis=1, norm="ortho")
+    ya, yb = y[0::2], y[1::2]  # each pair's first and second copy, one row per pair
+    w = np.abs(ya) ** 2 + np.abs(yb) ** 2
+    wsum = w.sum(axis=1, keepdims=True)
+    if not np.all(wsum > 0):  # names the first empty pair
+        raise PipelineError("sync.estimate_sfo_tsai", "clock-tracking symbol pair "
+                            f"{np.argmin(wsum > 0)} carries no energy")
+    phase = np.angle(yb * np.conj(ya))
+    # weighted LS through the origin: slope of phase vs signed index, each
+    # pair's common phase removed first to avoid intercept bias
     k_signed = np.fft.fftfreq(n, d=1.0 / n)  # 0..N/2-1, -N/2..-1
-    num = 0.0
-    den = 0.0
-    slopes = []
-    for pair in range(n_pairs):
-        a = seg[2 * pair * sym + ncp:2 * pair * sym + ncp + n]
-        b = seg[(2 * pair + 1) * sym + ncp:(2 * pair + 1) * sym + ncp + n]
-        ya = np.fft.fft(a, norm="ortho")
-        yb = np.fft.fft(b, norm="ortho")
-        d = yb * np.conj(ya)
-        w = np.abs(ya) ** 2 + np.abs(yb) ** 2
-        phase = np.angle(d)
-        # weighted LS through the origin: slope of phase vs signed index
-        # (the pair's common phase is removed first to avoid intercept bias)
-        wsum = w.sum()
-        if not wsum > 0:
-            raise PipelineError("sync.estimate_sfo_tsai",
-                                f"clock-tracking symbol pair {pair} carries no energy")
-        kc = k_signed - (w * k_signed).sum() / wsum
-        pc = phase - (w * phase).sum() / wsum
-        s_num = (w * kc * pc).sum()
-        s_den = (w * kc * kc).sum()
-        slope = s_num / s_den if s_den > 0 else 0.0
-        slopes.append(slope)
-        num += s_num
-        den += s_den
-    slope_all = num / den if den > 0 else 0.0
-    delta_hat = slope_all * n / (2.0 * np.pi * sym)
-    return float(delta_hat), [float(x) for x in slopes]
+    kc = k_signed - (w * k_signed).sum(axis=1, keepdims=True) / wsum
+    pc = phase - (w * phase).sum(axis=1, keepdims=True) / wsum
+    s_num = (w * kc * pc).sum(axis=1)
+    s_den = (w * kc * kc).sum(axis=1)
+    slopes = np.divide(s_num, s_den, out=np.zeros_like(s_num), where=s_den > 0)
+    # running sums in pair order: from 8 pairs on, ``.sum()`` adds pairwise
+    num, den = sum(s_num.tolist()), sum(s_den.tolist())
+    delta_hat = (num / den if den > 0 else 0.0) * n / (2.0 * np.pi * sym)
+    return float(delta_hat), slopes.tolist()
 
 
 def resample_correct(s: np.ndarray, delta_hat: float) -> np.ndarray:
@@ -272,12 +260,6 @@ def synchronize(y: IqStream, cfg: FrameConfig,
 
     run_blocks(derotate, pl_len)
 
-    report = SyncReport(
-        coarse_start=coarse_start,
-        fine_start=fine_start,
-        cfo_hat_hz=float(cfo_hat),
-        sfo_hat=float(delta_hat),
-        timing_metric_peak=peak,
-        pair_phase_slopes=slopes,
-    )
-    return payload, report
+    return payload, SyncReport(coarse_start=coarse_start, fine_start=fine_start,
+                               cfo_hat_hz=float(cfo_hat), sfo_hat=float(delta_hat),
+                               timing_metric_peak=peak, pair_phase_slopes=slopes)

@@ -80,10 +80,8 @@ def frame_tables(cfg: FrameConfig) -> FrameTables:
     even = np.arange(0, n, 2)
     preamble[even, 0] = np.sqrt(2.0) * _seeded_qpsk(rng, even.size)
     preamble[:, 1] = _seeded_qpsk(rng, n)
-    for i in range(cfg.m_sfo // 2):
-        sym = _seeded_qpsk(rng, n)
-        preamble[:, cfg.m_sc + 2 * i] = sym
-        preamble[:, cfg.m_sc + 2 * i + 1] = sym
+    pairs = _seeded_qpsk(rng, n * (cfg.m_sfo // 2)).reshape(-1, n).T
+    preamble[:, cfg.m_sc:] = np.repeat(pairs, 2, axis=1)
 
     rng = np.random.default_rng(cfg.pilot_seed)
     pilots = _seeded_qpsk(rng, cfg.n_pilot_rows * cfg.n_pilot_cols).reshape(

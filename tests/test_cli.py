@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,55 @@ def test_map_csv_written_in_blocks_matches_whole_map(tmp_path, monkeypatch, shap
     np.savetxt(tmp_path / "cols_whole.csv", np.column_stack(cols), fmt="%.9g",
                delimiter=",", header="a,b", comments="")
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "cols_whole.csv").read_bytes()
+
+
+def test_receiver_lets_go_of_grid_sized_arrays(tmp_path, monkeypatch):
+    """The receive pipeline drops each grid-sized array after its last
+    reader: the CFR before decoding starts, the equalized symbols and their
+    noise variances before sensing starts, and the first sensing mode's CFR
+    and map before the second mode starts (demo, 64 payload symbols, both
+    modes). Each is watched through a weak reference."""
+    equalize, demap_decode = scenario.equalize, scenario.demap_decode
+    cfr_for_sensing, range_doppler = radar.cfr_for_sensing, radar.range_doppler
+    refs, dead_at = {}, {}
+
+    def gone(*names):
+        return all(refs[name]() is None for name in names)
+
+    def watch_equalize(grid, cfr, cfg):
+        s_hat, noise_vars, erased = equalize(grid, cfr, cfg)
+        refs.update(cfr=weakref.ref(cfr), s_hat=weakref.ref(s_hat),
+                    noise_vars=weakref.ref(noise_vars))
+        return s_hat, noise_vars, erased
+
+    def watch_decode(*args, **kwargs):
+        dead_at["decode"] = gone("cfr")
+        return demap_decode(*args, **kwargs)
+
+    def watch_cfr_for_sensing(*args, **kwargs):
+        if "first map" in refs:
+            dead_at["second mode"] = gone("first cfr", "first map")
+        else:
+            dead_at["first mode"] = gone("s_hat", "noise_vars")
+        cfr_s = cfr_for_sensing(*args, **kwargs)
+        refs.setdefault("first cfr", weakref.ref(cfr_s))
+        return cfr_s
+
+    def watch_range_doppler(*args, **kwargs):
+        rd = range_doppler(*args, **kwargs)
+        refs.setdefault("first map", weakref.ref(rd.magnitude_db))
+        return rd
+
+    monkeypatch.setattr(scenario, "equalize", watch_equalize)
+    monkeypatch.setattr(scenario, "demap_decode", watch_decode)
+    monkeypatch.setattr(radar, "cfr_for_sensing", watch_cfr_for_sensing)
+    monkeypatch.setattr(radar, "range_doppler", watch_range_doppler)
+    doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    doc["frame"]["m_payload"] = 64
+    doc["sensing"]["modes"] = ["pilot_only", "full_frame"]
+    summary = scenario.run_scenario(load_scenario(write_scn(tmp_path, doc)), tmp_path / "out")
+    assert summary["post_fec_ber"] == 0.0
+    assert dead_at == {"decode": True, "first mode": True, "second mode": True}
 
 
 def test_capture_round_trip_matches_simulation(tmp_path, capsys):

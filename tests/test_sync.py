@@ -31,7 +31,7 @@ from bistatic_radcom.sync import (
     schmidl_cox,
     synchronize,
 )
-from bistatic_radcom.txframe import IqStream, build_tx_frame, frame_capacity_bits
+from bistatic_radcom.txframe import IqStream, build_tx_frame, frame_capacity_bits, frame_tables
 
 
 def desk_cfg():
@@ -180,6 +180,65 @@ def test_clock_offset_sign():
     y = through_channel(tx, sto=600, sfo=-2e-5)
     _, rep = synchronize(y, cfg, correct_sfo=True)
     assert rep.sfo_hat == pytest.approx(-2e-5, rel=0.05)
+
+
+def estimate_sfo_per_pair(s, cfg, fine_start, cfo_hat_hz):
+    """Oracle of `estimate_sfo_tsai` as a loop over the pairs: one FFT pair
+    and one weighted fit per pair, the pair totals summed in pair order."""
+    n, ncp, sym = cfg.n_subcarriers, cfg.cp_len, cfg.symbol_len
+    first = fine_start + cfg.m_sc * sym
+    seg = sync.local_cfo_correct(s, cfg, cfo_hat_hz, (first, first + cfg.m_sfo * sym))
+    k_signed = np.fft.fftfreq(n, d=1.0 / n)
+    num = den = 0.0
+    slopes = []
+    for pair in range(cfg.m_sfo // 2):
+        a = seg[2 * pair * sym + ncp:2 * pair * sym + ncp + n]
+        b = seg[(2 * pair + 1) * sym + ncp:(2 * pair + 1) * sym + ncp + n]
+        ya, yb = np.fft.fft(a, norm="ortho"), np.fft.fft(b, norm="ortho")
+        w = np.abs(ya) ** 2 + np.abs(yb) ** 2
+        phase = np.angle(yb * np.conj(ya))
+        kc = k_signed - (w * k_signed).sum() / w.sum()
+        pc = phase - (w * phase).sum() / w.sum()
+        s_num, s_den = (w * kc * pc).sum(), (w * kc * kc).sum()
+        slopes.append(float(s_num / s_den) if s_den > 0 else 0.0)
+        num += s_num
+        den += s_den
+    slope_all = num / den if den > 0 else 0.0
+    return float(slope_all * n / (2.0 * np.pi * sym)), slopes
+
+
+@pytest.mark.parametrize("m_sfo", [2, 4, 10, 16, 18, 20, 24])
+def test_clock_offset_fit_matches_per_pair_loop(m_sfo):
+    """One FFT over all clock-tracking symbols and one fit over all pairs
+    give the bits of the per-pair loop, in the estimate and in every pair's
+    slope; from 8 pairs on this holds only if the pairs are summed in order."""
+    cfg = FrameConfig(n_subcarriers=64, cp_len=16, m_sfo=m_sfo, m_payload=8)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        fine_start = int(rng.integers(0, 100))
+        size = fine_start + cfg.m_preamble * cfg.symbol_len + int(rng.integers(0, 100))
+        s = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        cfo = rng.uniform(-3.0, 3.0) * cfg.subcarrier_spacing
+        got = estimate_sfo_tsai(s, cfg, fine_start, cfo)
+        want = estimate_sfo_per_pair(s, cfg, fine_start, cfo)
+        assert np.array([got[0], *got[1]]).view(np.uint64).tolist() == \
+            np.array([want[0], *want[1]]).view(np.uint64).tolist(), seed
+        assert all(type(x) is float for x in got[1])
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_fine_timing_correlation_matches_per_candidate_dot_products(n):
+    """``np.correlate(seg, ref, "valid")``, as `fine_timing` calls it, gives
+    the bits of one ``np.vdot(ref, window)`` per candidate start."""
+    cfg = FrameConfig(n_subcarriers=n, cp_len=n // 4, m_payload=8)
+    ref = np.fft.ifft(frame_tables(cfg).preamble[:, 0], norm="ortho")
+    rng = np.random.default_rng(n)
+    size = n + 2 * cfg.cp_len
+    seg = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    seg[cfg.cp_len:cfg.cp_len + n] += ref
+    want = np.array([np.abs(np.vdot(ref, seg[i:i + n])) for i in range(size - n + 1)])
+    got = np.abs(np.correlate(seg, ref, "valid"))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_payload_extraction_clean_loopback():

@@ -84,6 +84,25 @@ def test_sc_differential_matches_preamble():
         assert sync._integer_cfo(s, cfg, 0, 0.0) == shift
 
 
+@pytest.mark.parametrize("m_sfo", [2, 10])
+@pytest.mark.parametrize("m_sc", [1, 2, 3])
+def test_preamble_matches_per_pair_draws(m_sc, m_sfo):
+    """The clock-tracking pairs, drawn at once, are the symbols of one draw
+    per pair from the same generator, after the two S&C symbols (with one
+    S&C column the second symbol is drawn and then overwritten; with three
+    the third column stays zero)."""
+    cfg = small_cfg(m_sc=m_sc, m_sfo=m_sfo)
+    n = cfg.n_subcarriers
+    rng = np.random.default_rng(cfg.preamble_seed)
+    want = np.zeros((n, cfg.m_preamble), dtype=np.complex128)
+    want[0::2, 0] = np.sqrt(2.0) * txframe._seeded_qpsk(rng, n // 2)
+    want[:, 1] = txframe._seeded_qpsk(rng, n)
+    for i in range(m_sfo // 2):
+        want[:, m_sc + 2 * i] = want[:, m_sc + 2 * i + 1] = txframe._seeded_qpsk(rng, n)
+    got = fresh_tables(cfg).preamble
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_preamble_deterministic_per_seed():
     a = fresh_tables(small_cfg()).preamble
     b = fresh_tables(small_cfg()).preamble
