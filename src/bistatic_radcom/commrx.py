@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import dsp
 from .ldpc import default_code
@@ -47,10 +46,21 @@ def demodulate_frame(s: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return np.fft.fft(blocks[cfg.cp_len:, :], axis=0, norm="ortho")
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of all of ``x``, with its bits and its NaN result, but
+    without the import of ``numpy.ma`` that its NaN check makes on first use
+    (several ms, more than the rest of the Doppler estimate)."""
+    mid = [(x.size - 1) // 2, x.size // 2]
+    part = np.partition(x, sorted({*mid, x.size - 1}), axis=None)
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(np.mean(part[mid[0]:mid[1] + 1]))
+
+
 def _main_tap(cir_mag: np.ndarray) -> int:
     """Index of the dominant tap of a mean CIR magnitude profile."""
     peak = int(np.argmax(cir_mag))
-    med = float(np.median(cir_mag))
+    med = _median(cir_mag)
     if not cir_mag[peak] > 10 ** (6.0 / 20.0) * med:
         raise RuntimeError("no dominant channel tap (peak < 6 dB above median)")
     return peak
@@ -95,18 +105,29 @@ def estimate_cfr(grid: np.ndarray, cfg: FrameConfig) -> CfrEstimate:
     return CfrEstimate(cfr=cfr)
 
 
+_CIR_COLUMNS = 16  # pilot symbols per block of the zero-padded CIR
+
+
 def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
                 pad: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Per-pilot-symbol delay (in samples) and magnitude of the main tap,
-    from the zero-padded CIR with parabolic sub-bin refinement."""
-    nb = hp.shape[0]
+    from the zero-padded CIR with parabolic sub-bin refinement. The CIR
+    magnitude is computed in blocks of ``_CIR_COLUMNS`` pilot symbols, so
+    the complex CIR never exists whole."""
     # reorder rows to physical frequency before zero padding so fractional
     # delays keep a single clean peak (padding must extend the band, not
     # split it at Nyquist)
-    size = nb * pad
-    cir = scipy.fft.ifft(np.fft.fftshift(hp, axes=0), n=size, axis=0,
-                         workers=dsp._workers())
-    mag = np.abs(cir)
+    hs = np.fft.fftshift(hp, axes=0)
+    size = hp.shape[0] * pad
+    mag = np.empty((size, hp.shape[1]))
+
+    def block(start: int, stop: int) -> None:
+        # transform contiguous rows of the transposed block: NumPy's FFT along
+        # strided columns is slower
+        cir = np.fft.ifft(np.ascontiguousarray(hs[:, start:stop].T), n=size, axis=1)
+        np.abs(cir.T, out=mag[:, start:stop])
+
+    dsp.run_blocks(block, hp.shape[1], _CIR_COLUMNS)
     tap = _main_tap(np.mean(mag, axis=1))
     peaks = np.argmax(mag, axis=0)
     # keep per-symbol peaks near the common dominant tap (cyclic distance)
@@ -175,7 +196,7 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
     """
     tables = frame_tables(cfg)
     mask = tables.data_mask
-    floor = _ERASE_BELOW * np.median(np.abs(cfr[np.ix_(tables.k_pil, tables.m_pil)]))
+    floor = _ERASE_BELOW * _median(np.abs(cfr[np.ix_(tables.k_pil, tables.m_pil)]))
     first = np.concatenate([[0], np.cumsum(mask.sum(axis=0))])  # first cell of each column
     noise_var = _noise_variance_per_subcarrier(grid, cfg)
     s_hat = np.empty(first[-1], dtype=np.complex128)
@@ -206,7 +227,7 @@ def _noise_variance_per_subcarrier(grid: np.ndarray, cfg: FrameConfig) -> np.nda
     d = np.diff(hp, axis=1)
     var_rows = 0.5 * np.mean(np.abs(d) ** 2, axis=1)
     var = np.interp(np.arange(cfg.n_subcarriers), frame_tables(cfg).k_pil, var_rows)
-    return np.maximum(var, 1e-12 * np.median(np.abs(hp) ** 2))
+    return np.maximum(var, 1e-12 * _median(np.abs(hp) ** 2))
 
 
 def qpsk_llrs(symbols: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:

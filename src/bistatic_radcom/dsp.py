@@ -27,33 +27,36 @@ neither 2n-sample intermediate stream exists.
 into its output; a step depends only on its own input and the one before, so
 the result has the bits of one whole-stream call.
 
-The FIR stages (`_fir_range`), their filter (`_halfband_fir`) and the
-overlap-add (`fractional_delay`) are the package's own, on NumPy and
-``scipy.fft``, written to give the bits of SciPy's ``signal.upfirdn``,
-``signal.firwin`` and ``signal.oaconvolve``; the tests hold them to those
-functions. The package does not import SciPy's signal module, whose import
-alone would take longer than the rest of the start-up.
+The package imports no SciPy: every transform runs on ``numpy.fft``. The
+FIR stages (`_fir_range`), their filter (`_halfband_fir`) and the
+overlap-add (`fractional_delay`) are written to give the bits of SciPy's
+``signal.upfirdn``, ``signal.firwin`` and ``signal.oaconvolve`` and of the
+``scipy.fft`` calls those make; the tests hold them to those functions. Two
+pieces keep SciPy's bits where NumPy's plain form would not: the FFT of the
+real filter is a real-input FFT with its Hermitian half mirrored in
+(`_real_fft`, as SciPy's own), and the window's Bessel function is Cephes's
+series on libm's ``exp`` (`_i0`), not ``np.i0``, whose vectorized ``exp``
+rounds differently.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
-import scipy.fft
-import scipy.special
 
 from .params import ConfigError
 
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 1013 MB, 96 B per sample, so a stream at the budget needs about 1.6 GB.
+# at 914 MB, 87 B per sample, so a stream at the budget needs about 1.5 GB.
 # That peak is set in comm estimation and decoding; the sample path (TX,
-# channel, sync) peaks at about 885 MB.
+# channel, sync) peaks at about 863 MB.
 MAX_STREAM_SAMPLES = 1 << 24
 
 
@@ -137,11 +140,11 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
     if hi <= lo:
         return out
     if x.size <= _OA_FFT:
-        nfft = scipy.fft.next_fast_len(x.size + ov, False)
-        y = scipy.fft.ifftn(scipy.fft.fftn(x, [nfft]) * scipy.fft.fftn(h, [nfft]), [nfft])
+        nfft = _next_fast_len(x.size + ov)
+        y = np.fft.ifft(np.fft.fft(x, nfft) * _real_fft(h, nfft), nfft)
         out[lo + shift:hi + shift] = y[lo:hi]
         return out
-    hf = scipy.fft.fftn(h[None, :], [_OA_FFT], axes=[1])
+    hf = _real_fft(h, _OA_FFT)
     first = lo // _OA_STEP
 
     def block(start: int, stop: int) -> None:
@@ -151,8 +154,7 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
         seg = x[prev * _OA_STEP:j1 * _OA_STEP]
         rows = np.zeros((j1 - prev, _OA_STEP), dtype=np.complex128)
         rows.reshape(-1)[:seg.size] = seg
-        ret = scipy.fft.ifftn(scipy.fft.fftn(rows, [_OA_FFT], axes=[1]) * hf,
-                              [_OA_FFT], axes=[1])
+        ret = np.fft.ifft(np.fft.fft(rows, _OA_FFT, axis=1) * hf, _OA_FFT, axis=1)
         ret[1:, :ov] += ret[:-1, -ov:]
         # the FFT of the last step leaves rounding noise past y's end: clip to hi
         a, b = max(j0 * _OA_STEP, lo), min(j1 * _OA_STEP, hi)
@@ -161,6 +163,31 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
 
     run_blocks(block, -(-hi // _OA_STEP) - first, _OA_STEPS)
     return out
+
+
+def _real_fft(h: np.ndarray, n: int) -> np.ndarray:
+    """The ``n``-point FFT of the real ``h`` as SciPy's ``fft`` computes it:
+    the real-input FFT, with the conjugate of each of its bins k written to
+    bin (n - k) % n. The DC bin, and the Nyquist bin at even n, are their
+    own mirror, so their imaginary zero turns to -0. NumPy's complex ``fft``
+    of the same input rounds differently."""
+    r = np.fft.rfft(h, n)
+    out = np.empty(n, dtype=np.complex128)
+    out[:r.size] = r
+    out[-np.arange(r.size) % n] = np.conj(r)
+    return out
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= ``n``: SciPy's ``next_fast_len(n, False)``."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _kaiser_at(t: np.ndarray, ntaps: int, beta: float) -> np.ndarray:
@@ -183,7 +210,14 @@ def _polyphase_table() -> np.ndarray:
     k = np.arange(_POLY_TAPS) - (_POLY_TAPS // 2 - 1)
     mu = np.arange(_POLY_PHASES + 1)[:, None] / _POLY_PHASES
     arg = k[None, :] - mu
-    return np.sinc(arg) * _kaiser_at(arg, _POLY_TAPS, _POLY_BETA)
+    # with P phases, arg[P - p, 79 - j] is exactly -arg[p, j] and the window
+    # depends only on the square of its argument, so the window rows past the
+    # middle mirror those before it; the sinc is evaluated on every row
+    half = _POLY_PHASES // 2 + 1
+    w = np.empty_like(arg)
+    w[:half] = _kaiser_at(arg[:half], _POLY_TAPS, _POLY_BETA)
+    w[half:] = w[_POLY_PHASES - half::-1, ::-1]
+    return np.sinc(arg) * w
 
 
 @functools.cache
@@ -248,14 +282,45 @@ _STAGE_BETA = 7.0
 _BYPASS_THRESHOLD = 1e-8
 
 
+# Cephes's Chebyshev coefficients of exp(-x) I0(x) on [0, 8]
+_I0A = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
+    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
+    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
+    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
+    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
+    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
+    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
+    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
+    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
+    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
+    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+
+
+def _i0(x: float) -> float:
+    """Modified Bessel function I0 at 0 <= x <= 8, with the bits of SciPy's
+    ``special.i0``: Cephes's Chebyshev sum, times libm's ``exp``."""
+    y = x / 2.0 - 2.0
+    b0, b1, b2 = 0.0, 0.0, 0.0
+    for c in _I0A:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + c
+    return math.exp(x) * (0.5 * (b0 - b2))
+
+
 def _halfband_fir() -> np.ndarray:
     """Window-method lowpass, cutoff at 1/4 of the doubled rate, 48 taps per
     the stage budget, unit gain at DC: SciPy's ``signal.firwin(48, 0.5,
     window=("kaiser", 7.0))``, with its bits."""
     alpha = (_STAGE_TAPS - 1) / 2.0
     n = np.arange(_STAGE_TAPS, dtype=np.float64)
-    window = (scipy.special.i0(_STAGE_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0))
-              / scipy.special.i0(np.float64(_STAGE_BETA)))
+    arg = _STAGE_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)
+    window = np.array([_i0(a) for a in arg.tolist()]) / _i0(_STAGE_BETA)
     h = 0.5 * np.sinc(0.5 * (n - alpha)) * window
     return h / np.sum(h)
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import dsp
 from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode
 from .txframe import map_payload, payload_grid, pilot_cfr
 
 # Range rows per block of the map's Doppler pass, its dB conversion and the
-# peak test; fixed, so the block edges never depend on the CPU count.
+# peak test, and CFR columns per block of its range pass; fixed, so the block
+# edges never depend on the CPU count.
 _MAP_ROWS = 64
+_RANGE_COLUMNS = 32
 
 # Largest range-Doppler map a scenario may ask for, checked by
 # `load_scenario` before anything is allocated (`map_cells`). A map of c
@@ -68,7 +69,8 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     """Windowed 2-D periodogram: IDFT over frequency (delay/range), DFT over
     time (Doppler, center-shifted), magnitude normalized to its peak.
 
-    The Doppler DFT, its magnitude and the dB conversion run on blocks of
+    The window and the range IDFT run on blocks of ``_RANGE_COLUMNS`` CFR
+    columns, so the windowed CFR never exists whole. The Doppler DFT, its magnitude and the dB conversion run on blocks of
     ``_MAP_ROWS`` range rows that write straight into one float64 map, so
     the complex map never exists whole."""
     dsp.require_finite(cfr, "sensing CFR")
@@ -79,20 +81,26 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
         wf, wt = np.ones(nf), np.ones(nt)
     else:
         raise ValueError(f"unknown window kind: {window_kind}")
-    # frequency rows arrive in DFT index order (DC first, negative
-    # frequencies in the upper half); reorder to physical frequency so the
-    # window tapers the true band edges and zero padding extends the band
-    # instead of splitting it at Nyquist
-    z = np.fft.fftshift(cfr, axes=0) * wf[:, None] * wt[None, :]
-    prof = scipy.fft.ifft(z, n=nf * zero_pad, axis=0, workers=dsp._workers())
-    del z
-    nr, nd = prof.shape[0], nt * zero_pad
+    nr, nd = nf * zero_pad, nt * zero_pad
+    prof = np.empty((nr, nt), dtype=np.complex128)
+
+    def range_idft(start: int, stop: int) -> None:
+        # frequency rows arrive in DFT index order (DC first, negative
+        # frequencies in the upper half); reorder to physical frequency so
+        # the window tapers the true band edges and zero padding extends the
+        # band instead of splitting it at Nyquist
+        z = np.fft.fftshift(cfr[:, start:stop], axes=0) * wf[:, None] * wt[start:stop]
+        # transform contiguous rows of the transposed block: NumPy's FFT along
+        # strided columns is slower
+        prof[:, start:stop] = np.fft.ifft(np.ascontiguousarray(z.T), n=nr, axis=1).T
+
+    dsp.run_blocks(range_idft, nt, _RANGE_COLUMNS)
     half = nd // 2
     mag_db = np.empty((nr, nd))
     block_peaks = []
 
     def doppler(start: int, stop: int) -> None:
-        rd = scipy.fft.fft(prof[start:stop], n=nd, axis=1)
+        rd = np.fft.fft(prof[start:stop], n=nd, axis=1)
         # the Doppler fftshift moves column j to (j + nd // 2) % nd
         np.abs(rd[:, :nd - half], out=mag_db[start:stop, half:])
         np.abs(rd[:, nd - half:], out=mag_db[start:stop, :half])

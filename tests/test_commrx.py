@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from bistatic_radcom import commrx, dsp
@@ -145,6 +146,57 @@ def test_blocked_equalize_matches_one_shot(monkeypatch, columns, workers):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 3),
+       st.sampled_from([None, np.nan, np.inf, 0.0]))
+@settings(max_examples=200, deadline=None)
+def test_median_has_numpy_bits(seed, rows, cols, special):
+    """Odd and even sizes, 1-D and 2-D, with ties, a NaN or an infinity."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, size=(rows, cols)) * rng.random()
+    if special is not None:
+        x[rng.integers(rows), rng.integers(cols)] = special
+    for a in (x, x.ravel()):
+        got, want = np.float64(commrx._median(a)), np.median(a)
+        assert got.view(np.uint64) == want.view(np.uint64) or np.isnan(got) and np.isnan(want)
+
+
+def tap_delays_one_shot(hp, pad=8):
+    """`_tap_delays` with the whole zero-padded CIR from one ``scipy.fft``
+    call."""
+    size = hp.shape[0] * pad
+    mag = np.abs(scipy.fft.ifft(np.fft.fftshift(hp, axes=0), n=size, axis=0, workers=2))
+    tap = commrx._main_tap(np.mean(mag, axis=1))
+    peaks = np.argmax(mag, axis=0)
+    dist = np.minimum((peaks - tap) % size, (tap - peaks) % size)
+    peaks = np.where(dist <= pad, peaks, tap)
+    idx = np.arange(hp.shape[1])
+    b = mag[peaks, idx]
+    pos = peaks + dsp.parabolic_vertex(mag[(peaks - 1) % size, idx], b,
+                                       mag[(peaks + 1) % size, idx])
+    pos = np.where(pos > size / 2, pos - size, pos)
+    return pos / pad, b
+
+
+@pytest.mark.parametrize("columns", [1, 3, 64])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_blocked_tap_delays_have_scipy_fft_bits(monkeypatch, columns, workers):
+    """The zero-padded CIR on blocks of pilot symbols, on 1 or 3 threads,
+    gives the delays and magnitudes of one whole-array ``scipy.fft`` call
+    bit for bit."""
+    rng = np.random.default_rng(columns)
+    nb, m = 128, 67
+    k = np.arange(nb)[:, None] - nb // 2
+    delay = rng.uniform(-2.0, 2.0, size=m)
+    hp = np.exp(-2j * np.pi * np.fft.ifftshift(k, axes=0) * delay / nb)
+    hp += 0.1 * (rng.normal(size=(nb, m)) + 1j * rng.normal(size=(nb, m)))
+    monkeypatch.setattr(commrx, "_CIR_COLUMNS", columns)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    got = commrx._tap_delays(hp, desk_cfg())
+    want = tap_delays_one_shot(hp)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_equalize_flags_null_channel_cells():

@@ -1,6 +1,7 @@
 """Resampling and fractional-delay primitives."""
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 from scipy.signal import _signaltools
@@ -397,16 +400,94 @@ def test_oaconvolve_has_scipy_bits(lengths):
                          fractional_delay_one_shot(x, delay, out_len)), n
 
 
-def test_package_does_not_import_scipy_signal():
-    """The command line and the scenario pipeline load without SciPy's
-    signal module, whose import would be most of the start-up time."""
+def test_real_fft_has_scipy_bits():
+    """The FFT of a real filter has the bits of ``scipy.fft.fft`` at every
+    length from 1 to 1200 (odd and even lengths mirror different halves),
+    for filters of 1 tap, 63 taps, half the length and the whole length."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 1201):
+        for taps in sorted({1, min(63, n), (n + 1) // 2, n}):
+            h = rng.normal(size=taps)
+            assert same_bits(dsp._real_fft(h, n), scipy.fft.fft(h, n)), (n, taps)
+
+
+def test_next_fast_len_matches_scipy():
+    for n in range(1, 10_001):
+        assert dsp._next_fast_len(n) == scipy.fft.next_fast_len(n, False), n
+
+
+def test_i0_has_scipy_bits_at_the_halfband_window():
+    """The 48 window arguments of the half-band filter and its beta."""
+    alpha = (dsp._STAGE_TAPS - 1) / 2.0
+    n = np.arange(dsp._STAGE_TAPS, dtype=np.float64)
+    args = dsp._STAGE_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)
+    for x in [*args.tolist(), dsp._STAGE_BETA]:
+        assert same_bits(np.float64(dsp._i0(x)), scipy.special.i0(x)), x
+
+
+@given(st.floats(0.0, 8.0))
+@settings(max_examples=2000, deadline=None)
+def test_i0_has_scipy_bits(x):
+    assert same_bits(np.float64(dsp._i0(x)), scipy.special.i0(x))
+
+
+def test_polyphase_table_matches_whole_table_formula():
+    """The table with its window mirrored from the first half of its rows
+    equals the window evaluated on every row."""
+    k = np.arange(dsp._POLY_TAPS) - (dsp._POLY_TAPS // 2 - 1)
+    arg = k[None, :] - np.arange(dsp._POLY_PHASES + 1)[:, None] / dsp._POLY_PHASES
+    whole = np.sinc(arg) * dsp._kaiser_at(arg, dsp._POLY_TAPS, dsp._POLY_BETA)
+    assert same_bits(dsp._polyphase_table(), whole)
+
+
+def _child_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_package_does_not_import_scipy(tmp_path):
+    """The command line loads, and runs the demo scenario, without importing
+    any part of SciPy, whose import would be most of the start-up time."""
+    demo = Path(__file__).resolve().parent.parent / "scenarios" / "clock_drift_demo.json"
     code = ("import sys\n"
-            "import bistatic_radcom.cli, bistatic_radcom.scenario\n"
-            "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+            "from bistatic_radcom import cli\n"
+            "assert cli.main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code, str(demo), str(tmp_path / "out")],
+                   env=_child_env(), check=True, timeout=300)
+
+
+def test_package_runs_without_scipy_installed(tmp_path):
+    """With every SciPy import made to fail, the demo's run (writing its
+    rx.iq) and a known capture of that rx.iq exit 0 and write the same bytes
+    as the same calls made here."""
+    from bistatic_radcom.cli import main
+
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                      / "clock_drift_demo.json").read_text())
+    doc["outputs"]["write_iq"] = True
+    scn = tmp_path / "demo.json"
+    scn.write_text(json.dumps(doc))
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from bistatic_radcom import cli\n"
+            "scn, out = sys.argv[1], sys.argv[2]\n"
+            "assert cli.main(['run', scn, '--out', out + '/run']) == 0\n"
+            "assert cli.main(['capture', out + '/run/rx.iq', scn, '--out', out + '/cap']) == 0\n")
+    subprocess.run([sys.executable, "-c", code, str(scn), str(tmp_path / "bare")],
+                   env=_child_env(), check=True, timeout=300)
+    here = tmp_path / "here"
+    assert main(["run", str(scn), "--out", str(here / "run")]) == 0
+    assert main(["capture", str(here / "run" / "rx.iq"), str(scn),
+                 "--out", str(here / "cap")]) == 0
+    files = sorted(f.relative_to(here) for f in here.rglob("*") if f.is_file())
+    assert files == sorted(f.relative_to(tmp_path / "bare")
+                           for f in (tmp_path / "bare").rglob("*") if f.is_file())
+    assert Path("run", "rx.iq") in files and Path("cap", "comm_metrics.json") in files
+    for f in files:
+        assert (here / f).read_bytes() == (tmp_path / "bare" / f).read_bytes(), f
 
 
 @pytest.mark.parametrize("chunk", [428, 428 * 2, 428 * 3, 428 * dsp._OA_STEPS])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
@@ -212,16 +213,17 @@ def test_extract_peaks_rejects_positive_threshold():
 # their whole-map forms
 
 
-def range_doppler_db_oracle(cfr, window_kind, zero_pad):
-    """Peak-normalized dB map computed on the complex, shifted map."""
+def range_doppler_db_oracle(cfr, window_kind, zero_pad, fft=np.fft):
+    """Peak-normalized dB map computed on the complex, shifted map, with the
+    transforms of ``fft`` (``numpy.fft`` or ``scipy.fft``) over whole arrays."""
     nf, nt = cfr.shape
     if window_kind == "hamming":
         wf, wt = np.hamming(nf), np.hamming(nt)
     else:
         wf, wt = np.ones(nf), np.ones(nt)
     z = np.fft.fftshift(cfr, axes=0) * wf[:, None] * wt[None, :]
-    prof = np.fft.ifft(z, n=nf * zero_pad, axis=0)
-    rd = np.fft.fftshift(np.fft.fft(prof, n=nt * zero_pad, axis=1), axes=1)
+    prof = fft.ifft(z, n=nf * zero_pad, axis=0)
+    rd = np.fft.fftshift(fft.fft(prof, n=nt * zero_pad, axis=1), axes=1)
     mag = np.abs(rd)
     return 20.0 * np.log10(np.maximum(mag, 1e-300) / max(mag.max(), 1e-300))
 
@@ -280,6 +282,23 @@ def test_range_doppler_matches_complex_map_oracle(seed, nf, nt, window_kind, zer
                             window_kind=window_kind, zero_pad=zero_pad).magnitude_db
     want = range_doppler_db_oracle(cfr, window_kind, zero_pad)
     assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("columns", [1, 3, 64])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("nf, nt, zero_pad", [(96, 37, 4), (256, 130, 1), (7, 200, 3)])
+def test_blocked_range_idft_has_scipy_fft_bits(monkeypatch, columns, workers, nf, nt,
+                                               zero_pad):
+    """The range IDFT on blocks of CFR columns, on 1 or 3 threads, gives the
+    map of whole-array ``scipy.fft`` transforms bit for bit."""
+    rng = np.random.default_rng(nf * nt)
+    cfr = rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))
+    monkeypatch.setattr(radar, "_RANGE_COLUMNS", columns)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    got = range_doppler(cfr, desk_cfg(), SensingMode.PILOT_ONLY,
+                        zero_pad=zero_pad).magnitude_db
+    want = range_doppler_db_oracle(cfr, "hamming", zero_pad, fft=scipy.fft)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
