@@ -48,16 +48,19 @@ class ChannelScenario:
     impairments: ImpairmentSet = field(default_factory=ImpairmentSet)
 
     def __post_init__(self):
+        """One main path, every other path weaker in linear gain."""
         mains = [abs(p.gain) for p in self.paths if p.is_main]
         v = []
         if not self.paths:
-            v.append("scenario needs at least one path")
+            v.append("paths: at least one path is needed")
         elif len(mains) != 1:
-            v.append("scenario needs exactly one main path")
-        if any(p.delay_s < 0 for p in self.paths):
-            v.append("path delays must be non-negative")
-        if len(mains) == 1 and any(abs(p.gain) >= mains[0] for p in self.paths if not p.is_main):
-            v.append("secondary paths must be weaker than the main path")
+            v.append(f"paths: exactly one path must set is_main (got {len(mains)})")
+        for i, p in enumerate(self.paths):
+            if p.delay_s < 0:
+                v.append(f"paths[{i}]: delay must be non-negative")
+            if len(mains) == 1 and not p.is_main and abs(p.gain) >= mains[0]:
+                v.append(f"paths[{i}]: secondary path must be weaker than the main path "
+                         "in linear gain")
         if v:
             raise ConfigError(v)
 
@@ -66,10 +69,17 @@ class ChannelScenario:
         return next(p for p in self.paths if p.is_main)
 
 
-def stream_len(n_tx: int, max_delay_samples: float) -> int:
+def max_delay_samples(scenario: ChannelScenario, fs: float) -> float:
+    """The largest path delay plus STO, in samples at rate ``fs``: how far
+    the channel output reaches past the transmitted stream."""
+    return (max(p.delay_s for p in scenario.paths)
+            + max(scenario.impairments.sto_s, 0.0)) * fs
+
+
+def stream_len(n_tx: int, max_delay: float) -> int:
     """Samples in the channel output for ``n_tx`` transmitted samples: room
     for the largest path delay plus STO, and a margin for the delay filter."""
-    return n_tx + int(np.ceil(max_delay_samples)) + 64
+    return n_tx + int(np.ceil(max_delay)) + 64
 
 
 def apply_paths_and_cfo(x: np.ndarray, fs: float, scenario: ChannelScenario) -> np.ndarray:
@@ -83,8 +93,7 @@ def apply_paths_and_cfo(x: np.ndarray, fs: float, scenario: ChannelScenario) -> 
     imp = scenario.impairments
     ts = 1.0 / fs
 
-    max_delay = max(p.delay_s for p in scenario.paths) + max(imp.sto_s, 0.0)
-    out_len = stream_len(x.size, max_delay * fs)
+    out_len = stream_len(x.size, max_delay_samples(scenario, fs))
     y = np.zeros(out_len, dtype=np.complex128)
     for p in scenario.paths:
         delay = (p.delay_s + imp.sto_s) * fs

@@ -86,6 +86,8 @@ class FrameConfig:
             v.append("cp_len must be at most n_subcarriers / 2 - 3")
         if not self.bandwidth_hz > 0:
             v.append("bandwidth_hz must be positive")
+        elif not 1.0 <= self.bandwidth_hz <= 1e15:
+            v.append("bandwidth_hz must be between 1 Hz and 1 PHz")
         # the CFR interpolation needs two pilots along each axis, and the
         # Doppler, drift and noise estimates compare neighbouring pilot
         # symbols; checked last, as the counts divide by the spacings

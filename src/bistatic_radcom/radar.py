@@ -70,9 +70,10 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     time (Doppler, center-shifted), magnitude normalized to its peak.
 
     The window and the range IDFT run on blocks of ``_RANGE_COLUMNS`` CFR
-    columns, so the windowed CFR never exists whole. The Doppler DFT, its magnitude and the dB conversion run on blocks of
-    ``_MAP_ROWS`` range rows that write straight into one float64 map, so
-    the complex map never exists whole."""
+    columns, so the windowed CFR never exists whole. The Doppler DFT, its
+    magnitude and the dB conversion run on blocks of ``_MAP_ROWS`` range
+    rows that write straight into one float64 map, so the complex map never
+    exists whole."""
     dsp.require_finite(cfr, "sensing CFR")
     nf, nt = cfr.shape
     if window_kind == "hamming":

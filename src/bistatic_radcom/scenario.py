@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dsp, radar as radar_mod
 from .channel import (ChannelScenario, ImpairmentSet, PropagationPath,
-                      run_channel, stream_len)
+                      max_delay_samples, run_channel, stream_len)
 from .commrx import (cir_evolution, compensate_residual_sfo,
                      constellation_density, demap_decode, demodulate_frame,
                      equalize, estimate_cfr, estimate_main_doppler,
@@ -50,11 +50,17 @@ def _stage(name: str):
 
 @dataclass
 class PathSpec:
+    """One ``channel.paths`` entry as the file gives it: dB, ns, degrees."""
     gain_db: float
     delay_ns: float
     doppler_hz: float = 0.0
     phase_deg: float = 0.0
     is_main: bool = False
+
+    def path(self) -> PropagationPath:
+        phase = math.radians(self.phase_deg)
+        gain = 10.0 ** (self.gain_db / 20.0) * complex(math.cos(phase), math.sin(phase))
+        return PropagationPath(gain, self.delay_ns * 1e-9, self.doppler_hz, self.is_main)
 
 
 @dataclass
@@ -64,13 +70,7 @@ class Scenario:
     info_seed: int = 1
     info_count: int | None = None       # None = fill the frame
     info_known: bool = True             # False for blind external captures
-    paths: list[PathSpec] = field(default_factory=list)
-    sto_samples: float = 0.0
-    cfo_hz: float = 0.0
-    cpo_rad: float = 0.0
-    sfo_norm: float = 0.0
-    snr_db: float | None = None
-    noise_seed: int = 0
+    channel: ChannelScenario | None = None  # None = no channel section
     correct_sfo: bool = True
     residual_sfo_compensation: bool = True
     sensing_modes: list[SensingMode] = field(default_factory=lambda: [SensingMode.PILOT_ONLY])
@@ -94,11 +94,17 @@ _FRAME_BOUNDS = {"pilot_seed": _NON_NEGATIVE, "preamble_seed": _NON_NEGATIVE}
 # finite and non-zero: a +500 dB path under -500 dB SNR makes samples of
 # power 1e100, whose power sums stay far inside the float range.
 _DB_BOUND = (lambda v: abs(v) <= 500.0, "|value| must be at most 500 dB")
+# Bound on a frequency offset in Hz, far beyond any link: the phase
+# 2*pi*f*n/fs of any stream within `dsp.MAX_STREAM_SAMPLES` at a rate of at
+# least 1 Hz stays below 2e23 rad, so every phasor is finite.
+_HZ_BOUND = (lambda v: abs(v) <= 1e15, "|value| must be at most 1e15 Hz")
 
 # (section, key, attribute it fills, kind, bound as (test, message)). The
 # attribute is a FrameConfig field in "frame", a PathSpec field in
-# "channel.paths" and a Scenario field elsewhere; that dataclass holds the
-# default, and a field without one is required. Rows are checked in order.
+# "channel.paths", an ImpairmentSet field in "channel.impairments" (but
+# sto_samples, converted to its sto_s) and a Scenario field elsewhere; that
+# dataclass holds the default, and a field without one is required. Rows are
+# checked in order.
 _ROWS = [
     *(("frame", f.name, f.name, "number" if isinstance(f.default, float) else "integer",
        _FRAME_BOUNDS.get(f.name)) for f in fields(FrameConfig)),
@@ -107,11 +113,11 @@ _ROWS = [
     ("info_bits", "known", "info_known", "bool", None),
     ("channel.paths", "gain_db", "gain_db", "number", _DB_BOUND),
     ("channel.paths", "delay_ns", "delay_ns", "number", _NON_NEGATIVE),
-    ("channel.paths", "doppler_hz", "doppler_hz", "number", None),
+    ("channel.paths", "doppler_hz", "doppler_hz", "number", _HZ_BOUND),
     ("channel.paths", "phase_deg", "phase_deg", "number", None),
     ("channel.paths", "is_main", "is_main", "bool", None),
     ("channel.impairments", "sto_samples", "sto_samples", "number", _NON_NEGATIVE),
-    ("channel.impairments", "cfo_hz", "cfo_hz", "number", None),
+    ("channel.impairments", "cfo_hz", "cfo_hz", "number", _HZ_BOUND),
     ("channel.impairments", "cpo_rad", "cpo_rad", "number", None),
     ("channel.impairments", "sfo_norm", "sfo_norm", "number",
      (lambda v: abs(v) < SFO_BOUND, f"|value| must be below {SFO_BOUND}")),
@@ -221,7 +227,8 @@ def load_scenario(path: str | Path) -> Scenario:
         errors.append("name: expected a string")
     frame = _walk(doc.get("frame", {}), "frame", FrameConfig, errors)
     values = _walk(doc.get("info_bits", {}), "info_bits", Scenario, errors)
-    paths: list[dict] = []
+    paths: list[dict] | None = None
+    impairments: dict = {}
     if "channel" in doc:
         ch = doc["channel"]
         if not isinstance(ch, dict):
@@ -235,38 +242,37 @@ def load_scenario(path: str | Path) -> Scenario:
             else:
                 paths = [_walk(p, "channel.paths", PathSpec, errors, f"channel.paths[{i}]")
                          for i, p in enumerate(path_docs)]
-            values.update(_walk(ch.get("impairments", {}), "channel.impairments",
-                                Scenario, errors))
+            impairments = _walk(ch.get("impairments", {}), "channel.impairments",
+                                ImpairmentSet, errors)
     for section in ("receiver", "sensing", "outputs"):
         values.update(_walk(doc.get(section, {}), section, Scenario, errors))
     if errors:
         raise ConfigError(errors)
 
+    cfg = channel = None
     try:
         cfg = FrameConfig(**frame)
     except ConfigError as exc:
         errors.extend(f"frame: {msg}" for msg in exc.violations)
-    path_specs = [PathSpec(**p) for p in paths]
-    _check_paths(path_specs, errors)
+    if paths is not None:
+        # without a valid frame there is no rate for the STO; the paths are
+        # still checked
+        sto_samples = impairments.pop("sto_samples", 0.0)
+        sto_s = sto_samples / cfg.bandwidth_hz if cfg is not None else 0.0
+        try:
+            channel = ChannelScenario(
+                paths=tuple(PathSpec(**p).path() for p in paths),
+                impairments=ImpairmentSet(sto_s=sto_s, **impairments))
+        except ConfigError as exc:
+            errors.extend(f"channel.{msg}" for msg in exc.violations)
     if errors:
         raise ConfigError(errors)
-    scn = Scenario(name=name, frame=cfg, paths=path_specs, **values)
+    scn = Scenario(name=name, frame=cfg, channel=channel, **values)
     for check in (_check_sample_budget, _check_capacity, _check_map_budget):
         check(scn, errors)
     if errors:
         raise ConfigError(errors)
     return scn
-
-
-def _check_paths(paths: list[PathSpec], errors: list[str]) -> None:
-    """A channel has exactly one main path, and every other path is weaker."""
-    mains = [p for p in paths if p.is_main]
-    if paths and len(mains) != 1:
-        errors.append(f"channel.paths: exactly one path must set is_main (got {len(mains)})")
-    elif mains:
-        errors.extend(f"channel.paths[{i}].gain_db: secondary path must be weaker than the "
-                      "main path" for i, p in enumerate(paths)
-                      if not p.is_main and p.gain_db >= mains[0].gain_db)
 
 
 def _check_sample_budget(scn: Scenario, errors: list[str]) -> None:
@@ -278,15 +284,13 @@ def _check_sample_budget(scn: Scenario, errors: list[str]) -> None:
         errors.append(f"frame: a frame of {n_tx} samples exceeds the sample budget "
                       f"of {budget}")
         return
-    if not scn.paths:
+    if scn.channel is None:
         return
-    fs = scn.frame.bandwidth_hz
-    i, worst = max(enumerate(scn.paths), key=lambda ip: ip[1].delay_ns)
-    # the channel's own output length, in the same float arithmetic; a huge
-    # extent is rejected before it is rounded to an integer
-    extent = (worst.delay_ns * 1e-9 + scn.sto_samples / fs) * fs
+    # a huge extent is rejected before it is rounded to an integer
+    extent = max_delay_samples(scn.channel, scn.frame.bandwidth_hz)
     if extent > budget or stream_len(n_tx, extent) > budget:
-        where = (f"channel.paths[{i}].delay_ns" if worst.delay_ns * 1e-9 * fs >= scn.sto_samples
+        i, worst = max(enumerate(scn.channel.paths), key=lambda ip: ip[1].delay_s)
+        where = (f"channel.paths[{i}].delay_ns" if worst.delay_s >= scn.channel.impairments.sto_s
                  else "channel.impairments.sto_samples")
         errors.append(f"{where}: a delay plus STO of {extent:.6g} samples makes the channel "
                       f"stream longer than the sample budget of {budget}")
@@ -314,26 +318,9 @@ def _check_map_budget(scn: Scenario, errors: list[str]) -> None:
                           f"zero_pad {scn.zero_pad} exceeds the map budget of {budget} cells")
 
 
-def channel_from_scenario(scn: Scenario) -> ChannelScenario:
-    paths = tuple(
-        PropagationPath(
-            gain=10.0 ** (p.gain_db / 20.0) * complex(math.cos(math.radians(p.phase_deg)),
-                                                      math.sin(math.radians(p.phase_deg))),
-            delay_s=p.delay_ns * 1e-9,
-            doppler_hz=p.doppler_hz,
-            is_main=p.is_main,
-        )
-        for p in scn.paths
-    )
-    imp = ImpairmentSet(
-        sto_s=scn.sto_samples / scn.frame.bandwidth_hz,
-        cfo_hz=scn.cfo_hz,
-        cpo_rad=scn.cpo_rad,
-        sfo_norm=scn.sfo_norm,
-        snr_db=scn.snr_db,
-        noise_seed=scn.noise_seed,
-    )
-    return ChannelScenario(paths=paths, impairments=imp)
+def channel_from_scenario(scn: Scenario) -> ChannelScenario | None:
+    """The scenario's channel, as `load_scenario` built it."""
+    return scn.channel
 
 
 def info_length(scn: Scenario) -> int:
@@ -490,7 +477,7 @@ def _make_outdir(outdir: str | Path) -> Path:
 def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
     """Full simulation: TX frame, channel, receive pipeline, artifacts. A
     scenario without a channel is rejected before any work."""
-    if not scn.paths:
+    if scn.channel is None:
         raise ConfigError(["channel: missing section, which run needs"])
     outdir = _make_outdir(outdir)
     with _stage("tx"):
@@ -507,7 +494,7 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
         temporary, so it holds the only reference and drops it after sync."""
         nonlocal tx_stream
         with _stage("channel"):
-            rx_stream = run_channel(tx_stream, channel_from_scenario(scn))
+            rx_stream = run_channel(tx_stream, scn.channel)
         if scn.write_iq:
             from .iqfile import write_iq
             write_iq(outdir / "tx.iq", tx_stream, metadata={"scenario": scn.name})

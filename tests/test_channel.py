@@ -37,32 +37,35 @@ def single_main(**imp):
         impairments=ImpairmentSet(**imp))
 
 
+WEAKER = "secondary path must be weaker than the main path in linear gain"
+
+
 def test_scenario_requires_exactly_one_main():
     with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=(PropagationPath(1.0, 0.0, 0.0, False),))
-    assert exc.value.violations == ["scenario needs exactly one main path"]
+    assert exc.value.violations == ["paths: exactly one path must set is_main (got 0)"]
     with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=(PropagationPath(1.0, 0.0, 0.0, True),
                                PropagationPath(0.5, 1e-9, 0.0, True)))
-    assert exc.value.violations == ["scenario needs exactly one main path"]
+    assert exc.value.violations == ["paths: exactly one path must set is_main (got 2)"]
     with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=())
-    assert exc.value.violations == ["scenario needs at least one path"]
+    assert exc.value.violations == ["paths: at least one path is needed"]
 
 
 def test_secondary_must_be_weaker():
     with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=(PropagationPath(0.5, 0.0, 0.0, True),
                                PropagationPath(0.9, 1e-9, 0.0, False)))
-    assert exc.value.violations == ["secondary paths must be weaker than the main path"]
+    assert exc.value.violations == [f"paths[1]: {WEAKER}"]
 
 
 def test_channel_scenario_reports_every_violation():
     with pytest.raises(ConfigError) as exc:
         ChannelScenario(paths=(PropagationPath(0.5, -1e-9, 0.0, True),
                                PropagationPath(0.9, 1e-9, 0.0, False)))
-    assert exc.value.violations == ["path delays must be non-negative",
-                                     "secondary paths must be weaker than the main path"]
+    assert exc.value.violations == ["paths[0]: delay must be non-negative",
+                                     f"paths[1]: {WEAKER}"]
 
 
 def test_sfo_bound_enforced():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bistatic_radcom import dsp, radar, scenario
-from bistatic_radcom.channel import apply_paths_and_cfo
+from bistatic_radcom.channel import apply_paths_and_cfo, run_channel
 from bistatic_radcom.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
 from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.iqfile import read_iq, write_iq
@@ -152,6 +153,9 @@ def edited(doc, edits):
 BUDGET = f"the sample budget of {dsp.MAX_STREAM_SAMPLES}"
 MAP_BUDGET = f"the map budget of {radar.MAX_MAP_CELLS} cells"
 DB_BOUND = "|value| must be at most 500 dB"
+HZ_BOUND = "|value| must be at most 1e15 Hz"
+BANDWIDTH = "frame: bandwidth_hz must be between 1 Hz and 1 PHz"
+WEAKER = "secondary path must be weaker than the main path in linear gain"
 
 # One malformed edit of the desk scenario per case, with every diagnostic the
 # validator reports for it, in order.
@@ -218,7 +222,11 @@ DIAGNOSTICS = {
     "no_main": ({"channel.paths[0].is_main": False},
                 ["channel.paths: exactly one path must set is_main (got 0)"]),
     "weaker": ({"channel.paths[1].gain_db": 0.0},
-               ["channel.paths[1].gain_db: secondary path must be weaker than the main path"]),
+               [f"channel.paths[1]: {WEAKER}"]),
+    # the frame's and the channel's own rules both report
+    "frame_and_paths": ({"frame.m_sfo": 9, "channel.paths[1].is_main": True},
+                        ["frame: m_sfo must be even",
+                         "channel.paths: exactly one path must set is_main (got 2)"]),
     "frame_config": ({"frame.m_sfo": 9, "frame.cp_len": 300},
                      ["frame: m_sfo must be even",
                       "frame: cp_len must be smaller than n_subcarriers"]),
@@ -320,11 +328,19 @@ def test_diagnostic_order_is_independent_of_hash_seed(tmp_path):
     ({"channel.paths[0].gain_db": -8000}, f"channel.paths[0].gain_db: {DB_BOUND}"),
     ({"channel.paths[0].gain_db": 3000}, f"channel.paths[0].gain_db: {DB_BOUND}"),
     ({"channel.paths[1].gain_db": -501}, f"channel.paths[1].gain_db: {DB_BOUND}"),
+    # frequencies whose phasor 2*pi*f*n/fs would overflow to a NaN stream
+    ({"channel.impairments.cfo_hz": 1e308}, f"channel.impairments.cfo_hz: {HZ_BOUND}"),
+    ({"channel.impairments.cfo_hz": -1.001e15}, f"channel.impairments.cfo_hz: {HZ_BOUND}"),
+    ({"channel.paths[1].doppler_hz": -1e308}, f"channel.paths[1].doppler_hz: {HZ_BOUND}"),
+    # rates whose range and Doppler figures overflow
+    ({"frame.bandwidth_hz": 1e-300}, BANDWIDTH),
+    ({"frame.bandwidth_hz": 1e300}, BANDWIDTH),
 ], ids=["info_seed", "noise_seed", "pilot_seed", "preamble_seed", "count",
         "no_codeword", "cp_reaches_half_symbol", "one_pilot_symbol", "odd_subcarriers",
         "code_rate", "bits_per_symbol",
         "beyond_float", "snr_3100", "snr_minus_3100", "gain_8000", "gain_minus_8000",
-        "gain_3000", "secondary_gain_minus_501"])
+        "gain_3000", "secondary_gain_minus_501", "cfo_1e308", "cfo_past_bound",
+        "doppler_minus_1e308", "bandwidth_1e-300", "bandwidth_1e300"])
 def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
     """Inputs that cannot run are rejected by the validator with one
     diagnostic, before `run` or `capture` does any work."""
@@ -334,6 +350,64 @@ def test_unrunnable_input_exits_2_at_load(tmp_path, capsys, edits, diagnostic):
         assert main([*argv, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {diagnostic}\n"
     assert not out.exists()
+
+
+def small_demo(**frame):
+    """The demo scenario cut to 64 payload symbols, without map files."""
+    doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    doc["frame"].update(m_payload=64, **frame)
+    doc["sensing"]["write_map_csv"] = False
+    return doc
+
+
+@pytest.mark.parametrize("main_phase_deg, echo_gain_db", [(0.0, -1e-17), (20.4, -5e-16)],
+                         ids=["echo_rounds_to_unit_gain", "main_phase"])
+def test_echo_weaker_only_in_db_exits_2_at_load(tmp_path, capsys, main_phase_deg,
+                                                echo_gain_db):
+    """An echo below the main path in dB but not in the linear gain the
+    channel applies (-1e-17 dB is a gain of exactly 1; a phase of 20.4 deg
+    takes one ulp off the main path's 1) is rejected at load, not by the
+    channel after the TX frame is built."""
+    doc = small_demo()
+    doc["channel"]["paths"][0]["phase_deg"] = main_phase_deg
+    doc["channel"]["paths"].append({"gain_db": echo_gain_db, "delay_ns": 3.0})
+    scn = write_scn(tmp_path, doc)
+    out = tmp_path / "out"
+    for argv in (["run", str(scn), "--out", str(out)], ["params", str(scn)]):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: channel.paths[1]: {WEAKER}\n"
+    assert not out.exists()
+
+
+def test_frequency_offsets_at_bound_keep_the_channel_finite(tmp_path):
+    """At the slowest rate (1 Hz) and the largest CFO and Doppler the loader
+    accepts, the channel's phasors stay finite and warn of nothing."""
+    doc = small_demo(bandwidth_hz=1.0)
+    doc["channel"]["impairments"]["cfo_hz"] = 1e15
+    doc["channel"]["paths"].append({"gain_db": -10.0, "delay_ns": 3e9, "doppler_hz": -1e15})
+    scn = load_scenario(write_scn(tmp_path, doc))
+    _, _, tx = build_tx_frame(scn.frame, generate_info_bits(scn))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rx = run_channel(tx, scn.channel)
+    assert np.isfinite(rx.samples).all()
+
+
+@pytest.mark.parametrize("bandwidth_hz", [1.0, 1e15])
+def test_bandwidth_at_bound_runs_with_finite_figures(tmp_path, capsys, bandwidth_hz):
+    """At both edges of the bandwidth bound `params` prints finite figures
+    and `run` decodes with finite detections, warning of nothing."""
+    scn = write_scn(tmp_path, small_demo(bandwidth_hz=bandwidth_hz))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["params", str(scn)]) == EXIT_OK
+        figures = capsys.readouterr().out.splitlines()[1:]
+        assert main(["run", str(scn), "--out", str(out)]) == EXIT_OK
+    assert all(math.isfinite(float(line.split(" = ")[1])) for line in figures)
+    assert json.loads((out / "comm_metrics.json").read_text())["post_fec_ber"] == 0.0
+    rows = (out / "detections.csv").read_text().strip().splitlines()[1:]
+    assert rows and all(math.isfinite(float(v)) for r in rows for v in r.split(",")[1:])
 
 
 @pytest.mark.parametrize("edits, code", [
@@ -1021,6 +1095,34 @@ def test_traced_benchmark_names_resolve(tmp_path):
         delays = [s for s in spans if s["name"] == "dsp.fractional_delay"]
         assert delays or delay_ns % 1 == 0, delay_ns
         assert all(spans[s["parent"]]["name"] == "channel.apply_paths_and_cfo" for s in delays)
+
+
+def test_tracer_wraps_package_functions():
+    """Every name perfbench's tracer wraps resolves to a function of the
+    package, which install replaces by its span wrapper."""
+    code = ("import json\n"
+            "import bistatic_radcom.cli\n"
+            "from tracer import Tracer, install\n"
+            "wrapped, wrap = [], Tracer.wrap\n"
+            "def record(self, owner, attr, *args, **kwargs):\n"
+            "    fn = getattr(owner, attr)\n"
+            "    wrap(self, owner, attr, *args, **kwargs)\n"
+            "    wrapped.append([owner.__name__, attr, fn.__module__,\n"
+            "                    getattr(owner, attr).__wrapped__ is fn])\n"
+            "Tracer.wrap = record\n"
+            "install(Tracer('t'))\n"
+            "print(json.dumps(wrapped))\n")
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), str(root / "perfbench"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    wrapped = json.loads(out.stdout)
+    assert ["bistatic_radcom.scenario", "run_channel", "bistatic_radcom.channel", True] \
+        in wrapped
+    assert all(module.startswith("bistatic_radcom.") and ok
+               for _, _, module, ok in wrapped), wrapped
 
 
 def test_runs_are_byte_identical(tmp_path):

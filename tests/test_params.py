@@ -108,12 +108,17 @@ def test_odd_subcarrier_count_rejected(fields):
     ({"cp_len": 0}, "cp_len must be positive"),
     ({"bandwidth_hz": -1e9}, "bandwidth_hz must be positive"),
     ({"bandwidth_hz": float("nan")}, "bandwidth_hz must be positive"),
+    ({"bandwidth_hz": 0.0}, "bandwidth_hz must be positive"),
+    ({"bandwidth_hz": 1e-300}, "bandwidth_hz must be between 1 Hz and 1 PHz"),
+    ({"bandwidth_hz": 0.999}, "bandwidth_hz must be between 1 Hz and 1 PHz"),
+    ({"bandwidth_hz": 1.001e15}, "bandwidth_hz must be between 1 Hz and 1 PHz"),
     ({"m_payload": 4}, "the 1024 x 1 pilot grid needs at least 2 pilot subcarriers "
                        "and 2 pilot symbols"),
     ({"n_subcarriers": 8, "cp_len": 1, "pilot_freq_spacing": 8},
      "the 1 x 1024 pilot grid needs at least 2 pilot subcarriers and 2 pilot symbols"),
     ({"n_subcarriers": 4, "cp_len": 1}, "cp_len must be at most n_subcarriers / 2 - 3"),
-], ids=["no_cp", "negative_bandwidth", "nan_bandwidth", "one_pilot_symbol",
+], ids=["no_cp", "negative_bandwidth", "nan_bandwidth", "zero_bandwidth",
+        "tiny_bandwidth", "below_1_hz", "above_1_phz", "one_pilot_symbol",
         "one_pilot_subcarrier", "cp_reaches_half_symbol"])
 def test_unrunnable_frame_cannot_be_built(fields, violation):
     """A frame the receiver cannot run raises at construction, with one
