@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capture", help="process an external IQ capture")
     p_cap.add_argument("iq_file", help="interleaved float32 IQ file with JSON sidecar")
-    p_cap.add_argument("config", help="scenario JSON file (channel section ignored)")
+    p_cap.add_argument("config", help="scenario JSON file (its channel section is "
+                       "validated but not used)")
     p_cap.add_argument("--out", default=None, help="output directory "
                        f"(default: ${OUTDIR_ENV} or the current directory)")
 

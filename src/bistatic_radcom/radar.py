@@ -24,11 +24,19 @@ _MAP_ROWS = 64
 _RANGE_COLUMNS = 32
 
 # Largest range-Doppler map a scenario may ask for, checked by
-# `load_scenario` before anything is allocated (`map_cells`). A map of c
-# cells at zero padding z holds its float64 map (8 B per cell), the complex
-# range profile (16 / z B per cell) and the peak test's bool mask (1 B per
+# `load_scenario` before anything is allocated (`map_cells`). Detections of
+# a map of c cells at zero padding z hold the complex range profile
+# (16 / z B per cell) and a few blocks of rows: 268 MB at the budget and
+# z = 4, 1.07 GB at z = 1. Only a written map (`sensing.write_map_csv`) also
+# holds the float64 map (8 B per cell) and the peak test's bool mask (1 B per
 # cell): 872 MB at the budget and z = 4, 1.68 GB at z = 1.
 MAX_MAP_CELLS = 1 << 26
+
+# dB by which a block's largest cell must fall short of the detection
+# threshold for `detect` to skip the block: far above the few-ulp rounding of
+# the dB conversion (about 1e-12 dB at the lowest level a map can hold), so a
+# skipped block holds no cell at or above the threshold
+_DB_SLACK = 1e-6
 
 
 @dataclass
@@ -64,16 +72,11 @@ def map_cells(cfg: FrameConfig, mode: SensingMode, zero_pad: int) -> int:
     return (cfg.n_subcarriers // dn * zero_pad) * (cfg.m_payload // dm * zero_pad)
 
 
-def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
-                  window_kind: str = "hamming", zero_pad: int = 4) -> RangeDopplerMap:
-    """Windowed 2-D periodogram: IDFT over frequency (delay/range), DFT over
-    time (Doppler, center-shifted), magnitude normalized to its peak.
+def _range_profile(cfr: np.ndarray, window_kind: str, zero_pad: int) -> np.ndarray:
+    """Windowed range IDFT of each CFR column, zero-padded ``zero_pad``-fold.
 
-    The window and the range IDFT run on blocks of ``_RANGE_COLUMNS`` CFR
-    columns, so the windowed CFR never exists whole. The Doppler DFT, its
-    magnitude and the dB conversion run on blocks of ``_MAP_ROWS`` range
-    rows that write straight into one float64 map, so the complex map never
-    exists whole."""
+    The window and the IDFT run on blocks of ``_RANGE_COLUMNS`` CFR columns,
+    so the windowed CFR never exists whole."""
     dsp.require_finite(cfr, "sensing CFR")
     nf, nt = cfr.shape
     if window_kind == "hamming":
@@ -82,7 +85,7 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
         wf, wt = np.ones(nf), np.ones(nt)
     else:
         raise ValueError(f"unknown window kind: {window_kind}")
-    nr, nd = nf * zero_pad, nt * zero_pad
+    nr = nf * zero_pad
     prof = np.empty((nr, nt), dtype=np.complex128)
 
     def range_idft(start: int, stop: int) -> None:
@@ -96,37 +99,62 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
         prof[:, start:stop] = np.fft.ifft(np.ascontiguousarray(z.T), n=nr, axis=1).T
 
     dsp.run_blocks(range_idft, nt, _RANGE_COLUMNS)
+    return prof
+
+
+def _doppler_magnitude(rows: np.ndarray, nd: int, out: np.ndarray) -> None:
+    """Magnitude of the ``nd``-point Doppler DFT of the range ``rows``,
+    center-shifted, into ``out``."""
+    rd = np.fft.fft(rows, n=nd, axis=1)
+    # the Doppler fftshift moves column j to (j + nd // 2) % nd
     half = nd // 2
-    mag_db = np.empty((nr, nd))
-    block_peaks = []
+    np.abs(rd[:, :nd - half], out=out[:, half:])
+    np.abs(rd[:, nd - half:], out=out[:, :half])
 
-    def doppler(start: int, stop: int) -> None:
-        rd = np.fft.fft(prof[start:stop], n=nd, axis=1)
-        # the Doppler fftshift moves column j to (j + nd // 2) % nd
-        np.abs(rd[:, :nd - half], out=mag_db[start:stop, half:])
-        np.abs(rd[:, nd - half:], out=mag_db[start:stop, :half])
-        block_peaks.append(mag_db[start:stop].max())
 
-    dsp.run_blocks(doppler, nr, _MAP_ROWS)
-    del prof
-    peak = max(max(block_peaks), 1e-300)
+def _to_db(b: np.ndarray, peak: float) -> None:
+    """20 * log10(max(b, 1e-300) / peak), in place."""
+    np.maximum(b, 1e-300, out=b)
+    b /= peak
+    np.log10(b, out=b)
+    b *= 20.0
 
-    def to_db(start: int, stop: int) -> None:
-        # 20 * log10(max(mag, 1e-300) / peak), in place
-        b = mag_db[start:stop]
-        np.maximum(b, 1e-300, out=b)
-        b /= peak
-        np.log10(b, out=b)
-        b *= 20.0
 
-    dsp.run_blocks(to_db, nr, _MAP_ROWS)
-
-    dn, dm = cfg.effective_spacings(mode)
+def _axes(cfg: FrameConfig, mode: SensingMode, nf: int, nt: int,
+          zero_pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Range axis (m) and center-shifted Doppler axis (Hz) of the map of an
+    nf x nt sensing CFR."""
+    dm = cfg.effective_spacings(mode)[1]
     range_step = SPEED_OF_LIGHT / (cfg.bandwidth_hz * zero_pad)
     range_axis = np.arange(nf * zero_pad) * range_step
     t_sym = dm * cfg.symbol_len / cfg.bandwidth_hz
     doppler_step = 1.0 / (t_sym * nt * zero_pad)
     doppler_axis = (np.arange(nt * zero_pad) - nt * zero_pad // 2) * doppler_step
+    return range_axis, doppler_axis
+
+
+def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
+                  window_kind: str = "hamming", zero_pad: int = 4) -> RangeDopplerMap:
+    """Windowed 2-D periodogram: IDFT over frequency (delay/range), DFT over
+    time (Doppler, center-shifted), magnitude normalized to its peak.
+
+    The Doppler DFT, its magnitude and the dB conversion run on blocks of
+    ``_MAP_ROWS`` range rows that write straight into one float64 map, so the
+    complex map never exists whole. Detections need no map: see `detect`."""
+    prof = _range_profile(cfr, window_kind, zero_pad)
+    nr, nd = prof.shape[0], prof.shape[1] * zero_pad
+    mag_db = np.empty((nr, nd))
+    block_peaks = []
+
+    def doppler(start: int, stop: int) -> None:
+        _doppler_magnitude(prof[start:stop], nd, mag_db[start:stop])
+        block_peaks.append(mag_db[start:stop].max())
+
+    dsp.run_blocks(doppler, nr, _MAP_ROWS)
+    del prof
+    peak = max(max(block_peaks), 1e-300)
+    dsp.run_blocks(lambda start, stop: _to_db(mag_db[start:stop], peak), nr, _MAP_ROWS)
+    range_axis, doppler_axis = _axes(cfg, mode, *cfr.shape, zero_pad)
     return RangeDopplerMap(magnitude_db=mag_db, range_axis_m=range_axis,
                            doppler_axis_hz=doppler_axis, mode=mode)
 
@@ -148,46 +176,128 @@ def _max3_wrapped(m: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
-                  max_peaks: int = 16) -> list[Detection]:
-    """Local maxima (3x3 neighborhood) above a peak-relative threshold,
-    parabolic sub-bin refinement in both axes, sorted by magnitude."""
+def _peak_test(m: np.ndarray, start: int, stop: int, threshold_db: float,
+               out: np.ndarray) -> None:
+    """Marks in ``out`` the cells of rows ``start:stop`` of the dB map ``m``
+    that are 3x3 local maxima at or above ``threshold_db``."""
+    # both axes are DFT axes, so the local-maximum test wraps around; a cell
+    # equal to the largest of its 3x3 neighborhood ties or beats every
+    # neighbor
+    mb = m[start:stop]
+    np.equal(mb, _max3_wrapped(m, start, stop), out=out)
+    out &= mb >= threshold_db
+
+
+def _check_threshold(threshold_db: float) -> None:
     if threshold_db >= 0:
         raise ValueError("threshold_db must be negative (relative to the map peak)")
-    m = rd_map.magnitude_db
-    is_peak = np.empty(m.shape, dtype=bool)
 
-    def peak_test(start: int, stop: int) -> None:
-        # both axes are DFT axes, so the local-maximum test wraps around; a
-        # cell equal to the largest of its 3x3 neighborhood ties or beats
-        # every neighbor
-        mb = m[start:stop]
-        np.equal(mb, _max3_wrapped(m, start, stop), out=is_peak[start:stop])
-        is_peak[start:stop] &= mb >= threshold_db
 
-    dsp.run_blocks(peak_test, m.shape[0], _MAP_ROWS)
-    ri, di = np.nonzero(is_peak)
-    order = np.argsort(m[ri, di])[::-1][:max_peaks]
-    ri, di = ri[order], di[order]
-    # vertex of the linear magnitude at each detection and its two wrapped
-    # neighbours, along range and along Doppler
-    off = np.arange(-1, 2)[:, None]
-    frac_r = dsp.parabolic_vertex(*10.0 ** (m[(ri + off) % m.shape[0], di] / 20.0))
-    frac_d = dsp.parabolic_vertex(*10.0 ** (m[ri, (di + off) % m.shape[1]] / 20.0))
+def _detections(values: np.ndarray, ri: np.ndarray, di: np.ndarray, around,
+                range_axis: np.ndarray, doppler_axis: np.ndarray,
+                max_peaks: int) -> list[Detection]:
+    """The ``max_peaks`` strongest of the local maxima at rows ``ri`` and
+    columns ``di`` (in row-major order) with dB ``values``, refined to sub-bin
+    positions. ``around(sel)`` gives the dB values of the selected maxima
+    ``sel`` and their two wrapped neighbours, along range and along Doppler,
+    as two (3, len(sel)) arrays."""
+    sel = np.argsort(values)[::-1][:max_peaks]
+    near_r, near_d = around(sel)
+    # vertex of the linear magnitude at each detection and its neighbours
+    frac_r = dsp.parabolic_vertex(*10.0 ** (near_r / 20.0))
+    frac_d = dsp.parabolic_vertex(*10.0 ** (near_d / 20.0))
 
     dets = []
-    dr = rd_map.range_axis_m[1] - rd_map.range_axis_m[0]
-    dd = rd_map.doppler_axis_hz[1] - rd_map.doppler_axis_hz[0]
-    span = rd_map.range_axis_m.size * dr  # unambiguous range of this mode
-    for i, j, fi, fj in zip(ri.tolist(), di.tolist(), frac_r, frac_d):
-        rng = float(rd_map.range_axis_m[i] + fi * dr)
+    dr = range_axis[1] - range_axis[0]
+    dd = doppler_axis[1] - doppler_axis[0]
+    span = range_axis.size * dr  # unambiguous range of this mode
+    for i, j, fi, fj, v in zip(ri[sel].tolist(), di[sel].tolist(), frac_r, frac_d,
+                               values[sel].tolist()):
+        rng = float(range_axis[i] + fi * dr)
         # delays wrapping past half the unambiguous span are reported as
         # negative relative ranges (target path shorter than the main path)
         if rng > span / 2:
             rng -= span
-        dets.append(Detection(
-            rel_bistatic_range_m=rng,
-            doppler_shift_hz=float(rd_map.doppler_axis_hz[j] + fj * dd),
-            magnitude_db=float(m[i, j]),
-        ))
+        dets.append(Detection(rel_bistatic_range_m=rng,
+                              doppler_shift_hz=float(doppler_axis[j] + fj * dd),
+                              magnitude_db=v))
     return dets
+
+
+def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
+                  max_peaks: int = 16) -> list[Detection]:
+    """Local maxima (3x3 neighborhood) above a peak-relative threshold,
+    parabolic sub-bin refinement in both axes, sorted by magnitude."""
+    _check_threshold(threshold_db)
+    m = rd_map.magnitude_db
+    nr, nd = m.shape
+    is_peak = np.empty(m.shape, dtype=bool)
+    dsp.run_blocks(lambda start, stop: _peak_test(m, start, stop, threshold_db,
+                                                  is_peak[start:stop]),
+                   nr, _MAP_ROWS)
+    ri, di = np.nonzero(is_peak)
+    off = np.arange(-1, 2)[:, None]
+
+    def around(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r, d = ri[sel], di[sel]
+        return m[(r + off) % nr, d], m[r, (d + off) % nd]
+
+    return _detections(m[ri, di], ri, di, around, rd_map.range_axis_m,
+                       rd_map.doppler_axis_hz, max_peaks)
+
+
+def detect(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode, window_kind: str,
+           zero_pad: int, threshold_db: float, max_peaks: int = 16) -> list[Detection]:
+    """``extract_peaks(range_doppler(cfr, ...), threshold_db, max_peaks)``,
+    bit for bit, without the map.
+
+    Only the range profile and per-block temporaries are live. Two sweeps
+    over blocks of ``_MAP_ROWS`` range rows redo the Doppler DFT. The first
+    keeps each block's largest magnitude; their maximum sets the map's 0 dB.
+    The second skips each block whose largest cell is below the threshold by
+    more than ``_DB_SLACK``. It converts every other block and one wrapped
+    halo row on either side of it to dB, runs the peak test and keeps the
+    block's local maxima with the dB values of their range and Doppler
+    neighbours."""
+    _check_threshold(threshold_db)
+    prof = _range_profile(cfr, window_kind, zero_pad)
+    nr, nd = prof.shape[0], prof.shape[1] * zero_pad
+    block_peaks = {}
+
+    def block_peak(start: int, stop: int) -> None:
+        mag = np.empty((stop - start, nd))
+        _doppler_magnitude(prof[start:stop], nd, mag)
+        block_peaks[start] = mag.max()
+
+    dsp.run_blocks(block_peak, nr, _MAP_ROWS)
+    starts = sorted(block_peaks)
+    top_db = np.array([block_peaks[s] for s in starts])
+    peak = max(top_db.max(), 1e-300)
+    _to_db(top_db, peak)
+    live = {s for s, v in zip(starts, top_db) if v >= threshold_db - _DB_SLACK}
+    found = {}
+    off = np.arange(3)[:, None]
+
+    def candidates(start: int, stop: int) -> None:
+        if start not in live:
+            return
+        # dB rows start - 1 ... stop, wrapped: the block and its halo
+        b = np.empty((stop - start + 2, nd))
+        _doppler_magnitude(prof.take(np.arange(start - 1, stop + 1), axis=0, mode="wrap"),
+                           nd, b)
+        _to_db(b, peak)
+        is_peak = np.empty((stop - start, nd), dtype=bool)
+        _peak_test(b, 1, stop - start + 1, threshold_db, is_peak)
+        i, j = np.nonzero(is_peak)
+        # row k of b is range row start - 1 + k
+        found[start] = (i + start, j, b[i + off, j], b[i + 1, (j + off - 1) % nd])
+
+    dsp.run_blocks(candidates, nr, _MAP_ROWS)
+    del prof
+    # blocks in row order, so the local maxima are in the map's row-major order
+    ri, di, near_r, near_d = (np.concatenate(parts, axis=-1)
+                              for parts in zip(*(found[s] for s in sorted(found))))
+    range_axis, doppler_axis = _axes(cfg, mode, *cfr.shape, zero_pad)
+    return _detections(near_r[1], ri, di,
+                       lambda sel: (near_r[off, sel], near_d[off, sel]),
+                       range_axis, doppler_axis, max_peaks)

@@ -388,9 +388,10 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     Each stream- or grid-sized array is let go after its last reader: the
     stream once synchronized, the payload samples once demodulated, the CFR
     once equalized, the noise variances once decoded, the equalized symbols
-    once binned, each sensing map once written. The callers in this module
-    pass the stream straight from the call that makes it, keeping no
-    reference, so its memory is free for the stages after sync.
+    once binned, each sensing CFR once its detections (and, with
+    ``write_map_csv``, its map) are made, each map once written. The callers
+    in this module pass the stream straight from the call that makes it,
+    keeping no reference, so its memory is free for the stages after sync.
     """
     cfg = scn.frame
 
@@ -438,17 +439,18 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     for mode in scn.sensing_modes:
         with _stage(f"radar.{mode.value}"):
             cfr_s = radar_mod.cfr_for_sensing(grid, cfg, mode, decoded_info_bits=info_hat)
-            rd = radar_mod.range_doppler(cfr_s, cfg, mode,
-                                         window_kind=scn.window,
-                                         zero_pad=scn.zero_pad)
-            dets = radar_mod.extract_peaks(rd, scn.peak_threshold_db,
-                                           max_peaks=scn.max_peaks)
-        if scn.write_map_csv:
+            dets = radar_mod.detect(cfr_s, cfg, mode, scn.window, scn.zero_pad,
+                                    scn.peak_threshold_db, scn.max_peaks)
+            rd = (radar_mod.range_doppler(cfr_s, cfg, mode, window_kind=scn.window,
+                                          zero_pad=scn.zero_pad)
+                  if scn.write_map_csv else None)
+        del cfr_s
+        if rd is not None:
             _write_map_csv(outdir / f"rd_map_{mode.value}.csv", rd)
+            del rd
         for d in dets:
             detections_rows.append((mode.value, d.rel_bistatic_range_m,
                                     d.doppler_shift_hz, d.magnitude_db))
-        del cfr_s, rd
 
     with open(outdir / "detections.csv", "w") as f:
         f.write("mode,rel_bistatic_range_m,doppler_hz,mag_db\n")

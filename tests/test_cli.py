@@ -619,6 +619,32 @@ def test_map_csv_written_in_blocks_matches_whole_map(tmp_path, monkeypatch, shap
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "cols_whole.csv").read_bytes()
 
 
+def test_run_without_map_csv_makes_no_map(tmp_path, monkeypatch):
+    """A run that writes no map gets its detections from `radar.detect` and
+    never calls `range_doppler`; its detections are those of the same run
+    with the map written."""
+    sensing = {"modes": ["pilot_only", "full_frame"], "zero_pad": 4,
+               "peak_threshold_db": -35.0, "max_peaks": 4}
+    with_map = write_scn(tmp_path, desk_scenario(sensing={**sensing, "write_map_csv": True}),
+                         "map.json")
+    assert main(["run", str(with_map), "--out", str(tmp_path / "map")]) == EXIT_OK
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("range_doppler called on a run that writes no map")
+
+    monkeypatch.setattr(radar, "range_doppler", no_map)
+    no_csv = write_scn(tmp_path, desk_scenario(sensing={**sensing, "write_map_csv": False}),
+                       "no_map.json")
+    assert main(["run", str(no_csv), "--out", str(tmp_path / "no_map")]) == EXIT_OK
+    assert not list((tmp_path / "no_map").glob("rd_map_*"))
+    assert sorted(p.name for p in (tmp_path / "map").glob("rd_map_*")) == [
+        "rd_map_full_frame.csv", "rd_map_pilot_only.csv"]
+    detections = (tmp_path / "no_map" / "detections.csv").read_text()
+    assert detections == (tmp_path / "map" / "detections.csv").read_text()
+    assert {row.split(",")[0] for row in detections.splitlines()[1:]} == {
+        "pilot_only", "full_frame"}
+
+
 def test_receiver_lets_go_of_grid_sized_arrays(tmp_path, monkeypatch):
     """The receive pipeline drops each grid-sized array after its last
     reader: the CFR before decoding starts, the equalized symbols and their

@@ -27,6 +27,7 @@ from bistatic_radcom.radar import (
     RangeDopplerMap,
     _max3_wrapped,
     cfr_for_sensing,
+    detect,
     extract_peaks,
     range_doppler,
 )
@@ -208,6 +209,18 @@ def test_extract_peaks_rejects_positive_threshold():
         extract_peaks(rd, threshold_db=1.0)
 
 
+def test_detect_rejects_what_the_map_and_its_peaks_reject():
+    cfg, mode = desk_cfg(), SensingMode.PILOT_ONLY
+    with pytest.raises(ValueError, match="threshold_db must be negative"):
+        detect(np.ones((128, 32), dtype=complex), cfg, mode, "hamming", 4, 0.0)
+    with pytest.raises(ValueError, match="unknown window kind"):
+        detect(np.ones((128, 32), dtype=complex), cfg, mode, "kaiser", 4, -20.0)
+    cfr = np.ones((128, 32), dtype=complex)
+    cfr[3, 4] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        detect(cfr, cfg, mode, "hamming", 4, -20.0)
+
+
 # ---------------------------------------------------------------------------
 # the map and the peak rule, computed in row blocks, are bit-exact against
 # their whole-map forms
@@ -344,6 +357,84 @@ def test_max3_blocks_match_wrapped_maximum_filter(seed, nf, nt, levels, rows):
                           ndimage.maximum_filter(m, size=3, mode="wrap"))
 
 
+def detection_bits(dets):
+    """Each detection's three figures as exact float hex strings."""
+    return [tuple(float.hex(v) for v in (d.rel_bistatic_range_m, d.doppler_shift_hz,
+                                         d.magnitude_db)) for d in dets]
+
+
+def sensing_cfr(rng, kind, nf, nt, zero_pad):
+    """A sensing CFR of one of four kinds: Gaussian noise; small integers,
+    whose rect-window maps tie neighbors exactly in dB; one impulse, whose
+    map is exactly flat, so that every cell is a local maximum and they all
+    tie; or point targets on the map's first and last range rows and its
+    first and last (wrapped) Doppler columns, in weak noise."""
+    if kind == "noise":
+        return rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))
+    if kind == "impulse":
+        # at the lowest physical frequency and the first symbol, where the
+        # transforms multiply by no twiddle factor
+        cfr = np.zeros((nf, nt), dtype=complex)
+        cfr[(nf + 1) // 2, 0] = rng.integers(1, 4)
+        return cfr
+    if kind == "integers":
+        return (rng.integers(-1, 2, size=(nf, nt))
+                + 1j * rng.integers(-1, 2, size=(nf, nt))).astype(complex)
+    nd = nt * zero_pad
+    first_col, last_col = -(nd // 2) / nd, (nd - 1 - nd // 2) / nd
+    return (synthetic_cfr(nf, nt, 0.0, first_col)
+            + synthetic_cfr(nf, nt, -1.0 / zero_pad, last_col, gain=0.7)
+            + synthetic_cfr(nf, nt, 0.0, last_col, gain=0.4)
+            + 1e-3 * (rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.integers(2, 24),
+       st.sampled_from(["hamming", "rect"]), st.integers(1, 4),
+       st.sampled_from(["noise", "integers", "impulse", "edges"]),
+       st.sampled_from([-3.0, -12.0, -45.0, "block top"]), st.integers(1, 16),
+       ROWS_PER_BLOCK, st.sampled_from([1, 2, "reversed"]))
+@settings(max_examples=150, deadline=None)
+def test_detect_matches_peaks_of_the_map(seed, nf, nt, window_kind, zero_pad, kind,
+                                         threshold_db, max_peaks, rows, workers):
+    """`detect` gives the detections of `extract_peaks` on the map of
+    `range_doppler` bit for bit, at any block size and worker count, and
+    with the blocks run last to first, as threads may finish them: halos
+    cross block edges, peaks sit on the first and last range rows and on the
+    wrapped Doppler column, and neighbors tie. A "block top" threshold is
+    exactly the largest dB value of one block below the map peak, the edge
+    at which `detect` may skip a block."""
+    rng = np.random.default_rng(seed)
+    cfr = sensing_cfr(rng, kind, nf, nt, zero_pad)
+    cfg, mode = desk_cfg(), SensingMode.PILOT_ONLY
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radar, "_MAP_ROWS", rows)
+        if workers == "reversed":
+            mp.setattr(dsp, "run_blocks", lambda block, n, size: [
+                block(s, min(s + size, n)) for s in reversed(range(0, n, size))])
+        else:
+            mp.setattr(dsp, "_workers", lambda: workers)
+        rd = range_doppler(cfr, cfg, mode, window_kind=window_kind, zero_pad=zero_pad)
+        if threshold_db == "block top":
+            tops = [t for t in (rd.magnitude_db[s:s + rows].max()
+                                for s in range(0, rd.magnitude_db.shape[0], rows)) if t < 0]
+            threshold_db = float(rng.choice(tops)) if tops else -3.0
+        want = extract_peaks(rd, threshold_db, max_peaks=max_peaks)
+        got = detect(cfr, cfg, mode, window_kind, zero_pad, threshold_db, max_peaks)
+    assert detection_bits(got) == detection_bits(want)
+
+
+def test_cfr_edges_put_peaks_on_the_map_edges():
+    """The "edges" CFR has local maxima on the first and last range rows
+    and on the first and last Doppler columns."""
+    for zero_pad in (1, 4):
+        m = range_doppler(sensing_cfr(np.random.default_rng(0), "edges", 16, 12, zero_pad),
+                          desk_cfg(), SensingMode.PILOT_ONLY, window_kind="rect",
+                          zero_pad=zero_pad).magnitude_db
+        top = np.unravel_index(np.argsort(m, axis=None)[::-1][:3], m.shape)
+        assert sorted(zip(*top)) == sorted([(0, 0), (m.shape[0] - 1, m.shape[1] - 1),
+                                            (0, m.shape[1] - 1)])
+
+
 def test_full_frame_map_memory(tmp_path):
     """The run_short-sized full-frame map (2048 x 512 CFR, zero_pad 4) and its
     peaks raise peak RSS by well under the 385 MB that the whole-map form with
@@ -372,3 +463,33 @@ def test_full_frame_map_memory(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     assert float(out) < 300.0
+
+
+def test_full_frame_detection_memory(tmp_path):
+    """Detections on the run_short-sized full-frame CFR (2048 x 512,
+    zero_pad 4) raise peak RSS by well under the size of the map they come
+    from (the 134 MB float64 map alone; map and peaks took about 190 MB):
+    the 67 MB range profile and a few blocks of rows. The worker count is
+    fixed at 2, as each worker thread holds its own block temporaries."""
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from bistatic_radcom import dsp
+        from bistatic_radcom.params import FrameConfig, SensingMode
+        from bistatic_radcom.radar import detect
+
+        dsp._workers = lambda: 2
+        rng = np.random.default_rng(0)
+        cfr = rng.normal(size=(2048, 512)) + 1j * rng.normal(size=(2048, 512))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        detect(cfr, FrameConfig(m_payload=512), SensingMode.FULL_FRAME, "hamming", 4,
+               -45.0, 8)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0)
+    """)
+    src = str(Path(radar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) < 110.0

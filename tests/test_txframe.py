@@ -50,6 +50,29 @@ def test_qpsk_unit_average_power():
     assert len(set(np.round(s, 9))) == 4
 
 
+def qpsk_formula(bits):
+    """The QPSK symbols by their closed form, on float64 bit pairs."""
+    b = np.asarray(bits).reshape(-1, 2).astype(np.float64)
+    return ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+def test_qpsk_table_has_the_formula_bits(dtype):
+    """The table lookup gives the closed form's bits on all four pairs and on
+    a seeded stream, for the bit dtypes the callers pass."""
+    pairs = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=dtype)
+    stream = np.random.default_rng(7).integers(0, 2, 2 * 100_003).astype(dtype)
+    for bits in (pairs, stream):
+        got, want = map_qpsk(bits), qpsk_formula(bits)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_qpsk_rejects_odd_bit_count():
+    with pytest.raises(ValueError, match="even number of bits"):
+        map_qpsk(np.zeros(7, dtype=np.uint8))
+
+
 def test_preamble_structure():
     cfg = small_cfg()
     pre = frame_tables(cfg).preamble
