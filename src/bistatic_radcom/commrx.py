@@ -5,6 +5,15 @@ Doppler estimation/correction from the pilot grid, full CFR estimation by
 bilinear interpolation of pilot measurements, residual clock-drift
 compensation via per-symbol delay tracking of the main channel tap,
 zero-forcing equalization, soft QPSK demapping and LDPC decoding.
+
+The whole-grid stages run in fixed blocks on `dsp.run_blocks`, a thread per
+CPU: the CFR's time-axis interpolation on blocks of subcarrier rows, the
+drift ramp and its two products and the equalizer on blocks of payload
+symbols, the tap tracker's zero-padded CIR on blocks of pilot symbols, and
+the constellation histogram on blocks of symbols. The grid passes size their
+blocks in cells (``_GRID_CELLS``), not rows, so a short frame is not cut into
+tiny blocks. No grid-sized temporary exists whole, block edges do not depend
+on the thread count, and each result has the bits of its whole-array formula.
 """
 
 from __future__ import annotations
@@ -83,24 +92,39 @@ def estimate_main_doppler(grid: np.ndarray, cfg: FrameConfig) -> tuple[float, np
     return float(f_hat), grid * rot[None, :]
 
 
-def _interp_axis(values: np.ndarray, xp: np.ndarray, x: np.ndarray,
-                 axis: int) -> np.ndarray:
-    """Linear interpolation of complex samples along one axis, edges held."""
+def _interp_weights(xp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left neighbour in ``xp`` and weight of the right one for linear
+    interpolation at ``x``, edges held."""
     pos = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
     x0, x1 = xp[pos], xp[pos + 1]
-    w = np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
-    if axis == 0:
-        return (1.0 - w)[:, None] * values[pos, :] + w[:, None] * values[pos + 1, :]
-    return (1.0 - w)[None, :] * values[:, pos] + w[None, :] * values[:, pos + 1]
+    return pos, np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
+
+
+_GRID_CELLS = 1 << 16  # grid cells per block of the whole-grid passes
+
+
+def _grid_block(length: int) -> int:
+    """Rows (or columns) of ``length`` cells in one block of ``_GRID_CELLS``."""
+    return max(_GRID_CELLS // length, 1)
 
 
 def estimate_cfr(grid: np.ndarray, cfg: FrameConfig) -> CfrEstimate:
     """Bilinear interpolation (frequency first, then time) of the pilot
-    channel estimates over the full grid; edges held."""
+    channel estimates over the full grid; edges held. The time axis is
+    interpolated per block of subcarrier rows, into a C-ordered CFR."""
     hp = pilot_cfr(grid, cfg)
     tables = frame_tables(cfg)
-    full_f = _interp_axis(hp, tables.k_pil, np.arange(cfg.n_subcarriers), axis=0)
-    cfr = _interp_axis(full_f, tables.m_pil, np.arange(cfg.m_payload), axis=1)
+    pos, w = _interp_weights(tables.k_pil, np.arange(cfg.n_subcarriers))
+    full_f = (1.0 - w)[:, None] * hp[pos, :] + w[:, None] * hp[pos + 1, :]
+    pos, w = _interp_weights(tables.m_pil, np.arange(cfg.m_payload))
+    cfr = np.empty((cfg.n_subcarriers, cfg.m_payload), dtype=np.complex128)
+
+    def block(start: int, stop: int) -> None:
+        rows = full_f[start:stop]
+        out = np.multiply((1.0 - w)[None, :], rows[:, pos], out=cfr[start:stop])
+        out += w[None, :] * rows[:, pos + 1]
+
+    dsp.run_blocks(block, cfg.n_subcarriers, _grid_block(cfg.m_payload))
     cfr[np.ix_(tables.k_pil, tables.m_pil)] = hp
     return CfrEstimate(cfr=cfr)
 
@@ -142,10 +166,10 @@ def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
     return delay_samples, b
 
 
-def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
-                            cfg: FrameConfig) -> tuple[np.ndarray, CfrEstimate]:
-    """Track the linear drift of the main-tap delay across pilot symbols and
-    align all payload symbols via per-subcarrier phase ramps."""
+def _drift_slope(grid: np.ndarray, cfg: FrameConfig) -> tuple[float, bool]:
+    """Weighted linear fit of the main-tap delay across pilot symbols: the
+    slope in samples per payload symbol, and whether the fit's RMS residual
+    exceeds half a sample."""
     hp = pilot_cfr(grid, cfg)
     delays, mags = _tap_delays(hp, cfg)
     m_pil = frame_tables(cfg).m_pil.astype(float)
@@ -154,17 +178,39 @@ def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
     mc = m_pil - (w * m_pil).sum() / wsum
     dc = delays - (w * delays).sum() / wsum
     den = (w * mc * mc).sum()
-    slope = (w * mc * dc).sum() / den if den > 0 else 0.0  # samples per payload symbol
+    slope = (w * mc * dc).sum() / den if den > 0 else 0.0
     resid = dc - slope * mc
     rms_resid = np.sqrt((w * resid ** 2).sum() / wsum)
-    warning = bool(rms_resid > 0.5)
+    return slope, bool(rms_resid > 0.5)
 
+
+def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
+                            cfg: FrameConfig) -> tuple[np.ndarray, CfrEstimate]:
+    """Track the linear drift of the main-tap delay across pilot symbols and
+    align all payload symbols via per-subcarrier phase ramps.
+
+    The ramp is built per block of payload symbols and applied to the grid
+    and the CFR in that block, so it never exists whole; the corrected grid
+    and CFR are new arrays, and the inputs are left as they were."""
+    slope, warning = _drift_slope(grid, cfg)
     k_signed = np.fft.fftfreq(cfg.n_subcarriers, d=1.0 / cfg.n_subcarriers)
     m = np.arange(cfg.m_payload)
-    ramp = np.exp(2j * np.pi * np.outer(k_signed, slope * m) / cfg.n_subcarriers)
-    est = CfrEstimate(cfr=cfr_est.cfr * ramp, delay_slope=float(slope / cfg.bandwidth_hz),
+    cfr = cfr_est.cfr
+    grid_out = np.empty(grid.shape, dtype=np.complex128)
+    cfr_out = np.empty(cfr.shape, dtype=np.complex128)
+
+    def block(start: int, stop: int) -> None:
+        # the ramp of payload symbols start:stop; the grid and the CFR come
+        # first in each product, because operand order changes complex bits
+        ramp = np.exp(2j * np.pi * np.outer(k_signed, slope * m[start:stop])
+                      / cfg.n_subcarriers)
+        np.multiply(grid[:, start:stop], ramp, out=grid_out[:, start:stop])
+        np.multiply(cfr[:, start:stop], ramp, out=cfr_out[:, start:stop])
+
+    dsp.run_blocks(block, cfg.m_payload, _grid_block(cfg.n_subcarriers))
+    est = CfrEstimate(cfr=cfr_out, delay_slope=float(slope / cfg.bandwidth_hz),
                       slope_fit_warning=warning)
-    return grid * ramp, est
+    return grid_out, est
 
 
 def cir_evolution(grid: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +336,18 @@ def constellation_density(symbols: np.ndarray, bins: int = 201,
     edges = np.linspace(-extent, extent, bins + 1)
     # the same bins as np.histogram2d(s.real, s.imag, [edges, edges]); the
     # cells outside the range share one overflow bin that is dropped
-    re, re_in = _bin_index(s.real, edges)
-    im, im_in = _bin_index(s.imag, edges)
-    flat = re * bins + im
-    flat[~(re_in & im_in)] = bins * bins
-    hist = np.bincount(flat, minlength=bins * bins + 1)[:-1]
+    # each block appends its counts as it finishes; integer sums need no order
+    counts = []
+
+    def block(start: int, stop: int) -> None:
+        re, re_in = _bin_index(s.real[start:stop], edges)
+        im, im_in = _bin_index(s.imag[start:stop], edges)
+        flat = re * bins + im
+        flat[~(re_in & im_in)] = bins * bins
+        counts.append(np.bincount(flat, minlength=bins * bins + 1))
+
+    dsp.run_blocks(block, s.size, _GRID_CELLS)
+    hist = sum(counts, np.zeros(bins * bins + 1, dtype=np.intp))[:-1]
     hist = hist.reshape(bins, bins).astype(np.float64)
     peak = max(hist.max(), 1.0)
     return hist / peak, edges

@@ -54,9 +54,10 @@ from .params import ConfigError
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 914 MB, 87 B per sample, so a stream at the budget needs about 1.5 GB.
-# That peak is set in comm estimation and decoding; the sample path (TX,
-# channel, sync) peaks at about 863 MB.
+# at 818 MB, 78 B per sample, so a stream at the budget needs about 1.3 GB.
+# That peak is set in comm estimation and decoding (the drift correction,
+# then `demap_decode`); the sample path (TX, channel, sync) peaks at about
+# 722 MB.
 MAX_STREAM_SAMPLES = 1 << 24
 
 
@@ -228,25 +229,20 @@ def _tap_major_table() -> np.ndarray:
 
 def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:
     """Evaluate band-limited interpolation of ``x`` at times n*ratio,
-    n < ``out_len``.
+    n < ``out_len``, for a ``ratio`` above 0.
 
     Polyphase windowed-sinc table (80 taps) with nearest-phase lookup; the
     phase grid is dense enough that quantization stays below the filter's
     own passband error. Samples outside the input are treated as zero.
     Each output sums its 80 taps left to right, one tap over a whole block
-    at a time, on separate real and imaginary planes.
+    at a time, on separate real and imaginary planes. Each block builds its
+    planes from the input under its own windows, about ``ratio`` times a
+    block long, so no copy of the whole input is made.
     """
     table = _tap_major_table()
     x = np.asarray(x, dtype=np.complex128)
     taps = _POLY_TAPS
     half = taps // 2 - 1
-    # window n starts at x[base - half], which is xr[base]; the zeros behind
-    # the input absorb every window that leaves it, and "clip" reads the
-    # last of them for a window past the end
-    xr = np.zeros(half + x.size + 2 * taps)
-    xi = np.zeros_like(xr)
-    xr[half:half + x.size] = x.real
-    xi[half:half + x.size] = x.imag
     y = np.empty(out_len, dtype=np.complex128)
     yv = y.view(np.float64)
 
@@ -255,6 +251,17 @@ def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:
         base = np.floor(t).astype(np.int64)
         mu = t - base
         p0 = np.rint(mu * _POLY_PHASES).astype(np.int64)
+        # window n reads x[base - half:base - half + taps], which is
+        # xr[base - lo:base - lo + taps]; t increases, so the block's windows
+        # lie in x[lo - half:base[-1] - half + taps], zeros outside the input
+        lo = int(base[0])
+        base -= lo
+        xr = np.zeros(int(base[-1]) + taps)
+        xi = np.zeros_like(xr)
+        a, b = max(lo - half, 0), min(lo - half + xr.size, x.size)
+        if b > a:
+            xr[a + half - lo:b + half - lo] = x.real[a:b]
+            xi[a + half - lo:b + half - lo] = x.imag[a:b]
         coeff = np.empty(stop - start)
         prod = np.empty(stop - start)
         acc_re = np.zeros(stop - start)

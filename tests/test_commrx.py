@@ -1,5 +1,6 @@
 """Payload demodulation, channel estimation, equalization and decoding."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from bistatic_radcom.txframe import (
     frame_capacity_bits,
     frame_tables,
     map_qpsk,
+    pilot_cfr,
 )
 
 
@@ -146,6 +148,118 @@ def test_blocked_equalize_matches_one_shot(monkeypatch, columns, workers):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def interp_axis_one_shot(values, xp, x, axis):
+    """Linear interpolation of complex samples along one axis, edges held,
+    over the whole array at once."""
+    pos = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+    x0, x1 = xp[pos], xp[pos + 1]
+    w = np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
+    if axis == 0:
+        return (1.0 - w)[:, None] * values[pos, :] + w[:, None] * values[pos + 1, :]
+    return (1.0 - w)[None, :] * values[:, pos] + w[None, :] * values[:, pos + 1]
+
+
+def estimate_cfr_one_shot(grid, cfg):
+    """The bilinear CFR with each axis interpolated in one call."""
+    hp = pilot_cfr(grid, cfg)
+    t = frame_tables(cfg)
+    full_f = interp_axis_one_shot(hp, t.k_pil, np.arange(cfg.n_subcarriers), axis=0)
+    cfr = interp_axis_one_shot(full_f, t.m_pil, np.arange(cfg.m_payload), axis=1)
+    cfr[np.ix_(t.k_pil, t.m_pil)] = hp
+    return cfr
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
+
+
+@pytest.mark.parametrize("cells, workers", [(1, 1), (1, 3), (400, 3), (1 << 16, 2)])
+def test_blocked_estimate_cfr_matches_one_shot(monkeypatch, cells, workers):
+    """Blocks of 1, 3 (the last one ragged) or all 256 subcarrier rows on 1
+    to 3 threads return the one-shot CFR bit for bit, C-ordered."""
+    cfg = desk_cfg()
+    rng = np.random.default_rng(cells)
+    shape = (cfg.n_subcarriers, cfg.m_payload)
+    grid = np.asfortranarray(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    monkeypatch.setattr(commrx, "_GRID_CELLS", cells)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    got = estimate_cfr(grid, cfg).cfr
+    assert got.flags.c_contiguous
+    assert same_bits(got, estimate_cfr_one_shot(grid, cfg))
+
+
+def drifting_grid(cfg, sfo_norm=1e-6):
+    """Payload grid of a loopback whose clock drifts, not corrected in sync."""
+    _, (_, _, tx) = make_frame(cfg, seed=2)
+    sc = ChannelScenario(
+        paths=(PropagationPath(gain=1.0, delay_s=1000 / tx.nominal_rate,
+                               doppler_hz=0.0, is_main=True),),
+        impairments=ImpairmentSet(sfo_norm=sfo_norm))
+    pay, _ = synchronize(run_channel(tx, sc), cfg, correct_sfo=False)
+    return demodulate_frame(pay, cfg)
+
+
+@pytest.mark.parametrize("cells, workers", [(1, 1), (1, 3), (800, 3), (1 << 16, 2)])
+def test_blocked_drift_ramp_matches_one_shot(monkeypatch, cells, workers):
+    """Blocks of 1, 3 (the last one ragged) or all 512 payload symbols on 1
+    to 3 threads give the bits of ``grid * ramp`` and ``cfr * ramp`` with
+    the whole ramp. The outputs are new arrays and the inputs keep their
+    bits: the acceptance tests compare a grid with its compensated copy."""
+    cfg = FrameConfig(n_subcarriers=256, cp_len=64, m_payload=512)
+    grid = drifting_grid(cfg)
+    est = estimate_cfr(grid, cfg)
+    grid_in, cfr_in = grid.copy(), est.cfr.copy()
+    slope, warning = commrx._drift_slope(grid, cfg)
+    assert slope != 0.0 and not warning
+    k_signed = np.fft.fftfreq(cfg.n_subcarriers, d=1.0 / cfg.n_subcarriers)
+    m = np.arange(cfg.m_payload)
+    ramp = np.exp(2j * np.pi * np.outer(k_signed, slope * m) / cfg.n_subcarriers)
+    monkeypatch.setattr(commrx, "_GRID_CELLS", cells)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    got_grid, got_est = compensate_residual_sfo(grid, est, cfg)
+    assert same_bits(got_grid, grid * ramp)
+    assert same_bits(got_est.cfr, est.cfr * ramp)
+    assert got_est.delay_slope == float(slope / cfg.bandwidth_hz)
+    assert not np.shares_memory(got_grid, grid)
+    assert not np.shares_memory(got_est.cfr, est.cfr)
+    assert same_bits(grid, grid_in) and same_bits(est.cfr, cfr_in)
+
+
+def density_one_shot(symbols, bins=201, extent=2.0):
+    """The constellation histogram from one ``np.bincount`` over every
+    symbol."""
+    s = np.asarray(symbols).ravel()
+    edges = np.linspace(-extent, extent, bins + 1)
+    re, re_in = commrx._bin_index(s.real, edges)
+    im, im_in = commrx._bin_index(s.imag, edges)
+    flat = re * bins + im
+    flat[~(re_in & im_in)] = bins * bins
+    hist = np.bincount(flat, minlength=bins * bins + 1)[:-1]
+    hist = hist.reshape(bins, bins).astype(np.float64)
+    return hist / max(hist.max(), 1.0), edges
+
+
+@pytest.mark.parametrize("cells, workers", [(1, 1), (7, 3), (1000, 3), (1 << 16, 2)])
+@pytest.mark.parametrize("n", [0, 1, 6999])
+def test_blocked_density_matches_one_shot(monkeypatch, cells, workers, n):
+    """Blocks of 1, 7 or 1000 symbols (the last one ragged) on 1 to 3
+    threads, symbols outside the range included, count every symbol once;
+    thread switches as often as the interpreter allows lose no block."""
+    rng = np.random.default_rng(n)
+    s = 1.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    monkeypatch.setattr(commrx, "_GRID_CELLS", cells)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, got_edges = constellation_density(s, bins=31)
+    finally:
+        sys.setswitchinterval(interval)
+    want, want_edges = density_one_shot(s, bins=31)
+    assert same_bits(got, want) and same_bits(got_edges, want_edges)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 3),
@@ -273,15 +387,8 @@ def test_evm_matches_injected_error():
 def test_cir_evolution_tracks_clock_drift():
     """Uncorrected clock offset shows as a linear main-tap delay drift."""
     cfg = FrameConfig(n_subcarriers=256, cp_len=64, m_payload=512)
-    info, (frame, payload, tx) = make_frame(cfg, seed=2)
     delta = 2e-6
-    sc = ChannelScenario(
-        paths=(PropagationPath(gain=1.0, delay_s=1000 / tx.nominal_rate,
-                               doppler_hz=0.0, is_main=True),),
-        impairments=ImpairmentSet(sfo_norm=delta))
-    y = run_channel(tx, sc)
-    pay, rep = synchronize(y, cfg, correct_sfo=False)
-    rg = demodulate_frame(pay, cfg)
+    rg = drifting_grid(cfg, delta)
     delays, mag_db = cir_evolution(rg, cfg)
     cols = np.arange(delays.size) * cfg.pilot_time_spacing
     slope = np.polyfit(cols, delays, 1)[0]
@@ -292,14 +399,7 @@ def test_cir_evolution_tracks_clock_drift():
 
 def test_residual_sfo_compensation_flattens_drift():
     cfg = FrameConfig(n_subcarriers=256, cp_len=64, m_payload=512)
-    info, (frame, payload, tx) = make_frame(cfg, seed=2)
-    sc = ChannelScenario(
-        paths=(PropagationPath(gain=1.0, delay_s=1000 / tx.nominal_rate,
-                               doppler_hz=0.0, is_main=True),),
-        impairments=ImpairmentSet(sfo_norm=1e-6))
-    y = run_channel(tx, sc)
-    pay, _ = synchronize(y, cfg, correct_sfo=False)
-    rg = demodulate_frame(pay, cfg)
+    rg = drifting_grid(cfg)
     est = estimate_cfr(rg, cfg)
     rg2, est2 = compensate_residual_sfo(rg, est, cfg)
     d2, _ = cir_evolution(rg2, cfg)

@@ -273,6 +273,45 @@ def test_blocked_resampler_matches_gather_oracle(seed, delta, inverse, block,
         assert same_bits(got, want)
 
 
+def resample_whole_planes_oracle(x, ratio, out_len):
+    """The resampler's tap loop over the whole output at once, reading
+    zero-padded real and imaginary copies of the whole input."""
+    table = dsp._tap_major_table()
+    taps = dsp._POLY_TAPS
+    half = taps // 2 - 1
+    xr = np.zeros(half + x.size + 2 * taps)
+    xi = np.zeros_like(xr)
+    xr[half:half + x.size] = x.real
+    xi[half:half + x.size] = x.imag
+    t = np.arange(out_len) * ratio
+    base = np.floor(t).astype(np.int64)
+    p0 = np.rint((t - base) * dsp._POLY_PHASES).astype(np.int64)
+    acc_re, acc_im = np.zeros(out_len), np.zeros(out_len)
+    for k in range(taps):
+        coeff = np.take(table[k], p0, mode="clip")
+        acc_re += np.take(xr[k:], base, mode="clip") * coeff
+        acc_im += np.take(xi[k:], base, mode="clip") * coeff
+    y = np.empty(out_len, dtype=np.complex128)
+    y.real, y.imag = acc_re, acc_im
+    return y
+
+
+@pytest.mark.parametrize("ratio", [1 - 3e-3, 1 - 2e-5, 1 + 2e-5, 1 + 3e-3, 0.5, 1.7])
+@pytest.mark.parametrize("block", [16, 37])
+def test_blocked_resampler_planes_match_whole_planes(ratio, block):
+    """Each block's planes, cut from its own input window, give the bits of
+    planes copied from the whole input: output lengths below the input
+    length and far enough above it that the last windows, and whole blocks,
+    lie past the end of the input; every first window starts before it."""
+    n = 300
+    x = complex_noise(7, n)
+    for out_len in (n // 2 + 3, n - 1, int(n / ratio) + 3 * block + 5):
+        want = resample_whole_planes_oracle(x, ratio, out_len)
+        for workers in (1, 3):
+            got = blocked(lambda: resample_arbitrary(x, ratio, out_len), block, workers)
+            assert same_bits(got, want)
+
+
 def test_resampler_default_block_edge_matches_gather_oracle():
     n = dsp._BLOCK + 300
     x = complex_noise(4, n - 100)
