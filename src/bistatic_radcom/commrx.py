@@ -10,10 +10,12 @@ The whole-grid stages run in fixed blocks on `dsp.run_blocks`, a thread per
 CPU: the CFR's time-axis interpolation on blocks of subcarrier rows, the
 drift ramp and its two products and the equalizer on blocks of payload
 symbols, the tap tracker's zero-padded CIR on blocks of pilot symbols, and
-the constellation histogram on blocks of symbols. The grid passes size their
-blocks in cells (``_GRID_CELLS``), not rows, so a short frame is not cut into
-tiny blocks. No grid-sized temporary exists whole, block edges do not depend
-on the thread count, and each result has the bits of its whole-array formula.
+the LLRs, the EVM and the constellation histogram on blocks of symbols. The
+EVM maps its reference from the coded bits block by block, so no whole
+reference exists. The grid passes size their blocks in cells
+(``_GRID_CELLS``), not rows, so a short frame is not cut into tiny blocks. No
+grid-sized temporary exists whole, block edges do not depend on the thread
+count, and each result has the bits of its whole-array formula.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import dsp
 from .ldpc import default_code
 from .params import FrameConfig
-from .txframe import frame_tables, pilot_cfr
+from .txframe import frame_tables, map_coded_bits, pilot_cfr
 
 
 @dataclass
@@ -278,13 +280,18 @@ def _noise_variance_per_subcarrier(grid: np.ndarray, cfg: FrameConfig) -> np.nda
 
 def qpsk_llrs(symbols: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
     """Max-log LLRs for Gray QPSK (positive favors bit 0); interleaved
-    (b1, b0) per symbol, matching the mapper's bit order."""
+    (b1, b0) per symbol, matching the mapper's bit order. Blocks of
+    ``_GRID_CELLS`` symbols write their LLRs straight into the output."""
     s = np.asarray(symbols).ravel()
-    nv = np.maximum(np.asarray(noise_vars).ravel(), 1e-12)
-    scale = 2.0 * np.sqrt(2.0) / nv
+    nv = np.broadcast_to(np.asarray(noise_vars).ravel(), s.shape)
     llrs = np.empty(2 * s.size)
-    llrs[0::2] = scale * s.real
-    llrs[1::2] = scale * s.imag
+
+    def block(start: int, stop: int) -> None:
+        scale = 2.0 * np.sqrt(2.0) / np.maximum(nv[start:stop], 1e-12)
+        np.multiply(scale, s.real[start:stop], out=llrs[2 * start:2 * stop:2])
+        np.multiply(scale, s.imag[start:stop], out=llrs[2 * start + 1:2 * stop:2])
+
+    dsp.run_blocks(block, s.size, _GRID_CELLS)
     return llrs
 
 
@@ -317,15 +324,35 @@ def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
     return info, metrics
 
 
-def evm_rms_percent(symbols: np.ndarray, reference: np.ndarray | None = None) -> float:
-    """RMS error vector magnitude vs known or nearest-constellation reference."""
+def evm_rms_percent(symbols: np.ndarray, reference: np.ndarray | None = None, *,
+                    coded_bits: np.ndarray | None = None) -> float:
+    """RMS error vector magnitude against a reference: the known data
+    symbols ``reference``, or the symbols that ``coded_bits`` map to (zero
+    bits past their end, as `map_payload` fills the frame), or else the
+    nearest constellation point.
+
+    Blocks of ``_GRID_CELLS`` symbols write ``|s - ref|^2`` and ``|ref|^2``
+    into two whole arrays, and one ``np.mean`` runs over each, so the value
+    has the bits of the whole-array formula while no whole reference exists."""
     s = np.asarray(symbols).ravel()
-    if reference is None:
-        ref = (np.sign(s.real) + 1j * np.sign(s.imag)) / np.sqrt(2.0)
-    else:
-        ref = np.asarray(reference).ravel()
-    return float(100.0 * np.sqrt(np.mean(np.abs(s - ref) ** 2) /
-                                 max(np.mean(np.abs(ref) ** 2), 1e-30)))
+    if reference is not None:
+        reference = np.broadcast_to(np.asarray(reference).ravel(), s.shape)
+    err = np.empty(s.size)
+    power = np.empty(s.size)
+
+    def block(start: int, stop: int) -> None:
+        x = s[start:stop]
+        if reference is not None:
+            ref = reference[start:stop]
+        elif coded_bits is not None:
+            ref = map_coded_bits(coded_bits, start, stop)
+        else:
+            ref = (np.sign(x.real) + 1j * np.sign(x.imag)) / np.sqrt(2.0)
+        np.square(np.abs(x - ref, out=err[start:stop]), out=err[start:stop])
+        np.square(np.abs(ref, out=power[start:stop]), out=power[start:stop])
+
+    dsp.run_blocks(block, s.size, _GRID_CELLS)
+    return float(100.0 * np.sqrt(np.mean(err) / max(np.mean(power), 1e-30)))
 
 
 def constellation_density(symbols: np.ndarray, bins: int = 201,

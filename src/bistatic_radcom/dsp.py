@@ -54,10 +54,10 @@ from .params import ConfigError
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 818 MB, 78 B per sample, so a stream at the budget needs about 1.3 GB.
+# at 650 MB, 62 B per sample, so a stream at the budget needs about 1.05 GB.
 # That peak is set in comm estimation and decoding (the drift correction,
 # then `demap_decode`); the sample path (TX, channel, sync) peaks at about
-# 722 MB.
+# 620 MB.
 MAX_STREAM_SAMPLES = 1 << 24
 
 
@@ -207,24 +207,38 @@ _POLY_PHASES = 16384  # dense enough for nearest-phase lookup below 1e-4 error
 _POLY_BETA = 9.5  # ~95 dB Kaiser design; passband flat to ~0.46 Fs
 
 
-def _polyphase_table() -> np.ndarray:
-    k = np.arange(_POLY_TAPS) - (_POLY_TAPS // 2 - 1)
-    mu = np.arange(_POLY_PHASES + 1)[:, None] / _POLY_PHASES
-    arg = k[None, :] - mu
-    # with P phases, arg[P - p, 79 - j] is exactly -arg[p, j] and the window
-    # depends only on the square of its argument, so the window rows past the
-    # middle mirror those before it; the sinc is evaluated on every row
-    half = _POLY_PHASES // 2 + 1
-    w = np.empty_like(arg)
-    w[:half] = _kaiser_at(arg[:half], _POLY_TAPS, _POLY_BETA)
-    w[half:] = w[_POLY_PHASES - half::-1, ::-1]
-    return np.sinc(arg) * w
+_TABLE_PHASES = 1024  # phase columns per block of the table build
 
 
 @functools.cache
 def _tap_major_table() -> np.ndarray:
-    """Tap-major copy of the polyphase table: row k holds tap k of every phase."""
-    return np.ascontiguousarray(_polyphase_table().T)
+    """The polyphase table, tap-major: row j holds tap j of every phase.
+
+    Entry ``[j, p]`` is ``sinc(a) * w(a)`` at ``a = j - 39 - p / P`` for P
+    phases, with ``w`` the Kaiser window. ``a`` at ``[79 - j, P - p]`` is
+    exactly ``-a`` and the window depends only on the square of its
+    argument, so the window is evaluated on the first half of the phases and
+    mirrored into the rest. The table is allocated once: blocks of
+    ``_TABLE_PHASES`` phases write the window into it, then multiply it in
+    place by their sinc."""
+    k = np.arange(_POLY_TAPS) - (_POLY_TAPS // 2 - 1)
+    table = np.empty((_POLY_TAPS, _POLY_PHASES + 1))
+    half = _POLY_PHASES // 2 + 1
+
+    def arg(start: int, stop: int) -> np.ndarray:
+        return k[:, None] - (np.arange(start, stop) / _POLY_PHASES)[None, :]
+
+    def window(start: int, stop: int) -> None:
+        table[:, start:stop] = _kaiser_at(arg(start, stop), _POLY_TAPS, _POLY_BETA)
+
+    def sinc(start: int, stop: int) -> None:
+        table[:, start:stop] *= np.sinc(arg(start, stop))
+
+    run_blocks(window, half, _TABLE_PHASES)
+    # phase P - p, past the first half, is phase p with its taps reversed
+    table[:, half:] = table[::-1, _POLY_PHASES - half::-1]
+    run_blocks(sinc, _POLY_PHASES + 1, _TABLE_PHASES)
+    return table
 
 
 def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:

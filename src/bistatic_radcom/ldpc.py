@@ -32,6 +32,7 @@ _BASE_MATRIX = [
 ]
 _Z = 27
 _MIN_SUM_SCALE = 0.8  # normalization of the min-sum check-node messages
+_SYNDROME_ROWS = 1024  # codewords per block of the syndrome's gather
 
 
 def _circulant_edges() -> np.ndarray:
@@ -56,8 +57,22 @@ class LdpcCode:
         self.k = self.n - self.n_parity
 
     def _syndrome(self, codewords: np.ndarray) -> np.ndarray:
-        """H c over GF(2), shape (..., block rows, Z): check i*Z + r at [i, r]."""
-        return np.bitwise_xor.reduce(codewords[..., self._edges], axis=-2)
+        """H c over GF(2), shape (..., block rows, Z): check i*Z + r at [i, r].
+
+        The edges of ``_SYNDROME_ROWS`` codewords are gathered at a time,
+        each block reduced into its rows of a preallocated syndrome, so the
+        gather (11 bytes per check) never exists whole."""
+        words = codewords.reshape(-1, self.n)
+        checks = (self.n_parity // _Z, _Z)
+        syndrome = np.empty(codewords.shape[:-1] + checks, dtype=codewords.dtype)
+        rows = syndrome.reshape((len(words),) + checks)
+        for start in range(0, len(words), _SYNDROME_ROWS):
+            # assigned, not reduced with ``out=``: the gather is laid out
+            # codeword-fastest, and a C-ordered ``out`` makes the reduction
+            # about 20 times slower
+            stop = start + _SYNDROME_ROWS
+            rows[start:stop] = np.bitwise_xor.reduce(words[start:stop, self._edges], axis=-2)
+        return syndrome
 
     # -- encoding -----------------------------------------------------------
 

@@ -31,8 +31,10 @@ from .ldpc import default_code
 from .params import (QPSK_BITS, SFO_BOUND, ConfigError, FrameConfig,
                      PipelineError, SensingMode)
 from .sync import synchronize
+# symbols_from_grid is not called here, but perfbench/tracer.py wraps it
+# under this module's name
 from .txframe import (IqStream, PayloadBits, build_tx_frame, codeword_count,
-                      frame_capacity_bits, frame_tables, map_payload,
+                      encode_payload, frame_capacity_bits, frame_tables,
                       symbols_from_grid)
 
 
@@ -375,15 +377,14 @@ def _write_map_csv(path: Path, rd: radar_mod.RangeDopplerMap) -> None:
 
 
 def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
-                         payload: PayloadBits | None = None,
-                         tx_symbols: np.ndarray | None = None) -> dict:
+                         payload: PayloadBits | None = None) -> dict:
     """Sync -> comm -> radar on a sample stream; writes all RX artifacts
     into the existing directory ``outdir``.
 
-    The known transmit side, when given, sets the references of the error
-    rates (``payload``'s info and coded bits) and of the EVM (the data
-    symbols ``tx_symbols``). Returns a summary dict (also written as
-    comm_metrics.json).
+    The known transmit side ``payload``, when given, sets the references of
+    the error rates (its info and coded bits) and of the EVM (the data
+    symbols its coded bits map to, made block by block as the EVM is
+    computed). Returns a summary dict (also written as comm_metrics.json).
 
     Each stream- or grid-sized array is let go after its last reader: the
     stream once synchronized, the payload samples once demodulated, the CFR
@@ -423,7 +424,8 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
             tx_info_bits=payload.info_bits if payload else None,
             tx_coded_bits=payload.coded_bits if payload else None)
         del noise_vars
-        metrics.evm_rms_percent = evm_rms_percent(s_hat, tx_symbols)
+        metrics.evm_rms_percent = evm_rms_percent(
+            s_hat, coded_bits=payload.coded_bits if payload else None)
         metrics.slope_fit_warning = slope_fit_warning
 
     density, edges = constellation_density(s_hat)
@@ -482,12 +484,10 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
     if scn.channel is None:
         raise ConfigError(["channel: missing section, which run needs"])
     outdir = _make_outdir(outdir)
+    # the frame grid is dropped here: a name bound to it, even ``_``, would
+    # keep it alive for the whole call
     with _stage("tx"):
-        grid, payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))
-    # the data symbols are the EVM reference; the grid is released before
-    # the channel runs
-    tx_symbols = symbols_from_grid(grid, scn.frame)
-    del grid
+        payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))[1:]
 
     def channel_output() -> IqStream:
         """The received stream. Its TX stream is released once it is made
@@ -504,7 +504,7 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
         del tx_stream
         return rx_stream
 
-    return run_receive_pipeline(channel_output(), scn, outdir, payload, tx_symbols)
+    return run_receive_pipeline(channel_output(), scn, outdir, payload)
 
 
 def _read_capture(iq_path: str | Path, scn: Scenario) -> IqStream:
@@ -522,14 +522,14 @@ def process_capture(iq_path: str | Path, scn: Scenario, outdir: str | Path) -> d
     """Receive pipeline on externally captured samples.
 
     The capture's sample rate must be the frame's ``bandwidth_hz``. When
-    the scenario marks the payload as known (seeded), transmit-side
-    references are regenerated so BER/EVM are measured against truth. The
-    capture, then the output directory, are checked before the receiver runs.
+    the scenario marks the payload as known (seeded), its bits are encoded
+    again so BER/EVM are measured against truth; the EVM maps them block by
+    block. The capture, then the output directory, are checked before the
+    receiver runs.
     """
-    payload = tx_symbols = None
+    payload = None
     if scn.info_known:
-        # the references need the data symbols, not the modulated samples
         with _stage("tx"):
-            payload, tx_symbols = map_payload(generate_info_bits(scn), scn.frame)
+            payload = encode_payload(generate_info_bits(scn), scn.frame)
     return run_receive_pipeline(_read_capture(iq_path, scn), scn, _make_outdir(outdir),
-                                payload, tx_symbols)
+                                payload)

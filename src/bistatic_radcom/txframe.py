@@ -172,10 +172,9 @@ def modulate(grid: np.ndarray, cfg: FrameConfig) -> IqStream:
     return IqStream(samples=out.reshape(-1), nominal_rate=cfg.bandwidth_hz)
 
 
-def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, np.ndarray]:
-    """Systematic LDPC encoding (a short final block is zero-padded), mapped
-    onto every data cell of the frame; cells beyond the coded payload carry
-    zero bits."""
+def encode_payload(info_bits: np.ndarray, cfg: FrameConfig) -> PayloadBits:
+    """Systematic LDPC encoding of the info bits of one frame; a short final
+    block is zero-padded."""
     code = default_code()
     info_bits = np.asarray(info_bits, dtype=np.uint8).ravel()
     max_info, max_cw = frame_capacity_bits(cfg)
@@ -188,10 +187,22 @@ def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, n
     padded = np.zeros(n_cw * code.k, dtype=np.uint8)
     padded[:info_bits.size] = info_bits
     coded = code.encode(padded.reshape(n_cw, code.k)).reshape(-1)
-    all_bits = np.zeros(cfg.n_data_elements * QPSK_BITS, dtype=np.uint8)
-    all_bits[:coded.size] = coded
-    payload = PayloadBits(info_bits=info_bits, coded_bits=coded, codeword_count=n_cw)
-    return payload, map_qpsk(all_bits)
+    return PayloadBits(info_bits=info_bits, coded_bits=coded, codeword_count=n_cw)
+
+
+def map_coded_bits(coded_bits: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Data symbols ``start:stop`` of a frame carrying ``coded_bits``; the
+    cells beyond them carry zero bits."""
+    bits = np.zeros(QPSK_BITS * (stop - start), dtype=np.uint8)
+    part = coded_bits[QPSK_BITS * start:QPSK_BITS * stop]
+    bits[:part.size] = part
+    return map_qpsk(bits)
+
+
+def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, np.ndarray]:
+    """`encode_payload`, mapped onto every data cell of the frame."""
+    payload = encode_payload(info_bits, cfg)
+    return payload, map_coded_bits(payload.coded_bits, 0, cfg.n_data_elements)
 
 
 def build_tx_frame(cfg: FrameConfig, info_bits: np.ndarray) -> tuple[np.ndarray, PayloadBits, IqStream]:

@@ -1,14 +1,18 @@
 """Payload demodulation, channel estimation, equalization and decoding."""
 
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from bistatic_radcom import commrx, dsp
+from bistatic_radcom import commrx, dsp, txframe
 from bistatic_radcom.channel import (
     ChannelScenario,
     ImpairmentSet,
@@ -382,6 +386,110 @@ def test_evm_matches_injected_error():
     sigma = 0.05
     noisy = s + sigma * (rng.normal(size=s.size) + 1j * rng.normal(size=s.size)) / np.sqrt(2)
     assert evm_rms_percent(noisy, s) == pytest.approx(100 * sigma, rel=0.05)
+
+
+def llrs_one_shot(symbols, noise_vars):
+    """The LLRs with the noise floor, the scale and both products made over
+    the whole array at once."""
+    s = np.asarray(symbols).ravel()
+    nv = np.maximum(np.asarray(noise_vars).ravel(), 1e-12)
+    scale = 2.0 * np.sqrt(2.0) / nv
+    llrs = np.empty(2 * s.size)
+    llrs[0::2] = scale * s.real
+    llrs[1::2] = scale * s.imag
+    return llrs
+
+
+@pytest.mark.parametrize("cells, workers", [(1, 1), (7, 3), (1000, 3), (1 << 16, 2)])
+def test_blocked_llrs_match_one_shot(monkeypatch, cells, workers):
+    """Blocks of 1, 7 or 1000 symbols (the last one ragged) on 1 to 3
+    threads give the whole-array LLRs bit for bit: noise variances below
+    the floor, zero and infinite included, and one variance for every
+    symbol."""
+    rng = np.random.default_rng(cells)
+    n = 6999
+    s = rng.normal(size=n) + 1j * rng.normal(size=n)
+    nv = rng.uniform(0.01, 2.0, n)
+    nv[rng.random(n) < 0.02] = np.inf
+    nv[rng.random(n) < 0.02] = 0.0
+    nv[rng.random(n) < 0.02] = 1e-15
+    monkeypatch.setattr(commrx, "_GRID_CELLS", cells)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    assert same_bits(qpsk_llrs(s, nv), llrs_one_shot(s, nv))
+    assert same_bits(qpsk_llrs(s, np.array([0.3])), llrs_one_shot(s, np.full(n, 0.3)))
+
+
+def evm_one_shot(symbols, reference):
+    return float(100.0 * np.sqrt(np.mean(np.abs(symbols - reference) ** 2) /
+                                 max(np.mean(np.abs(reference) ** 2), 1e-30)))
+
+
+@pytest.mark.parametrize("cells, workers", [(1, 1), (7, 3), (1000, 3), (1 << 16, 2)])
+def test_blocked_evm_from_coded_bits_matches_mapped_reference(monkeypatch, cells, workers):
+    """The EVM against the symbols that the coded bits map to, made block by
+    block, gives the bits of the whole reference: the coded bits end inside
+    a block and inside a column of data cells, the cells past them carry
+    zero bits, and the last codeword is only partly info bits. The
+    known-symbol and nearest-point forms keep the whole-array bits too."""
+    cfg = desk_cfg()
+    max_info, n_cw = frame_capacity_bits(cfg)
+    info = np.random.default_rng(3).integers(0, 2, max_info - 200, dtype=np.uint8)
+    payload = txframe.encode_payload(info, cfg)
+    assert payload.codeword_count == n_cw and info.size % 432 != 0
+    assert payload.coded_bits.size < 2 * cfg.n_data_elements
+    bits = np.zeros(2 * cfg.n_data_elements, dtype=np.uint8)
+    bits[:payload.coded_bits.size] = payload.coded_bits
+    ref = map_qpsk(bits)
+    assert same_bits(txframe.map_payload(info, cfg)[1], ref)
+    rng = np.random.default_rng(cells)
+    s = ref + 0.2 * (rng.normal(size=ref.size) + 1j * rng.normal(size=ref.size))
+    monkeypatch.setattr(commrx, "_GRID_CELLS", cells)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    got = evm_rms_percent(s, coded_bits=payload.coded_bits)
+    assert np.float64(got).view(np.uint64) == np.float64(evm_one_shot(s, ref)).view(np.uint64)
+    assert got == evm_rms_percent(s, ref)
+    nearest = (np.sign(s.real) + 1j * np.sign(s.imag)) / np.sqrt(2.0)
+    assert evm_rms_percent(s) == evm_one_shot(s, nearest)
+
+
+def test_llr_memory(tmp_path):
+    """LLRs of 4 M symbols raise the peak RSS of the process that makes them
+    by little more than their 64 MB output; the whole-array form made the
+    floored variances, the scale and the two products (32 MB each) besides.
+    The process reads its own high-water mark (``VmHWM``), which is
+    ``ru_maxrss`` without the share of the process that spawned it, against
+    its resident size (``VmRSS``) before the call, which leaves out the
+    freed temporaries of the input generation. The worker count is fixed at
+    2, as each thread holds its own block temporaries."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+    code = textwrap.dedent("""
+        import numpy as np
+        from bistatic_radcom import dsp
+        from bistatic_radcom.commrx import qpsk_llrs
+
+        def status_mb(key):
+            with open("/proc/self/status") as f:
+                line = next(x for x in f if x.startswith(key + ":"))
+            return int(line.split()[1]) / 1024.0
+
+        dsp._workers = lambda: 2
+        rng = np.random.default_rng(0)
+        n = 1 << 22
+        s = rng.normal(size=n) + 1j * rng.normal(size=n)
+        nv = rng.uniform(0.01, 2.0, n)
+        before = status_mb("VmRSS")
+        llrs = qpsk_llrs(s, nv)
+        print(status_mb("VmHWM") - before, llrs.nbytes / 2 ** 20)
+    """)
+    src = str(Path(commrx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    rise, output = map(float, out.split())
+    assert output == 64.0
+    assert rise < output + 12.0
 
 
 def test_cir_evolution_tracks_clock_drift():

@@ -174,7 +174,11 @@ def test_correction_chain_output_length():
 
 @functools.lru_cache(maxsize=1)
 def phase_major_table() -> np.ndarray:
-    return dsp._polyphase_table()
+    """The resampler's polyphase table, row p holding phase p, from its
+    formula evaluated at every entry."""
+    k = np.arange(dsp._POLY_TAPS) - (dsp._POLY_TAPS // 2 - 1)
+    arg = k[None, :] - np.arange(dsp._POLY_PHASES + 1)[:, None] / dsp._POLY_PHASES
+    return np.sinc(arg) * dsp._kaiser_at(arg, dsp._POLY_TAPS, dsp._POLY_BETA)
 
 
 def resample_gather_oracle(x, ratio, out_len):
@@ -471,12 +475,18 @@ def test_i0_has_scipy_bits(x):
 
 
 def test_polyphase_table_matches_whole_table_formula():
-    """The table with its window mirrored from the first half of its rows
-    equals the window evaluated on every row."""
-    k = np.arange(dsp._POLY_TAPS) - (dsp._POLY_TAPS // 2 - 1)
-    arg = k[None, :] - np.arange(dsp._POLY_PHASES + 1)[:, None] / dsp._POLY_PHASES
-    whole = np.sinc(arg) * dsp._kaiser_at(arg, dsp._POLY_TAPS, dsp._POLY_BETA)
-    assert same_bits(dsp._polyphase_table(), whole)
+    """The tap-major table built in place on blocks of 1, 7 (the last one
+    ragged), 1000 or all phases, on 1 or 3 threads, its window mirrored from
+    the first half of the phases, equals the formula at every entry."""
+    want = np.ascontiguousarray(phase_major_table().T)
+    for phases in (1, 7, 1000, 1 << 16):
+        for workers in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dsp, "_TABLE_PHASES", phases)
+                mp.setattr(dsp, "_workers", lambda: workers)
+                table = dsp._tap_major_table.__wrapped__()
+            assert table.flags.c_contiguous
+            assert same_bits(table, want), (phases, workers)
 
 
 def _child_env():

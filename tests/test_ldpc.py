@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bistatic_radcom import ldpc
 from bistatic_radcom.ldpc import _BASE_MATRIX, _check_to_var, default_code
 
 
@@ -207,6 +208,36 @@ def test_decode_matches_dense_layered_reference(code, h, max_iter):
 
 def _integer_check(h, cw):
     return ~np.any((cw.astype(np.int64) @ h.T.astype(np.int64)) % 2, axis=-1)
+
+
+def syndrome_one_gather(code, words):
+    """The syndrome from one gather of every edge of every codeword."""
+    return np.bitwise_xor.reduce(words[..., code._edges], axis=-2)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_blocked_syndrome_matches_one_gather(monkeypatch, code, rows):
+    """Blocks of 1, 7 (the last one ragged) or 1000 codewords give the
+    syndrome of one gather, through `encode` and `check`: batches of one,
+    many and none, with two leading axes, and transposed as the decoder
+    passes its hard decisions."""
+    rng = np.random.default_rng(rows)
+    info = rng.integers(0, 2, (2, 25, code.k), dtype=np.uint8)
+    want_cw = code.encode(info)  # one block at the default size
+    words = rng.integers(0, 2, (2, 25, code.n), dtype=np.uint8)
+    words[0, :3] = want_cw[0, :3]
+    flat = words.reshape(-1, code.n)
+    monkeypatch.setattr(ldpc, "_SYNDROME_ROWS", rows)
+    for batch in (flat, words, flat[:1], flat[:0], flat[0], np.ascontiguousarray(flat.T).T):
+        got = code._syndrome(batch)
+        assert got.shape == batch.shape[:-1] + (8, 27)
+        assert np.array_equal(got, syndrome_one_gather(code, batch))
+        assert np.array_equal(code.check(batch), ~np.any(got, axis=(-2, -1)))
+    assert code.check(words)[0, :3].all() and not code.check(words)[1].any()
+    got_cw = code.encode(info)
+    assert np.array_equal(got_cw, want_cw)
+    assert np.array_equal(code.encode(info[0, 0]), want_cw[0, 0])
+    assert code.check(got_cw).all()
 
 
 def test_check_matches_integer_syndrome(code, h):
