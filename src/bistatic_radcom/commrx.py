@@ -12,10 +12,11 @@ drift ramp and its two products and the equalizer on blocks of payload
 symbols, the tap tracker's zero-padded CIR on blocks of pilot symbols, and
 the LLRs, the EVM and the constellation histogram on blocks of symbols. The
 EVM maps its reference from the coded bits block by block, so no whole
-reference exists. The grid passes size their blocks in cells
-(``_GRID_CELLS``), not rows, so a short frame is not cut into tiny blocks. No
-grid-sized temporary exists whole, block edges do not depend on the thread
-count, and each result has the bits of its whole-array formula.
+reference exists. Each pass tells `run_blocks` how many cells one of its
+rows, symbols or CIRs holds, and `run_blocks` sizes the blocks, so a short
+frame is not cut into tiny blocks. No grid-sized temporary exists whole,
+block edges do not depend on the thread count, and each result has the bits
+of its whole-array formula.
 """
 
 from __future__ import annotations
@@ -102,14 +103,6 @@ def _interp_weights(xp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pos, np.clip((x - x0) / (x1 - x0), 0.0, 1.0)
 
 
-_GRID_CELLS = 1 << 16  # grid cells per block of the whole-grid passes
-
-
-def _grid_block(length: int) -> int:
-    """Rows (or columns) of ``length`` cells in one block of ``_GRID_CELLS``."""
-    return max(_GRID_CELLS // length, 1)
-
-
 def estimate_cfr(grid: np.ndarray, cfg: FrameConfig) -> CfrEstimate:
     """Bilinear interpolation (frequency first, then time) of the pilot
     channel estimates over the full grid; edges held. The time axis is
@@ -126,25 +119,24 @@ def estimate_cfr(grid: np.ndarray, cfg: FrameConfig) -> CfrEstimate:
         out = np.multiply((1.0 - w)[None, :], rows[:, pos], out=cfr[start:stop])
         out += w[None, :] * rows[:, pos + 1]
 
-    dsp.run_blocks(block, cfg.n_subcarriers, _grid_block(cfg.m_payload))
+    dsp.run_blocks(block, cfg.n_subcarriers, width=cfg.m_payload)
     cfr[np.ix_(tables.k_pil, tables.m_pil)] = hp
     return CfrEstimate(cfr=cfr)
 
 
-_CIR_COLUMNS = 16  # pilot symbols per block of the zero-padded CIR
+_CIR_PAD = 8  # zero-padding factor of the tap tracker's CIR
 
 
-def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
-                pad: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def _tap_delays(hp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pilot-symbol delay (in samples) and magnitude of the main tap,
     from the zero-padded CIR with parabolic sub-bin refinement. The CIR
-    magnitude is computed in blocks of ``_CIR_COLUMNS`` pilot symbols, so
-    the complex CIR never exists whole."""
+    magnitude is computed in blocks of pilot symbols, so the complex CIR
+    never exists whole."""
     # reorder rows to physical frequency before zero padding so fractional
     # delays keep a single clean peak (padding must extend the band, not
     # split it at Nyquist)
     hs = np.fft.fftshift(hp, axes=0)
-    size = hp.shape[0] * pad
+    size = hp.shape[0] * _CIR_PAD
     mag = np.empty((size, hp.shape[1]))
 
     def block(start: int, stop: int) -> None:
@@ -153,18 +145,18 @@ def _tap_delays(hp: np.ndarray, cfg: FrameConfig,
         cir = np.fft.ifft(np.ascontiguousarray(hs[:, start:stop].T), n=size, axis=1)
         np.abs(cir.T, out=mag[:, start:stop])
 
-    dsp.run_blocks(block, hp.shape[1], _CIR_COLUMNS)
+    dsp.run_blocks(block, hp.shape[1], width=size)
     tap = _main_tap(np.mean(mag, axis=1))
     peaks = np.argmax(mag, axis=0)
     # keep per-symbol peaks near the common dominant tap (cyclic distance)
     dist = np.minimum((peaks - tap) % size, (tap - peaks) % size)
-    peaks = np.where(dist <= pad, peaks, tap)
+    peaks = np.where(dist <= _CIR_PAD, peaks, tap)
     idx = np.arange(hp.shape[1])
     b = mag[peaks, idx]
     pos = peaks + dsp.parabolic_vertex(mag[(peaks - 1) % size, idx], b,
                                        mag[(peaks + 1) % size, idx])
     pos = np.where(pos > size / 2, pos - size, pos)  # signed (early/late)
-    delay_samples = pos / pad
+    delay_samples = pos / _CIR_PAD
     return delay_samples, b
 
 
@@ -173,7 +165,7 @@ def _drift_slope(grid: np.ndarray, cfg: FrameConfig) -> tuple[float, bool]:
     slope in samples per payload symbol, and whether the fit's RMS residual
     exceeds half a sample."""
     hp = pilot_cfr(grid, cfg)
-    delays, mags = _tap_delays(hp, cfg)
+    delays, mags = _tap_delays(hp)
     m_pil = frame_tables(cfg).m_pil.astype(float)
     w = mags ** 2
     wsum = w.sum()
@@ -209,7 +201,7 @@ def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
         np.multiply(grid[:, start:stop], ramp, out=grid_out[:, start:stop])
         np.multiply(cfr[:, start:stop], ramp, out=cfr_out[:, start:stop])
 
-    dsp.run_blocks(block, cfg.m_payload, _grid_block(cfg.n_subcarriers))
+    dsp.run_blocks(block, cfg.m_payload, width=cfg.n_subcarriers)
     est = CfrEstimate(cfr=cfr_out, delay_slope=float(slope / cfg.bandwidth_hz),
                       slope_fit_warning=warning)
     return grid_out, est
@@ -218,13 +210,12 @@ def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
 def cir_evolution(grid: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """(per-pilot-symbol main-tap delay in samples, magnitude in dB rel max)."""
     hp = pilot_cfr(grid, cfg)
-    delays, mags = _tap_delays(hp, cfg)
+    delays, mags = _tap_delays(hp)
     # floored 600 dB below the peak, which is above 0: `_main_tap` raises on a zero profile
     mag_db = 20.0 * np.log10(np.maximum(mags / mags.max(), 1e-30))
     return delays, mag_db
 
 
-_EQUALIZE_COLUMNS = 64  # payload symbols equalized per block
 _ERASE_BELOW = 1e-6  # erasure floor, relative to the CFR's median magnitude at the pilots
 
 
@@ -234,8 +225,8 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
 
     Returns (equalized data symbols in column-major frame order, per-symbol
     effective noise variances for LLR scaling, erasure flags). Blocks of
-    ``_EQUALIZE_COLUMNS`` payload symbols are equalized at a time; the data
-    cells of a block are one contiguous range of that order.
+    payload symbols are equalized at a time; the data cells of a block are
+    one contiguous range of that order.
 
     A cell is erased (symbol 0, infinite noise variance) where the CFR
     magnitude is at most ``_ERASE_BELOW`` times its median over the pilot
@@ -263,7 +254,7 @@ def equalize(grid: np.ndarray, cfr: np.ndarray,
         v = np.divide(nv_cells, mag ** 2, out=nv[lo:hi], where=~lost)
         v[lost] = np.inf  # an erased cell carries no information
 
-    dsp.run_blocks(block, mask.shape[1], _EQUALIZE_COLUMNS)
+    dsp.run_blocks(block, mask.shape[1], width=mask.shape[0])
     return s_hat, nv, erased
 
 
@@ -280,8 +271,8 @@ def _noise_variance_per_subcarrier(grid: np.ndarray, cfg: FrameConfig) -> np.nda
 
 def qpsk_llrs(symbols: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
     """Max-log LLRs for Gray QPSK (positive favors bit 0); interleaved
-    (b1, b0) per symbol, matching the mapper's bit order. Blocks of
-    ``_GRID_CELLS`` symbols write their LLRs straight into the output."""
+    (b1, b0) per symbol, matching the mapper's bit order. Blocks of symbols
+    write their LLRs straight into the output."""
     s = np.asarray(symbols).ravel()
     nv = np.broadcast_to(np.asarray(noise_vars).ravel(), s.shape)
     llrs = np.empty(2 * s.size)
@@ -291,7 +282,7 @@ def qpsk_llrs(symbols: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
         np.multiply(scale, s.real[start:stop], out=llrs[2 * start:2 * stop:2])
         np.multiply(scale, s.imag[start:stop], out=llrs[2 * start + 1:2 * stop:2])
 
-    dsp.run_blocks(block, s.size, _GRID_CELLS)
+    dsp.run_blocks(block, s.size)
     return llrs
 
 
@@ -324,34 +315,28 @@ def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
     return info, metrics
 
 
-def evm_rms_percent(symbols: np.ndarray, reference: np.ndarray | None = None, *,
-                    coded_bits: np.ndarray | None = None) -> float:
-    """RMS error vector magnitude against a reference: the known data
-    symbols ``reference``, or the symbols that ``coded_bits`` map to (zero
-    bits past their end, as `map_payload` fills the frame), or else the
-    nearest constellation point.
+def evm_rms_percent(symbols: np.ndarray, coded_bits: np.ndarray | None = None) -> float:
+    """RMS error vector magnitude against a reference: the symbols that
+    ``coded_bits`` map to (zero bits past their end, as `map_payload` fills
+    the frame), or else the nearest constellation point.
 
-    Blocks of ``_GRID_CELLS`` symbols write ``|s - ref|^2`` and ``|ref|^2``
-    into two whole arrays, and one ``np.mean`` runs over each, so the value
-    has the bits of the whole-array formula while no whole reference exists."""
+    Blocks of symbols write ``|s - ref|^2`` and ``|ref|^2`` into two whole
+    arrays, and one ``np.mean`` runs over each, so the value has the bits of
+    the whole-array formula while no whole reference exists."""
     s = np.asarray(symbols).ravel()
-    if reference is not None:
-        reference = np.broadcast_to(np.asarray(reference).ravel(), s.shape)
     err = np.empty(s.size)
     power = np.empty(s.size)
 
     def block(start: int, stop: int) -> None:
         x = s[start:stop]
-        if reference is not None:
-            ref = reference[start:stop]
-        elif coded_bits is not None:
+        if coded_bits is not None:
             ref = map_coded_bits(coded_bits, start, stop)
         else:
             ref = (np.sign(x.real) + 1j * np.sign(x.imag)) / np.sqrt(2.0)
         np.square(np.abs(x - ref, out=err[start:stop]), out=err[start:stop])
         np.square(np.abs(ref, out=power[start:stop]), out=power[start:stop])
 
-    dsp.run_blocks(block, s.size, _GRID_CELLS)
+    dsp.run_blocks(block, s.size)
     return float(100.0 * np.sqrt(np.mean(err) / max(np.mean(power), 1e-30)))
 
 
@@ -373,7 +358,7 @@ def constellation_density(symbols: np.ndarray, bins: int = 201,
         flat[~(re_in & im_in)] = bins * bins
         counts.append(np.bincount(flat, minlength=bins * bins + 1))
 
-    dsp.run_blocks(block, s.size, _GRID_CELLS)
+    dsp.run_blocks(block, s.size)
     hist = sum(counts, np.zeros(bins * bins + 1, dtype=np.intp))[:-1]
     hist = hist.reshape(bins, bins).astype(np.float64)
     peak = max(hist.max(), 1.0)

@@ -6,13 +6,14 @@ receiver-side correction chain (`sfo_correction_chain`, FIR interpolate-by-2,
 cubic polynomial rate conversion, FIR decimate-by-2). Keeping them different
 avoids testing an implementation against itself.
 
-The resampler and the correction chain evaluate their output in fixed
-blocks of ``_BLOCK`` samples, spread over a thread per usable CPU by
-`run_blocks`; the channel and the receiver apply their phasors the same way.
-The threads overlap because NumPy releases the interpreter lock in ``take``
-and in ufuncs. Every block writes its own slice of a preallocated output and
-the block edges do not depend on the thread count, so the result is
-bit-for-bit the same on any number of cores.
+Every blocked pass of the package runs on `run_blocks`, which spreads
+fixed blocks over a thread per usable CPU and is the one place that sizes
+them: a block holds about ``_BLOCK`` elements, as many whole items (samples,
+grid rows or columns, overlap-add steps, table phases) as fit, and at least
+one. The threads overlap because NumPy releases the interpreter lock in
+``take`` and in ufuncs. Every block writes its own slice of a preallocated
+output and the block edges do not depend on the thread count, so the result
+is bit-for-bit the same on any number of cores.
 
 The correction chain is fused: each output block filters, from the slice of
 the input it depends on, only the interpolator outputs under its cubic
@@ -22,10 +23,10 @@ the one-shot call's filter phase (`_fir_span`), so every sample has the bits
 of the three stages run one after the other over the whole stream, while
 neither 2n-sample intermediate stream exists.
 
-`fractional_delay` filters by overlap-add, one block of ``_OA_STEPS``
-428-sample steps at a time on `run_blocks`, and writes each step straight
-into its output; a step depends only on its own input and the one before, so
-the result has the bits of one whole-stream call.
+`fractional_delay` filters by overlap-add, one block of 428-sample steps
+at a time on `run_blocks`, and writes each step straight into its output; a
+step depends only on its own input and the one before, so the result has the
+bits of one whole-stream call.
 
 The package imports no SciPy: every transform runs on ``numpy.fft``. The
 FIR stages (`_fir_range`), their filter (`_halfband_fir`) and the
@@ -69,7 +70,7 @@ def require_finite(x: np.ndarray, what: str = "input") -> None:
 # ---------------------------------------------------------------------------
 # block-parallel evaluation
 
-_BLOCK = 1 << 15  # output samples per block; fixed, so results never depend on the thread count
+_BLOCK = 1 << 15  # elements per block; fixed, so results never depend on the thread count
 
 
 def _workers() -> int:
@@ -80,11 +81,12 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def run_blocks(block: Callable[[int, int], None], n: int, size: int | None = None) -> None:
-    """Call ``block(start, stop)`` on consecutive ``size``-element slices of
-    ``range(n)`` (``_BLOCK`` when ``size`` is None), on up to one thread per
-    CPU."""
-    size = size or _BLOCK
+def run_blocks(block: Callable[[int, int], None], n: int, width: int = 1) -> None:
+    """Call ``block(start, stop)`` on consecutive slices of ``range(n)``, on
+    up to one thread per CPU. Each of the ``n`` items holds ``width``
+    elements (a sample, a grid row or column, ...); a slice holds
+    ``_BLOCK // width`` items, at least one."""
+    size = max(_BLOCK // width, 1)
     starts = range(0, n, size)
     with ThreadPoolExecutor(max_workers=max(1, min(_workers(), len(starts)))) as pool:
         futures = [pool.submit(block, s, min(s + size, n)) for s in starts]
@@ -111,7 +113,6 @@ _FRAC_DELAY_BETA = 8.0
 # sizes SciPy's ``signal.oaconvolve`` picks for 63 taps (``_calc_oa_lens``)
 _OA_FFT = 490
 _OA_STEP = _OA_FFT - _FRAC_DELAY_TAPS + 1
-_OA_STEPS = 64  # block steps per `run_blocks` block
 
 
 def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.ndarray:
@@ -162,7 +163,7 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
         y = ret[j0 - prev:, :_OA_STEP].reshape(-1)
         out[a + shift:b + shift] = y[a - j0 * _OA_STEP:b - j0 * _OA_STEP]
 
-    run_blocks(block, -(-hi // _OA_STEP) - first, _OA_STEPS)
+    run_blocks(block, -(-hi // _OA_STEP) - first, width=_OA_FFT)
     return out
 
 
@@ -207,9 +208,6 @@ _POLY_PHASES = 16384  # dense enough for nearest-phase lookup below 1e-4 error
 _POLY_BETA = 9.5  # ~95 dB Kaiser design; passband flat to ~0.46 Fs
 
 
-_TABLE_PHASES = 1024  # phase columns per block of the table build
-
-
 @functools.cache
 def _tap_major_table() -> np.ndarray:
     """The polyphase table, tap-major: row j holds tap j of every phase.
@@ -218,9 +216,9 @@ def _tap_major_table() -> np.ndarray:
     phases, with ``w`` the Kaiser window. ``a`` at ``[79 - j, P - p]`` is
     exactly ``-a`` and the window depends only on the square of its
     argument, so the window is evaluated on the first half of the phases and
-    mirrored into the rest. The table is allocated once: blocks of
-    ``_TABLE_PHASES`` phases write the window into it, then multiply it in
-    place by their sinc."""
+    mirrored into the rest. The table is allocated once: blocks of phase
+    columns write the window into it, then multiply it in place by their
+    sinc."""
     k = np.arange(_POLY_TAPS) - (_POLY_TAPS // 2 - 1)
     table = np.empty((_POLY_TAPS, _POLY_PHASES + 1))
     half = _POLY_PHASES // 2 + 1
@@ -234,10 +232,10 @@ def _tap_major_table() -> np.ndarray:
     def sinc(start: int, stop: int) -> None:
         table[:, start:stop] *= np.sinc(arg(start, stop))
 
-    run_blocks(window, half, _TABLE_PHASES)
+    run_blocks(window, half, width=_POLY_TAPS)
     # phase P - p, past the first half, is phase p with its taps reversed
     table[:, half:] = table[::-1, _POLY_PHASES - half::-1]
-    run_blocks(sinc, _POLY_PHASES + 1, _TABLE_PHASES)
+    run_blocks(sinc, _POLY_PHASES + 1, width=_POLY_TAPS)
     return table
 
 

@@ -26,10 +26,8 @@ def write_iq(path: str | Path, stream: IqStream, metadata: dict | None = None) -
     path = Path(path)
     s = np.asarray(stream.samples, dtype=np.complex128)
     dsp.require_finite(s, "stream to write")
-    inter = np.empty(2 * s.size, dtype="<f4")
-    inter[0::2] = s.real.astype(np.float32)
-    inter[1::2] = s.imag.astype(np.float32)
-    path.write_bytes(inter.tobytes())
+    # "<c8" is a little-endian float32 pair: the interleaved I, Q layout
+    s.astype("<c8").tofile(path)
     side = {
         "format": "cf32_le",
         "sample_rate_hz": float(stream.nominal_rate),
@@ -69,10 +67,11 @@ def read_iq(path: str | Path) -> IqStream:
     declared = side.get("num_samples")
     if declared is not None and declared != n_samples:
         raise ConfigError([f"sidecar declares {declared} samples, file holds {n_samples}"])
-    inter = np.frombuffer(path.read_bytes(), dtype="<f4")
-    # filled in place: no stream-sized temporaries besides the file's bytes
-    samples = np.empty(inter.size // 2, dtype=np.complex128)
-    samples.real = inter[0::2]
-    samples.imag = inter[1::2]
+    # read in blocks straight into the stream: no stream-sized temporary
+    samples = np.empty(n_samples, dtype=np.complex128)
+    with path.open("rb") as f:
+        for start in range(0, n_samples, dsp._BLOCK):
+            stop = min(start + dsp._BLOCK, n_samples)
+            samples[start:stop] = np.fromfile(f, dtype="<c8", count=stop - start)
     dsp.require_finite(samples, "IQ file")
     return IqStream(samples=samples, nominal_rate=float(rate))

@@ -5,11 +5,16 @@ payload was decoded, a data-aided full CFR: the received payload grid
 divided by the transmit payload grid that the TX code builds from the
 decoded info bits. Range axis is relative bistatic range with zero at the
 synchronization-locked main path.
+
+`extract_peaks` and `detect` find their local maxima with one search over
+blocks of range rows (`_local_maxima`), on dB rows taken from the map or
+recomputed from the range profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,19 +22,13 @@ from . import dsp
 from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode
 from .txframe import map_payload, payload_grid, pilot_cfr
 
-# Range rows per block of the map's Doppler pass, its dB conversion and the
-# peak test, and CFR columns per block of its range pass; fixed, so the block
-# edges never depend on the CPU count.
-_MAP_ROWS = 64
-_RANGE_COLUMNS = 32
-
 # Largest range-Doppler map a scenario may ask for, checked by
 # `load_scenario` before anything is allocated (`map_cells`). Detections of
 # a map of c cells at zero padding z hold the complex range profile
 # (16 / z B per cell) and a few blocks of rows: 268 MB at the budget and
 # z = 4, 1.07 GB at z = 1. Only a written map (`sensing.write_map_csv`) also
-# holds the float64 map (8 B per cell) and the peak test's bool mask (1 B per
-# cell): 872 MB at the budget and z = 4, 1.68 GB at z = 1.
+# holds the float64 map (8 B per cell): 805 MB at the budget and z = 4,
+# 1.61 GB at z = 1.
 MAX_MAP_CELLS = 1 << 26
 
 # dB by which a block's largest cell must fall short of the detection
@@ -75,8 +74,8 @@ def map_cells(cfg: FrameConfig, mode: SensingMode, zero_pad: int) -> int:
 def _range_profile(cfr: np.ndarray, window_kind: str, zero_pad: int) -> np.ndarray:
     """Windowed range IDFT of each CFR column, zero-padded ``zero_pad``-fold.
 
-    The window and the IDFT run on blocks of ``_RANGE_COLUMNS`` CFR columns,
-    so the windowed CFR never exists whole."""
+    The window and the IDFT run on blocks of CFR columns, so the windowed
+    CFR never exists whole."""
     dsp.require_finite(cfr, "sensing CFR")
     nf, nt = cfr.shape
     if window_kind == "hamming":
@@ -98,7 +97,7 @@ def _range_profile(cfr: np.ndarray, window_kind: str, zero_pad: int) -> np.ndarr
         # strided columns is slower
         prof[:, start:stop] = np.fft.ifft(np.ascontiguousarray(z.T), n=nr, axis=1).T
 
-    dsp.run_blocks(range_idft, nt, _RANGE_COLUMNS)
+    dsp.run_blocks(range_idft, nt, width=nr)
     return prof
 
 
@@ -139,31 +138,39 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     time (Doppler, center-shifted), magnitude normalized to its peak.
 
     The Doppler DFT, its magnitude and the dB conversion run on blocks of
-    ``_MAP_ROWS`` range rows that write straight into one float64 map, so the
-    complex map never exists whole. Detections need no map: see `detect`."""
+    range rows that write straight into one float64 map, so the complex map
+    never exists whole. Detections need no map: see `detect`."""
     prof = _range_profile(cfr, window_kind, zero_pad)
     nr, nd = prof.shape[0], prof.shape[1] * zero_pad
     mag_db = np.empty((nr, nd))
-    block_peaks = []
-
-    def doppler(start: int, stop: int) -> None:
-        _doppler_magnitude(prof[start:stop], nd, mag_db[start:stop])
-        block_peaks.append(mag_db[start:stop].max())
-
-    dsp.run_blocks(doppler, nr, _MAP_ROWS)
+    peak = max(max(_block_maxima(prof, nd, mag_db).values()), 1e-300)
     del prof
-    peak = max(max(block_peaks), 1e-300)
-    dsp.run_blocks(lambda start, stop: _to_db(mag_db[start:stop], peak), nr, _MAP_ROWS)
+    dsp.run_blocks(lambda start, stop: _to_db(mag_db[start:stop], peak), nr, width=nd)
     range_axis, doppler_axis = _axes(cfg, mode, *cfr.shape, zero_pad)
     return RangeDopplerMap(magnitude_db=mag_db, range_axis_m=range_axis,
                            doppler_axis_hz=doppler_axis, mode=mode)
 
 
-def _max3_wrapped(m: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Largest value of the 3x3 neighborhood of each cell in rows
-    ``start:stop`` of ``m``, wrapping around both axes. Reads only those rows
-    and the one row on either side of them."""
-    rows = m.take(np.arange(start - 1, stop + 1), axis=0, mode="wrap")
+def _block_maxima(prof: np.ndarray, nd: int,
+                  out: np.ndarray | None = None) -> dict[int, float]:
+    """Largest Doppler magnitude of each block of range rows of the range
+    profile ``prof``, keyed by the block's first row. The magnitudes are
+    written into the same rows of ``out`` when it is given."""
+    maxima = {}
+
+    def block(start: int, stop: int) -> None:
+        mag = np.empty((stop - start, nd)) if out is None else out[start:stop]
+        _doppler_magnitude(prof[start:stop], nd, mag)
+        maxima[start] = mag.max()
+
+    dsp.run_blocks(block, prof.shape[0], width=nd)
+    return maxima
+
+
+def _max3_wrapped(rows: np.ndarray) -> np.ndarray:
+    """Largest value of the 3x3 neighborhood of each cell of ``rows[1:-1]``,
+    wrapping around the columns; the first and last of ``rows`` are the
+    halo rows above and below."""
     # neighbor maximum along the Doppler axis, over shifted slices
     cols = rows.copy()
     np.maximum(cols[:, 1:], rows[:, :-1], out=cols[:, 1:])
@@ -176,16 +183,37 @@ def _max3_wrapped(m: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _peak_test(m: np.ndarray, start: int, stop: int, threshold_db: float,
-               out: np.ndarray) -> None:
-    """Marks in ``out`` the cells of rows ``start:stop`` of the dB map ``m``
-    that are 3x3 local maxima at or above ``threshold_db``."""
-    # both axes are DFT axes, so the local-maximum test wraps around; a cell
-    # equal to the largest of its 3x3 neighborhood ties or beats every
-    # neighbor
-    mb = m[start:stop]
-    np.equal(mb, _max3_wrapped(m, start, stop), out=out)
-    out &= mb >= threshold_db
+def _local_maxima(db_rows: Callable[[int, int], np.ndarray], nr: int, nd: int,
+                  threshold_db: float, live: set[int] | None = None) -> tuple[np.ndarray, ...]:
+    """The cells of an ``nr`` x ``nd`` dB map that are 3x3 local maxima at
+    or above ``threshold_db``, both axes wrapped, in row-major order.
+
+    Runs on blocks of range rows; ``db_rows(start, stop)`` gives the dB rows
+    ``start - 1`` to ``stop`` of the map, wrapped: the block and a halo row
+    on either side. Only the blocks whose first row is in ``live`` are
+    searched, all of them when it is None. Returns the rows and columns of
+    the maxima and the dB values of each and its two wrapped neighbours,
+    along range and along Doppler, as two (3, count) arrays."""
+    found = {}
+    off = np.arange(3)[:, None]
+
+    def block(start: int, stop: int) -> None:
+        if live is not None and start not in live:
+            return
+        b = db_rows(start, stop)
+        # a cell equal to the largest of its 3x3 neighborhood ties or beats
+        # every neighbor
+        mb = b[1:-1]
+        is_peak = mb == _max3_wrapped(b)
+        is_peak &= mb >= threshold_db
+        i, j = np.nonzero(is_peak)
+        # row k of b is range row start - 1 + k
+        found[start] = (i + start, j, b[i + off, j], b[i + 1, (j + off - 1) % nd])
+
+    dsp.run_blocks(block, nr, width=nd)
+    # blocks in row order, so the maxima are in the map's row-major order
+    return tuple(np.concatenate(parts, axis=-1)
+                 for parts in zip(*(found[s] for s in sorted(found))))
 
 
 def _check_threshold(threshold_db: float) -> None:
@@ -193,19 +221,16 @@ def _check_threshold(threshold_db: float) -> None:
         raise ValueError("threshold_db must be negative (relative to the map peak)")
 
 
-def _detections(values: np.ndarray, ri: np.ndarray, di: np.ndarray, around,
+def _detections(ri: np.ndarray, di: np.ndarray, near_r: np.ndarray, near_d: np.ndarray,
                 range_axis: np.ndarray, doppler_axis: np.ndarray,
                 max_peaks: int) -> list[Detection]:
-    """The ``max_peaks`` strongest of the local maxima at rows ``ri`` and
-    columns ``di`` (in row-major order) with dB ``values``, refined to sub-bin
-    positions. ``around(sel)`` gives the dB values of the selected maxima
-    ``sel`` and their two wrapped neighbours, along range and along Doppler,
-    as two (3, len(sel)) arrays."""
+    """The ``max_peaks`` strongest of the local maxima that `_local_maxima`
+    returns, refined to sub-bin positions."""
+    values = near_r[1]
     sel = np.argsort(values)[::-1][:max_peaks]
-    near_r, near_d = around(sel)
     # vertex of the linear magnitude at each detection and its neighbours
-    frac_r = dsp.parabolic_vertex(*10.0 ** (near_r / 20.0))
-    frac_d = dsp.parabolic_vertex(*10.0 ** (near_d / 20.0))
+    frac_r = dsp.parabolic_vertex(*10.0 ** (near_r[:, sel] / 20.0))
+    frac_d = dsp.parabolic_vertex(*10.0 ** (near_d[:, sel] / 20.0))
 
     dets = []
     dr = range_axis[1] - range_axis[0]
@@ -230,20 +255,10 @@ def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
     parabolic sub-bin refinement in both axes, sorted by magnitude."""
     _check_threshold(threshold_db)
     m = rd_map.magnitude_db
-    nr, nd = m.shape
-    is_peak = np.empty(m.shape, dtype=bool)
-    dsp.run_blocks(lambda start, stop: _peak_test(m, start, stop, threshold_db,
-                                                  is_peak[start:stop]),
-                   nr, _MAP_ROWS)
-    ri, di = np.nonzero(is_peak)
-    off = np.arange(-1, 2)[:, None]
-
-    def around(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r, d = ri[sel], di[sel]
-        return m[(r + off) % nr, d], m[r, (d + off) % nd]
-
-    return _detections(m[ri, di], ri, di, around, rd_map.range_axis_m,
-                       rd_map.doppler_axis_hz, max_peaks)
+    maxima = _local_maxima(
+        lambda start, stop: m.take(np.arange(start - 1, stop + 1), axis=0, mode="wrap"),
+        *m.shape, threshold_db)
+    return _detections(*maxima, rd_map.range_axis_m, rd_map.doppler_axis_hz, max_peaks)
 
 
 def detect(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode, window_kind: str,
@@ -252,52 +267,30 @@ def detect(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode, window_kind: st
     bit for bit, without the map.
 
     Only the range profile and per-block temporaries are live. Two sweeps
-    over blocks of ``_MAP_ROWS`` range rows redo the Doppler DFT. The first
-    keeps each block's largest magnitude; their maximum sets the map's 0 dB.
-    The second skips each block whose largest cell is below the threshold by
-    more than ``_DB_SLACK``. It converts every other block and one wrapped
-    halo row on either side of it to dB, runs the peak test and keeps the
-    block's local maxima with the dB values of their range and Doppler
-    neighbours."""
+    over blocks of range rows redo the Doppler DFT. The first keeps each
+    block's largest magnitude; their maximum sets the map's 0 dB. The second
+    skips each block whose largest cell is below the threshold by more than
+    ``_DB_SLACK``. For every other block it converts the block and one
+    wrapped halo row on either side of it to dB and searches them for local
+    maxima."""
     _check_threshold(threshold_db)
     prof = _range_profile(cfr, window_kind, zero_pad)
     nr, nd = prof.shape[0], prof.shape[1] * zero_pad
-    block_peaks = {}
-
-    def block_peak(start: int, stop: int) -> None:
-        mag = np.empty((stop - start, nd))
-        _doppler_magnitude(prof[start:stop], nd, mag)
-        block_peaks[start] = mag.max()
-
-    dsp.run_blocks(block_peak, nr, _MAP_ROWS)
+    block_peaks = _block_maxima(prof, nd)
     starts = sorted(block_peaks)
     top_db = np.array([block_peaks[s] for s in starts])
     peak = max(top_db.max(), 1e-300)
     _to_db(top_db, peak)
     live = {s for s, v in zip(starts, top_db) if v >= threshold_db - _DB_SLACK}
-    found = {}
-    off = np.arange(3)[:, None]
 
-    def candidates(start: int, stop: int) -> None:
-        if start not in live:
-            return
-        # dB rows start - 1 ... stop, wrapped: the block and its halo
+    def db_rows(start: int, stop: int) -> np.ndarray:
         b = np.empty((stop - start + 2, nd))
         _doppler_magnitude(prof.take(np.arange(start - 1, stop + 1), axis=0, mode="wrap"),
                            nd, b)
         _to_db(b, peak)
-        is_peak = np.empty((stop - start, nd), dtype=bool)
-        _peak_test(b, 1, stop - start + 1, threshold_db, is_peak)
-        i, j = np.nonzero(is_peak)
-        # row k of b is range row start - 1 + k
-        found[start] = (i + start, j, b[i + off, j], b[i + 1, (j + off - 1) % nd])
+        return b
 
-    dsp.run_blocks(candidates, nr, _MAP_ROWS)
+    maxima = _local_maxima(db_rows, nr, nd, threshold_db, live)
     del prof
-    # blocks in row order, so the local maxima are in the map's row-major order
-    ri, di, near_r, near_d = (np.concatenate(parts, axis=-1)
-                              for parts in zip(*(found[s] for s in sorted(found))))
     range_axis, doppler_axis = _axes(cfg, mode, *cfr.shape, zero_pad)
-    return _detections(near_r[1], ri, di,
-                       lambda sel: (near_r[off, sel], near_d[off, sel]),
-                       range_axis, doppler_axis, max_peaks)
+    return _detections(*maxima, range_axis, doppler_axis, max_peaks)

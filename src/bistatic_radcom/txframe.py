@@ -69,7 +69,9 @@ def map_qpsk(bits: np.ndarray) -> np.ndarray:
     symbols = np.empty(b.shape[0], dtype=np.complex128)
     index = 2 * b[:, 0]
     index += b[:, 1]
-    return np.take(_QPSK, index, out=symbols)
+    # the index is 0 to 3, so "clip" never clips; unlike the default
+    # "raise", it writes straight into ``out`` without a buffer of its size
+    return np.take(_QPSK, index, out=symbols, mode="clip")
 
 
 @functools.lru_cache(maxsize=8)
@@ -151,15 +153,12 @@ def symbols_from_grid(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return grid[:, cfg.m_preamble:].T[frame_tables(cfg).data_mask.T]
 
 
-_MODULATE_COLUMNS = 64  # OFDM symbols transformed per block
-
-
 def modulate(grid: np.ndarray, cfg: FrameConfig) -> IqStream:
     """Per-column unitary IDFT, CP prepend, P/S concatenation.
 
-    Blocks of ``_MODULATE_COLUMNS`` columns are transformed at a time, each
-    straight into its rows of one (M, N + CP) output array, so no transform
-    of the whole grid is ever held."""
+    Blocks of columns are transformed at a time, each straight into its rows
+    of one (M, N + CP) output array, so no transform of the whole grid is
+    ever held."""
     cp = cfg.cp_len
     out = np.empty((grid.shape[1], grid.shape[0] + cp), dtype=np.complex128)
 
@@ -168,7 +167,7 @@ def modulate(grid: np.ndarray, cfg: FrameConfig) -> IqStream:
         out[start:stop, cp:] = time_syms
         out[start:stop, :cp] = time_syms[:, -cp:]
 
-    run_blocks(block, grid.shape[1], _MODULATE_COLUMNS)
+    run_blocks(block, grid.shape[1], width=grid.shape[0])
     return IqStream(samples=out.reshape(-1), nominal_rate=cfg.bandwidth_hz)
 
 

@@ -519,12 +519,14 @@ def test_read_iq_checks_sidecar_before_reading_samples(tmp_path, monkeypatch):
     iq = tmp_path / "rx.iq"
     iq.write_bytes(bytes(8 * 100))
     read = []
-    read_bytes = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self) or read_bytes(self))
+    for name in ("open", "read_bytes"):
+        method = getattr(Path, name)
+        monkeypatch.setattr(Path, name, lambda self, *args, _method=method, **kw:
+                            read.append(self) or _method(self, *args, **kw))
     with pytest.raises(ConfigError) as exc:
         read_iq(iq)
     assert exc.value.violations == [f"missing sidecar file: {iq}.json"]
-    assert read == []
+    assert iq not in read
 
 
 def test_capture_past_sample_budget_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Resampling and fractional-delay primitives."""
 
+import ast
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,16 +240,52 @@ def blocked(fn, block, workers):
 
 
 def test_run_blocks_reads_block_size_per_call():
-    """The default block size is read when `run_blocks` is called, so the
-    block-edge tests that patch ``_BLOCK`` do cut their inputs into blocks."""
-    def spans(**kw):
+    """The block size is read when `run_blocks` is called, so the block-edge
+    tests that patch ``_BLOCK`` do cut their inputs into blocks. A block
+    holds ``_BLOCK // width`` items of ``width`` elements, the last block
+    ragged, and one item where an item holds more than ``_BLOCK`` elements;
+    no items make no block. The edges are the same on any number of
+    threads."""
+    def spans(n=1000, width=1):
         seen = []
-        dsp.run_blocks(lambda a, b: seen.append((a, b)), 1000, **kw)
+        dsp.run_blocks(lambda a, b: seen.append((a, b)), n, width=width)
         return sorted(seen)
 
     assert spans() == [(0, 1000)]
-    assert blocked(spans, 300, 2) == [(0, 300), (300, 600), (600, 900), (900, 1000)]
-    assert blocked(lambda: spans(size=500), 300, 2) == [(0, 500), (500, 1000)]
+    n = dsp._BLOCK + 5
+    assert spans(n) == [(0, dsp._BLOCK), (dsp._BLOCK, n)]
+    for workers in (1, 3):
+        assert blocked(spans, 300, workers) == [(0, 300), (300, 600), (600, 900),
+                                                (900, 1000)]
+        assert blocked(lambda: spans(width=2), 1000, workers) == [(0, 500), (500, 1000)]
+        assert blocked(lambda: spans(10, 3), 10, workers) == [(0, 3), (3, 6), (6, 9),
+                                                              (9, 10)]
+        assert blocked(lambda: spans(9, 4), 10, workers) == [(0, 2), (2, 4), (4, 6),
+                                                             (6, 8), (8, 9)]
+        assert blocked(lambda: spans(3, 11), 10, workers) == [(0, 1), (1, 2), (2, 3)]
+        assert blocked(lambda: spans(0, 3), 10, workers) == []
+
+
+def test_run_blocks_is_given_item_widths_only():
+    """`run_blocks` is the one place that sizes a block: every call in the
+    package passes the block function, the item count and at most the
+    ``width`` of one item, by keyword, and no block count of its own."""
+    src = Path(__file__).resolve().parent.parent / "src" / "bistatic_radcom"
+    block_count = re.compile(r"block|_(ROWS|COLUMNS|CELLS|STEPS|PHASES)$", re.IGNORECASE)
+    calls, offenders = 0, []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and "run_blocks" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                continue
+            calls += 1
+            names = {getattr(n, "id", None) or getattr(n, "attr", "")
+                     for kw in node.keywords for n in ast.walk(kw.value)}
+            if (len(node.args) != 2 or any(kw.arg != "width" for kw in node.keywords)
+                    or any(block_count.search(name) for name in names if name)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert calls > 10
+    assert offenders == []
 
 
 def complex_noise(seed, n):
@@ -482,7 +520,7 @@ def test_polyphase_table_matches_whole_table_formula():
     for phases in (1, 7, 1000, 1 << 16):
         for workers in (1, 3):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(dsp, "_TABLE_PHASES", phases)
+                mp.setattr(dsp, "_BLOCK", phases * dsp._POLY_TAPS)
                 mp.setattr(dsp, "_workers", lambda: workers)
                 table = dsp._tap_major_table.__wrapped__()
             assert table.flags.c_contiguous
@@ -539,7 +577,7 @@ def test_package_runs_without_scipy_installed(tmp_path):
         assert (here / f).read_bytes() == (tmp_path / "bare" / f).read_bytes(), f
 
 
-@pytest.mark.parametrize("chunk", [428, 428 * 2, 428 * 3, 428 * dsp._OA_STEPS])
+@pytest.mark.parametrize("chunk", [428, 428 * 2, 428 * 3, 428 * 64])
 @pytest.mark.parametrize("n, delay, len_offset", [
     (428 * 5, 3.4, 0), (428 * 5 + 17, 0.25, 40), (428 * 7 + 300, 70.75, -100),
     (800, 12.5, 0), (428 * 2 + 1, -20.6, 5), (428 * 64 * 2 + 999, 5007.25, 0)])
@@ -552,7 +590,7 @@ def test_chunked_fractional_delay_matches_one_shot(chunk, n, delay, len_offset):
     want = fractional_delay_one_shot(x, delay, out_len)
     for workers in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dsp, "_OA_STEPS", chunk // dsp._OA_STEP)
+            mp.setattr(dsp, "_BLOCK", chunk // dsp._OA_STEP * dsp._OA_FFT)
             mp.setattr(dsp, "_workers", lambda: workers)
             got = fractional_delay(x, delay, out_len)
         assert same_bits(got, want)

@@ -273,7 +273,9 @@ def extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks):
     return dets
 
 
-# Blocks of a few rows put every edge case at a block edge; 64 is the default.
+# Blocks of a few rows put every edge case at a block edge; 64 was the
+# default. A block holds ``dsp._BLOCK`` cells, so rows of ``nd`` cells are
+# cut into blocks of ``rows`` with ``dsp._BLOCK = rows * nd``.
 ROWS_PER_BLOCK = st.sampled_from([1, 2, 3, 5, 64])
 WORKERS = st.sampled_from([1, 3])
 
@@ -289,7 +291,7 @@ def test_range_doppler_matches_complex_map_oracle(seed, nf, nt, window_kind, zer
     rng = np.random.default_rng(seed)
     cfr = rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radar, "_MAP_ROWS", rows)
+        mp.setattr(dsp, "_BLOCK", rows * nt * zero_pad)
         mp.setattr(dsp, "_workers", lambda: workers)
         got = range_doppler(cfr, desk_cfg(), SensingMode.PILOT_ONLY,
                             window_kind=window_kind, zero_pad=zero_pad).magnitude_db
@@ -307,7 +309,7 @@ def test_blocked_range_idft_has_scipy_fft_bits(monkeypatch, columns, workers, nf
     map of whole-array ``scipy.fft`` transforms bit for bit."""
     rng = np.random.default_rng(nf * nt)
     cfr = rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))
-    monkeypatch.setattr(radar, "_RANGE_COLUMNS", columns)
+    monkeypatch.setattr(dsp, "_BLOCK", columns * nf * zero_pad)
     monkeypatch.setattr(dsp, "_workers", lambda: workers)
     got = range_doppler(cfr, desk_cfg(), SensingMode.PILOT_ONLY,
                         zero_pad=zero_pad).magnitude_db
@@ -338,7 +340,7 @@ def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max
                              doppler_axis_hz=(np.arange(nt) - nt // 2) * 25.0,
                              mode=SensingMode.PILOT_ONLY)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radar, "_MAP_ROWS", rows)
+        mp.setattr(dsp, "_BLOCK", rows * nt)
         mp.setattr(dsp, "_workers", lambda: workers)
         got = extract_peaks(rd_map, threshold_db, max_peaks=max_peaks)
     want = extract_peaks_roll_oracle(rd_map, threshold_db, max_peaks)
@@ -349,10 +351,13 @@ def test_extract_peaks_matches_roll_rule(seed, nf, nt, levels, threshold_db, max
        st.integers(1, 12), ROWS_PER_BLOCK)
 @settings(max_examples=100, deadline=None)
 def test_max3_blocks_match_wrapped_maximum_filter(seed, nf, nt, levels, rows):
-    """The row blocks of the 3x3 maximum, put together, are ndimage's wrapped
-    maximum filter, down to maps of one row or column."""
+    """The 3x3 maximum of row blocks, each read with a wrapped halo row on
+    either side, put together, is ndimage's wrapped maximum filter, down to
+    maps of one row or column."""
     m = quantized_map(seed, nf, nt, levels)
-    blocks = [_max3_wrapped(m, s, min(s + rows, nf)) for s in range(0, nf, rows)]
+    blocks = [_max3_wrapped(m.take(np.arange(s - 1, min(s + rows, nf) + 1), axis=0,
+                                   mode="wrap"))
+              for s in range(0, nf, rows)]
     assert np.array_equal(np.concatenate(blocks),
                           ndimage.maximum_filter(m, size=3, mode="wrap"))
 
@@ -406,11 +411,17 @@ def test_detect_matches_peaks_of_the_map(seed, nf, nt, window_kind, zero_pad, ki
     rng = np.random.default_rng(seed)
     cfr = sensing_cfr(rng, kind, nf, nt, zero_pad)
     cfg, mode = desk_cfg(), SensingMode.PILOT_ONLY
+    nd = nt * zero_pad
+
+    def reversed_blocks(block, n, width=1):
+        size = max(dsp._BLOCK // width, 1)
+        for s in reversed(range(0, n, size)):
+            block(s, min(s + size, n))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radar, "_MAP_ROWS", rows)
+        mp.setattr(dsp, "_BLOCK", rows * nd)
         if workers == "reversed":
-            mp.setattr(dsp, "run_blocks", lambda block, n, size: [
-                block(s, min(s + size, n)) for s in reversed(range(0, n, size))])
+            mp.setattr(dsp, "run_blocks", reversed_blocks)
         else:
             mp.setattr(dsp, "_workers", lambda: workers)
         rd = range_doppler(cfr, cfg, mode, window_kind=window_kind, zero_pad=zero_pad)

@@ -219,7 +219,7 @@ def test_blocked_modulate_matches_one_shot(monkeypatch, columns, workers):
     rng = np.random.default_rng(columns)
     shape = (cfg.n_subcarriers, cfg.m_total)
     grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    monkeypatch.setattr(txframe, "_MODULATE_COLUMNS", columns)
+    monkeypatch.setattr(dsp, "_BLOCK", columns * cfg.n_subcarriers)
     monkeypatch.setattr(dsp, "_workers", lambda: workers)
     got = modulate(grid, cfg).samples
     want = modulate_one_shot(grid, cfg)
