@@ -81,12 +81,18 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def block_items(width: int = 1) -> int:
+    """Items of ``width`` elements in one `run_blocks` block: ``_BLOCK //
+    width``, at least one."""
+    return max(_BLOCK // width, 1)
+
+
 def run_blocks(block: Callable[[int, int], None], n: int, width: int = 1) -> None:
     """Call ``block(start, stop)`` on consecutive slices of ``range(n)``, on
     up to one thread per CPU. Each of the ``n`` items holds ``width``
     elements (a sample, a grid row or column, ...); a slice holds
-    ``_BLOCK // width`` items, at least one."""
-    size = max(_BLOCK // width, 1)
+    `block_items(width)` items."""
+    size = block_items(width)
     starts = range(0, n, size)
     with ThreadPoolExecutor(max_workers=max(1, min(_workers(), len(starts)))) as pool:
         futures = [pool.submit(block, s, min(s + size, n)) for s in starts]

@@ -2,13 +2,20 @@
 
 Sensing input is either the pilot-position CFR submatrix or, when the
 payload was decoded, a data-aided full CFR: the received payload grid
-divided by the transmit payload grid that the TX code builds from the
-decoded info bits. Range axis is relative bistatic range with zero at the
-synchronization-locked main path.
+divided by the transmit payload cells that the TX code maps from the
+re-encoded decoded info bits. Range axis is relative bistatic range with
+zero at the synchronization-locked main path.
 
-`extract_peaks` and `detect` find their local maxima with one search over
-blocks of range rows (`_local_maxima`), on dB rows taken from the map or
-recomputed from the range profile.
+Neither the complex map nor the whole range profile is ever held. The
+profile is made in slabs of whole blocks of range rows (`_slabs`), each of
+at most the payload grid's N x M_pl cells plus a wrapped halo row on either
+side: a full frame at zero padding z takes z slabs, a pilot-only profile
+one up to z = dN * dM. `range_doppler` writes each slab's Doppler
+magnitudes into its float64 map. `detect` transforms only the blocks whose
+L1 row bound can reach the threshold and keeps the profile rows of those
+that may. `extract_peaks` and `detect` find their local maxima with one
+search over blocks of range rows (`_local_maxima`), on dB rows taken from
+the map or recomputed from the kept rows.
 """
 
 from __future__ import annotations
@@ -20,15 +27,19 @@ import numpy as np
 
 from . import dsp
 from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode
-from .txframe import map_payload, payload_grid, pilot_cfr
+from .txframe import encode_payload, payload_columns, pilot_cfr
 
 # Largest range-Doppler map a scenario may ask for, checked by
-# `load_scenario` before anything is allocated (`map_cells`). Detections of
-# a map of c cells at zero padding z hold the complex range profile
-# (16 / z B per cell) and a few blocks of rows: 268 MB at the budget and
-# z = 4, 1.07 GB at z = 1. Only a written map (`sensing.write_map_csv`) also
-# holds the float64 map (8 B per cell): 805 MB at the budget and z = 4,
-# 1.61 GB at z = 1.
+# `load_scenario` before anything is allocated (`map_cells`). The complex
+# range profile of a map of c cells at zero padding z takes 16 / z B per
+# cell, made one slab of at most N x M_pl cells at a time: a full-frame slab
+# is 16 / z^2 B per cell, a pilot-only one (z <= dN * dM) the whole profile.
+# Detections hold a slab and the rows of the blocks that may reach the
+# threshold, the whole profile when every block does, as on noise: 268 MB
+# at the budget and z = 4, 1.07 GB at z = 1. Only a written map
+# (`sensing.write_map_csv`) also holds the float64 map (8 B per cell) next
+# to one slab: 805 MB at the budget and z = 4 (604 MB full-frame), 1.61 GB
+# at z = 1.
 MAX_MAP_CELLS = 1 << 26
 
 # dB by which a block's largest cell must fall short of the detection
@@ -36,6 +47,12 @@ MAX_MAP_CELLS = 1 << 26
 # the dB conversion (about 1e-12 dB at the lowest level a map can hold), so a
 # skipped block holds no cell at or above the threshold
 _DB_SLACK = 1e-6
+
+# Factor by which `detect` scales an L1 row bound or a block's largest
+# magnitude before it compares them with the threshold: a computed Doppler
+# magnitude may exceed the computed L1 norm of its row by a few ulps, and
+# the dB conversion rounds, both far below 1e-9
+_MARGIN = 1.0 + 1e-9
 
 
 @dataclass
@@ -55,14 +72,25 @@ class Detection:
 
 def cfr_for_sensing(grid: np.ndarray, cfg: FrameConfig, mode: SensingMode,
                     decoded_info_bits: np.ndarray | None = None) -> np.ndarray:
-    """Sensing CFR matrix: pilot submatrix, or full-grid Y/X with the TX
-    payload grid rebuilt from the decoded info bits."""
+    """Sensing CFR matrix: pilot submatrix, or full-grid Y/X against the TX
+    payload cells mapped from the re-encoded decoded info bits.
+
+    Y/X runs on blocks of payload symbols, each divided by its TX columns
+    (`payload_columns`), so neither the TX symbols nor the TX payload grid
+    exist whole."""
     if mode is SensingMode.PILOT_ONLY:
         return pilot_cfr(grid, cfg)
     if decoded_info_bits is None:
         raise RuntimeError("full-frame sensing requires decoded bits")
-    _, symbols = map_payload(decoded_info_bits, cfg)
-    return grid / payload_grid(cfg, symbols)
+    coded = encode_payload(decoded_info_bits, cfg).coded_bits
+    out = np.empty(grid.shape, dtype=np.complex128)
+
+    def block(start: int, stop: int) -> None:
+        np.divide(grid[:, start:stop], payload_columns(cfg, coded, start, stop),
+                  out=out[:, start:stop])
+
+    dsp.run_blocks(block, cfg.m_payload, width=cfg.n_subcarriers)
+    return out
 
 
 def map_cells(cfg: FrameConfig, mode: SensingMode, zero_pad: int) -> int:
@@ -71,21 +99,41 @@ def map_cells(cfg: FrameConfig, mode: SensingMode, zero_pad: int) -> int:
     return (cfg.n_subcarriers // dn * zero_pad) * (cfg.m_payload // dm * zero_pad)
 
 
-def _range_profile(cfr: np.ndarray, window_kind: str, zero_pad: int) -> np.ndarray:
-    """Windowed range IDFT of each CFR column, zero-padded ``zero_pad``-fold.
-
-    The window and the IDFT run on blocks of CFR columns, so the windowed
-    CFR never exists whole."""
+def _windows(cfr: np.ndarray, window_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency and time windows of the sensing CFR ``cfr``."""
     dsp.require_finite(cfr, "sensing CFR")
     nf, nt = cfr.shape
     if window_kind == "hamming":
-        wf, wt = np.hamming(nf), np.hamming(nt)
-    elif window_kind == "rect":
-        wf, wt = np.ones(nf), np.ones(nt)
-    else:
-        raise ValueError(f"unknown window kind: {window_kind}")
-    nr = nf * zero_pad
-    prof = np.empty((nr, nt), dtype=np.complex128)
+        return np.hamming(nf), np.hamming(nt)
+    if window_kind == "rect":
+        return np.ones(nf), np.ones(nt)
+    raise ValueError(f"unknown window kind: {window_kind}")
+
+
+def _slabs(cfg: FrameConfig, nr: int, nt: int, nd: int) -> list[tuple[int, int]]:
+    """First and last-plus-one range rows of each slab of an ``nr`` x ``nt``
+    range profile whose Doppler DFT has ``nd`` points: as many whole blocks
+    of range rows (`dsp.run_blocks` of width ``nd``) as hold at most the
+    payload grid's N x M_pl cells, at least one block."""
+    block = dsp.block_items(nd)
+    rows = max(cfg.n_subcarriers * cfg.m_payload // (nt * block), 1) * block
+    return [(r0, min(r0 + rows, nr)) for r0 in range(0, nr, rows)]
+
+
+def _range_slab(cfr: np.ndarray, windows: tuple[np.ndarray, np.ndarray], nr: int,
+                r0: int, r1: int, buf: np.ndarray | None,
+                l1: dict[int, np.ndarray] | None = None) -> np.ndarray:
+    """Rows ``r0 - 1`` to ``r1`` of the range profile, wrapped: the slab
+    ``r0:r1`` and a halo row on either side. The profile is the windowed
+    range IDFT of each CFR column, zero-padded to ``nr`` points.
+
+    The rows are written into the first rows of ``buf`` when it is given.
+    The window and the IDFT run on blocks of CFR columns, so the windowed
+    CFR never exists whole. With ``l1``, each block also stores there, under
+    its first column, the L1 norm of each slab row over its columns."""
+    wf, wt = windows
+    nt = cfr.shape[1]
+    out = np.empty((r1 - r0 + 2, nt), dtype=np.complex128) if buf is None else buf[:r1 - r0 + 2]
 
     def range_idft(start: int, stop: int) -> None:
         # frequency rows arrive in DFT index order (DC first, negative
@@ -95,10 +143,23 @@ def _range_profile(cfr: np.ndarray, window_kind: str, zero_pad: int) -> np.ndarr
         z = np.fft.fftshift(cfr[:, start:stop], axes=0) * wf[:, None] * wt[start:stop]
         # transform contiguous rows of the transposed block: NumPy's FFT along
         # strided columns is slower
-        prof[:, start:stop] = np.fft.ifft(np.ascontiguousarray(z.T), n=nr, axis=1).T
+        p = np.fft.ifft(np.ascontiguousarray(z.T), n=nr, axis=1)
+        out[1:-1, start:stop] = p[:, r0:r1].T
+        # the halo rows; r0 - 1 = -1 is the last row
+        out[0, start:stop] = p[:, r0 - 1]
+        out[-1, start:stop] = p[:, r1 % nr]
+        if l1 is not None:
+            l1[start] = np.abs(p[:, r0:r1]).sum(axis=0)
 
-    dsp.run_blocks(range_idft, nt, width=nr)
-    return prof
+    # a column writes r1 - r0 + 2 elements of the slab
+    dsp.run_blocks(range_idft, nt, width=r1 - r0 + 2)
+    return out
+
+
+def _slab_blocks(block: Callable[[int, int], None], r0: int, r1: int, nd: int) -> None:
+    """``block(start, stop)`` on the blocks of range rows of the slab
+    ``r0:r1``, with the rows numbered as in the whole profile."""
+    dsp.run_blocks(lambda start, stop: block(r0 + start, r0 + stop), r1 - r0, width=nd)
 
 
 def _doppler_magnitude(rows: np.ndarray, nd: int, out: np.ndarray) -> None:
@@ -137,34 +198,34 @@ def range_doppler(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode,
     """Windowed 2-D periodogram: IDFT over frequency (delay/range), DFT over
     time (Doppler, center-shifted), magnitude normalized to its peak.
 
-    The Doppler DFT, its magnitude and the dB conversion run on blocks of
-    range rows that write straight into one float64 map, so the complex map
-    never exists whole. Detections need no map: see `detect`."""
-    prof = _range_profile(cfr, window_kind, zero_pad)
-    nr, nd = prof.shape[0], prof.shape[1] * zero_pad
+    The range profile is made one slab at a time (`_slabs`, one buffer for
+    all of them). The Doppler DFT and its magnitude run on the slab's blocks
+    of range rows, each written straight into its rows of one float64 map,
+    and the dB conversion then runs on blocks of the map; so neither the
+    complex map nor the whole profile ever exists. Detections need no map:
+    see `detect`."""
+    windows = _windows(cfr, window_kind)
+    nf, nt = cfr.shape
+    nr, nd = nf * zero_pad, nt * zero_pad
     mag_db = np.empty((nr, nd))
-    peak = max(max(_block_maxima(prof, nd, mag_db).values()), 1e-300)
-    del prof
+    tops = []
+    slab = None
+    for r0, r1 in _slabs(cfg, nr, nt, nd):
+        slab = _range_slab(cfr, windows, nr, r0, r1, slab)
+
+        def block(start: int, stop: int) -> None:
+            mag = mag_db[start:stop]
+            # row k of the slab is profile row r0 - 1 + k
+            _doppler_magnitude(slab[start - r0 + 1:stop - r0 + 1], nd, mag)
+            tops.append(mag.max())
+
+        _slab_blocks(block, r0, r1, nd)
+    del slab
+    peak = max(max(tops), 1e-300)
     dsp.run_blocks(lambda start, stop: _to_db(mag_db[start:stop], peak), nr, width=nd)
-    range_axis, doppler_axis = _axes(cfg, mode, *cfr.shape, zero_pad)
+    range_axis, doppler_axis = _axes(cfg, mode, nf, nt, zero_pad)
     return RangeDopplerMap(magnitude_db=mag_db, range_axis_m=range_axis,
                            doppler_axis_hz=doppler_axis, mode=mode)
-
-
-def _block_maxima(prof: np.ndarray, nd: int,
-                  out: np.ndarray | None = None) -> dict[int, float]:
-    """Largest Doppler magnitude of each block of range rows of the range
-    profile ``prof``, keyed by the block's first row. The magnitudes are
-    written into the same rows of ``out`` when it is given."""
-    maxima = {}
-
-    def block(start: int, stop: int) -> None:
-        mag = np.empty((stop - start, nd)) if out is None else out[start:stop]
-        _doppler_magnitude(prof[start:stop], nd, mag)
-        maxima[start] = mag.max()
-
-    dsp.run_blocks(block, prof.shape[0], width=nd)
-    return maxima
 
 
 def _max3_wrapped(rows: np.ndarray) -> np.ndarray:
@@ -264,33 +325,81 @@ def extract_peaks(rd_map: RangeDopplerMap, threshold_db: float,
 def detect(cfr: np.ndarray, cfg: FrameConfig, mode: SensingMode, window_kind: str,
            zero_pad: int, threshold_db: float, max_peaks: int = 16) -> list[Detection]:
     """``extract_peaks(range_doppler(cfr, ...), threshold_db, max_peaks)``,
-    bit for bit, without the map.
+    bit for bit, without the map or the whole range profile.
 
-    Only the range profile and per-block temporaries are live. Two sweeps
-    over blocks of range rows redo the Doppler DFT. The first keeps each
-    block's largest magnitude; their maximum sets the map's 0 dB. The second
-    skips each block whose largest cell is below the threshold by more than
-    ``_DB_SLACK``. For every other block it converts the block and one
-    wrapped halo row on either side of it to dB and searches them for local
-    maxima."""
+    The profile is made one slab at a time (`_slabs`). Each block of range
+    rows gets a bound, the largest L1 norm of its rows times ``_MARGIN``,
+    that none of its Doppler magnitudes can exceed. In each slab the block
+    with the largest bound is transformed first and its largest magnitude
+    raises a running peak; then, on the threads, each other block is
+    transformed only when its bound reaches the threshold below that peak.
+    A block whose largest magnitude still reaches it keeps its profile rows
+    and a halo row on either side, until a higher peak puts it below.
+
+    The map's 0 dB is the largest of the transformed blocks' maxima, as no
+    skipped block can hold the peak. Each block whose largest cell is below
+    the threshold by no more than ``_DB_SLACK`` is live: its kept rows are
+    transformed again, converted to dB and searched for local maxima."""
     _check_threshold(threshold_db)
-    prof = _range_profile(cfr, window_kind, zero_pad)
-    nr, nd = prof.shape[0], prof.shape[1] * zero_pad
-    block_peaks = _block_maxima(prof, nd)
-    starts = sorted(block_peaks)
-    top_db = np.array([block_peaks[s] for s in starts])
-    peak = max(top_db.max(), 1e-300)
+    windows = _windows(cfr, window_kind)
+    nf, nt = cfr.shape
+    nr, nd = nf * zero_pad, nt * zero_pad
+    block = dsp.block_items(nd)   # range rows of a block, as `_slab_blocks` cuts them
+    # a block can reach the threshold only if its bound or its largest
+    # magnitude, times _MARGIN, is at least `floor` times the peak
+    floor = 10.0 ** ((threshold_db - _DB_SLACK) / 20.0)
+    tops: dict[int, float] = {}        # largest magnitude of each transformed block
+    kept: dict[int, np.ndarray] = {}   # rows start - 1 to stop of each block kept
+    peak = 0.0
+    buf = None
+    for r0, r1 in _slabs(cfg, nr, nt, nd):
+        l1: dict[int, np.ndarray] = {}
+        slab = _range_slab(cfr, windows, nr, r0, r1, buf, l1)
+        row_l1 = sum(l1[c] for c in sorted(l1))
+        starts = range(r0, r1, block)
+        bounds = {s: row_l1[s - r0:s - r0 + block].max() * _MARGIN for s in starts}
+
+        def transform(start: int, stop: int) -> None:
+            mag = np.empty((stop - start, nd))
+            # row k of the slab is profile row r0 - 1 + k
+            _doppler_magnitude(slab[start - r0 + 1:stop - r0 + 1], nd, mag)
+            tops[start] = mag.max()
+
+        first = max(starts, key=bounds.get)
+        transform(first, min(first + block, r1))
+        reach = floor * max(tops.values())
+
+        def rest(start: int, stop: int) -> None:
+            if start != first and bounds[start] >= reach:
+                transform(start, stop)
+
+        _slab_blocks(rest, r0, r1, nd)
+        peak = max(tops.values())
+        reach = floor * peak
+        # a higher peak may put blocks kept from earlier slabs below it
+        kept = {s: rows for s, rows in kept.items() if tops[s] * _MARGIN >= reach}
+        live = [s for s in starts if s in tops and tops[s] * _MARGIN >= reach]
+        whole = len(live) == len(starts)
+        for s in live:
+            rows = slab[s - r0:min(s + block, r1) - r0 + 2]
+            kept[s] = rows if whole else rows.copy()
+        # a slab kept whole is not overwritten by the next one
+        buf = None if whole else slab
+    del buf, slab
+
+    peak = max(peak, 1e-300)
+    starts = sorted(tops)
+    top_db = np.array([tops[s] for s in starts])
     _to_db(top_db, peak)
     live = {s for s, v in zip(starts, top_db) if v >= threshold_db - _DB_SLACK}
 
     def db_rows(start: int, stop: int) -> np.ndarray:
         b = np.empty((stop - start + 2, nd))
-        _doppler_magnitude(prof.take(np.arange(start - 1, stop + 1), axis=0, mode="wrap"),
-                           nd, b)
+        _doppler_magnitude(kept[start], nd, b)
         _to_db(b, peak)
         return b
 
     maxima = _local_maxima(db_rows, nr, nd, threshold_db, live)
-    del prof
-    range_axis, doppler_axis = _axes(cfg, mode, *cfr.shape, zero_pad)
+    del kept
+    range_axis, doppler_axis = _axes(cfg, mode, nf, nt, zero_pad)
     return _detections(*maxima, range_axis, doppler_axis, max_peaks)

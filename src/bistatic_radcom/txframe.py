@@ -9,8 +9,9 @@ This module is the sole owner of that layout: the pilot comb
 ``[::dN, ::dM]``, the seeded pilot and preamble symbols, and the
 column-major order of the data cells. :func:`frame_tables` builds it, one
 cached, read-only table set per ``FrameConfig``, and is the only way to
-reach it; :func:`payload_grid`, :func:`symbols_from_grid` and
-:func:`pilot_cfr` read the payload region through those tables.
+reach it; :func:`payload_grid`, :func:`payload_columns`,
+:func:`symbols_from_grid` and :func:`pilot_cfr` read the payload region
+through those tables.
 """
 
 from __future__ import annotations
@@ -196,6 +197,25 @@ def map_coded_bits(coded_bits: np.ndarray, start: int, stop: int) -> np.ndarray:
     part = coded_bits[QPSK_BITS * start:QPSK_BITS * stop]
     bits[:part.size] = part
     return map_qpsk(bits)
+
+
+def payload_columns(cfg: FrameConfig, coded_bits: np.ndarray, start: int,
+                    stop: int) -> np.ndarray:
+    """Payload symbols ``start:stop`` (N x (stop - start)) of a frame
+    carrying ``coded_bits``: the pilots on the comb, and the data cells, one
+    contiguous run of the data order, mapped by `map_coded_bits`."""
+    tables = frame_tables(cfg)
+    dn, dm = cfg.pilot_freq_spacing, cfg.pilot_time_spacing
+
+    def first(m: int) -> int:
+        """Data cells in the payload symbols before symbol ``m``."""
+        return m * cfg.n_subcarriers - -(-m // dm) * cfg.n_pilot_rows
+
+    cols = np.zeros((cfg.n_subcarriers, stop - start), dtype=np.complex128)
+    cols[::dn, -start % dm::dm] = tables.pilots[:, -(-start // dm):-(-stop // dm)]
+    cols.T[tables.data_mask[:, start:stop].T] = map_coded_bits(coded_bits, first(start),
+                                                               first(stop))
+    return cols
 
 
 def map_payload(info_bits: np.ndarray, cfg: FrameConfig) -> tuple[PayloadBits, np.ndarray]:

@@ -193,6 +193,27 @@ def test_payload_grid_matches_tx():
         assert np.array_equal(grid, frame[:, cfg.m_preamble:])
 
 
+@pytest.mark.parametrize("columns", [1, 3, 64])
+@pytest.mark.parametrize("frame, n_info", [
+    (dict(n_subcarriers=256, cp_len=64, m_payload=128), None),
+    (dict(n_subcarriers=256, cp_len=64, m_payload=128), 1000),
+    (dict(n_subcarriers=96, cp_len=24, m_payload=72, pilot_freq_spacing=3,
+          pilot_time_spacing=6), 500)])
+def test_full_frame_cfr_is_grid_over_tx_payload(monkeypatch, columns, frame, n_info):
+    """Y/X on blocks of payload symbols gives the bits of the grid divided by
+    the whole TX payload grid, for blocks that start between pilot symbols
+    and for a payload shorter than the frame."""
+    cfg = FrameConfig(**frame)
+    rng = np.random.default_rng(columns)
+    info = rng.integers(0, 2, n_info or frame_capacity_bits(cfg)[0], dtype=np.uint8)
+    shape = (cfg.n_subcarriers, cfg.m_payload)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    monkeypatch.setattr(dsp, "_BLOCK", columns * cfg.n_subcarriers)
+    got = cfr_for_sensing(grid, cfg, SensingMode.FULL_FRAME, decoded_info_bits=info)
+    want = grid / payload_grid(cfg, map_payload(info, cfg)[1])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_range_doppler_rejects_non_finite():
     cfg = desk_cfg()
     cfr = np.ones((128, 32), dtype=complex)
@@ -226,16 +247,23 @@ def test_detect_rejects_what_the_map_and_its_peaks_reject():
 # their whole-map forms
 
 
-def range_doppler_db_oracle(cfr, window_kind, zero_pad, fft=np.fft):
-    """Peak-normalized dB map computed on the complex, shifted map, with the
-    transforms of ``fft`` (``numpy.fft`` or ``scipy.fft``) over whole arrays."""
+def range_profile_oracle(cfr, window_kind, zero_pad, fft=np.fft):
+    """Windowed, zero-padded range IDFT of the whole CFR, with the transform
+    of ``fft`` (``numpy.fft`` or ``scipy.fft``)."""
     nf, nt = cfr.shape
     if window_kind == "hamming":
         wf, wt = np.hamming(nf), np.hamming(nt)
     else:
         wf, wt = np.ones(nf), np.ones(nt)
     z = np.fft.fftshift(cfr, axes=0) * wf[:, None] * wt[None, :]
-    prof = fft.ifft(z, n=nf * zero_pad, axis=0)
+    return fft.ifft(z, n=nf * zero_pad, axis=0)
+
+
+def range_doppler_db_oracle(cfr, window_kind, zero_pad, fft=np.fft):
+    """Peak-normalized dB map computed on the complex, shifted map, with the
+    transforms of ``fft`` (``numpy.fft`` or ``scipy.fft``) over whole arrays."""
+    nt = cfr.shape[1]
+    prof = range_profile_oracle(cfr, window_kind, zero_pad, fft)
     rd = np.fft.fftshift(fft.fft(prof, n=nt * zero_pad, axis=1), axes=1)
     mag = np.abs(rd)
     return 20.0 * np.log10(np.maximum(mag, 1e-300) / max(mag.max(), 1e-300))
@@ -368,12 +396,14 @@ def detection_bits(dets):
                                          d.magnitude_db)) for d in dets]
 
 
-def sensing_cfr(rng, kind, nf, nt, zero_pad):
+def sensing_cfr(rng, kind, nf, nt, zero_pad, slab_edge=None):
     """A sensing CFR of one of four kinds: Gaussian noise; small integers,
     whose rect-window maps tie neighbors exactly in dB; one impulse, whose
     map is exactly flat, so that every cell is a local maximum and they all
     tie; or point targets on the map's first and last range rows and its
-    first and last (wrapped) Doppler columns, in weak noise."""
+    first and last (wrapped) Doppler columns, in weak noise. With a
+    ``slab_edge`` row, the "edges" CFR also has the strongest target on that
+    row and a weaker one on the row before it."""
     if kind == "noise":
         return rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))
     if kind == "impulse":
@@ -387,31 +417,74 @@ def sensing_cfr(rng, kind, nf, nt, zero_pad):
                 + 1j * rng.integers(-1, 2, size=(nf, nt))).astype(complex)
     nd = nt * zero_pad
     first_col, last_col = -(nd // 2) / nd, (nd - 1 - nd // 2) / nd
-    return (synthetic_cfr(nf, nt, 0.0, first_col)
-            + synthetic_cfr(nf, nt, -1.0 / zero_pad, last_col, gain=0.7)
-            + synthetic_cfr(nf, nt, 0.0, last_col, gain=0.4)
-            + 1e-3 * (rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))))
+    # range row r of the map is a delay of -r / zero_pad bins
+    cfr = (synthetic_cfr(nf, nt, 0.0, first_col)
+           + synthetic_cfr(nf, nt, -1.0 / zero_pad, last_col, gain=0.7)
+           + synthetic_cfr(nf, nt, 0.0, last_col, gain=0.4)
+           + 1e-3 * (rng.normal(size=(nf, nt)) + 1j * rng.normal(size=(nf, nt))))
+    if slab_edge is not None:
+        cfr += (synthetic_cfr(nf, nt, -slab_edge / zero_pad, first_col, gain=1.5)
+                + synthetic_cfr(nf, nt, -(slab_edge - 1) / zero_pad, last_col, gain=0.5))
+    return cfr
+
+
+def slab_cfg(nr, nt, block, slabs):
+    """A frame whose payload grid cuts an ``nr`` x ``nt`` range profile, in
+    blocks of ``block`` range rows, into ``slabs`` slabs (3: at least 3),
+    when a frame of at least 8 x 8 payload cells does; else `desk_cfg`, whose
+    grid holds every profile of these tests in one slab."""
+    n_blocks = -(-nr // block)
+    for k in range(1, n_blocks):
+        if slabs == 1 or min(-(-n_blocks // k), 3) != slabs:
+            continue
+        # `radar._slabs` puts k blocks in a slab for k to k + 1 blocks of cells
+        lo, hi = k * block * nt, (k + 1) * block * nt
+        for n in range(8, hi // 8 + 1, 2):
+            m = max(8, -(-lo // n))
+            m += -m % 4
+            if m * n < hi:
+                return FrameConfig(n_subcarriers=n, cp_len=1, m_payload=m)
+    return desk_cfg()
+
+
+def test_slab_sizes(monkeypatch):
+    """A full frame at zero padding z takes z slabs of N range rows, a
+    pilot-only profile one slab, and `slab_cfg` the slabs it asks for."""
+    for zero_pad in (1, 2, 4):
+        cfg = FrameConfig(m_payload=512)
+        nt, nd = 512, 512 * zero_pad
+        assert radar._slabs(cfg, 2048 * zero_pad, nt, nd) == [
+            (p * 2048, (p + 1) * 2048) for p in range(zero_pad)]
+        assert radar._slabs(cfg, 1024 * zero_pad, 128, 128 * zero_pad) == [
+            (0, 1024 * zero_pad)]
+    monkeypatch.setattr(dsp, "_BLOCK", 5 * 96)
+    for slabs in (2, 3):
+        cfg = slab_cfg(96, 24, 5, slabs)
+        assert min(len(radar._slabs(cfg, 96, 24, 96)), 3) == slabs
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24), st.integers(2, 24),
        st.sampled_from(["hamming", "rect"]), st.integers(1, 4),
        st.sampled_from(["noise", "integers", "impulse", "edges"]),
-       st.sampled_from([-3.0, -12.0, -45.0, "block top"]), st.integers(1, 16),
-       ROWS_PER_BLOCK, st.sampled_from([1, 2, "reversed"]))
-@settings(max_examples=150, deadline=None)
+       st.sampled_from([-3.0, -12.0, -45.0, "block top", "block bound"]),
+       st.integers(1, 16), ROWS_PER_BLOCK, st.sampled_from([1, 2, "reversed"]),
+       st.sampled_from([1, 2, 3]))
+@settings(max_examples=200, deadline=None)
 def test_detect_matches_peaks_of_the_map(seed, nf, nt, window_kind, zero_pad, kind,
-                                         threshold_db, max_peaks, rows, workers):
+                                         threshold_db, max_peaks, rows, workers, slabs):
     """`detect` gives the detections of `extract_peaks` on the map of
-    `range_doppler` bit for bit, at any block size and worker count, and
-    with the blocks run last to first, as threads may finish them: halos
-    cross block edges, peaks sit on the first and last range rows and on the
-    wrapped Doppler column, and neighbors tie. A "block top" threshold is
-    exactly the largest dB value of one block below the map peak, the edge
-    at which `detect` may skip a block."""
+    `range_doppler` bit for bit, at any block size and worker count, with
+    the blocks run last to first, as threads may finish them, and with the
+    range profile made in 1, 2 or at least 3 slabs: halos cross block and
+    slab edges, peaks sit on the first and last range rows, on the rows
+    either side of a slab edge and on the wrapped Doppler column, and
+    neighbors tie. A "block top" threshold is exactly the largest dB value
+    of one block below the map peak, the edge at which `detect` keeps a
+    block; a "block bound" threshold puts one block's L1 bound exactly at
+    the threshold below the peak, the edge at which `detect` skips it."""
     rng = np.random.default_rng(seed)
-    cfr = sensing_cfr(rng, kind, nf, nt, zero_pad)
-    cfg, mode = desk_cfg(), SensingMode.PILOT_ONLY
-    nd = nt * zero_pad
+    mode = SensingMode.PILOT_ONLY
+    nr, nd = nf * zero_pad, nt * zero_pad
 
     def reversed_blocks(block, n, width=1):
         size = max(dsp._BLOCK // width, 1)
@@ -420,6 +493,9 @@ def test_detect_matches_peaks_of_the_map(seed, nf, nt, window_kind, zero_pad, ki
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dsp, "_BLOCK", rows * nd)
+        cfg = slab_cfg(nr, nt, rows, slabs)
+        edges = [r0 for r0, _ in radar._slabs(cfg, nr, nt, nd)][1:]
+        cfr = sensing_cfr(rng, kind, nf, nt, zero_pad, slab_edge=edges[0] if edges else None)
         if workers == "reversed":
             mp.setattr(dsp, "run_blocks", reversed_blocks)
         else:
@@ -427,8 +503,17 @@ def test_detect_matches_peaks_of_the_map(seed, nf, nt, window_kind, zero_pad, ki
         rd = range_doppler(cfr, cfg, mode, window_kind=window_kind, zero_pad=zero_pad)
         if threshold_db == "block top":
             tops = [t for t in (rd.magnitude_db[s:s + rows].max()
-                                for s in range(0, rd.magnitude_db.shape[0], rows)) if t < 0]
+                                for s in range(0, nr, rows)) if t < 0]
             threshold_db = float(rng.choice(tops)) if tops else -3.0
+        elif threshold_db == "block bound":
+            prof = range_profile_oracle(cfr, window_kind, zero_pad)
+            peak = np.abs(np.fft.fft(prof, n=nd, axis=1)).max()
+            l1 = np.abs(prof).sum(axis=1)
+            ratios = [r for r in (l1[s:s + rows].max() * radar._MARGIN / peak
+                                  for s in range(0, nr, rows)) if 0 < r < 1]
+            # 10 ** ((threshold_db - _DB_SLACK) / 20) * peak is the bound
+            threshold_db = (20.0 * np.log10(float(rng.choice(ratios))) + radar._DB_SLACK
+                            if ratios else -3.0)
         want = extract_peaks(rd, threshold_db, max_peaks=max_peaks)
         got = detect(cfr, cfg, mode, window_kind, zero_pad, threshold_db, max_peaks)
     assert detection_bits(got) == detection_bits(want)
@@ -446,61 +531,73 @@ def test_cfr_edges_put_peaks_on_the_map_edges():
                                             (0, m.shape[1] - 1)])
 
 
+def rss_rise_mb(tmp_path, setup, call):
+    """Rise of peak RSS, in MB, over the statements ``call`` in a fresh
+    process, after ``setup``. The worker count is fixed at 2, as each worker
+    thread holds its own block temporaries."""
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from bistatic_radcom import dsp
+        from bistatic_radcom.params import FrameConfig, SensingMode
+        from bistatic_radcom.radar import detect, extract_peaks, range_doppler
+
+        dsp._workers = lambda: 2
+        rng = np.random.default_rng(0)
+    """) + textwrap.dedent(setup) + textwrap.dedent("""
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """) + textwrap.dedent(call) + textwrap.dedent("""
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0)
+    """)
+    src = str(Path(radar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    return float(out)
+
+
+NOISE_CFR = """
+    cfr = rng.normal(size=(2048, 512)) + 1j * rng.normal(size=(2048, 512))
+"""
+
+
 def test_full_frame_map_memory(tmp_path):
     """The run_short-sized full-frame map (2048 x 512 CFR, zero_pad 4) and its
     peaks raise peak RSS by well under the 385 MB that the whole-map form with
-    its complex map and full-size temporaries took. Each worker thread holds
-    about 3 MB of block temporaries, so the worker count is fixed at 2."""
-    code = textwrap.dedent("""
-        import resource
-        import numpy as np
-        from bistatic_radcom import dsp
-        from bistatic_radcom.params import FrameConfig, SensingMode
-        from bistatic_radcom.radar import extract_peaks, range_doppler
-
-        dsp._workers = lambda: 2
-        rng = np.random.default_rng(0)
-        cfr = rng.normal(size=(2048, 512)) + 1j * rng.normal(size=(2048, 512))
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    its complex map and full-size temporaries took."""
+    assert rss_rise_mb(tmp_path, NOISE_CFR, """
         rd = range_doppler(cfr, FrameConfig(m_payload=512), SensingMode.FULL_FRAME,
                            zero_pad=4)
         extract_peaks(rd, -45.0, max_peaks=8)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print((after - before) / 1024.0)
-    """)
-    src = str(Path(radar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                         capture_output=True, text=True, check=True).stdout
-    assert float(out) < 300.0
+    """) < 300.0
 
 
 def test_full_frame_detection_memory(tmp_path):
-    """Detections on the run_short-sized full-frame CFR (2048 x 512,
+    """Detections on the run_short-sized full-frame noise CFR (2048 x 512,
     zero_pad 4) raise peak RSS by well under the size of the map they come
-    from (the 134 MB float64 map alone; map and peaks took about 190 MB):
-    the 67 MB range profile and a few blocks of rows. The worker count is
-    fixed at 2, as each worker thread holds its own block temporaries."""
-    code = textwrap.dedent("""
-        import resource
-        import numpy as np
-        from bistatic_radcom import dsp
-        from bistatic_radcom.params import FrameConfig, SensingMode
-        from bistatic_radcom.radar import detect
-
-        dsp._workers = lambda: 2
-        rng = np.random.default_rng(0)
-        cfr = rng.normal(size=(2048, 512)) + 1j * rng.normal(size=(2048, 512))
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    from (the 134 MB float64 map alone; map and peaks took about 190 MB).
+    Every block of noise reaches a -45 dB threshold, so the rows of the
+    whole 67 MB range profile are kept, one slab at a time."""
+    assert rss_rise_mb(tmp_path, NOISE_CFR, """
         detect(cfr, FrameConfig(m_payload=512), SensingMode.FULL_FRAME, "hamming", 4,
                -45.0, 8)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print((after - before) / 1024.0)
-    """)
-    src = str(Path(radar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                         capture_output=True, text=True, check=True).stdout
-    assert float(out) < 110.0
+    """) < 110.0
+
+
+def test_full_frame_target_detection_memory(tmp_path):
+    """Detections on a run_short-sized full-frame CFR (2048 x 512, zero_pad
+    4) of two point targets in weak noise raise peak RSS by well under the
+    67 MB range profile: one 17 MB slab of range rows is made at a time,
+    and only the blocks of rows whose bound reaches the threshold are
+    transformed and kept."""
+    assert rss_rise_mb(tmp_path, """
+        k, m = np.fft.fftfreq(2048)[:, None], np.arange(512)[None, :]
+        cfr = (np.exp(-2j * np.pi * k * 100.25) * np.exp(2j * np.pi * 0.1 * m)
+               + 0.3 * np.exp(-2j * np.pi * k * 1700.0) * np.exp(-2j * np.pi * 0.37 * m)
+               + 1e-3 * (rng.normal(size=(2048, 512)) + 1j * rng.normal(size=(2048, 512))))
+    """, """
+        detect(cfr, FrameConfig(m_payload=512), SensingMode.FULL_FRAME, "hamming", 4,
+               -45.0, 8)
+    """) < 30.0
