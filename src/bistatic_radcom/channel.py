@@ -88,34 +88,51 @@ def apply_paths_and_cfo(x: np.ndarray, fs: float, scenario: ChannelScenario) -> 
 
     The phasors and the path sum run block by block (`run_blocks`). A path
     delayed by a whole number of samples adds its shifted slice of ``x``
-    block by block; only a fractional delay builds its delayed stream."""
+    block by block. A fractional delay is filtered a span at a time, a
+    block for each thread, from the overlap-add step before the span
+    (`dsp.fractional_delay_origin`), so no whole delayed stream exists."""
     require_finite(x, "transmit stream")
     imp = scenario.impairments
     ts = 1.0 / fs
 
     out_len = stream_len(x.size, max_delay_samples(scenario, fs))
     y = np.zeros(out_len, dtype=np.complex128)
+    # a fractional delay's span: 16 blocks, and at least one per thread, so
+    # that its filter design and thread start-up cost little next to its
+    # work, while it stays small next to the stream
+    frac_span = max(16, dsp._workers()) * dsp.block_items()
     for p in scenario.paths:
         delay = (p.delay_s + imp.sto_s) * fs
-        if float(delay).is_integer():
-            shift, delayed = int(delay), x  # delayed by shift samples
-        else:
-            shift, delayed = 0, fractional_delay(x, delay, out_len)
+        whole = float(delay).is_integer()
+        span = out_len if whole else frac_span
+        for first in range(0, out_len, span):
+            last = min(first + span, out_len)
+            # the delayed stream, zero outside it, from y[shift] on
+            if whole:
+                shift, delayed = int(delay), x
+            else:
+                origin = dsp.fractional_delay_origin(x.size, delay, first, last)
+                if origin is None:  # the span is all zeros
+                    continue
+                k, d = origin
+                shift, delayed = first, fractional_delay(x[k:], delay - d,
+                                                         last - k - d)[first - k - d:]
 
-        def add_path(start: int, stop: int) -> None:
-            # the block of the delayed stream, zero outside it; a block of
-            # zeros adds nothing to y, so it is skipped
-            lo, hi = max(start, shift), min(stop, shift + delayed.size)
-            if lo >= hi:
-                return
-            seg = np.zeros(stop - start, dtype=np.complex128)
-            seg[lo - start:hi - start] = delayed[lo - shift:hi - shift]
-            if p.doppler_hz != 0.0:
-                seg *= np.exp(2j * np.pi * p.doppler_hz * np.arange(start, stop) * ts)
-            y[start:stop] += p.gain * seg
+            def add_path(start: int, stop: int) -> None:
+                # the block of the delayed stream; a block of zeros adds
+                # nothing to y, so it is skipped
+                start, stop = first + start, first + stop
+                lo, hi = max(start, shift), min(stop, shift + delayed.size)
+                if lo >= hi:
+                    return
+                seg = np.zeros(stop - start, dtype=np.complex128)
+                seg[lo - start:hi - start] = delayed[lo - shift:hi - shift]
+                if p.doppler_hz != 0.0:
+                    seg *= np.exp(2j * np.pi * p.doppler_hz * np.arange(start, stop) * ts)
+                y[start:stop] += p.gain * seg
 
-        run_blocks(add_path, out_len)
-        del delayed
+            run_blocks(add_path, last - first)
+            del delayed
     if imp.cfo_hz != 0.0 or imp.cpo_rad != 0.0:
         def rotate(start: int, stop: int) -> None:
             n = np.arange(start, stop)
@@ -131,28 +148,52 @@ def apply_sfo(x: np.ndarray, sfo_norm: float) -> np.ndarray:
 
 
 def add_awgn(x: np.ndarray, snr_db: float, ref_power: float, seed: int) -> np.ndarray:
-    """Circularly-symmetric complex AWGN at the given SNR vs ``ref_power``.
+    """Circularly-symmetric complex AWGN at the given SNR vs ``ref_power``,
+    added to a copy of ``x``; ``x`` is left as it was (`_add_awgn` adds it
+    in place)."""
+    y = np.array(x, dtype=np.complex128)
+    _add_awgn(y, snr_db, ref_power, seed)
+    return y
 
-    The noise is drawn in order, ``dsp._BLOCK`` (I, Q) rows at a time, and
-    added in place to one copy of the input: the generator's stream and the
-    sums are those of one whole-stream draw."""
+
+def _add_awgn(y: np.ndarray, snr_db: float, ref_power: float, seed: int) -> None:
+    """`add_awgn` in place on the complex128 stream ``y``.
+
+    The noise is drawn in order, ``dsp._BLOCK`` (I, Q) rows at a time: the
+    generator's stream and the sums are those of one whole-stream draw."""
     if ref_power <= 0:
         raise ConfigError(["ref_power must be positive"])
     noise_var = ref_power / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    y = np.array(x, dtype=np.complex128)
     for start in range(0, y.size, dsp._BLOCK):
         stop = min(start + dsp._BLOCK, y.size)
         noise = rng.normal(0.0, np.sqrt(noise_var / 2.0), (stop - start, 2))
         y.real[start:stop] += noise[:, 0]
         y.imag[start:stop] += noise[:, 1]
-    return y
 
 
 def main_path_rx_power(x: np.ndarray, scenario: ChannelScenario) -> float:
-    """Receive power of the main-path contribution, the SNR reference."""
-    active = np.abs(x) > 0
-    mean_pwr = np.mean(np.abs(x[active]) ** 2) if active.any() else 0.0
+    """Receive power of the main-path contribution, the SNR reference: the
+    main path's power gain times the mean power of the nonzero samples.
+
+    The mean has the bits of ``np.mean`` over the nonzero samples, though
+    only a block of them exists at a time: they are counted block by block,
+    and `dsp.pairwise_sum` gathers each run of them that it sums."""
+    size = dsp._BLOCK
+    # first[i]: how many nonzero samples precede block i
+    first = np.cumsum([0] + [np.count_nonzero(np.abs(x[s:s + size]) > 0)
+                             for s in range(0, x.size, size)])
+
+    def power(a: int, b: int) -> np.ndarray:
+        parts = []
+        for i in range(np.searchsorted(first, a, "right") - 1,
+                       np.searchsorted(first, b, "left")):
+            seg = x[i * size:(i + 1) * size]
+            parts.append(seg[np.abs(seg) > 0][max(a - first[i], 0):b - first[i]])
+        return np.abs(np.concatenate(parts)) ** 2
+
+    count = int(first[-1])
+    mean_pwr = dsp.pairwise_sum(power, count) / count if count else 0.0
     return abs(scenario.main_path.gain) ** 2 * mean_pwr
 
 
@@ -160,12 +201,18 @@ def run_channel(x: IqStream, scenario: ChannelScenario) -> IqStream:
     """Full impairment chain: paths + CFO/CPO, then SFO resampling, then AWGN.
 
     The SNR reference is measured before any channel stream exists, and a
-    stage with nothing to do is skipped rather than run as a copy."""
+    stage with nothing to do is skipped rather than run as a copy. ``x`` is
+    left as it was. The function drops its own reference to ``x`` after the
+    path sum, so a caller that passes the only reference frees the TX stream
+    before the clock resampler, which then holds two streams; the noise is
+    added in place to the channel's own stream."""
     imp = scenario.impairments
+    rate = x.nominal_rate
     ref_power = main_path_rx_power(x.samples, scenario)
-    y = apply_paths_and_cfo(x.samples, x.nominal_rate, scenario)
+    y = apply_paths_and_cfo(x.samples, rate, scenario)
+    del x
     if imp.sfo_norm != 0.0:
         y = apply_sfo(y, imp.sfo_norm)
     if imp.snr_db is not None:
-        y = add_awgn(y, imp.snr_db, ref_power, imp.noise_seed)
-    return IqStream(samples=y, nominal_rate=x.nominal_rate)
+        _add_awgn(y, imp.snr_db, ref_power, imp.noise_seed)
+    return IqStream(samples=y, nominal_rate=rate)

@@ -12,9 +12,10 @@ drift ramp and its two products and the equalizer on blocks of payload
 symbols, the tap tracker's zero-padded CIR on blocks of pilot symbols, and
 the LLRs, the EVM and the constellation histogram on blocks of symbols. The
 EVM maps its reference from the coded bits block by block, so no whole
-reference exists. Each pass tells `run_blocks` how many cells one of its
-rows, symbols or CIRs holds, and `run_blocks` sizes the blocks, so a short
-frame is not cut into tiny blocks. No grid-sized temporary exists whole,
+reference exists, and `demap_decode` writes the decoder's float32 LLRs block
+by block, so no float64 LLR array exists. Each pass tells `run_blocks` how
+many cells one of its rows, symbols or CIRs holds, and `run_blocks` sizes
+the blocks, so a short frame is not cut into tiny blocks. No grid-sized temporary exists whole,
 block edges do not depend on the thread count, and each result has the bits
 of its whole-array formula.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .ldpc import default_code
+from .ldpc import LLR_CLIP, default_code
 from .params import FrameConfig
 from .txframe import frame_tables, map_coded_bits, pilot_cfr
 
@@ -183,28 +184,38 @@ def compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
     """Track the linear drift of the main-tap delay across pilot symbols and
     align all payload symbols via per-subcarrier phase ramps.
 
+    The corrected grid and CFR are new arrays, and the inputs are left as
+    they were: this ramps copies of them in place (`_compensate_residual_sfo`)."""
+    est = CfrEstimate(cfr=np.array(cfr_est.cfr, dtype=np.complex128, order="C"),
+                      delay_slope=cfr_est.delay_slope,
+                      slope_fit_warning=cfr_est.slope_fit_warning)
+    return _compensate_residual_sfo(np.array(grid, dtype=np.complex128, order="C"), est, cfg)
+
+
+def _compensate_residual_sfo(grid: np.ndarray, cfr_est: CfrEstimate,
+                             cfg: FrameConfig) -> tuple[np.ndarray, CfrEstimate]:
+    """`compensate_residual_sfo` in place on the complex128 ``grid`` and
+    ``cfr_est.cfr``; returns the grid and an estimate holding that CFR.
+
     The ramp is built per block of payload symbols and applied to the grid
-    and the CFR in that block, so it never exists whole; the corrected grid
-    and CFR are new arrays, and the inputs are left as they were."""
+    and the CFR in that block, so it never exists whole."""
     slope, warning = _drift_slope(grid, cfg)
     k_signed = np.fft.fftfreq(cfg.n_subcarriers, d=1.0 / cfg.n_subcarriers)
     m = np.arange(cfg.m_payload)
     cfr = cfr_est.cfr
-    grid_out = np.empty(grid.shape, dtype=np.complex128)
-    cfr_out = np.empty(cfr.shape, dtype=np.complex128)
 
     def block(start: int, stop: int) -> None:
         # the ramp of payload symbols start:stop; the grid and the CFR come
         # first in each product, because operand order changes complex bits
         ramp = np.exp(2j * np.pi * np.outer(k_signed, slope * m[start:stop])
                       / cfg.n_subcarriers)
-        np.multiply(grid[:, start:stop], ramp, out=grid_out[:, start:stop])
-        np.multiply(cfr[:, start:stop], ramp, out=cfr_out[:, start:stop])
+        grid[:, start:stop] *= ramp
+        cfr[:, start:stop] *= ramp
 
     dsp.run_blocks(block, cfg.m_payload, width=cfg.n_subcarriers)
-    est = CfrEstimate(cfr=cfr_out, delay_slope=float(slope / cfg.bandwidth_hz),
+    est = CfrEstimate(cfr=cfr, delay_slope=float(slope / cfg.bandwidth_hz),
                       slope_fit_warning=warning)
-    return grid_out, est
+    return grid, est
 
 
 def cir_evolution(grid: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -274,16 +285,26 @@ def qpsk_llrs(symbols: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
     (b1, b0) per symbol, matching the mapper's bit order. Blocks of symbols
     write their LLRs straight into the output."""
     s = np.asarray(symbols).ravel()
-    nv = np.broadcast_to(np.asarray(noise_vars).ravel(), s.shape)
     llrs = np.empty(2 * s.size)
 
-    def block(start: int, stop: int) -> None:
-        scale = 2.0 * np.sqrt(2.0) / np.maximum(nv[start:stop], 1e-12)
-        np.multiply(scale, s.real[start:stop], out=llrs[2 * start:2 * stop:2])
-        np.multiply(scale, s.imag[start:stop], out=llrs[2 * start + 1:2 * stop:2])
+    def block(start: int, stop: int, re: np.ndarray, im: np.ndarray) -> None:
+        llrs[2 * start:2 * stop:2] = re
+        llrs[2 * start + 1:2 * stop:2] = im
 
-    dsp.run_blocks(block, s.size)
+    _llr_blocks(s, noise_vars, s.size, block)
     return llrs
+
+
+def _llr_blocks(s: np.ndarray, noise_vars: np.ndarray, n: int, block) -> None:
+    """Call ``block(start, stop, re, im)`` on `dsp.run_blocks` blocks of the
+    first ``n`` symbols of ``s``, with the float64 LLRs of their two bits."""
+    nv = np.broadcast_to(np.asarray(noise_vars).ravel(), s.shape)
+
+    def llrs(start: int, stop: int) -> None:
+        scale = 2.0 * np.sqrt(2.0) / np.maximum(nv[start:stop], 1e-12)
+        block(start, stop, scale * s.real[start:stop], scale * s.imag[start:stop])
+
+    dsp.run_blocks(llrs, n)
 
 
 def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
@@ -294,21 +315,41 @@ def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
 
     When the transmitted bits are provided, pre/post-FEC BERs are measured
     against them.
-    """
+
+    The decoder's float32 LLRs of the codewords are written block by block,
+    as `qpsk_llrs` makes them, cast and clipped as `LdpcCode.decode` would,
+    so no float64 LLR array exists. Each block counts its pre-FEC bit errors
+    from the float64 values: a value too small for float32 casts to -0,
+    which is not below 0."""
     code = default_code()
-    llrs = qpsk_llrs(symbols, noise_vars)
+    s = np.asarray(symbols).ravel()
     n_coded = codeword_count * code.n
-    if llrs.size < n_coded:
+    if 2 * s.size < n_coded:
         raise ValueError("fewer symbols than required for the declared codewords")
-    llrs = llrs[:n_coded].reshape(codeword_count, code.n)
-    bits, ok = code.decode(llrs)
+    ref = None
+    if tx_coded_bits is not None:
+        ref = np.asarray(tx_coded_bits, dtype=np.uint8).ravel()[:n_coded]
+        if ref.size != n_coded:
+            raise ValueError(f"{ref.size} transmitted coded bits for {n_coded} LLRs")
+    llrs = np.empty(n_coded, dtype=np.float32)
+    errors = []  # each block appends its count; integer sums need no order
+
+    def block(start: int, stop: int, re: np.ndarray, im: np.ndarray) -> None:
+        for bits, values in ((slice(2 * start, 2 * stop, 2), re),
+                             (slice(2 * start + 1, 2 * stop, 2), im)):
+            out = llrs[bits]
+            out[...] = values
+            np.clip(out, -LLR_CLIP, LLR_CLIP, out=out)
+            if ref is not None:
+                errors.append(np.count_nonzero((values < 0) != ref[bits]))
+
+    _llr_blocks(s, noise_vars, n_coded // 2, block)
+    bits, ok = code.decode(llrs.reshape(codeword_count, code.n))
     info = bits[:, :code.k].reshape(-1)[:info_len]
 
     metrics = CommMetrics(frames_decoded=1, decoder_converged=bool(ok.all()))
-    if tx_coded_bits is not None:
-        hard = (llrs.reshape(-1) < 0).astype(np.uint8)
-        ref = np.asarray(tx_coded_bits, dtype=np.uint8).ravel()[:n_coded]
-        metrics.pre_fec_ber = float(np.mean(hard != ref))
+    if ref is not None:
+        metrics.pre_fec_ber = sum(errors) / n_coded
     if tx_info_bits is not None:
         ref = np.asarray(tx_info_bits, dtype=np.uint8).ravel()[:info_len]
         metrics.post_fec_ber = float(np.mean(info != ref))

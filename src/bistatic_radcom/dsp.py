@@ -26,7 +26,8 @@ neither 2n-sample intermediate stream exists.
 `fractional_delay` filters by overlap-add, one block of 428-sample steps
 at a time on `run_blocks`, and writes each step straight into its output; a
 step depends only on its own input and the one before, so the result has the
-bits of one whole-stream call.
+bits of one whole-stream call, and a span of it can be made on its own
+(`fractional_delay_origin`).
 
 The package imports no SciPy: every transform runs on ``numpy.fft``. The
 FIR stages (`_fir_range`), their filter (`_halfband_fir`) and the
@@ -55,10 +56,10 @@ from .params import ConfigError
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 650 MB, 62 B per sample, so a stream at the budget needs about 1.05 GB.
-# That peak is set in comm estimation and decoding (the drift correction,
-# then `demap_decode`); the sample path (TX, channel, sync) peaks at about
-# 620 MB.
+# at 555 MB, 53 B per sample, so a stream at the budget needs about 0.89 GB.
+# That peak is set in comm estimation and decoding (the drift tracker's CIR
+# magnitudes, then `equalize`); the sample path (TX, channel, sync) peaks at
+# about 495 MB, in TX.
 MAX_STREAM_SAMPLES = 1 << 24
 
 
@@ -98,6 +99,21 @@ def run_blocks(block: Callable[[int, int], None], n: int, width: int = 1) -> Non
         futures = [pool.submit(block, s, min(s + size, n)) for s in starts]
         for f in futures:
             f.result()
+
+
+def pairwise_sum(values: Callable[[int, int], np.ndarray], n: int, start: int = 0) -> float:
+    """``np.sum`` of the ``n`` float64 values from ``start`` on, with its bits,
+    where ``values(a, b)`` gives values ``a:b`` as a new array. NumPy sums a
+    contiguous array pairwise: above 128 values it splits ``n`` at half,
+    rounded down to a multiple of 8, and adds the sums of the two parts. The
+    split is followed here until a part fits in a block (or in 128 values,
+    which NumPy sums in one unrolled loop), which is summed whole, so no
+    more than a block of values exists at a time."""
+    if n <= max(_BLOCK, 128):
+        return float(np.add.reduce(values(start, start + n)))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise_sum(values, n2, start) + pairwise_sum(values, n - n2, start + n2)
 
 
 def parabolic_vertex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -171,6 +187,30 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
 
     run_blocks(block, -(-hi // _OA_STEP) - first, width=_OA_FFT)
     return out
+
+
+def fractional_delay_origin(n: int, delay_samples: float, start: int,
+                            stop: int) -> tuple[int, int] | None:
+    """How to make samples ``start:stop`` of `fractional_delay` of ``n``
+    input samples ``x`` on their own: ``(k, d)`` such that
+    ``fractional_delay(x[k:], delay_samples - d, stop - k - d)[start - k - d:]``
+    has the bits of ``fractional_delay(x, delay_samples, out_len)[start:stop]``
+    for any ``out_len`` at or past ``stop``; None where those samples are
+    all zero.
+
+    ``x[k:]`` starts on an overlap-add step, the one before the step of
+    ``start``, whose tail that step adds, and it is kept longer than
+    ``_OA_FFT``, so the overlap-add runs rather than one FFT. ``d``, a whole
+    number of samples from 0 to the delay's integer part, drops the output
+    before ``start``; subtracting it leaves the delay's fraction, and so the
+    filter, exact."""
+    n_int = int(np.floor(delay_samples))
+    m = start - (n_int - (_FRAC_DELAY_TAPS - 1) // 2)  # filter output index of ``start``
+    if m >= n + _FRAC_DELAY_TAPS - 1 or m + stop - start <= 0:
+        return None
+    k = max(0, min(m // _OA_STEP - 1, (n - _OA_FFT - 1) // _OA_STEP,
+                   start // _OA_STEP)) * _OA_STEP
+    return k, max(0, min(start - k, n_int))
 
 
 def _real_fft(h: np.ndarray, n: int) -> np.ndarray:

@@ -22,12 +22,16 @@ def sidecar_path(iq_path: str | Path) -> Path:
 
 
 def write_iq(path: str | Path, stream: IqStream, metadata: dict | None = None) -> None:
-    """Write samples as interleaved float32 LE with a JSON sidecar."""
+    """Write samples as interleaved float32 LE with a JSON sidecar. The
+    samples are cast and written ``dsp._BLOCK`` at a time, so no cast copy
+    of the whole stream exists."""
     path = Path(path)
     s = np.asarray(stream.samples, dtype=np.complex128)
     dsp.require_finite(s, "stream to write")
     # "<c8" is a little-endian float32 pair: the interleaved I, Q layout
-    s.astype("<c8").tofile(path)
+    with path.open("wb") as f:
+        for start in range(0, s.size, dsp._BLOCK):
+            s[start:start + dsp._BLOCK].astype("<c8").tofile(f)
     side = {
         "format": "cf32_le",
         "sample_rate_hz": float(stream.nominal_rate),

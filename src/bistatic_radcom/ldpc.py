@@ -32,6 +32,7 @@ _BASE_MATRIX = [
 ]
 _Z = 27
 _MIN_SUM_SCALE = 0.8  # normalization of the min-sum check-node messages
+LLR_CLIP = 40.0  # the decoder clips its input LLRs to +-LLR_CLIP
 _SYNDROME_ROWS = 1024  # codewords per block of the syndrome's gather
 
 
@@ -124,7 +125,10 @@ class LdpcCode:
         converged exactly when its returned bits satisfy ``check``.
         """
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float32))
-        llrs = np.clip(llrs, -40.0, 40.0)
+        # clipped into a copy, unless already clipped: the caller's LLRs are
+        # not changed, and float32 LLRs within the bounds are not copied
+        if llrs.size and not (llrs.min() >= -LLR_CLIP and llrs.max() <= LLR_CLIP):
+            llrs = np.clip(llrs, -LLR_CLIP, LLR_CLIP)
         out_bits = (llrs < 0).astype(np.uint8)
         out_ok = self.check(out_bits)
         active = np.nonzero(~out_ok)[0]

@@ -23,10 +23,12 @@ import numpy as np
 from . import dsp, radar as radar_mod
 from .channel import (ChannelScenario, ImpairmentSet, PropagationPath,
                       max_delay_samples, run_channel, stream_len)
-from .commrx import (cir_evolution, compensate_residual_sfo,
-                     constellation_density, demap_decode, demodulate_frame,
-                     equalize, estimate_cfr, estimate_main_doppler,
-                     evm_rms_percent)
+# compensate_residual_sfo is not called here (the pipeline ramps its own grid
+# in place), but perfbench/tracer.py wraps it under this module's name
+from .commrx import (_compensate_residual_sfo, cir_evolution,
+                     compensate_residual_sfo, constellation_density,
+                     demap_decode, demodulate_frame, equalize, estimate_cfr,
+                     estimate_main_doppler, evm_rms_percent)
 from .ldpc import default_code
 from .params import (QPSK_BITS, SFO_BOUND, ConfigError, FrameConfig,
                      PipelineError, SensingMode)
@@ -393,6 +395,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     ``write_map_csv``, its map) are made, each map once written. The callers
     in this module pass the stream straight from the call that makes it,
     keeping no reference, so its memory is free for the stages after sync.
+    The drift compensation ramps the pipeline's own grid and CFR in place.
     """
     cfg = scn.frame
 
@@ -406,7 +409,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         doppler_hz, grid = estimate_main_doppler(grid, cfg)
         est = estimate_cfr(grid, cfg)
         if scn.residual_sfo_compensation:
-            grid, est = compensate_residual_sfo(grid, est, cfg)
+            grid, est = _compensate_residual_sfo(grid, est, cfg)
         delays, mag_db = cir_evolution(grid, cfg)
 
     _write_csv(outdir / "cir_evolution.csv",
@@ -489,19 +492,22 @@ def run_scenario(scn: Scenario, outdir: str | Path) -> dict:
     with _stage("tx"):
         payload, tx_stream = build_tx_frame(scn.frame, generate_info_bits(scn))[1:]
 
+    if scn.write_iq:
+        from .iqfile import write_iq
+        write_iq(outdir / "tx.iq", tx_stream, metadata={"scenario": scn.name})
+    # the channel is handed the only reference to the TX stream, by ``pop``,
+    # and drops it after the path sum, before the clock resampler
+    tx_held = [tx_stream]
+    del tx_stream
+
     def channel_output() -> IqStream:
-        """The received stream. Its TX stream is released once it is made
-        (and written, with ``write_iq``): a closure, so that this drops
-        run_scenario's own reference. The receiver gets the result as a
-        temporary, so it holds the only reference and drops it after sync."""
-        nonlocal tx_stream
+        """The received stream (written, with ``write_iq``). The receiver
+        gets it as a temporary, so it holds the only reference and drops it
+        after sync."""
         with _stage("channel"):
-            rx_stream = run_channel(tx_stream, scn.channel)
+            rx_stream = run_channel(tx_held.pop(), scn.channel)
         if scn.write_iq:
-            from .iqfile import write_iq
-            write_iq(outdir / "tx.iq", tx_stream, metadata={"scenario": scn.name})
             write_iq(outdir / "rx.iq", rx_stream, metadata={"scenario": scn.name})
-        del tx_stream
         return rx_stream
 
     return run_receive_pipeline(channel_output(), scn, outdir, payload)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dsp
 from .dsp import run_blocks, sfo_correction_chain
 from .params import SFO_BOUND, FrameConfig, PipelineError
 from .txframe import IqStream, frame_tables
@@ -51,43 +52,67 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
     Returns (coarse_start, cfo_hat_hz, timing_metric_peak). The timing
     metric is M(d) = |P(d)|^2 / R(d)^2 with half-symbol lag correlation; the
     coarse start is mapped from the midpoint of the 90%-of-peak plateau.
+
+    The running sums of the half-lag products and of the power never exist
+    whole. A first pass, in order, carries their totals from block to block;
+    then each block of the metric recomputes its sums from its carry, over
+    the block and the window of N samples past it. ``np.cumsum`` adds in
+    sequence, so a sum that starts from the carried total has the bits of
+    one whole-stream cumsum.
     """
     n = cfg.n_subcarriers
     half = n // 2
     if s.size < cfg.symbol_len + half:
         raise PipelineError("sync.schmidl_cox", "stream shorter than the preamble")
 
-    # cp[d] and cw[d]: running sums of the half-lag products and of the
-    # power over s[:d]
+    def products(start: int, stop: int, out: np.ndarray) -> None:
+        np.multiply(np.conj(s[start:stop]), s[start + half:stop + half], out=out)
+
+    def power(start: int, stop: int, out: np.ndarray) -> None:
+        np.square(np.abs(s[start:stop], out=out), out=out)
+
+    def running(fill, dtype, start: int, stop: int, carry) -> np.ndarray:
+        """The sums over s[:d] of what ``fill`` writes (the products or the
+        power), at d = start..stop, from ``carry``, their sum at ``start``."""
+        sums = np.empty(stop - start + 1, dtype=dtype)
+        sums[0] = carry
+        fill(start, stop, sums[1:])
+        return np.cumsum(sums, out=sums)
+
+    # the two sums at the start of each block of the metric, in order
     n_d = s.size - n
-    cp = np.empty(s.size - half + 1, dtype=np.complex128)
-    cw = np.empty(s.size + 1)
-    cp[0] = cw[0] = 0.0
+    size = dsp.block_items()
+    carries = [(0j, 0.0)]
+    for start in range(0, n_d - size, size):
+        cp, cw = carries[-1]
+        carries.append((running(products, np.complex128, start, start + size, cp)[-1],
+                        running(power, np.float64, start, start + size, cw)[-1]))
 
-    def products(start: int, stop: int) -> None:
-        np.multiply(np.conj(s[start:stop]), s[start + half:stop + half],
-                    out=cp[1 + start:1 + stop])
+    # the gate is relative to the mean power, summed pairwise as ``np.mean`` does
+    def block_power(start: int, stop: int) -> np.ndarray:
+        out = np.empty(stop - start)
+        power(start, stop, out)
+        return out
 
-    run_blocks(products, s.size - half)
-    np.square(np.abs(s, out=cw[1:]), out=cw[1:])
-    # the gate is relative to the mean power, one pairwise sum over the stream
-    r_floor = 0.01 * np.mean(cw[1:]) * half
-    np.cumsum(cp, out=cp)
-    np.cumsum(cw, out=cw)
-
+    r_floor = 0.01 * (dsp.pairwise_sum(block_power, s.size) / s.size) * half
     metric = np.zeros(n_d)
 
     def timing_metric(start: int, stop: int) -> None:
-        p = cp[half + start:half + stop] - cp[start:stop]
-        r1 = cw[half + start:half + stop] - cw[start:stop]  # first half-window energy
-        r2 = cw[n + start:n + stop] - cw[half + start:half + stop]  # second half
+        # the sums from d = start to the end of the block's last window
+        m = stop - start
+        cp, cw = carries[start // size]
+        cp = running(products, np.complex128, start, stop + half - 1, cp)
+        cw = running(power, np.float64, start, stop + n - 1, cw)
+        p = cp[half:] - cp[:m]
+        r1 = cw[half:half + m] - cw[:m]  # first half-window energy
+        r2 = cw[n:] - cw[half:half + m]  # second half
         # normalized correlation, bounded by 1; windows with negligible
         # energy in either half (zero guards, capture padding) are gated out
         # and left at 0, so no other window needs a floor at any level
         np.divide(np.abs(p) ** 2, r1 * r2, out=metric[start:stop],
                   where=(r1 > r_floor) & (r2 > r_floor))
 
-    run_blocks(timing_metric, n_d)
+    dsp.run_blocks(timing_metric, n_d)
 
     d_peak = int(np.argmax(metric))
     peak = metric[d_peak]
@@ -105,9 +130,12 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
         hi += 1
     d_mid = (lo + hi) // 2
     coarse_start = d_mid - cfg.cp_len // 2
+    del metric
 
     ts = 1.0 / cfg.bandwidth_hz
-    frac_cfo = np.angle(cp[half + d_mid] - cp[d_mid]) / (np.pi * n * ts)
+    first = d_mid - d_mid % size  # the start of d_mid's block
+    cp = running(products, np.complex128, first, d_mid + half, carries[first // size][0])
+    frac_cfo = np.angle(cp[-1] - cp[d_mid - first]) / (np.pi * n * ts)
 
     int_cfo = _integer_cfo(s, cfg, coarse_start, frac_cfo)
     cfo_hat = frac_cfo + int_cfo * cfg.subcarrier_spacing
@@ -226,7 +254,12 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     """Full chain; returns the CFO-corrected payload samples, exactly
     (N+N_CP)*M_pl of them, plus a report. ``correct_sfo=False`` skips the
     resampling stage (ablation toggle). The stream's rate must be the
-    frame's ``bandwidth_hz``, the rate every stage assumes."""
+    frame's ``bandwidth_hz``, the rate every stage assumes.
+
+    ``y`` is left as it was. With ``correct_sfo``, the payload is de-rotated
+    in place in the stream that the resampler makes, and the returned
+    samples are a slice of that stream; without it, they are a copy of the
+    payload of ``y``."""
     if y.nominal_rate != cfg.bandwidth_hz:
         raise PipelineError("sync.synchronize", f"stream rate {y.nominal_rate:g} differs "
                             f"from frame.bandwidth_hz {cfg.bandwidth_hz:g}")
@@ -249,13 +282,14 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     pl_len = cfg.m_payload * sym
     if pl_start < 0 or pl_start + pl_len > z.size:
         raise PipelineError("sync.synchronize", "payload extends past end of stream")
-    payload = np.empty(pl_len, dtype=np.complex128)
+    payload = z[pl_start:pl_start + pl_len] if correct_sfo else np.empty(pl_len, np.complex128)
 
     def derotate(start: int, stop: int) -> None:
         # in place, stream times phasor: NumPy may evaluate ``a * np.exp(..)``
         # as phasor times stream, and complex products round differently
         n = np.arange(start, stop)
-        payload[start:stop] = z[pl_start + start:pl_start + stop]
+        if not correct_sfo:
+            payload[start:stop] = z[pl_start + start:pl_start + stop]
         payload[start:stop] *= np.exp(-2j * np.pi * cfo_hat * n * ts)
 
     run_blocks(derotate, pl_len)

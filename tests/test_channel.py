@@ -1,5 +1,11 @@
 """Propagation and impairment model."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,3 +290,96 @@ def test_blocked_paths_and_cfo_match_one_shot(seed, n, paths, sto, cfo_hz, cpo,
             got = apply_paths_and_cfo(x, fs, sc)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, delays", [
+    (428 * 12 + 17, (0.25, 3.4, 70.75)), (428 * 30, (999.5, 5007.25)),
+    (428 * 2 + 1, (12.5,)), (600, (0.9, 2500.5))])
+@pytest.mark.parametrize("block, workers", [(100, 1), (333, 3), (1 << 15, 2)])
+def test_blocked_fractional_echo_matches_one_shot(n, delays, block, workers):
+    """Streams of up to 30 overlap-add steps, echoes delayed by a fraction of
+    a sample past a few samples, several steps or the whole stream: each
+    span of a fractional echo, filtered on its own from the step before it,
+    returns the bits of the path sum with whole delayed streams, on 1 to 3
+    threads."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    sc = ChannelScenario(
+        paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=1.5e6, is_main=True),)
+        + tuple(PropagationPath(gain=0.3 * np.exp(0.7j * i), delay_s=d / FS,
+                                doppler_hz=2e5 * i) for i, d in enumerate(delays)),
+        impairments=ImpairmentSet(sto_s=7.5 / FS, cfo_hz=1e6, cpo_rad=0.3))
+    want = paths_and_cfo_oracle(x, FS, sc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsp, "_BLOCK", block)
+        mp.setattr(dsp, "_workers", lambda: workers)
+        got = apply_paths_and_cfo(x, FS, sc)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_run_channel_leaves_its_stream_unchanged():
+    """`run_channel` drops only its own reference to the TX stream: the
+    caller's `IqStream` keeps its samples and their bits."""
+    cfg = small_cfg()
+    rng = np.random.default_rng(2)
+    _, _, tx = build_tx_frame(cfg, rng.integers(0, 2, frame_capacity_bits(cfg)[0],
+                                                dtype=np.uint8))
+    before = tx.samples.copy()
+    sc = ChannelScenario(
+        paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=0.0, is_main=True),
+               PropagationPath(gain=0.1, delay_s=7.25e-9, doppler_hz=2000.0)),
+        impairments=ImpairmentSet(sto_s=3e-8, cfo_hz=1e5, sfo_norm=2e-5, snr_db=10.0))
+    rx = run_channel(tx, sc)
+    assert np.array_equal(tx.samples.view(np.uint64), before.view(np.uint64))
+    assert not np.shares_memory(rx.samples, tx.samples)
+
+
+def test_channel_memory(tmp_path):
+    """The channel, handed the only reference to a 2.6 M-sample TX stream
+    (40 MB) with an echo a fraction of a sample late, peaks at two streams
+    plus a margin (92 MB), the TX stream counted: the TX stream and the
+    SNR reference's blocks, the TX stream and the path sum, then the path
+    sum and the resampled stream once the TX stream is let go, then the
+    noise added in place. A copy of the nonzero samples and their powers,
+    the whole delayed echo, the TX stream kept through the resampler and a
+    noisy copy each made a third stream (150 MB).
+
+    The process reads its own high-water mark (``VmHWM``) against its
+    resident size (``VmRSS``) before the TX stream is loaded; the worker
+    count is fixed at 2, as each thread holds its own block temporaries."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+    rng = np.random.default_rng(0)
+    n = 2_600_000
+    np.save(tmp_path / "tx.npy", rng.normal(size=n) + 1j * rng.normal(size=n))
+    code = textwrap.dedent("""
+        import numpy as np
+        from bistatic_radcom import dsp
+        from bistatic_radcom.channel import (ChannelScenario, ImpairmentSet,
+                                             PropagationPath, run_channel)
+        from bistatic_radcom.txframe import IqStream
+
+        def status_mb(key):
+            with open("/proc/self/status") as f:
+                line = next(x for x in f if x.startswith(key + ":"))
+            return int(line.split()[1]) / 1024.0
+
+        dsp._workers = lambda: 2
+        dsp._tap_major_table()  # cached for the process
+        sc = ChannelScenario(
+            paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=0.0, is_main=True),
+                   PropagationPath(gain=0.03, delay_s=7.25e-9, doppler_hz=2000.0)),
+            impairments=ImpairmentSet(sto_s=5e-6, cfo_hz=146484.375, cpo_rad=0.7,
+                                      sfo_norm=2e-5, snr_db=15.0, noise_seed=7))
+        before = status_mb("VmRSS")
+        rx = run_channel(IqStream(samples=np.load("tx.npy"), nominal_rate=1e9), sc)
+        print(status_mb("VmHWM") - before, rx.samples.nbytes / 2 ** 20)
+    """)
+    src = str(Path(dsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    rise, stream = map(float, out.split())
+    assert stream > 39.0
+    assert rise < 2 * stream + 20.0

@@ -12,7 +12,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from bistatic_radcom import commrx, dsp, txframe
+from bistatic_radcom import commrx, dsp, ldpc, txframe
 from bistatic_radcom.channel import (
     ChannelScenario,
     ImpairmentSet,
@@ -418,6 +418,49 @@ def test_blocked_llrs_match_one_shot(monkeypatch, cells, workers):
     monkeypatch.setattr(dsp, "_workers", lambda: workers)
     assert same_bits(qpsk_llrs(s, nv), llrs_one_shot(s, nv))
     assert same_bits(qpsk_llrs(s, np.array([0.3])), llrs_one_shot(s, np.full(n, 0.3)))
+
+
+@pytest.mark.parametrize("cells, workers", [(1, 1), (7, 3), (1000, 3), (1 << 16, 2)])
+def test_blocked_float32_llrs_and_pre_fec_ber(monkeypatch, cells, workers):
+    """`demap_decode` hands the decoder the float32 LLRs that casting and
+    clipping the whole float64 LLRs give, bit for bit, made block by block
+    on 1 to 3 threads, and counts the pre-FEC errors of the float64 LLRs.
+    LLRs beyond the clip bound and LLRs below float32's range are included:
+    a tiny negative LLR casts to -0, which is not below 0, yet its bit is
+    decided 1."""
+    code = ldpc.default_code()
+    n_cw = 5
+    n_coded = n_cw * code.n
+    rng = np.random.default_rng(cells)
+    n = n_coded // 2 + 7  # symbols past the codewords are not demapped
+    s = 20.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    s.real[:50] = -rng.uniform(1e-300, 1e-290, 50)
+    s.imag[50:80] = rng.uniform(1e-300, 1e-290, 30)
+    nv = rng.uniform(0.01, 2.0, n)
+    coded = rng.integers(0, 2, n_coded, dtype=np.uint8)
+    coded[:100:2] = 0  # sent 0, received a tiny negative LLR: an error
+    info = rng.integers(0, 2, n_cw * code.k, dtype=np.uint8)
+    seen = []
+    decode = ldpc.LdpcCode.decode
+
+    def spy(self, llrs, *args, **kwargs):
+        seen.append(llrs)
+        return decode(self, llrs, *args, **kwargs)
+
+    monkeypatch.setattr(ldpc.LdpcCode, "decode", spy)
+    monkeypatch.setattr(dsp, "_BLOCK", cells)
+    monkeypatch.setattr(dsp, "_workers", lambda: workers)
+    cfg = FrameConfig(n_subcarriers=256, cp_len=64, m_payload=64)
+    got, metrics = demap_decode(s, nv, cfg, n_cw, info.size, tx_info_bits=info,
+                                tx_coded_bits=coded)
+    want = llrs_one_shot(s, nv)[:n_coded]
+    assert (want[:100:2] < 0).all() and not (want[:100:2].astype(np.float32) < 0).any()
+    (llrs,) = seen
+    assert same_bits(llrs, np.clip(want.astype(np.float32), -40.0, 40.0).reshape(n_cw, -1))
+    assert metrics.pre_fec_ber == float(np.mean((want < 0) != coded))
+    bits, _ = decode(code, want.reshape(n_cw, -1))
+    assert np.array_equal(got, bits[:, :code.k].reshape(-1))
+    assert metrics.post_fec_ber == float(np.mean(got != info))
 
 
 def evm_one_shot(symbols, reference):

@@ -596,6 +596,50 @@ def test_chunked_fractional_delay_matches_one_shot(chunk, n, delay, len_offset):
         assert same_bits(got, want)
 
 
+@pytest.mark.parametrize("n, delay", [
+    (428 * 9 + 17, 3.4), (428 * 9 + 17, 1234.75), (428 * 3, 0.5), (491, 70.25),
+    (300, 12.5), (428 * 6 + 5, -20.6), (428 * 6 + 5, -700.3)])
+def test_fractional_delay_span_on_its_own(n, delay):
+    """Every span of a fractional delay, at any place (before the delayed
+    input, across it, past its end), made from the input from the step that
+    `fractional_delay_origin` names with the delay less its whole samples,
+    has the bits of the whole call; a span it calls all zero is."""
+    x = complex_noise(n, n)
+    out_len = n + max(int(np.ceil(delay)), 0) + 500
+    whole = fractional_delay(x, delay, out_len)
+    rng = np.random.default_rng(n)
+    edges = np.unique(np.concatenate([[0, 1, out_len - 1, out_len],
+                                      rng.integers(0, out_len + 1, 40)]))
+    for start, stop in zip(edges[:-1], edges[1:]):
+        origin = dsp.fractional_delay_origin(n, delay, start, stop)
+        if origin is None:
+            assert not whole[start:stop].any(), (start, stop)
+            continue
+        k, d = origin
+        got = fractional_delay(x[k:], delay - d, stop - k - d)[start - k - d:]
+        assert same_bits(got, whole[start:stop]), (start, stop)
+        assert start - k - d < 3 * dsp._OA_STEP  # little output before the span
+
+
+@pytest.mark.parametrize("block", [100, 128, 1000, 1 << 15])
+def test_pairwise_sum_has_numpy_bits(block):
+    """The pairwise sum followed from the top, each part summed once it fits
+    in a block, has the bits of ``np.sum`` and, divided by the count, of
+    ``np.mean``: at lengths on either side of the multiples of 8 that NumPy
+    splits at, of its 128-value unrolled loop and of the block size. The
+    values span many magnitudes, so the order of the additions shows."""
+    rng = np.random.default_rng(block)
+    lengths = {0, 1, 7, 8, 9, 127, 128, 129, 130, 255, 256, 257, 263, 1000, 1001,
+               1015, 1016, 1017, 1031, block - 1, block, block + 1, 2 * block + 7,
+               8 * block + 3, 100_003}
+    for n in sorted(lengths):
+        a = rng.lognormal(0.0, 4.0, n)
+        got = blocked(lambda: dsp.pairwise_sum(lambda s, e: a[s:e].copy(), n), block, 1)
+        assert np.float64(got).view(np.uint64) == np.sum(a).view(np.uint64), n
+        if n:
+            assert np.float64(got / n).view(np.uint64) == np.mean(a).view(np.uint64), n
+
+
 @pytest.mark.parametrize("delta", [2e-5, -3e-4, 7e-7, 5e-9])
 def test_fused_chain_matches_three_stages(delta):
     """On 150 k samples, default and short blocks, the fused correction chain

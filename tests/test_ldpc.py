@@ -1,6 +1,7 @@
 """Channel code: encoder/decoder invariants and noise performance."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,29 @@ def test_decode_awgn_waterfall(code):
     bits, ok = code.decode(llrs)
     assert np.array_equal(bits[:, :code.k], info)
     assert ok.all()
+
+
+def test_decode_clips_a_copy_and_keeps_clipped_float32_in_place(code):
+    """LLRs beyond the clip bound are clipped into a copy, so the caller's
+    array keeps its values; float32 LLRs already within the bound are
+    decoded without a copy of them (traced allocations stay below their
+    size)."""
+    rng = np.random.default_rng(3)
+    words = code.encode(rng.integers(0, 2, (2000, code.k), dtype=np.uint8))
+    wide = (1.0 - 2.0 * words) * 60.0
+    before = wide.copy()
+    bits, ok = code.decode(wide)
+    assert np.array_equal(wide, before)
+    assert ok.all() and np.array_equal(bits, words)
+    clipped = np.clip(wide, -ldpc.LLR_CLIP, ldpc.LLR_CLIP).astype(np.float32)
+    tracemalloc.start()
+    try:
+        bits, ok = code.decode(clipped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and np.array_equal(bits, words)
+    assert peak < clipped.nbytes
 
 
 def test_all_zero_llrs_do_not_crash(code):

@@ -164,6 +164,31 @@ def test_blocked_schmidl_cox_matches_one_shot(block, workers):
         np.array(want[1:], dtype=np.float64).view(np.uint64).tolist()
 
 
+@pytest.mark.parametrize("block, workers", [(7, 1), (100, 3), (777, 2), (dsp._BLOCK, 2)])
+@pytest.mark.parametrize("constant", [False, True])
+def test_blocked_schmidl_cox_plateau_across_block_edges(block, workers, constant):
+    """The metric's plateau spans many blocks: the CP plateau of the
+    preamble, or a span of 3000 samples held at a constant ahead of it,
+    whose metric of 1 wins. Blocked on 1 to 3 threads, the sums carried
+    across the block edges give the start, CFO and peak of the whole-array
+    form bit for bit."""
+    cfg = desk_cfg()
+    _, _, tx = make_frame(cfg, seed=5)
+    s = through_channel(tx, sto=4000, cfo_hz=1.3e6, cpo=0.2, snr_db=20.0, seed=3).samples
+    if constant:
+        s[300:3300] = 0.6 - 0.2j
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsp, "_BLOCK", block)
+        mp.setattr(dsp, "_workers", lambda: workers)
+        got = schmidl_cox(s, cfg)
+    want = schmidl_cox_one_shot(s, cfg)
+    if constant:
+        assert want[2] == pytest.approx(1.0) and 300 < want[0] < 3300
+    assert got[0] == want[0]
+    assert np.array(got[1:]).view(np.uint64).tolist() == \
+        np.array(want[1:], dtype=np.float64).view(np.uint64).tolist()
+
+
 def test_clock_offset_estimate_noiseless():
     cfg = desk_cfg()
     _, _, tx = make_frame(cfg)
@@ -383,6 +408,67 @@ def test_channel_and_sync_memory(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     assert float(out) < 240.0
+
+
+@pytest.mark.parametrize("correct_sfo", [True, False])
+def test_synchronize_leaves_its_stream_unchanged(correct_sfo):
+    """The payload is de-rotated in place only in the stream the resampler
+    makes: the caller's stream keeps its bits, and without the resampler
+    the payload is a copy of it."""
+    cfg = desk_cfg()
+    _, _, tx = make_frame(cfg)
+    y = through_channel(tx, sto=333, cfo_hz=2.3e6, cpo=0.3, sfo=4e-5, snr_db=25.0)
+    before = y.samples.copy()
+    payload, _ = synchronize(y, cfg, correct_sfo=correct_sfo)
+    assert np.array_equal(y.samples.view(np.uint64), before.view(np.uint64))
+    assert not np.shares_memory(payload, y.samples)
+
+
+def test_sync_memory(tmp_path):
+    """Synchronizing a 2.65 M-sample stream (40 MB) that the caller holds
+    raises the peak RSS by at most one stream plus a margin (48 MB): the
+    metric (half a stream) while the running sums are made block by block,
+    then the resampled stream, whose payload is de-rotated in place and
+    returned. The whole running sums, and a payload copied beside the
+    resampled stream, took about two streams (86 MB).
+
+    The process reads its own high-water mark (``VmHWM``) against its
+    resident size (``VmRSS``) once the stream is loaded; the worker count is
+    fixed at 2, as each thread holds its own block temporaries."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+    cfg = FrameConfig(n_subcarriers=2048, cp_len=512, m_payload=1024)
+    _, _, tx = make_frame(cfg, seed=1)
+    np.save(tmp_path / "rx.npy", np.concatenate([np.zeros(700), tx.samples]))
+    code = textwrap.dedent("""
+        import numpy as np
+        from bistatic_radcom import dsp
+        from bistatic_radcom.params import FrameConfig
+        from bistatic_radcom.sync import synchronize
+        from bistatic_radcom.txframe import IqStream, frame_tables
+
+        def status_mb(key):
+            with open("/proc/self/status") as f:
+                line = next(x for x in f if x.startswith(key + ":"))
+            return int(line.split()[1]) / 1024.0
+
+        dsp._workers = lambda: 2
+        cfg = FrameConfig(n_subcarriers=2048, cp_len=512, m_payload=1024)
+        frame_tables(cfg)  # cached for the process; 7 MB at this frame size
+        y = IqStream(samples=np.load("rx.npy"), nominal_rate=cfg.bandwidth_hz)
+        before = status_mb("VmRSS")
+        payload, report = synchronize(y, cfg)
+        assert report.fine_start == 700
+        print(status_mb("VmHWM") - before, y.samples.nbytes / 2 ** 20)
+    """)
+    src = str(Path(dsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    rise, stream = map(float, out.split())
+    assert stream > 40.0
+    assert rise < stream + 20.0
 
 
 def test_stages_on_arrays_compose_to_synchronize():
