@@ -10,18 +10,20 @@ The whole-grid stages run in fixed blocks on `dsp.run_blocks`, a thread per
 CPU: the CFR's time-axis interpolation on blocks of subcarrier rows, the
 drift ramp and its two products and the equalizer on blocks of payload
 symbols, the tap tracker's zero-padded CIR on blocks of pilot symbols, and
-the LLRs, the EVM and the constellation histogram on blocks of symbols. The
-EVM maps its reference from the coded bits block by block, so no whole
+the LLRs and the constellation histogram (one running total) on blocks of
+symbols. The EVM sums its squared errors and powers by `dsp.pairwise_sum`,
+mapping its reference from the coded bits one block at a time, so no whole
 reference exists, and `demap_decode` writes the decoder's float32 LLRs block
 by block, so no float64 LLR array exists. Each pass tells `run_blocks` how
 many cells one of its rows, symbols or CIRs holds, and `run_blocks` sizes
-the blocks, so a short frame is not cut into tiny blocks. No grid-sized temporary exists whole,
-block edges do not depend on the thread count, and each result has the bits
-of its whole-array formula.
+the blocks, so a short frame is not cut into tiny blocks. No grid-sized
+temporary exists whole, block edges do not depend on the thread count, and
+each result has the bits of its whole-array formula.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,24 +363,31 @@ def evm_rms_percent(symbols: np.ndarray, coded_bits: np.ndarray | None = None) -
     ``coded_bits`` map to (zero bits past their end, as `map_payload` fills
     the frame), or else the nearest constellation point.
 
-    Blocks of symbols write ``|s - ref|^2`` and ``|ref|^2`` into two whole
-    arrays, and one ``np.mean`` runs over each, so the value has the bits of
-    the whole-array formula while no whole reference exists."""
+    ``|s - ref|^2`` and ``|ref|^2`` are each summed by `dsp.pairwise_sum`,
+    which makes one block of them at a time, reference included, so the
+    value has the bits of ``np.mean`` of the whole arrays while neither
+    array nor the whole reference exists."""
     s = np.asarray(symbols).ravel()
-    err = np.empty(s.size)
-    power = np.empty(s.size)
+    if not s.size:
+        return float("nan")
 
-    def block(start: int, stop: int) -> None:
-        x = s[start:stop]
+    def reference(start: int, stop: int) -> np.ndarray:
         if coded_bits is not None:
-            ref = map_coded_bits(coded_bits, start, stop)
-        else:
-            ref = (np.sign(x.real) + 1j * np.sign(x.imag)) / np.sqrt(2.0)
-        np.square(np.abs(x - ref, out=err[start:stop]), out=err[start:stop])
-        np.square(np.abs(ref, out=power[start:stop]), out=power[start:stop])
+            return map_coded_bits(coded_bits, start, stop)
+        x = s[start:stop]
+        return (np.sign(x.real) + 1j * np.sign(x.imag)) / np.sqrt(2.0)
 
-    dsp.run_blocks(block, s.size)
-    return float(100.0 * np.sqrt(np.mean(err) / max(np.mean(power), 1e-30)))
+    def err(start: int, stop: int) -> np.ndarray:
+        e = np.abs(s[start:stop] - reference(start, stop))
+        return np.square(e, out=e)
+
+    def power(start: int, stop: int) -> np.ndarray:
+        p = np.abs(reference(start, stop))
+        return np.square(p, out=p)
+
+    mean_err = dsp.pairwise_sum(err, s.size) / s.size
+    mean_power = dsp.pairwise_sum(power, s.size) / s.size
+    return float(100.0 * np.sqrt(mean_err / max(mean_power, 1e-30)))
 
 
 def constellation_density(symbols: np.ndarray, bins: int = 201,
@@ -389,19 +398,21 @@ def constellation_density(symbols: np.ndarray, bins: int = 201,
     edges = np.linspace(-extent, extent, bins + 1)
     # the same bins as np.histogram2d(s.real, s.imag, [edges, edges]); the
     # cells outside the range share one overflow bin that is dropped
-    # each block appends its counts as it finishes; integer sums need no order
-    counts = []
+    # each block adds its counts to one total; integer sums need no order
+    total = np.zeros(bins * bins + 1, dtype=np.intp)
+    lock = threading.Lock()
 
     def block(start: int, stop: int) -> None:
         re, re_in = _bin_index(s.real[start:stop], edges)
         im, im_in = _bin_index(s.imag[start:stop], edges)
         flat = re * bins + im
         flat[~(re_in & im_in)] = bins * bins
-        counts.append(np.bincount(flat, minlength=bins * bins + 1))
+        counts = np.bincount(flat, minlength=bins * bins + 1)
+        with lock:
+            np.add(total, counts, out=total)
 
     dsp.run_blocks(block, s.size)
-    hist = sum(counts, np.zeros(bins * bins + 1, dtype=np.intp))[:-1]
-    hist = hist.reshape(bins, bins).astype(np.float64)
+    hist = total[:-1].reshape(bins, bins).astype(np.float64)
     peak = max(hist.max(), 1.0)
     return hist / peak, edges
 

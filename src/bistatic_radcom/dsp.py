@@ -23,6 +23,12 @@ the one-shot call's filter phase (`_fir_span`), so every sample has the bits
 of the three stages run one after the other over the whole stream, while
 neither 2n-sample intermediate stream exists.
 
+The resampler's polyphase table (80 taps by 16 385 phases, 10.5 MB) lives
+only while something holds it: `_tap_major_table` hands every caller the
+one table that some caller still holds, through a weak reference, and builds
+it again when none does. Each `resample_arbitrary` call holds it until it
+returns, so the table is freed when the channel returns.
+
 `fractional_delay` filters by overlap-add, one block of 428-sample steps
 at a time on `run_blocks`, and writes each step straight into its output; a
 step depends only on its own input and the one before, so the result has the
@@ -43,9 +49,10 @@ rounds differently.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -56,7 +63,7 @@ from .params import ConfigError
 # Longest sample stream the pipeline accepts, checked before anything that
 # size is allocated: the channel stream of a scenario (`load_scenario`) and a
 # capture file (`read_iq`). The long reference stream (10.52 M samples) peaks
-# at 555 MB, 53 B per sample, so a stream at the budget needs about 0.89 GB.
+# at 531 MB, 50 B per sample, so a stream at the budget needs about 0.85 GB.
 # That peak is set in comm estimation and decoding (the drift tracker's CIR
 # magnitudes, then `equalize`); the sample path (TX, channel, sync) peaks at
 # about 495 MB, in TX.
@@ -254,8 +261,23 @@ _POLY_PHASES = 16384  # dense enough for nearest-phase lookup below 1e-4 error
 _POLY_BETA = 9.5  # ~95 dB Kaiser design; passband flat to ~0.46 Fs
 
 
-@functools.cache
+# the polyphase table while some caller holds it, under the key "tap_major"
+_tables: weakref.WeakValueDictionary[str, np.ndarray] = weakref.WeakValueDictionary()
+_tables_lock = threading.Lock()
+
+
 def _tap_major_table() -> np.ndarray:
+    """The polyphase table of `_build_tap_major_table`: the one that a caller
+    still holds, or else a new one. The table is not kept for the process:
+    it is freed once no caller holds it."""
+    with _tables_lock:
+        table = _tables.get("tap_major")
+        if table is None:
+            table = _tables["tap_major"] = _build_tap_major_table()
+        return table
+
+
+def _build_tap_major_table() -> np.ndarray:
     """The polyphase table, tap-major: row j holds tap j of every phase.
 
     Entry ``[j, p]`` is ``sinc(a) * w(a)`` at ``a = j - 39 - p / P`` for P
@@ -401,11 +423,25 @@ def _cubic_lagrange(up: np.ndarray, t: np.ndarray, lo: int, size: int) -> np.nda
     np.clip(i, 1, size - 3, out=i)
     i -= lo
     xm1, x0, x1, x2 = up[i - 1], up[i], up[i + 1], up[i + 2]
-    c0 = x0
-    c1 = -xm1 / 3.0 - 0.5 * x0 + x1 - x2 / 6.0
-    c2 = 0.5 * (xm1 + x1) - x0
-    c3 = (x2 - xm1) / 6.0 + 0.5 * (x0 - x1)
-    return ((c3 * mu + c2) * mu + c1) * mu + c0
+    # c1 = -xm1/3 - x0/2 + x1 - x2/6, c3 = (x2 - xm1)/6 + (x0 - x1)/2,
+    # c2 = (xm1 + x1)/2 - x0 and ((c3 mu + c2) mu + c1) mu + x0, each
+    # operation in that order, in place, so that only two arrays are added
+    c1 = np.negative(xm1)
+    c1 /= 3.0
+    tmp = np.multiply(0.5, x0)
+    c1 -= tmp
+    c1 += x1
+    c1 -= np.divide(x2, 6.0, out=tmp)
+    c3 = np.subtract(x2, xm1, out=x2)
+    c3 /= 6.0
+    c3 += np.multiply(np.subtract(x0, x1, out=tmp), 0.5, out=tmp)
+    c2 = np.add(xm1, x1, out=xm1)
+    c2 *= 0.5
+    c2 -= x0
+    for c in (c2, c1, x0):
+        c3 *= mu
+        c3 += c
+    return c3
 
 
 def _fir_span(taps: int, up: int, down: int, start: int, stop: int,
@@ -505,5 +541,6 @@ def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
         v = _cubic_lagrange(up, t, lo_u, size)
         z[start:stop] = _fir_range(h, v, lo_v, 1, 2, start, stop)
 
-    run_blocks(block, y.size)
+    # each output is made from two samples at the doubled rate
+    run_blocks(block, y.size, width=2)
     return z

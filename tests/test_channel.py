@@ -365,7 +365,7 @@ def test_channel_memory(tmp_path):
             return int(line.split()[1]) / 1024.0
 
         dsp._workers = lambda: 2
-        dsp._tap_major_table()  # cached for the process
+        table = dsp._tap_major_table()  # held, so the channel's resampler reuses it
         sc = ChannelScenario(
             paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=0.0, is_main=True),
                    PropagationPath(gain=0.03, delay_s=7.25e-9, doppler_hz=2000.0)),

@@ -495,6 +495,30 @@ def test_blocked_evm_from_coded_bits_matches_mapped_reference(monkeypatch, cells
     assert evm_rms_percent(s) == evm_one_shot(s, nearest)
 
 
+@pytest.mark.parametrize("block", [100, 1000])
+def test_evm_sums_around_pairwise_splits(monkeypatch, block):
+    """The EVM's two sums, made a block at a time, have the bits of the
+    whole-array formula at lengths on either side of the multiples of 8
+    that NumPy splits a pairwise sum at, of its 128-value loop and of the
+    block size, against the coded bits and against the nearest point. The
+    error magnitudes span many orders, so the order of the additions
+    shows."""
+    monkeypatch.setattr(dsp, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in (1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 263, 1015, 1016, 1017,
+              block - 1, block, block + 1, 2 * block + 7, 8 * block + 3):
+        bits = rng.integers(0, 2, 2 * n - n % 3, dtype=np.uint8)
+        ref = txframe.map_coded_bits(bits, 0, n)
+        s = ref + rng.lognormal(-3.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
+        got = evm_rms_percent(s, coded_bits=bits)
+        assert np.float64(got).view(np.uint64) == np.float64(
+            evm_one_shot(s, ref)).view(np.uint64), n
+        nearest = (np.sign(s.real) + 1j * np.sign(s.imag)) / np.sqrt(2.0)
+        got = evm_rms_percent(s)
+        assert np.float64(got).view(np.uint64) == np.float64(
+            evm_one_shot(s, nearest)).view(np.uint64), n
+
+
 def test_llr_memory(tmp_path):
     """LLRs of 4 M symbols raise the peak RSS of the process that makes them
     by little more than their 64 MB output; the whole-array form made the
@@ -571,11 +595,13 @@ def test_constellation_density_shape_and_peak():
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 250),
        st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
-       st.integers(0, 3000))
+       st.integers(0, 3000), st.sampled_from([None, 1, 7, 1000]), st.sampled_from([1, 3]))
 @settings(max_examples=100, deadline=None)
-def test_constellation_density_matches_histogram2d(seed, bins, extent, n):
+def test_constellation_density_matches_histogram2d(seed, bins, extent, n, block, workers):
     """Exact counts of np.histogram2d, with values on every bin edge, one ulp
-    either side of each edge, at +-extent and just outside the range."""
+    either side of each edge, at +-extent and just outside the range, at
+    the default block or blocks of 1, 7 or 1000 symbols, on 1 or 3
+    threads."""
     rng = np.random.default_rng(seed)
     edges = np.linspace(-extent, extent, bins + 1)
     pool = np.concatenate([edges, np.nextafter(edges, -np.inf),
@@ -585,7 +611,11 @@ def test_constellation_density_matches_histogram2d(seed, bins, extent, n):
     im = np.concatenate([rng.permutation(edges), rng.choice(pool, n)])
     symbols = re.astype(np.complex128)
     symbols.imag = im  # re + 1j * im would turn an infinite im into a NaN re
-    got, got_edges = constellation_density(symbols, bins=bins, extent=extent)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(dsp, "_BLOCK", block)
+        mp.setattr(dsp, "_workers", lambda: workers)
+        got, got_edges = constellation_density(symbols, bins=bins, extent=extent)
     hist, _, _ = np.histogram2d(re, im, bins=[edges, edges])
     assert np.array_equal(got_edges, edges)
     assert np.array_equal(got, hist / max(hist.max(), 1.0))

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -198,15 +200,28 @@ def resample_gather_oracle(x, ratio, out_len):
     return np.einsum("ij,ij->i", phase_major_table()[p0], xp[idx])
 
 
+def cubic_lagrange_oracle(up, t):
+    """The cubic stage as whole-array expressions, on the padded interpolator
+    output ``up``."""
+    base = np.floor(t).astype(np.int64)
+    mu = t - base
+    i = np.clip(base + 2, 1, up.size - 3)
+    xm1, x0, x1, x2 = up[i - 1], up[i], up[i + 1], up[i + 2]
+    c1 = -xm1 / 3.0 - 0.5 * x0 + x1 - x2 / 6.0
+    c2 = 0.5 * (xm1 + x1) - x0
+    c3 = (x2 - xm1) / 6.0 + 0.5 * (x0 - x1)
+    return ((c3 * mu + c2) * mu + c1) * mu + x0
+
+
 def chain_one_shot_oracle(y, delta_hat):
     """The correction chain with each of its three stages evaluated in one
-    call."""
+    call, the cubic one as whole-array expressions."""
     h = dsp._halfband_fir()
     d = (dsp._STAGE_TAPS - 1) / 2.0
     u = signal.upfirdn(2.0 * h, y, up=2)
     up = np.concatenate([np.zeros(2, dtype=u.dtype), u, np.zeros(3, dtype=u.dtype)])
     k = np.arange(2 * y.size + dsp._STAGE_TAPS)
-    v = dsp._cubic_lagrange(up, (k + d) / (1.0 + delta_hat) + d, 0, up.size)
+    v = cubic_lagrange_oracle(up, (k + d) / (1.0 + delta_hat) + d)
     return signal.upfirdn(h, v, up=1, down=2)[:y.size]
 
 
@@ -370,8 +385,8 @@ def test_resampler_default_block_edge_matches_gather_oracle():
        st.integers(16, 160))
 @settings(max_examples=100, deadline=None)
 def test_blocked_cubic_stage_matches_one_shot(seed, delta, n, block):
-    """The correction chain's cubic stage, evaluated block by block on 1 or 3
-    threads, returns the bits of one ``_cubic_lagrange`` call."""
+    """The correction chain's cubic stage, evaluated in place block by block
+    on 1 or 3 threads, returns the bits of its whole-array expressions."""
     y = complex_noise(seed, n)
     want = chain_one_shot_oracle(y, delta)
     for workers in (1, 3):
@@ -522,9 +537,53 @@ def test_polyphase_table_matches_whole_table_formula():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dsp, "_BLOCK", phases * dsp._POLY_TAPS)
                 mp.setattr(dsp, "_workers", lambda: workers)
-                table = dsp._tap_major_table.__wrapped__()
+                table = dsp._build_tap_major_table()
             assert table.flags.c_contiguous
             assert same_bits(table, want), (phases, workers)
+
+
+def test_polyphase_table_lives_while_held(monkeypatch):
+    """While a caller holds the table, every call returns that one object;
+    once none does, a resampler call builds its own table and frees it when
+    it returns. A rebuilt table has the bits of the held one."""
+    held = dsp._tap_major_table()
+    assert dsp._tap_major_table() is held
+    monkeypatch.setattr(dsp, "_tables", type(dsp._tables)())  # no holder
+    built, build_table = [], dsp._build_tap_major_table
+
+    def build():
+        table = build_table()
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(dsp, "_build_tap_major_table", build)
+    x = complex_noise(5, 1000)
+    y = resample_arbitrary(x, 1.0 + 1e-4, x.size)
+    assert len(built) == 1 and built[0]() is None
+    assert same_bits(y, resample_arbitrary(x, 1.0 + 1e-4, x.size))
+    assert len(built) == 2 and built[1]() is None
+    rebuilt = dsp._tap_major_table()
+    assert len(built) == 3 and rebuilt is not held and same_bits(rebuilt, held)
+    assert dsp._tap_major_table() is rebuilt and len(built) == 3
+
+
+def test_correction_chain_memory(monkeypatch):
+    """On 2.66 M samples and 2 threads, the fused chain allocates less than
+    16 MB besides its output. Its blocks are counted in samples at the
+    doubled rate, where each output is made from two of them; counted in
+    output samples, they held 22 MB. tracemalloc counts NumPy's buffers
+    whatever the allocator keeps resident, so the figure repeats run to
+    run."""
+    y = complex_noise(11, 2_660_000)
+    monkeypatch.setattr(dsp, "_workers", lambda: 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        z = sfo_correction_chain(y, 2e-5)
+        peak = tracemalloc.get_traced_memory()[1] - before - z.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
 
 
 def _child_env():
