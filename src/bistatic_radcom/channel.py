@@ -69,6 +69,12 @@ class ChannelScenario:
         return next(p for p in self.paths if p.is_main)
 
 
+# a path delay plus STO this close to a whole number of samples is that
+# shift: at 1 GHz, a 12 ns echo behind a 700-sample STO comes to
+# 711.9999999999999 samples
+WHOLE_SAMPLE_TOL = 1e-9
+
+
 def max_delay_samples(scenario: ChannelScenario, fs: float) -> float:
     """The largest path delay plus STO, in samples at rate ``fs``: how far
     the channel output reaches past the transmitted stream."""
@@ -87,10 +93,11 @@ def apply_paths_and_cfo(x: np.ndarray, fs: float, scenario: ChannelScenario) -> 
     on samples ``x`` at rate ``fs``.
 
     The phasors and the path sum run block by block (`run_blocks`). A path
-    delayed by a whole number of samples adds its shifted slice of ``x``
-    block by block. A fractional delay is filtered a span at a time, a
-    block for each thread, from the overlap-add step before the span
-    (`dsp.fractional_delay_origin`), so no whole delayed stream exists."""
+    delayed by a whole number of samples, within ``WHOLE_SAMPLE_TOL``, adds
+    its shifted slice of ``x`` block by block. A fractional delay is
+    filtered a span at a time, a block for each thread, from the
+    overlap-add step before the span (`dsp.fractional_delay_origin`), so no
+    whole delayed stream exists."""
     require_finite(x, "transmit stream")
     imp = scenario.impairments
     ts = 1.0 / fs
@@ -103,13 +110,13 @@ def apply_paths_and_cfo(x: np.ndarray, fs: float, scenario: ChannelScenario) -> 
     frac_span = max(16, dsp._workers()) * dsp.block_items()
     for p in scenario.paths:
         delay = (p.delay_s + imp.sto_s) * fs
-        whole = float(delay).is_integer()
+        whole = abs(delay - round(delay)) <= WHOLE_SAMPLE_TOL
         span = out_len if whole else frac_span
         for first in range(0, out_len, span):
             last = min(first + span, out_len)
             # the delayed stream, zero outside it, from y[shift] on
             if whole:
-                shift, delayed = int(delay), x
+                shift, delayed = round(delay), x
             else:
                 origin = dsp.fractional_delay_origin(x.size, delay, first, last)
                 if origin is None:  # the span is all zeros
@@ -174,27 +181,15 @@ def _add_awgn(y: np.ndarray, snr_db: float, ref_power: float, seed: int) -> None
 
 def main_path_rx_power(x: np.ndarray, scenario: ChannelScenario) -> float:
     """Receive power of the main-path contribution, the SNR reference: the
-    main path's power gain times the mean power of the nonzero samples.
+    main path's power gain times the mean power of the nonzero samples,
+    counted and summed block by block (`dsp.block_sums`)."""
+    def part(start: int, stop: int) -> tuple[int, float]:
+        p = np.abs(x[start:stop])
+        count = np.count_nonzero(p)
+        return count, np.sum(np.square(p, out=p))
 
-    The mean has the bits of ``np.mean`` over the nonzero samples, though
-    only a block of them exists at a time: they are counted block by block,
-    and `dsp.pairwise_sum` gathers each run of them that it sums."""
-    size = dsp._BLOCK
-    # first[i]: how many nonzero samples precede block i
-    first = np.cumsum([0] + [np.count_nonzero(np.abs(x[s:s + size]) > 0)
-                             for s in range(0, x.size, size)])
-
-    def power(a: int, b: int) -> np.ndarray:
-        parts = []
-        for i in range(np.searchsorted(first, a, "right") - 1,
-                       np.searchsorted(first, b, "left")):
-            seg = x[i * size:(i + 1) * size]
-            parts.append(seg[np.abs(seg) > 0][max(a - first[i], 0):b - first[i]])
-        return np.abs(np.concatenate(parts)) ** 2
-
-    count = int(first[-1])
-    mean_pwr = dsp.pairwise_sum(power, count) / count if count else 0.0
-    return abs(scenario.main_path.gain) ** 2 * mean_pwr
+    count, total = dsp.block_sums(part, x.size, 2)
+    return abs(scenario.main_path.gain) ** 2 * (total / count if count else 0.0)
 
 
 def run_channel(x: IqStream, scenario: ChannelScenario) -> IqStream:

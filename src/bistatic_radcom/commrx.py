@@ -11,14 +11,15 @@ CPU: the CFR's time-axis interpolation on blocks of subcarrier rows, the
 drift ramp and its two products and the equalizer on blocks of payload
 symbols, the tap tracker's zero-padded CIR on blocks of pilot symbols, and
 the LLRs and the constellation histogram (one running total) on blocks of
-symbols. The EVM sums its squared errors and powers by `dsp.pairwise_sum`,
-mapping its reference from the coded bits one block at a time, so no whole
-reference exists, and `demap_decode` writes the decoder's float32 LLRs block
-by block, so no float64 LLR array exists. Each pass tells `run_blocks` how
-many cells one of its rows, symbols or CIRs holds, and `run_blocks` sizes
-the blocks, so a short frame is not cut into tiny blocks. No grid-sized
-temporary exists whole, block edges do not depend on the thread count, and
-each result has the bits of its whole-array formula.
+symbols. The EVM sums its squared errors and powers block by block
+(`dsp.block_sums`), mapping its reference from the coded bits one block at
+a time, so no whole reference exists, and `demap_decode` writes the
+decoder's float32 LLRs block by block, so no float64 LLR array exists. Each
+pass tells `run_blocks` how many cells one of its rows, symbols or CIRs
+holds, and `run_blocks` sizes the blocks, so a short frame is not cut into
+tiny blocks. No grid-sized temporary exists whole, and block edges do not
+depend on the thread count. Each result but the EVM has the bits of its
+whole-array formula; the EVM's block sums are within rounding of it.
 """
 
 from __future__ import annotations
@@ -363,31 +364,25 @@ def evm_rms_percent(symbols: np.ndarray, coded_bits: np.ndarray | None = None) -
     ``coded_bits`` map to (zero bits past their end, as `map_payload` fills
     the frame), or else the nearest constellation point.
 
-    ``|s - ref|^2`` and ``|ref|^2`` are each summed by `dsp.pairwise_sum`,
-    which makes one block of them at a time, reference included, so the
-    value has the bits of ``np.mean`` of the whole arrays while neither
-    array nor the whole reference exists."""
+    ``|s - ref|^2`` and ``|ref|^2`` are summed block by block
+    (`dsp.block_sums`), each block mapping its own reference once, so
+    neither array nor the whole reference exists."""
     s = np.asarray(symbols).ravel()
     if not s.size:
         return float("nan")
 
-    def reference(start: int, stop: int) -> np.ndarray:
+    def part(start: int, stop: int) -> tuple[float, float]:
         if coded_bits is not None:
-            return map_coded_bits(coded_bits, start, stop)
-        x = s[start:stop]
-        return (np.sign(x.real) + 1j * np.sign(x.imag)) / np.sqrt(2.0)
+            ref = map_coded_bits(coded_bits, start, stop)
+        else:
+            x = s[start:stop]
+            ref = (np.sign(x.real) + 1j * np.sign(x.imag)) / np.sqrt(2.0)
+        e = np.abs(s[start:stop] - ref)
+        p = np.abs(ref)
+        return np.sum(np.square(e, out=e)), np.sum(np.square(p, out=p))
 
-    def err(start: int, stop: int) -> np.ndarray:
-        e = np.abs(s[start:stop] - reference(start, stop))
-        return np.square(e, out=e)
-
-    def power(start: int, stop: int) -> np.ndarray:
-        p = np.abs(reference(start, stop))
-        return np.square(p, out=p)
-
-    mean_err = dsp.pairwise_sum(err, s.size) / s.size
-    mean_power = dsp.pairwise_sum(power, s.size) / s.size
-    return float(100.0 * np.sqrt(mean_err / max(mean_power, 1e-30)))
+    err, power = dsp.block_sums(part, s.size, 2)
+    return float(100.0 * np.sqrt((err / s.size) / max(power / s.size, 1e-30)))
 
 
 def constellation_density(symbols: np.ndarray, bins: int = 201,

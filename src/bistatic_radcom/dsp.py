@@ -1,7 +1,7 @@
 """Fractional-delay and resampling primitives shared by channel and receiver.
 
 Two distinct resamplers live here on purpose: the channel-side impairment
-(`resample_arbitrary`, a long polyphase windowed-sinc interpolator) and the
+(`resample_arbitrary`, a Farrow structure on an 80-tap windowed sinc) and the
 receiver-side correction chain (`sfo_correction_chain`, FIR interpolate-by-2,
 cubic polynomial rate conversion, FIR decimate-by-2). Keeping them different
 avoids testing an implementation against itself.
@@ -9,11 +9,12 @@ avoids testing an implementation against itself.
 Every blocked pass of the package runs on `run_blocks`, which spreads
 fixed blocks over a thread per usable CPU and is the one place that sizes
 them: a block holds about ``_BLOCK`` elements, as many whole items (samples,
-grid rows or columns, overlap-add steps, table phases) as fit, and at least
-one. The threads overlap because NumPy releases the interpreter lock in
-``take`` and in ufuncs. Every block writes its own slice of a preallocated
-output and the block edges do not depend on the thread count, so the result
-is bit-for-bit the same on any number of cores.
+grid rows or columns, FFT steps) as fit, and at least one. The threads
+overlap because NumPy releases the interpreter lock in its FFTs, ``take``
+and ufuncs. Every block writes its own slice of a preallocated output, or
+its own partial sums (`block_sums`), and the block edges do not depend on
+the thread count, so the result is bit-for-bit the same on any number of
+cores.
 
 The correction chain is fused: each output block filters, from the slice of
 the input it depends on, only the interpolator outputs under its cubic
@@ -23,38 +24,27 @@ the one-shot call's filter phase (`_fir_span`), so every sample has the bits
 of the three stages run one after the other over the whole stream, while
 neither 2n-sample intermediate stream exists.
 
-The resampler's polyphase table (80 taps by 16 385 phases, 10.5 MB) lives
-only while something holds it: `_tap_major_table` hands every caller the
-one table that some caller still holds, through a weak reference, and builds
-it again when none does. Each `resample_arbitrary` call holds it until it
-returns, so the table is freed when the channel returns.
-
-`fractional_delay` filters by overlap-add, one block of 428-sample steps
-at a time on `run_blocks`, and writes each step straight into its output; a
-step depends only on its own input and the one before, so the result has the
-bits of one whole-stream call, and a span of it can be made on its own
+The channel resampler makes each of its 80 taps a degree-6 polynomial in
+the fractional delay (Farrow, ISCAS 1988; Vesma & Saramaki, ISCAS 1996).
+The 7 branch filters run by overlap-save FFTs on a fixed grid of input
+steps, and each output sums the branches at its base index in Horner form.
+`fractional_delay` filters by overlap-add, one block of steps at a time.
+In both, a step depends only on its own input (and, in the overlap-add, on
+the step before), so an output has the bits of one whole-stream call, and
+a span of a fractional delay can be made on its own
 (`fractional_delay_origin`).
 
-The package imports no SciPy: every transform runs on ``numpy.fft``. The
-FIR stages (`_fir_range`), their filter (`_halfband_fir`) and the
-overlap-add (`fractional_delay`) are written to give the bits of SciPy's
-``signal.upfirdn``, ``signal.firwin`` and ``signal.oaconvolve`` and of the
-``scipy.fft`` calls those make; the tests hold them to those functions. Two
-pieces keep SciPy's bits where NumPy's plain form would not: the FFT of the
-real filter is a real-input FFT with its Hermitian half mirrored in
-(`_real_fft`, as SciPy's own), and the window's Bessel function is Cephes's
-series on libm's ``exp`` (`_i0`), not ``np.i0``, whose vectorized ``exp``
-rounds differently.
+The package imports no SciPy and calls no BLAS: every transform runs on
+``numpy.fft``. The tests hold the FIR stages, their filter and the
+fractional delay to SciPy's ``signal.upfirdn``, ``signal.firwin`` and
+``signal.oaconvolve`` within rounding.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,19 +98,23 @@ def run_blocks(block: Callable[[int, int], None], n: int, width: int = 1) -> Non
             f.result()
 
 
-def pairwise_sum(values: Callable[[int, int], np.ndarray], n: int, start: int = 0) -> float:
-    """``np.sum`` of the ``n`` float64 values from ``start`` on, with its bits,
-    where ``values(a, b)`` gives values ``a:b`` as a new array. NumPy sums a
-    contiguous array pairwise: above 128 values it splits ``n`` at half,
-    rounded down to a multiple of 8, and adds the sums of the two parts. The
-    split is followed here until a part fits in a block (or in 128 values,
-    which NumPy sums in one unrolled loop), which is summed whole, so no
-    more than a block of values exists at a time."""
-    if n <= max(_BLOCK, 128):
-        return float(np.add.reduce(values(start, start + n)))
-    n2 = n // 2
-    n2 -= n2 % 8
-    return pairwise_sum(values, n2, start) + pairwise_sum(values, n - n2, start + n2)
+def block_sums(part: Callable[[int, int], Sequence[float]], n: int,
+               count: int) -> np.ndarray:
+    """``count`` sums over ``range(n)``: ``part(start, stop)`` gives the
+    ``count`` partial sums of one `run_blocks` block, and the partials of
+    the blocks are added in block order. The blocks are fixed, so the sums
+    have the same bits on any number of threads."""
+    size = block_items()
+    partials = np.zeros((-(-n // size), count))
+
+    def block(start: int, stop: int) -> None:
+        partials[start // size] = part(start, stop)
+
+    run_blocks(block, n)
+    sums = np.zeros(count)
+    for p in partials:
+        sums += p
+    return sums
 
 
 def parabolic_vertex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -136,11 +130,8 @@ def parabolic_vertex(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 _FRAC_DELAY_TAPS = 63
 _FRAC_DELAY_BETA = 8.0
-
-
-# The overlap-add's FFT block and block step for the 63-tap filter: the
-# sizes SciPy's ``signal.oaconvolve`` picks for 63 taps (``_calc_oa_lens``)
-_OA_FFT = 490
+# the overlap-add's FFT size, one for every input length, and its input step
+_OA_FFT = 512
 _OA_STEP = _OA_FFT - _FRAC_DELAY_TAPS + 1
 
 
@@ -150,13 +141,9 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
 
     Windowed-sinc interpolation, 63 taps, Kaiser beta=8; the filter group
     delay is compensated so output index n corresponds to x(n - delay). The
-    filtering has the bits of SciPy's ``signal.oaconvolve`` for at least 12
-    input samples (below that SciPy swaps its operands; the shortest transmit
-    stream `load_scenario` accepts is 396 samples): each ``_OA_STEP``-sample
-    step of the input is convolved by one ``_OA_FFT``-point FFT, and its last
-    62 outputs are added to the next step's first. At or below ``_OA_FFT``
-    samples one FFT of the next fast length covers the input, as
-    ``fftconvolve`` does.
+    filter runs by overlap-add: each ``_OA_STEP``-sample step of the input
+    is convolved by one ``_OA_FFT``-point FFT, and its last 62 outputs are
+    added to the next step's first.
     """
     x = np.asarray(x, dtype=np.complex128)
     n_int = int(np.floor(delay_samples))
@@ -170,12 +157,7 @@ def fractional_delay(x: np.ndarray, delay_samples: float, out_len: int) -> np.nd
     lo, hi = max(-shift, 0), min(x.size + ov, out_len - shift)
     if hi <= lo:
         return out
-    if x.size <= _OA_FFT:
-        nfft = _next_fast_len(x.size + ov)
-        y = np.fft.ifft(np.fft.fft(x, nfft) * _real_fft(h, nfft), nfft)
-        out[lo + shift:hi + shift] = y[lo:hi]
-        return out
-    hf = _real_fft(h, _OA_FFT)
+    hf = np.fft.fft(h, _OA_FFT)
     first = lo // _OA_STEP
 
     def block(start: int, stop: int) -> None:
@@ -206,43 +188,15 @@ def fractional_delay_origin(n: int, delay_samples: float, start: int,
     all zero.
 
     ``x[k:]`` starts on an overlap-add step, the one before the step of
-    ``start``, whose tail that step adds, and it is kept longer than
-    ``_OA_FFT``, so the overlap-add runs rather than one FFT. ``d``, a whole
-    number of samples from 0 to the delay's integer part, drops the output
-    before ``start``; subtracting it leaves the delay's fraction, and so the
-    filter, exact."""
+    ``start``, whose tail that step adds. ``d``, a whole number of samples
+    from 0 to the delay's integer part, drops the output before ``start``;
+    subtracting it leaves the delay's fraction, and so the filter, exact."""
     n_int = int(np.floor(delay_samples))
     m = start - (n_int - (_FRAC_DELAY_TAPS - 1) // 2)  # filter output index of ``start``
     if m >= n + _FRAC_DELAY_TAPS - 1 or m + stop - start <= 0:
         return None
-    k = max(0, min(m // _OA_STEP - 1, (n - _OA_FFT - 1) // _OA_STEP,
-                   start // _OA_STEP)) * _OA_STEP
+    k = max(0, min(m // _OA_STEP - 1, start // _OA_STEP)) * _OA_STEP
     return k, max(0, min(start - k, n_int))
-
-
-def _real_fft(h: np.ndarray, n: int) -> np.ndarray:
-    """The ``n``-point FFT of the real ``h`` as SciPy's ``fft`` computes it:
-    the real-input FFT, with the conjugate of each of its bins k written to
-    bin (n - k) % n. The DC bin, and the Nyquist bin at even n, are their
-    own mirror, so their imaginary zero turns to -0. NumPy's complex ``fft``
-    of the same input rounds differently."""
-    r = np.fft.rfft(h, n)
-    out = np.empty(n, dtype=np.complex128)
-    out[:r.size] = r
-    out[-np.arange(r.size) % n] = np.conj(r)
-    return out
-
-
-def _next_fast_len(n: int) -> int:
-    """Smallest 11-smooth integer >= ``n``: SciPy's ``next_fast_len(n, False)``."""
-    while True:
-        m = n
-        for p in (2, 3, 5, 7, 11):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
 
 
 def _kaiser_at(t: np.ndarray, ntaps: int, beta: float) -> np.ndarray:
@@ -254,110 +208,86 @@ def _kaiser_at(t: np.ndarray, ntaps: int, beta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-ratio polyphase resampler (channel-side SFO impairment)
+# arbitrary-ratio Farrow resampler (channel-side SFO impairment)
 
 _POLY_TAPS = 80
-_POLY_PHASES = 16384  # dense enough for nearest-phase lookup below 1e-4 error
 _POLY_BETA = 9.5  # ~95 dB Kaiser design; passband flat to ~0.46 Fs
+_FARROW_DEGREE = 6  # of each tap's polynomial in the fractional delay
+_FARROW_FFT = 4096  # the branch filters' overlap-save FFT
+_FARROW_STEP = _FARROW_FFT - _POLY_TAPS + 1  # base indices per overlap-save step
 
 
-# the polyphase table while some caller holds it, under the key "tap_major"
-_tables: weakref.WeakValueDictionary[str, np.ndarray] = weakref.WeakValueDictionary()
-_tables_lock = threading.Lock()
+def _farrow_branches() -> np.ndarray:
+    """The branch filters: row m holds the coefficient of ``mu**m`` in each
+    tap, whose value at fractional delay ``mu`` in [0, 1) is ``sinc(a) *
+    w(a)`` at ``a = j - 39 - mu`` for tap j, ``w`` the Kaiser window.
 
-
-def _tap_major_table() -> np.ndarray:
-    """The polyphase table of `_build_tap_major_table`: the one that a caller
-    still holds, or else a new one. The table is not kept for the process:
-    it is freed once no caller holds it."""
-    with _tables_lock:
-        table = _tables.get("tap_major")
-        if table is None:
-            table = _tables["tap_major"] = _build_tap_major_table()
-        return table
-
-
-def _build_tap_major_table() -> np.ndarray:
-    """The polyphase table, tap-major: row j holds tap j of every phase.
-
-    Entry ``[j, p]`` is ``sinc(a) * w(a)`` at ``a = j - 39 - p / P`` for P
-    phases, with ``w`` the Kaiser window. ``a`` at ``[79 - j, P - p]`` is
-    exactly ``-a`` and the window depends only on the square of its
-    argument, so the window is evaluated on the first half of the phases and
-    mirrored into the rest. The table is allocated once: blocks of phase
-    columns write the window into it, then multiply it in place by their
-    sinc."""
-    k = np.arange(_POLY_TAPS) - (_POLY_TAPS // 2 - 1)
-    table = np.empty((_POLY_TAPS, _POLY_PHASES + 1))
-    half = _POLY_PHASES // 2 + 1
-
-    def arg(start: int, stop: int) -> np.ndarray:
-        return k[:, None] - (np.arange(start, stop) / _POLY_PHASES)[None, :]
-
-    def window(start: int, stop: int) -> None:
-        table[:, start:stop] = _kaiser_at(arg(start, stop), _POLY_TAPS, _POLY_BETA)
-
-    def sinc(start: int, stop: int) -> None:
-        table[:, start:stop] *= np.sinc(arg(start, stop))
-
-    run_blocks(window, half, width=_POLY_TAPS)
-    # phase P - p, past the first half, is phase p with its taps reversed
-    table[:, half:] = table[::-1, _POLY_PHASES - half::-1]
-    run_blocks(sinc, _POLY_PHASES + 1, width=_POLY_TAPS)
-    return table
+    Each tap is interpolated at 7 Chebyshev nodes of [0, 1] by Newton's
+    divided differences, and the Newton form is expanded to monomials, all
+    elementwise over the taps."""
+    deg = _FARROW_DEGREE
+    nodes = 0.5 - 0.5 * np.cos((2 * np.arange(deg + 1) + 1) * np.pi / (2 * deg + 2))
+    a = (np.arange(_POLY_TAPS) - (_POLY_TAPS // 2 - 1))[None, :] - nodes[:, None]
+    d = np.sinc(a) * _kaiser_at(a, _POLY_TAPS, _POLY_BETA)
+    for j in range(1, deg + 1):  # row i becomes the difference over nodes i-j..i
+        d[j:] = (d[j:] - d[j - 1:-1]) / (nodes[j:] - nodes[:-j])[:, None]
+    # d[0] + (mu - nodes[0]) (d[1] + (mu - nodes[1]) (...)), innermost first
+    c = np.zeros_like(d)
+    c[0] = d[deg]
+    for j in range(deg - 1, -1, -1):
+        c[1:] = c[:-1] - nodes[j] * c[1:]
+        c[0] = d[j] - nodes[j] * c[0]
+    return c
 
 
 def resample_arbitrary(x: np.ndarray, ratio: float, out_len: int) -> np.ndarray:
     """Evaluate band-limited interpolation of ``x`` at times n*ratio,
     n < ``out_len``, for a ``ratio`` above 0.
 
-    Polyphase windowed-sinc table (80 taps) with nearest-phase lookup; the
-    phase grid is dense enough that quantization stays below the filter's
-    own passband error. Samples outside the input are treated as zero.
-    Each output sums its 80 taps left to right, one tap over a whole block
-    at a time, on separate real and imaginary planes. Each block builds its
-    planes from the input under its own windows, about ``ratio`` times a
-    block long, so no copy of the whole input is made.
+    An 80-tap windowed sinc (Kaiser, beta 9.5) whose taps are polynomials of
+    degree 6 in the fractional delay ``mu`` (`_farrow_branches`): on white
+    noise the output is within -97 dB of the exact kernel's. Samples outside
+    the input are treated as zero. Each branch correlates the input with its
+    taps by overlap-save FFTs, one ``_FARROW_FFT``-point step at a time on a
+    fixed grid of base indices; an output sums the branches at its base
+    index in Horner form in ``mu``. So an output's bits depend only on the
+    input and its own index, and no stream-sized intermediate exists.
     """
-    table = _tap_major_table()
     x = np.asarray(x, dtype=np.complex128)
-    taps = _POLY_TAPS
-    half = taps // 2 - 1
-    y = np.empty(out_len, dtype=np.complex128)
-    yv = y.view(np.float64)
+    half = _POLY_TAPS // 2 - 1
+    deg = _FARROW_DEGREE
+    # the correlation with each branch's taps, as a product of spectra
+    spectra = np.conj(np.fft.fft(_farrow_branches(), _FARROW_FFT, axis=1))
+    y = np.zeros(out_len, dtype=np.complex128)
+    # an output reads x[base - half:base - half + taps], zeros only from here
+    end = x.size + half
+    last = min(int(np.floor((out_len - 1) * ratio)), end - 1) if out_len else -1
 
     def block(start: int, stop: int) -> None:
-        t = np.arange(start, stop) * ratio
-        base = np.floor(t).astype(np.int64)
-        mu = t - base
-        p0 = np.rint(mu * _POLY_PHASES).astype(np.int64)
-        # window n reads x[base - half:base - half + taps], which is
-        # xr[base - lo:base - lo + taps]; t increases, so the block's windows
-        # lie in x[lo - half:base[-1] - half + taps], zeros outside the input
-        lo = int(base[0])
-        base -= lo
-        xr = np.zeros(int(base[-1]) + taps)
-        xi = np.zeros_like(xr)
-        a, b = max(lo - half, 0), min(lo - half + xr.size, x.size)
-        if b > a:
-            xr[a + half - lo:b + half - lo] = x.real[a:b]
-            xi[a + half - lo:b + half - lo] = x.imag[a:b]
-        coeff = np.empty(stop - start)
-        prod = np.empty(stop - start)
-        acc_re = np.zeros(stop - start)
-        acc_im = np.zeros(stop - start)
-        for k in range(taps):
-            np.take(table[k], p0, out=coeff, mode="clip")
-            np.take(xr[k:], base, out=prod, mode="clip")
-            prod *= coeff
-            acc_re += prod
-            np.take(xi[k:], base, out=prod, mode="clip")
-            prod *= coeff
-            acc_im += prod
-        yv[2 * start:2 * stop:2] = acc_re
-        yv[2 * start + 1:2 * stop:2] = acc_im
+        for s in range(start, stop):
+            b0 = s * _FARROW_STEP
+            b1 = min(b0 + _FARROW_STEP, end)
+            # the outputs whose base lies in [b0, b1): a run, t increases
+            n0 = max(int(b0 / ratio) - 2, 0)
+            t = np.arange(n0, min(int(np.ceil(b1 / ratio)) + 2, out_len)) * ratio
+            base = np.floor(t)
+            i0, i1 = np.searchsorted(base, (b0, b1))
+            if i1 <= i0:
+                continue
+            mu = t[i0:i1] - base[i0:i1]
+            idx = base[i0:i1].astype(np.int64) - b0
+            seg = np.zeros(_FARROW_FFT, dtype=np.complex128)
+            lo, hi = max(b0 - half, 0), min(b0 - half + _FARROW_FFT, x.size)
+            if hi > lo:
+                seg[lo - b0 + half:hi - b0 + half] = x[lo:hi]
+            v = np.fft.ifft(np.fft.fft(seg) * spectra, axis=1)
+            acc = v[deg, idx]
+            for m in range(deg - 1, -1, -1):
+                acc *= mu
+                acc += v[m, idx]
+            y[n0 + i0:n0 + i1] = acc
 
-    run_blocks(block, out_len)
+    run_blocks(block, last // _FARROW_STEP + 1, width=_FARROW_FFT)
     return y
 
 
@@ -369,46 +299,12 @@ _STAGE_BETA = 7.0
 _BYPASS_THRESHOLD = 1e-8
 
 
-# Cephes's Chebyshev coefficients of exp(-x) I0(x) on [0, 8]
-_I0A = (
-    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
-    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
-    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
-    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
-    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
-    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
-    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
-    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
-    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
-    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
-    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
-    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
-    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
-    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
-    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
-)
-
-
-def _i0(x: float) -> float:
-    """Modified Bessel function I0 at 0 <= x <= 8, with the bits of SciPy's
-    ``special.i0``: Cephes's Chebyshev sum, times libm's ``exp``."""
-    y = x / 2.0 - 2.0
-    b0, b1, b2 = 0.0, 0.0, 0.0
-    for c in _I0A:
-        b2, b1 = b1, b0
-        b0 = y * b1 - b2 + c
-    return math.exp(x) * (0.5 * (b0 - b2))
-
-
 def _halfband_fir() -> np.ndarray:
     """Window-method lowpass, cutoff at 1/4 of the doubled rate, 48 taps per
     the stage budget, unit gain at DC: SciPy's ``signal.firwin(48, 0.5,
-    window=("kaiser", 7.0))``, with its bits."""
-    alpha = (_STAGE_TAPS - 1) / 2.0
-    n = np.arange(_STAGE_TAPS, dtype=np.float64)
-    arg = _STAGE_BETA * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)
-    window = np.array([_i0(a) for a in arg.tolist()]) / _i0(_STAGE_BETA)
-    h = 0.5 * np.sinc(0.5 * (n - alpha)) * window
+    window=("kaiser", 7.0))``."""
+    t = np.arange(_STAGE_TAPS) - (_STAGE_TAPS - 1) / 2.0
+    h = 0.5 * np.sinc(0.5 * t) * _kaiser_at(t, _STAGE_TAPS, _STAGE_BETA)
     return h / np.sum(h)
 
 

@@ -88,13 +88,13 @@ def schmidl_cox(s: np.ndarray, cfg: FrameConfig) -> tuple[int, float, float]:
         carries.append((running(products, np.complex128, start, start + size, cp)[-1],
                         running(power, np.float64, start, start + size, cw)[-1]))
 
-    # the gate is relative to the mean power, summed pairwise as ``np.mean`` does
-    def block_power(start: int, stop: int) -> np.ndarray:
+    # the gate is relative to the mean power, summed block by block
+    def block_power(start: int, stop: int) -> tuple[float]:
         out = np.empty(stop - start)
         power(start, stop, out)
-        return out
+        return (np.sum(out),)
 
-    r_floor = 0.01 * (dsp.pairwise_sum(block_power, s.size) / s.size) * half
+    r_floor = 0.01 * (dsp.block_sums(block_power, s.size, 1)[0] / s.size) * half
     metric = np.zeros(n_d)
 
     def timing_metric(start: int, stop: int) -> None:

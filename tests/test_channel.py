@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bistatic_radcom import dsp
 from bistatic_radcom.channel import (
+    WHOLE_SAMPLE_TOL,
     ChannelScenario,
     ImpairmentSet,
     PropagationPath,
@@ -228,11 +229,11 @@ def test_two_path_resolvable_delays():
 
 def delayed_one_shot(x, delay, out_len):
     """``x`` delayed by ``delay`` samples: an exact shift for a whole number
-    of samples, `fractional_delay` otherwise."""
-    if not float(delay).is_integer():
+    of samples (within ``WHOLE_SAMPLE_TOL``), `fractional_delay` otherwise."""
+    d = round(delay)
+    if abs(delay - d) > WHOLE_SAMPLE_TOL:
         return fractional_delay(x, delay, out_len)
     out = np.zeros(out_len, dtype=np.complex128)
-    d = int(delay)
     lo, hi = max(d, 0), min(d + x.size, out_len)
     out[lo:hi] = x[lo - d:hi - d]
     return out
@@ -365,7 +366,6 @@ def test_channel_memory(tmp_path):
             return int(line.split()[1]) / 1024.0
 
         dsp._workers = lambda: 2
-        table = dsp._tap_major_table()  # held, so the channel's resampler reuses it
         sc = ChannelScenario(
             paths=(PropagationPath(gain=1.0, delay_s=0.0, doppler_hz=0.0, is_main=True),
                    PropagationPath(gain=0.03, delay_s=7.25e-9, doppler_hz=2000.0)),

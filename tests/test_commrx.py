@@ -468,13 +468,27 @@ def evm_one_shot(symbols, reference):
                                  max(np.mean(np.abs(reference) ** 2), 1e-30)))
 
 
+def evm_blocked(s, coded_bits, cells, workers=(1, 3)):
+    """The EVM in blocks of ``cells`` symbols on each count of threads in
+    ``workers``, which must all give the same bits."""
+    got = []
+    for w in workers:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dsp, "_BLOCK", cells)
+            mp.setattr(dsp, "_workers", lambda: w)
+            got.append(np.float64(evm_rms_percent(s, coded_bits=coded_bits)))
+    assert all(same_bits(g, got[0]) for g in got)
+    return float(got[0])
+
+
 @pytest.mark.parametrize("cells, workers", [(1, 1), (7, 3), (1000, 3), (1 << 16, 2)])
-def test_blocked_evm_from_coded_bits_matches_mapped_reference(monkeypatch, cells, workers):
+def test_blocked_evm_from_coded_bits_matches_mapped_reference(cells, workers):
     """The EVM against the symbols that the coded bits map to, made block by
-    block, gives the bits of the whole reference: the coded bits end inside
-    a block and inside a column of data cells, the cells past them carry
-    zero bits, and the last codeword is only partly info bits. The
-    nearest-point form keeps the whole-array bits too."""
+    block, is the whole reference's within 1e-12, with the same bits on any
+    number of threads: the coded bits end inside a block and inside a column
+    of data cells, the cells past them carry zero bits, and the last
+    codeword is only partly info bits. The nearest-point form keeps the
+    whole-array value too."""
     cfg = desk_cfg()
     max_info, n_cw = frame_capacity_bits(cfg)
     info = np.random.default_rng(3).integers(0, 2, max_info - 200, dtype=np.uint8)
@@ -487,36 +501,33 @@ def test_blocked_evm_from_coded_bits_matches_mapped_reference(monkeypatch, cells
     assert same_bits(txframe.map_payload(info, cfg)[1], ref)
     rng = np.random.default_rng(cells)
     s = ref + 0.2 * (rng.normal(size=ref.size) + 1j * rng.normal(size=ref.size))
-    monkeypatch.setattr(dsp, "_BLOCK", cells)
-    monkeypatch.setattr(dsp, "_workers", lambda: workers)
-    got = evm_rms_percent(s, coded_bits=payload.coded_bits)
-    assert np.float64(got).view(np.uint64) == np.float64(evm_one_shot(s, ref)).view(np.uint64)
+    threads = sorted({1, 3, workers})
+    got = evm_blocked(s, payload.coded_bits, cells, threads)
+    assert got == pytest.approx(evm_one_shot(s, ref), rel=1e-12)
     nearest = (np.sign(s.real) + 1j * np.sign(s.imag)) / np.sqrt(2.0)
-    assert evm_rms_percent(s) == evm_one_shot(s, nearest)
+    assert evm_blocked(s, None, cells, threads) == pytest.approx(
+        evm_one_shot(s, nearest), rel=1e-12)
 
 
 @pytest.mark.parametrize("block", [100, 1000])
-def test_evm_sums_around_pairwise_splits(monkeypatch, block):
-    """The EVM's two sums, made a block at a time, have the bits of the
-    whole-array formula at lengths on either side of the multiples of 8
-    that NumPy splits a pairwise sum at, of its 128-value loop and of the
-    block size, against the coded bits and against the nearest point. The
-    error magnitudes span many orders, so the order of the additions
-    shows."""
-    monkeypatch.setattr(dsp, "_BLOCK", block)
+def test_evm_sums_around_pairwise_splits(block):
+    """The EVM's two sums, made a block at a time, are the whole-array
+    formula's within 1e-12, with the same bits on 1 or 3 threads, at
+    lengths on either side of the multiples of 8 that NumPy splits a
+    pairwise sum at, of its 128-value loop and of the block size, against
+    the coded bits and against the nearest point. The error magnitudes span
+    many orders, so a lost or doubled block would show."""
     rng = np.random.default_rng(block)
     for n in (1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 263, 1015, 1016, 1017,
               block - 1, block, block + 1, 2 * block + 7, 8 * block + 3):
         bits = rng.integers(0, 2, 2 * n - n % 3, dtype=np.uint8)
         ref = txframe.map_coded_bits(bits, 0, n)
         s = ref + rng.lognormal(-3.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
-        got = evm_rms_percent(s, coded_bits=bits)
-        assert np.float64(got).view(np.uint64) == np.float64(
-            evm_one_shot(s, ref)).view(np.uint64), n
+        assert evm_blocked(s, bits, block) == pytest.approx(evm_one_shot(s, ref),
+                                                            rel=1e-12), n
         nearest = (np.sign(s.real) + 1j * np.sign(s.imag)) / np.sqrt(2.0)
-        got = evm_rms_percent(s)
-        assert np.float64(got).view(np.uint64) == np.float64(
-            evm_one_shot(s, nearest)).view(np.uint64), n
+        assert evm_blocked(s, None, block) == pytest.approx(evm_one_shot(s, nearest),
+                                                            rel=1e-12), n
 
 
 def test_llr_memory(tmp_path):
