@@ -43,6 +43,7 @@ fractional delay to SciPy's ``signal.upfirdn``, ``signal.firwin`` and
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -89,12 +90,24 @@ def run_blocks(block: Callable[[int, int], None], n: int, width: int = 1) -> Non
     """Call ``block(start, stop)`` on consecutive slices of ``range(n)``, on
     up to one thread per CPU. Each of the ``n`` items holds ``width``
     elements (a sample, a grid row or column, ...); a slice holds
-    `block_items(width)` items."""
+    `block_items(width)` items. Each thread takes the next slice until none
+    is left, so a pass of many small slices costs one task per thread, not
+    one per slice. An exception raised in a slice is raised here."""
     size = block_items(width)
-    starts = range(0, n, size)
-    with ThreadPoolExecutor(max_workers=max(1, min(_workers(), len(starts)))) as pool:
-        futures = [pool.submit(block, s, min(s + size, n)) for s in starts]
-        for f in futures:
+    starts = iter(range(0, n, size))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            block(start, min(start + size, n))
+
+    threads = max(1, min(_workers(), -(-n // size)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for f in [pool.submit(work) for _ in range(threads)]:
             f.result()
 
 
@@ -395,8 +408,10 @@ def _fir_range(h: np.ndarray, xs: np.ndarray, lo: int, up: int, down: int,
     return out
 
 
-def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
-    """Resample so that output m equals y evaluated at m/(1+delta_hat).
+def sfo_correction_chain(y: np.ndarray, delta_hat: float, start: int = 0,
+                         stop: int | None = None) -> np.ndarray:
+    """Resample so that output m equals y evaluated at m/(1+delta_hat);
+    outputs ``start:stop`` of the ``y.size`` outputs, all by default.
 
     Three stages: interpolate by 2 (48-tap Kaiser FIR), cubic polynomial
     arbitrary-ratio conversion, decimate by 2 (48-tap Kaiser FIR). All group
@@ -408,21 +423,27 @@ def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
     interpolated from the slice of interpolator output under its cubic
     stencils, which is filtered from the slice of ``y`` it depends on. Neither
     intermediate stream (2n samples each) exists whole, and every sample has
-    the bits of the three one-shot stages.
+    the bits of the three one-shot stages, wherever its block starts; so a
+    span has the bits of the same outputs of the whole stream.
     """
     y = np.asarray(y, dtype=np.complex128)
+    stop = y.size if stop is None else stop
+    if not 0 <= start <= stop <= y.size:
+        raise ValueError(f"span {start}:{stop} outside the {y.size} outputs")
     if abs(delta_hat) < _BYPASS_THRESHOLD:
-        return y.copy()
+        return y[start:stop].copy()
     h = _halfband_fir()
     h_up = 2.0 * h
     d = (_STAGE_TAPS - 1) / 2.0  # group delay of each stage at the 2x rate
     n_u = 2 * y.size + _STAGE_TAPS - 2  # interpolator outputs
     n_v = 2 * y.size + _STAGE_TAPS  # cubic-stage outputs
     size = n_u + 5  # the interpolator outputs between 2 leading and 3 trailing zeros
-    z = np.empty(y.size, dtype=np.complex128)
+    z = np.empty(stop - start, dtype=np.complex128)
 
-    def block(start: int, stop: int) -> None:
-        lo_v, hi_v = _fir_span(h.size, 1, 2, start, stop, n_v)
+    def block(first: int, last: int) -> None:
+        # outputs m0:m1 of the whole stream
+        m0, m1 = start + first, start + last
+        lo_v, hi_v = _fir_span(h.size, 1, 2, m0, m1, n_v)
         # both FIR group delays (d at the 2x rate each) are pre-advanced
         # inside the SRC instants, so decimator output m equals y(m/(1+delta))
         t = (np.arange(lo_v, hi_v) + d) / (1.0 + delta_hat) + d
@@ -435,8 +456,8 @@ def sfo_correction_chain(y: np.ndarray, delta_hat: float) -> np.ndarray:
             a, b = _fir_span(h_up.size, 2, 1, j0, j1, y.size)
             up[j0 + 2 - lo_u:j1 + 2 - lo_u] = _fir_range(h_up, y[a:b], a, 2, 1, j0, j1)
         v = _cubic_lagrange(up, t, lo_u, size)
-        z[start:stop] = _fir_range(h, v, lo_v, 1, 2, start, stop)
+        z[first:last] = _fir_range(h, v, lo_v, 1, 2, m0, m1)
 
     # each output is made from two samples at the doubled rate
-    run_blocks(block, y.size, width=2)
+    run_blocks(block, stop - start, width=2)
     return z

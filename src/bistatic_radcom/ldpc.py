@@ -10,6 +10,12 @@ Trans. Commun. 2002) on the layered schedule, one block row after another
 decision still fails the parity check: a codeword leaves this active set,
 with its bits, at the first iteration it passes. A converged flag therefore
 always means that the returned bits satisfy H c = 0.
+
+The decoder gathers a block row's messages degree first, as the edge table
+is stored: (11 edges, Z checks, codewords). Each check-node reduction (the
+minimum, the second minimum, the tie count and the sign parity) then runs
+over the leading axis, one elementwise pass over contiguous rows, which
+costs a few microseconds per call however few codewords are left.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ _Z = 27
 _MIN_SUM_SCALE = 0.8  # normalization of the min-sum check-node messages
 LLR_CLIP = 40.0  # the decoder clips its input LLRs to +-LLR_CLIP
 _SYNDROME_ROWS = 1024  # codewords per block of the syndrome's gather
+_MAGNITUDE_BITS = np.uint32(0x7FFFFFFF)  # all bits of a float32 but its sign
 
 
 def _circulant_edges() -> np.ndarray:
@@ -135,14 +142,15 @@ class LdpcCode:
         if active.size == 0:
             return out_bits, out_ok
 
-        rows = self._edges.transpose(0, 2, 1)   # (block rows, Z checks, 11)
-        total = llrs[active].T.copy()           # (n, b) posterior LLRs
-        c2v = np.zeros(rows.shape + (active.size,), dtype=np.float32)
+        total = llrs[active].T.copy()  # (n, b) posterior LLRs
+        c2v = np.zeros(self._edges.shape + (active.size,), dtype=np.float32)
         for _ in range(max_iter):
-            for edges, row_c2v in zip(rows, c2v):
-                v2c = total[edges] - row_c2v
-                row_c2v[...] = _check_to_var(v2c, _MIN_SUM_SCALE)
-                total[edges] = v2c + row_c2v
+            for edges, row_c2v in zip(self._edges, c2v):
+                v2c = total[edges]  # (11, Z, b), written in place
+                v2c -= row_c2v
+                _check_to_var(v2c, _MIN_SUM_SCALE, out=row_c2v)
+                v2c += row_c2v
+                total[edges] = v2c
             bits = (total < 0).astype(np.uint8)
             now_ok = self.check(bits.T)
             if now_ok.any():
@@ -157,27 +165,38 @@ class LdpcCode:
         return out_bits, out_ok
 
 
-def _check_to_var(v2c: np.ndarray, scale: float) -> np.ndarray:
-    """Normalized min-sum check-node update.
+def _check_to_var(v2c: np.ndarray, scale: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized min-sum check-node update, into ``out`` when given.
 
-    ``v2c`` holds the variable-to-check messages as (checks, degree, batch).
-    Each edge gets the smallest magnitude among the other edges of its
-    check, signed by the parity of their signs and scaled by ``scale``. So
-    the one edge holding the minimum gets the second smallest magnitude,
-    and when the minimum is tied every edge gets the minimum.
+    ``v2c`` holds the float32 variable-to-check messages as (degree, checks,
+    batch). Each edge gets the smallest magnitude among the other edges of
+    its check, signed by the parity of their signs (``v2c < 0``, so -0.0
+    counts as non-negative) and scaled by ``scale``. So the one edge holding
+    the minimum gets the second smallest magnitude, and when the minimum is
+    tied every edge gets the minimum.
+
+    The magnitudes are compared as the bits of |v2c|, which order as the
+    values do. Subtracting the minimum plus one wraps the edges at the
+    minimum to the top of uint32 and leaves every other edge below 2**31:
+    one more minimum then gives the second magnitude, and the sign bit
+    marks the edges at the minimum. The chosen magnitude, with the parity
+    as its sign bit, is scaled by one float32 product, which has the bits
+    of (scale * sign) * magnitude: IEEE products commute and round the
+    same for either sign.
     """
-    mag = np.abs(v2c)
-    min1 = mag.min(axis=1, keepdims=True)
-    at_min = mag == min1
-    tied = at_min.sum(axis=1, keepdims=True, dtype=np.int8) > 1
-    min2 = np.where(tied, min1,
-                    np.where(at_min, np.float32(np.inf), mag).min(axis=1, keepdims=True))
-    # min2 >= min1: edges at the minimum get min2, all others min1
-    ext_mag = np.maximum(min1, min2 * at_min)
+    mag = np.bitwise_and(v2c.view(np.uint32), _MAGNITUDE_BITS)
+    min1 = np.minimum.reduce(mag, axis=0)
+    mag -= min1 + np.uint32(1)
+    delta = np.minimum.reduce(mag, axis=0) + np.uint32(1)  # the second magnitude less min1
+    at_min = np.right_shift(mag.view(np.int32), 31, out=mag.view(np.int32))  # -1 or 0
+    np.copyto(delta, 0, where=np.add.reduce(at_min, axis=0, dtype=np.int32) < -1)  # tied
+    ext = np.bitwise_and(mag, delta, out=mag)
+    ext += min1
     neg = v2c < 0
-    parity = np.logical_xor.reduce(neg, axis=1, keepdims=True)
-    sign = np.float32(1.0) - np.float32(2.0) * (neg ^ parity)
-    return np.float32(scale) * sign * ext_mag
+    np.logical_xor(neg, np.logical_xor.reduce(neg, axis=0), out=neg)
+    ext |= np.left_shift(neg.view(np.uint8), 31, dtype=np.uint32)
+    return np.multiply(ext.view(np.float32), np.float32(scale), out=out)
 
 
 @functools.cache

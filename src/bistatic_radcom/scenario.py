@@ -360,15 +360,27 @@ _CSV_CELLS = 1 << 14  # about the lines formatted per block
 def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> None:
     """One line per element of the equally shaped `columns`, in C order,
     each value as "%.9g": the lines `np.savetxt` writes. Blocks of leading
-    rows, about `_CSV_CELLS` lines each, are stacked and formatted one at a
-    time, so the stacked columns never exist whole."""
+    rows, about `_CSV_CELLS` lines each, are written one at a time.
+
+    In a block, each column formats each of its distinct values once and
+    places the text on its lines: the values are told apart by their float64
+    bits, so +0.0 and -0.0, and NaNs of any sign or payload, each keep the
+    text that formatting them one by one gives."""
     rows = max(1, _CSV_CELLS // max(1, math.prod(columns[0].shape[1:])))
-    line = ",".join(["%.9g"] * len(columns)) + "\n"
     with open(path, "w") as f:
         f.write(header + "\n")
         for start in range(0, len(columns[0]), rows):
-            block = np.column_stack([c[start:start + rows].reshape(-1) for c in columns])
-            f.write("".join([line % tuple(r) for r in block.tolist()]))
+            block = [np.ascontiguousarray(c[start:start + rows], dtype=np.float64).reshape(-1)
+                     for c in columns]
+            # each line as its cells: value, ",", value, ..., "\n"
+            cells = np.full((block[0].size, 2 * len(block)), ",", dtype=object)
+            cells[:, -1] = "\n"
+            for j, values in enumerate(block):
+                keys, where = np.unique(values.view(np.uint64), return_inverse=True)
+                text = np.array(["%.9g" % v for v in keys.view(np.float64).tolist()],
+                                dtype=object)
+                cells[:, 2 * j] = text[where]
+            f.write("".join(cells.reshape(-1).tolist()))
 
 
 def _write_map_csv(path: Path, rd: radar_mod.RangeDopplerMap) -> None:

@@ -4,8 +4,8 @@ Order of operations: Schmidl-Cox coarse timing and CFO (fractional via the
 half-repeated first preamble symbol, integer via the differentially encoded
 second symbol), fine timing by cross-correlation against the known first
 preamble symbol, weighted least-squares clock-offset estimation over the
-pairwise-identical preamble symbols, resampling correction of the whole
-stream, preamble discard and payload CFO correction. Each estimator
+pairwise-identical preamble symbols, resampling correction of the payload
+span alone (the preamble discarded) and payload CFO correction. Each estimator
 de-rotates exactly the samples it reads through `local_cfo_correct`: the
 two S&C symbols by the fractional CFO, the N + 2 N_CP samples of the
 fine-timing window and the clock-tracking symbols by the full estimate.
@@ -242,11 +242,13 @@ def estimate_sfo_tsai(s: np.ndarray, cfg: FrameConfig, fine_start: int,
     return float(delta_hat), slopes.tolist()
 
 
-def resample_correct(s: np.ndarray, delta_hat: float) -> np.ndarray:
-    """Invert the clock-ratio mismatch: output m = input at m/(1+delta_hat)."""
+def resample_correct(s: np.ndarray, delta_hat: float, start: int = 0,
+                     stop: int | None = None) -> np.ndarray:
+    """Invert the clock-ratio mismatch: output m = input at m/(1+delta_hat),
+    for m in ``start:stop`` (all ``s.size`` outputs by default)."""
     if abs(delta_hat) >= SFO_BOUND:
         raise PipelineError("sync.resample_correct", f"|delta_hat| must be below {SFO_BOUND}")
-    return sfo_correction_chain(s, delta_hat)
+    return sfo_correction_chain(s, delta_hat, start, stop)
 
 
 def synchronize(y: IqStream, cfg: FrameConfig,
@@ -256,10 +258,11 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     resampling stage (ablation toggle). The stream's rate must be the
     frame's ``bandwidth_hz``, the rate every stage assumes.
 
-    ``y`` is left as it was. With ``correct_sfo``, the payload is de-rotated
-    in place in the stream that the resampler makes, and the returned
-    samples are a slice of that stream; without it, they are a copy of the
-    payload of ``y``."""
+    ``y`` is left as it was. The payload's place in the corrected stream
+    (as long as ``y``) follows from the fine start and the clock estimate
+    alone, so with ``correct_sfo`` the resampler makes the payload span and
+    nothing else, and the payload is de-rotated in place in that output;
+    without it, the payload is a copy of the payload of ``y``."""
     if y.nominal_rate != cfg.bandwidth_hz:
         raise PipelineError("sync.synchronize", f"stream rate {y.nominal_rate:g} differs "
                             f"from frame.bandwidth_hz {cfg.bandwidth_hz:g}")
@@ -271,25 +274,20 @@ def synchronize(y: IqStream, cfg: FrameConfig,
     fine_start = fine_timing(s, cfg, coarse_start, cfo_hat)
     delta_hat, slopes = estimate_sfo_tsai(s, cfg, fine_start, cfo_hat)
 
-    if correct_sfo:
-        z = resample_correct(s, delta_hat)
-        start_z = int(round(fine_start * (1.0 + delta_hat)))
-    else:
-        z = s
-        start_z = fine_start
-
+    start_z = int(round(fine_start * (1.0 + delta_hat))) if correct_sfo else fine_start
     pl_start = start_z + cfg.m_preamble * sym
     pl_len = cfg.m_payload * sym
-    if pl_start < 0 or pl_start + pl_len > z.size:
+    if pl_start < 0 or pl_start + pl_len > s.size:
         raise PipelineError("sync.synchronize", "payload extends past end of stream")
-    payload = z[pl_start:pl_start + pl_len] if correct_sfo else np.empty(pl_len, np.complex128)
+    payload = (resample_correct(s, delta_hat, pl_start, pl_start + pl_len) if correct_sfo
+               else np.empty(pl_len, np.complex128))
 
     def derotate(start: int, stop: int) -> None:
         # in place, stream times phasor: NumPy may evaluate ``a * np.exp(..)``
         # as phasor times stream, and complex products round differently
         n = np.arange(start, stop)
         if not correct_sfo:
-            payload[start:stop] = z[pl_start + start:pl_start + stop]
+            payload[start:stop] = s[pl_start + start:pl_start + stop]
         payload[start:stop] *= np.exp(-2j * np.pi * cfo_hat * n * ts)
 
     run_blocks(derotate, pl_len)

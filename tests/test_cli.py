@@ -613,11 +613,14 @@ def test_map_csv_written_in_blocks_matches_whole_map(tmp_path, monkeypatch, shap
     scenario._write_map_csv(tmp_path / "blocks.csv", rd)
     _whole_map_csv(tmp_path / "whole.csv", rd)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    # one-dimensional columns, as for cir_evolution.csv and constellation.csv
-    cols = [rd.doppler_axis_hz, rd.magnitude_db[0]]
-    scenario._write_csv(tmp_path / "cols.csv", "a,b", cols)
+    # one-dimensional columns, as for cir_evolution.csv and constellation.csv;
+    # the last repeats values that compare equal or unequal to themselves
+    # but print apart, within a block and across blocks
+    special = np.resize([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.0, np.nan], shape[1])
+    cols = [rd.doppler_axis_hz, rd.magnitude_db[0], special]
+    scenario._write_csv(tmp_path / "cols.csv", "a,b,c", cols)
     np.savetxt(tmp_path / "cols_whole.csv", np.column_stack(cols), fmt="%.9g",
-               delimiter=",", header="a,b", comments="")
+               delimiter=",", header="a,b,c", comments="")
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "cols_whole.csv").read_bytes()
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -279,6 +280,39 @@ def test_run_blocks_reads_block_size_per_call():
                                                              (6, 8), (8, 9)]
         assert blocked(lambda: spans(3, 11), 10, workers) == [(0, 1), (1, 2), (2, 3)]
         assert blocked(lambda: spans(0, 3), 10, workers) == []
+
+
+def test_run_blocks_raises_the_error_of_a_block():
+    """An exception raised in any slice, the first, a middle or the last
+    one, propagates from `run_blocks` on 1 or 3 threads."""
+    def fail_at(bad):
+        def block(start, stop):
+            if start == bad:
+                raise ValueError(f"block at {start}")
+        return lambda: dsp.run_blocks(block, 1000)
+
+    for bad in (0, 500, 900):
+        for workers in (1, 3):
+            with pytest.raises(ValueError, match=f"block at {bad}$"):
+                blocked(fail_at(bad), 100, workers)
+
+
+def test_run_blocks_runs_each_block_once_on_many_threads():
+    """Eight threads, more than the cores, share the blocks of one item
+    while the interpreter switches threads every microsecond: every block
+    runs exactly once, and the call ends within a minute."""
+    seen = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=blocked, args=(
+            lambda: dsp.run_blocks(lambda a, b: seen.append((a, b)), 5000), 1, 8))
+        runner.start()
+        runner.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive()
+    assert sorted(seen) == [(k, k + 1) for k in range(5000)]
 
 
 def test_run_blocks_is_given_item_widths_only():
@@ -626,6 +660,27 @@ def test_block_sums_match_whole_array_sums(block):
         assert same_bits(got[0], got[1]), n
         assert got[0][1] == n
         assert abs(got[0][0] - np.sum(a)) <= 1e-12 * np.sum(a), n
+
+
+@pytest.mark.parametrize("delta", [3e-5, -2e-4, 5e-9])
+def test_chain_span_has_the_bits_of_the_whole_stream(delta):
+    """Outputs ``a:b`` of the correction chain, asked for alone, have the
+    bits of the same outputs of the whole stream: spans from 0, to the end,
+    empty, and starting or ending inside a block of the whole-stream call,
+    in blocks of 500 outputs on 1 or 3 threads and in the default block; a
+    ratio below the bypass threshold gives a copy of the span."""
+    y = complex_noise(5, 5000)
+    want = sfo_correction_chain(y, delta)
+    spans = [(0, 5000), (0, 1), (0, 1730), (1730, 2000), (999, 3001), (1000, 2000),
+             (4999, 5000), (0, 0), (2500, 2500), (5000, 5000)]
+    for block, workers in ((1000, 1), (1000, 3), (dsp._BLOCK, 2)):
+        for a, b in spans:
+            got = blocked(lambda: sfo_correction_chain(y, delta, a, b), block, workers)
+            assert same_bits(got, want[a:b]), (a, b)
+            assert not np.shares_memory(got, y)
+    for a, b in ((-1, 10), (10, 9), (0, 5001)):
+        with pytest.raises(ValueError, match="outside"):
+            sfo_correction_chain(y, delta, a, b)
 
 
 @pytest.mark.parametrize("delta", [2e-5, -3e-4, 7e-7, 5e-9])

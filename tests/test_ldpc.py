@@ -151,25 +151,30 @@ def _check_to_var_reference(v2c, scale):
 def test_check_node_tied_minima_both_get_min1():
     mags = np.array([1.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
                     dtype=np.float32)
-    c2v = _check_to_var(mags.reshape(1, 11, 1), 0.8)[0, :, 0]
+    c2v = _check_to_var(mags.reshape(11, 1, 1), 0.8)[:, 0, 0]
     assert np.all(c2v == np.float32(0.8) * np.float32(1.0))
 
 
 def test_check_node_unique_minimum_gets_min2():
     v2c = np.array([-1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0],
-                   dtype=np.float32).reshape(1, 11, 1)
-    c2v = _check_to_var(v2c, 0.8)[0, :, 0]
+                   dtype=np.float32).reshape(11, 1, 1)
+    c2v = _check_to_var(v2c, 0.8)[:, 0, 0]
     assert c2v[0] == np.float32(0.8) * np.float32(2.0)
     assert np.all(c2v[1:] == -np.float32(0.8) * np.float32(1.0))
 
 
 def test_check_node_matches_edge_by_edge_reference():
+    """`_check_to_var` takes (degree, checks, batch), the reference (checks,
+    degree, batch); the messages have the reference's bits, so a -0.0
+    message counts as non-negative in the sign of the others."""
     rng = np.random.default_rng(3)
     # few distinct magnitudes, zeros included: ties at every level
-    v2c = rng.choice(np.float32([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), (6, 11, 5))
-    assert np.array_equal(_check_to_var(v2c, 0.8), _check_to_var_reference(v2c, 0.8))
-    v2c = rng.normal(0.0, 3.0, (6, 11, 5)).astype(np.float32)
-    assert np.array_equal(_check_to_var(v2c, 0.8), _check_to_var_reference(v2c, 0.8))
+    v2c = rng.choice(np.float32([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), (11, 6, 5))
+    want = _check_to_var_reference(v2c.transpose(1, 0, 2), 0.8).transpose(1, 0, 2)
+    assert np.array_equal(_check_to_var(v2c, 0.8).view(np.uint32), want.view(np.uint32))
+    v2c = rng.normal(0.0, 3.0, (11, 6, 5)).astype(np.float32)
+    want = _check_to_var_reference(v2c.transpose(1, 0, 2), 0.8).transpose(1, 0, 2)
+    assert np.array_equal(_check_to_var(v2c, 0.8).view(np.uint32), want.view(np.uint32))
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(1.5, 2.5), st.integers(1, 50))
@@ -195,7 +200,8 @@ def _layered_decode_reference(h, llrs, max_iter, scale=0.8):
     updates the block rows of 27 checks in order, every check's variables
     read off its row of H."""
     z = 27
-    block_rows = [np.array([np.nonzero(row)[0] for row in h[i:i + z]])
+    # each block row's variables as (degree, checks)
+    block_rows = [np.array([np.nonzero(row)[0] for row in h[i:i + z]]).T
                   for i in range(0, len(h), z)]
     llrs = np.clip(np.atleast_2d(np.asarray(llrs, dtype=np.float32)), -40.0, 40.0)
     out_bits = (llrs < 0).astype(np.uint8)
@@ -228,6 +234,18 @@ def test_decode_matches_dense_layered_reference(code, h, max_iter):
         want_bits, want_ok = _layered_decode_reference(h, llrs, max_iter)
         assert np.array_equal(bits, want_bits)
         assert np.array_equal(ok, want_ok)
+    if max_iter == 50:
+        # a batch that drains into the tail: most codewords leave within a
+        # few iterations, the rest run on, a few at a time, to the last one
+        info = rng.integers(0, 2, (48, code.k), dtype=np.uint8)
+        x = 1.0 - 2.0 * code.encode(info).astype(float)
+        sigma = np.sqrt(1.0 / (2.0 * 10 ** (np.linspace(0.25, 1.0, 48)[:, None] / 10.0)))
+        llrs = 2.0 * (x + rng.normal(0.0, sigma, x.shape)) / sigma ** 2
+        bits, ok = code.decode(llrs, max_iter=max_iter)
+        want_bits, want_ok = _layered_decode_reference(h, llrs, max_iter)
+        assert np.array_equal(bits, want_bits)
+        assert np.array_equal(ok, want_ok)
+        assert 0 < ok.sum() < ok.size
 
 
 def _integer_check(h, cw):
