@@ -32,7 +32,7 @@ import numpy as np
 from . import dsp
 from .ldpc import LLR_CLIP, default_code
 from .params import FrameConfig
-from .txframe import frame_tables, map_coded_bits, pilot_cfr
+from .txframe import PayloadBits, frame_tables, map_coded_bits, pilot_cfr
 
 
 @dataclass
@@ -313,11 +313,14 @@ def _llr_blocks(s: np.ndarray, noise_vars: np.ndarray, n: int, block) -> None:
 def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
                  codeword_count: int, info_len: int,
                  tx_info_bits: np.ndarray | None = None,
-                 tx_coded_bits: np.ndarray | None = None) -> tuple[np.ndarray, CommMetrics]:
-    """Soft demapping and LDPC decoding; padding stripped from the output.
+                 tx_coded_bits: np.ndarray | None = None) -> tuple[PayloadBits, CommMetrics]:
+    """Soft demapping and LDPC decoding of ``codeword_count`` codewords.
 
-    When the transmitted bits are provided, pre/post-FEC BERs are measured
-    against them.
+    Returns the decoded `PayloadBits` and the `CommMetrics`: the info bits
+    with the padding stripped, and the decoder's hard codewords, flattened,
+    which full-frame sensing maps back onto the payload cells. When the
+    transmitted bits are provided, pre/post-FEC BERs are measured against
+    them.
 
     The decoder's float32 LLRs of the codewords are written block by block,
     as `qpsk_llrs` makes them, cast and clipped as `LdpcCode.decode` would,
@@ -348,21 +351,22 @@ def demap_decode(symbols: np.ndarray, noise_vars: np.ndarray, cfg: FrameConfig,
 
     _llr_blocks(s, noise_vars, n_coded // 2, block)
     bits, ok = code.decode(llrs.reshape(codeword_count, code.n))
-    info = bits[:, :code.k].reshape(-1)[:info_len]
+    decoded = PayloadBits(info_bits=bits[:, :code.k].reshape(-1)[:info_len],
+                          coded_bits=bits.reshape(-1), codeword_count=codeword_count)
 
     metrics = CommMetrics(frames_decoded=1, decoder_converged=bool(ok.all()))
     if ref is not None:
         metrics.pre_fec_ber = sum(errors) / n_coded
     if tx_info_bits is not None:
         ref = np.asarray(tx_info_bits, dtype=np.uint8).ravel()[:info_len]
-        metrics.post_fec_ber = float(np.mean(info != ref))
-    return info, metrics
+        metrics.post_fec_ber = float(np.mean(decoded.info_bits != ref))
+    return decoded, metrics
 
 
 def evm_rms_percent(symbols: np.ndarray, coded_bits: np.ndarray | None = None) -> float:
     """RMS error vector magnitude against a reference: the symbols that
-    ``coded_bits`` map to (zero bits past their end, as `map_payload` fills
-    the frame), or else the nearest constellation point.
+    ``coded_bits`` map to (zero bits past their end, as `payload_columns`
+    fills the frame), or else the nearest constellation point.
 
     ``|s - ref|^2`` and ``|ref|^2`` are summed block by block
     (`dsp.block_sums`), each block mapping its own reference once, so

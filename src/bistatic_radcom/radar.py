@@ -2,9 +2,9 @@
 
 Sensing input is either the pilot-position CFR submatrix or, when the
 payload was decoded, a data-aided full CFR: the received payload grid
-divided by the transmit payload cells that the TX code maps from the
-re-encoded decoded info bits. Range axis is relative bistatic range with
-zero at the synchronization-locked main path.
+divided by the payload cells that the TX writer (`payload_columns`) maps from
+the decoder's own codewords. Range axis is relative bistatic range with zero
+at the synchronization-locked main path.
 
 Neither the complex map nor the whole range profile is ever held. The
 profile is made in slabs of whole blocks of range rows (`_slabs`), each of
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dsp
 from .params import SPEED_OF_LIGHT, FrameConfig, SensingMode
-from .txframe import encode_payload, payload_columns, pilot_cfr
+from .txframe import payload_columns, pilot_cfr
 
 # Largest range-Doppler map a scenario may ask for, checked by
 # `load_scenario` before anything is allocated (`map_cells`). The complex
@@ -71,22 +71,21 @@ class Detection:
 
 
 def cfr_for_sensing(grid: np.ndarray, cfg: FrameConfig, mode: SensingMode,
-                    decoded_info_bits: np.ndarray | None = None) -> np.ndarray:
-    """Sensing CFR matrix: pilot submatrix, or full-grid Y/X against the TX
-    payload cells mapped from the re-encoded decoded info bits.
+                    coded_bits: np.ndarray | None = None) -> np.ndarray:
+    """Sensing CFR matrix: pilot submatrix, or full-grid Y/X against the
+    payload cells of ``coded_bits``, the decoder's hard codewords.
 
-    Y/X runs on blocks of payload symbols, each divided by its TX columns
-    (`payload_columns`), so neither the TX symbols nor the TX payload grid
-    exist whole."""
+    Y/X runs on blocks of payload symbols, each divided by the columns that
+    the TX writer (`payload_columns`) makes of those bits, so neither the
+    reference symbols nor the reference grid exist whole."""
     if mode is SensingMode.PILOT_ONLY:
         return pilot_cfr(grid, cfg)
-    if decoded_info_bits is None:
+    if coded_bits is None:
         raise RuntimeError("full-frame sensing requires decoded bits")
-    coded = encode_payload(decoded_info_bits, cfg).coded_bits
     out = np.empty(grid.shape, dtype=np.complex128)
 
     def block(start: int, stop: int) -> None:
-        np.divide(grid[:, start:stop], payload_columns(cfg, coded, start, stop),
+        np.divide(grid[:, start:stop], payload_columns(cfg, coded_bits, start, stop),
                   out=out[:, start:stop])
 
     dsp.run_blocks(block, cfg.m_payload, width=cfg.n_subcarriers)

@@ -434,7 +434,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
         delay_slope, slope_fit_warning = est.delay_slope, est.slope_fit_warning
         del est
         info_len = info_length(scn)
-        info_hat, metrics = demap_decode(
+        decoded, metrics = demap_decode(
             s_hat, noise_vars, cfg, codeword_count(info_len), info_len,
             tx_info_bits=payload.info_bits if payload else None,
             tx_coded_bits=payload.coded_bits if payload else None)
@@ -455,7 +455,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     detections_rows: list[tuple] = []
     for mode in scn.sensing_modes:
         with _stage(f"radar.{mode.value}"):
-            cfr_s = radar_mod.cfr_for_sensing(grid, cfg, mode, decoded_info_bits=info_hat)
+            cfr_s = radar_mod.cfr_for_sensing(grid, cfg, mode, coded_bits=decoded.coded_bits)
             dets = radar_mod.detect(cfr_s, cfg, mode, scn.window, scn.zero_pad,
                                     scn.peak_threshold_db, scn.max_peaks)
             rd = (radar_mod.range_doppler(cfr_s, cfg, mode, window_kind=scn.window,
@@ -478,7 +478,7 @@ def run_receive_pipeline(stream: IqStream, scn: Scenario, outdir: Path,
     summary = asdict(metrics)
     summary["main_doppler_hz"] = float(doppler_hz)
     summary["residual_delay_slope_s_per_symbol"] = float(delay_slope)
-    summary["info_bits_decoded"] = int(info_hat.size)
+    summary["info_bits_decoded"] = int(decoded.info_bits.size)
     _write_json(outdir / "comm_metrics.json", summary)
     return summary
 

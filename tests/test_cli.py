@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bistatic_radcom import dsp, radar, scenario
+from bistatic_radcom import dsp, ldpc, radar, scenario
 from bistatic_radcom.channel import apply_paths_and_cfo, run_channel
 from bistatic_radcom.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, main
 from bistatic_radcom.commrx import demodulate_frame
@@ -570,12 +570,11 @@ def test_map_budget_is_the_map_size(tmp_path, monkeypatch):
         "modes": ["pilot_only", "full_frame"], "zero_pad": 3}))
     scn = load_scenario(scn_file)
     cfg, info = scn.frame, generate_info_bits(scn)
-    _, _, tx = build_tx_frame(cfg, info)
-    payload = tx.samples[cfg.m_preamble * cfg.symbol_len:].copy()
-    rg = demodulate_frame(payload, cfg)
+    _, payload, tx = build_tx_frame(cfg, info)
+    rg = demodulate_frame(tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(), cfg)
     sizes = []
     for mode in scn.sensing_modes:
-        cfr = radar.cfr_for_sensing(rg, cfg, mode, decoded_info_bits=info)
+        cfr = radar.cfr_for_sensing(rg, cfg, mode, coded_bits=payload.coded_bits)
         rd = radar.range_doppler(cfr, cfg, mode, zero_pad=scn.zero_pad)
         assert radar.map_cells(cfg, mode, scn.zero_pad) == rd.magnitude_db.size
         sizes.append(rd.magnitude_db.size)
@@ -697,6 +696,42 @@ def test_receiver_lets_go_of_grid_sized_arrays(tmp_path, monkeypatch):
     summary = scenario.run_scenario(load_scenario(write_scn(tmp_path, doc)), tmp_path / "out")
     assert summary["post_fec_ber"] == 0.0
     assert dead_at == {"decode": True, "first mode": True, "second mode": True}
+
+
+def test_run_encodes_once_and_senses_on_decoded_codewords(tmp_path, monkeypatch):
+    """A run with both sensing modes encodes its frame once, on the TX side:
+    full-frame sensing divides by the codewords that `demap_decode` returns,
+    passed as they are, not by a re-encoding of the decoded info bits."""
+    encode, demap_decode = ldpc.LdpcCode.encode, scenario.demap_decode
+    cfr_for_sensing = radar.cfr_for_sensing
+    encoded, decoded, sensed = [], [], []
+
+    def spy_encode(self, info):
+        encoded.append(info.shape)
+        return encode(self, info)
+
+    def spy_decode(*args, **kwargs):
+        decoded.append(demap_decode(*args, **kwargs))
+        return decoded[-1]
+
+    def spy_cfr_for_sensing(grid, cfg, mode, coded_bits=None):
+        sensed.append((mode, coded_bits))
+        return cfr_for_sensing(grid, cfg, mode, coded_bits=coded_bits)
+
+    monkeypatch.setattr(ldpc.LdpcCode, "encode", spy_encode)
+    monkeypatch.setattr(scenario, "demap_decode", spy_decode)
+    monkeypatch.setattr(radar, "cfr_for_sensing", spy_cfr_for_sensing)
+    doc = json.loads((SCENARIOS / "clock_drift_demo.json").read_text())
+    doc["frame"]["m_payload"] = 64
+    doc["sensing"]["modes"] = ["pilot_only", "full_frame"]
+    scn = load_scenario(write_scn(tmp_path, doc))
+    summary = scenario.run_scenario(scn, tmp_path / "out")
+    assert summary["post_fec_ber"] == 0.0
+    n_cw = scenario.codeword_count(scenario.info_length(scn))
+    assert encoded == [(n_cw, ldpc.default_code().k)]
+    ((payload, _),) = decoded
+    assert [mode for mode, _ in sensed] == [SensingMode.PILOT_ONLY, SensingMode.FULL_FRAME]
+    assert sensed[1][1] is payload.coded_bits
 
 
 def test_capture_round_trip_matches_simulation(tmp_path, capsys):

@@ -337,6 +337,53 @@ def test_run_blocks_is_given_item_widths_only():
     assert offenders == []
 
 
+def _public_definitions(path: Path) -> list[tuple[str, str]]:
+    """(name, place) of each public function and class at the top level of
+    the module at ``path``, and of each public method of those classes."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found.append((node.name, f"{path.name}:{node.lineno}"))
+        if isinstance(node, ast.ClassDef):
+            found += [(f.name, f"{path.name}:{f.lineno}") for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return found
+
+
+def _references(path: Path) -> set[str]:
+    """Every name the module at ``path`` uses: names, attributes, imported
+    names, and string literals that could name an attribute (the benchmark's
+    tracer wraps functions by name)."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs.add(node.value)
+    return refs
+
+
+def test_public_surface_is_used_outside_the_tests():
+    """Every public function, class and public method in the package is
+    referenced from the package, the scripts, the benchmark or the
+    acceptance gate: code that only the other tests use is public surface
+    nobody needs. There is no allow-list."""
+    root = Path(__file__).resolve().parent.parent
+    src = sorted((root / "src" / "bistatic_radcom").glob("*.py"))
+    users = [*src, *sorted((root / "scripts").glob("*.py")),
+             *sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]
+    refs = set().union(*map(_references, users))
+    defined = [d for path in src for d in _public_definitions(path)]
+    assert len(defined) > 50
+    assert [f"{place} {name}" for name, place in defined if name not in refs] == []
+
+
 def complex_noise(seed, n):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)

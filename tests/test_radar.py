@@ -15,6 +15,7 @@ from scipy import ndimage
 from bistatic_radcom import dsp, radar
 from bistatic_radcom.commrx import demodulate_frame
 from bistatic_radcom.dsp import parabolic_vertex
+from bistatic_radcom.ldpc import default_code
 from bistatic_radcom.params import (
     SPEED_OF_LIGHT,
     ConfigError,
@@ -34,8 +35,7 @@ from bistatic_radcom.radar import (
 from bistatic_radcom.txframe import (
     build_tx_frame,
     frame_capacity_bits,
-    map_payload,
-    payload_grid,
+    payload_columns,
 )
 
 
@@ -160,7 +160,7 @@ def test_cfr_for_sensing_full_frame_flat_channel():
     info = rng.integers(0, 2, frame_capacity_bits(cfg)[0], dtype=np.uint8)
     frame, payload, tx = build_tx_frame(cfg, info)
     rg = demodulate_frame(tx.samples[cfg.m_preamble * cfg.symbol_len:].copy(), cfg)
-    cfr = cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME, decoded_info_bits=info)
+    cfr = cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME, coded_bits=payload.coded_bits)
     assert cfr.shape == rg.shape
     assert np.allclose(cfr, 1.0, atol=1e-9)
 
@@ -175,42 +175,44 @@ def test_full_frame_sensing_requires_bits():
         cfr_for_sensing(rg, cfg, SensingMode.FULL_FRAME)
 
 
-def test_payload_grid_rejects_wrong_symbol_count():
-    cfg = desk_cfg()
-    with pytest.raises(ValueError, match="payload symbols for this config, got 17"):
-        payload_grid(cfg, np.zeros(17, dtype=complex))
-
-
-def test_payload_grid_matches_tx():
-    """The full-frame sensing reference is bit for bit the TX payload region,
-    also for a payload shorter than the frame (zero-filled cells)."""
+def test_full_frame_reference_is_tx_payload_region():
+    """Full-frame Y/X of the TX payload region against the TX codewords is
+    exactly one on every cell: the sensing reference is bit for bit the
+    region `build_tx_frame` transmits, also for a payload shorter than the
+    frame (zero-filled cells)."""
     cfg = desk_cfg()
     rng = np.random.default_rng(4)
     for n_info in (frame_capacity_bits(cfg)[0], 1000):
         info = rng.integers(0, 2, n_info, dtype=np.uint8)
-        frame, _, _ = build_tx_frame(cfg, info)
-        grid = payload_grid(cfg, map_payload(info, cfg)[1])
-        assert np.array_equal(grid, frame[:, cfg.m_preamble:])
+        frame, payload, _ = build_tx_frame(cfg, info)
+        cfr = cfr_for_sensing(frame[:, cfg.m_preamble:], cfg, SensingMode.FULL_FRAME,
+                              coded_bits=payload.coded_bits)
+        assert np.array_equal(cfr, np.ones_like(cfr))
 
 
 @pytest.mark.parametrize("columns", [1, 3, 64])
-@pytest.mark.parametrize("frame, n_info", [
+@pytest.mark.parametrize("frame, n_bits", [
     (dict(n_subcarriers=256, cp_len=64, m_payload=128), None),
     (dict(n_subcarriers=256, cp_len=64, m_payload=128), 1000),
     (dict(n_subcarriers=96, cp_len=24, m_payload=72, pilot_freq_spacing=3,
           pilot_time_spacing=6), 500)])
-def test_full_frame_cfr_is_grid_over_tx_payload(monkeypatch, columns, frame, n_info):
+def test_full_frame_cfr_is_grid_over_tx_payload(monkeypatch, columns, frame, n_bits):
     """Y/X on blocks of payload symbols gives the bits of the grid divided by
-    the whole TX payload grid, for blocks that start between pilot symbols
-    and for a payload shorter than the frame."""
+    the writer's whole payload region of the given coded bits, for blocks
+    that start between pilot symbols and for bits shorter than the frame.
+    The bits are no codewords, so a re-encode of their info part would give
+    another reference: sensing divides by the decoder's bits as they are."""
     cfg = FrameConfig(**frame)
+    code = default_code()
     rng = np.random.default_rng(columns)
-    info = rng.integers(0, 2, n_info or frame_capacity_bits(cfg)[0], dtype=np.uint8)
+    coded = rng.integers(0, 2, n_bits or frame_capacity_bits(cfg)[1] * code.n, dtype=np.uint8)
+    whole = coded[:coded.size - coded.size % code.n].reshape(-1, code.n)
+    assert not code.check(whole).any()
     shape = (cfg.n_subcarriers, cfg.m_payload)
     grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     monkeypatch.setattr(dsp, "_BLOCK", columns * cfg.n_subcarriers)
-    got = cfr_for_sensing(grid, cfg, SensingMode.FULL_FRAME, decoded_info_bits=info)
-    want = grid / payload_grid(cfg, map_payload(info, cfg)[1])
+    got = cfr_for_sensing(grid, cfg, SensingMode.FULL_FRAME, coded_bits=coded)
+    want = grid / payload_columns(cfg, coded, 0, cfg.m_payload)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

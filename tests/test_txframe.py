@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bistatic_radcom import dsp, sync, txframe
+from bistatic_radcom.ldpc import default_code
 from bistatic_radcom.params import ConfigError, FrameConfig
 from bistatic_radcom.txframe import (
     build_tx_frame,
+    encode_payload,
     frame_capacity_bits,
     frame_tables,
-    map_payload,
     map_qpsk,
     modulate,
-    payload_grid,
+    payload_columns,
     pilot_cfr,
     symbols_from_grid,
 )
@@ -136,7 +137,8 @@ def test_preamble_deterministic_per_seed():
 
 def test_pilot_grid_placement():
     """Pilots sit on the comb [::dN, ::dM], every other payload cell carries
-    data, and the payload grid puts the table's pilots there."""
+    data, and the writer puts the table's pilots there and zero bits on the
+    data cells past the coded bits."""
     cfg = small_cfg()
     tables = frame_tables(cfg)
     pilot_mask = ~tables.data_mask
@@ -144,10 +146,11 @@ def test_pilot_grid_placement():
     assert pilot_mask[0, 0]
     assert pilot_mask[cfg.pilot_freq_spacing, cfg.pilot_time_spacing]
     assert not pilot_mask[1, 0]
-    region = payload_grid(cfg, np.zeros(cfg.n_data_elements, dtype=complex))
+    region = payload_columns(cfg, np.zeros(0, dtype=np.uint8), 0, cfg.m_payload)
     assert np.array_equal(region[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing],
                           tables.pilots)
-    assert np.array_equal(region != 0, pilot_mask)
+    assert np.array_equal(region[tables.data_mask],
+                          np.full(cfg.n_data_elements, map_qpsk([0, 0])[0]))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -162,11 +165,72 @@ def test_frame_data_round_trip(seed):
     got = symbols_from_grid(frame, cfg)
     coded = payload.coded_bits
     assert np.array_equal(hard_bits(got)[:coded.size], coded)
-    # the layout functions invert each other and read pilots as a unit channel
-    region = payload_grid(cfg, got)
+    # the writer and the reader invert each other and read pilots as a unit
+    # channel
+    region = payload_columns(cfg, hard_bits(got), 0, cfg.m_payload)
     assert np.array_equal(region, frame[:, cfg.m_preamble:])
     assert np.array_equal(pilot_cfr(region, cfg),
                           np.ones((cfg.n_pilot_rows, cfg.n_pilot_cols)))
+
+
+def payload_oracle(cfg, coded_bits):
+    """The whole payload region by its definition: the pilots on the comb
+    [::dN, ::dM], then the data cells filled column-major with the QPSK
+    symbols of the coded bits, zero-padded to the frame's capacity."""
+    region = np.zeros((cfg.n_subcarriers, cfg.m_payload), dtype=np.complex128)
+    region[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = frame_tables(cfg).pilots
+    bits = np.zeros(2 * cfg.n_data_elements, dtype=np.uint8)
+    bits[:coded_bits.size] = coded_bits
+    data = np.ones(region.shape, dtype=bool)
+    data[::cfg.pilot_freq_spacing, ::cfg.pilot_time_spacing] = False
+    region.T[data.T] = map_qpsk(bits)
+    return region
+
+
+WRITER_CFGS = [small_cfg(), FrameConfig(n_subcarriers=96, cp_len=24, m_payload=72,
+                                        pilot_freq_spacing=3, pilot_time_spacing=6)]
+
+
+@pytest.mark.parametrize("cfg", WRITER_CFGS, ids=["comb-2-4", "comb-3-6"])
+@pytest.mark.parametrize("fill", ["full", "short", "none"])
+def test_payload_columns_match_whole_frame_oracle(cfg, fill):
+    """Any span [a, b) of the writer's payload symbols is those columns of
+    the whole-frame oracle: spans that start on and off the pilot comb, an
+    empty span, single columns, the last column and the whole payload, for
+    coded bits that fill the frame, fall short of it, or are absent."""
+    rng = np.random.default_rng(len(fill))
+    size = {"full": 2 * cfg.n_data_elements, "short": 2 * cfg.n_data_elements // 3 + 1,
+            "none": 0}[fill]
+    coded = rng.integers(0, 2, size, dtype=np.uint8)
+    want = payload_oracle(cfg, coded)
+    m, dm = cfg.m_payload, cfg.pilot_time_spacing
+    spans = [(0, m), (0, 0), (5, 5), (m, m), (0, 1), (1, 2), (dm, dm + 1), (m - 1, m),
+             (1, m), (dm - 1, 2 * dm + 1), (dm + 1, m - 1)]
+    spans += [tuple(sorted(rng.integers(0, m + 1, 2))) for _ in range(20)]
+    for a, b in spans:
+        got = payload_columns(cfg, coded, a, b)
+        assert got.shape == (cfg.n_subcarriers, b - a)
+        assert np.array_equal(got.view(np.uint64), want[:, a:b].view(np.uint64)), (a, b)
+
+
+@pytest.mark.parametrize("cfg", WRITER_CFGS, ids=["comb-2-4", "comb-3-6"])
+def test_tx_grid_is_preamble_plus_oracle(cfg):
+    """`build_tx_frame`'s grid is the preamble and then the oracle's payload
+    region of its coded bits, bit for bit, for a full and a short payload;
+    the coded bits are the LDPC codewords of the zero-padded info bits."""
+    code = default_code()
+    rng = np.random.default_rng(9)
+    for n_info in (frame_capacity_bits(cfg)[0], code.k + 5):
+        info = rng.integers(0, 2, n_info, dtype=np.uint8)
+        frame, payload, _ = build_tx_frame(cfg, info)
+        padded = np.zeros(payload.codeword_count * code.k, dtype=np.uint8)
+        padded[:n_info] = info
+        assert np.array_equal(payload.coded_bits,
+                              code.encode(padded.reshape(-1, code.k)).reshape(-1))
+        assert np.array_equal(frame[:, :cfg.m_preamble], frame_tables(cfg).preamble)
+        want = payload_oracle(cfg, payload.coded_bits)
+        assert np.array_equal(frame[:, cfg.m_preamble:].view(np.uint64),
+                              want.view(np.uint64))
 
 
 def test_masks_cover_frame_regions():
@@ -230,18 +294,9 @@ def test_capacity_overflow_raises():
     cfg = small_cfg()
     max_info, _ = frame_capacity_bits(cfg)
     with pytest.raises(ConfigError) as exc:
-        map_payload(np.zeros(max_info + 1, dtype=np.uint8), cfg)
+        encode_payload(np.zeros(max_info + 1, dtype=np.uint8), cfg)
     assert exc.value.violations == [f"payload of {max_info + 1} bits exceeds frame "
                                     f"capacity of {max_info} info bits"]
-
-
-def test_wrong_symbol_count_raises():
-    cfg = small_cfg()
-    with pytest.raises(ValueError, match=f"expected {cfg.n_data_elements} payload symbols "
-                                         "for this config, got 17"):
-        payload_grid(cfg, np.zeros(17, dtype=complex))
-    with pytest.raises(ValueError, match=f"got {cfg.n_data_elements + 1}$"):
-        payload_grid(cfg, np.zeros(cfg.n_data_elements + 1, dtype=complex))
 
 
 def test_pilot_values_deterministic():
